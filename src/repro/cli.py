@@ -380,17 +380,6 @@ def _serve_options_from_args(args: argparse.Namespace):
         raise SystemExit(str(error)) from error
 
 
-def _event_config_from_args(args: argparse.Namespace, telemetry=None):
-    """The event-loop config behind ``--arrival/--slo-ms/--shed-policy``
-    and the fault-handling knobs (docs/FAULTS.md)."""
-    from dataclasses import replace
-
-    config = _serve_options_from_args(args).event_config()
-    if telemetry is not None:
-        config = replace(config, telemetry=telemetry)
-    return config
-
-
 def _telemetry_mode(args: argparse.Namespace) -> str:
     """The effective ``--telemetry`` mode (``--trace-out`` implies trace)."""
     mode = getattr(args, "telemetry", "off")
@@ -405,7 +394,8 @@ def _telemetry_mode(args: argparse.Namespace) -> str:
 
 
 def _telemetry_from_args(args: argparse.Namespace):
-    """The run's Telemetry context (or None), for the direct-loop paths."""
+    """The run's Telemetry context (or None), for the closed-loop paths
+    that serve without :func:`serve_trace`."""
     from .telemetry import Telemetry
 
     return Telemetry.from_mode(_telemetry_mode(args))
@@ -670,27 +660,16 @@ def _cmd_replay(args: argparse.Namespace) -> int:
         f"({args.workload} workload, skew {args.skew}, seed {args.seed}, "
         f"{len(workload.drift_events)} drift events)"
     )
+    on_drift = _service_drift_handler(args, service, workload)
     if args.arrival:
-        return _replay_event_driven(args, service, workload)
+        return _serve_event_driven(
+            args, service, workload.timed_items(), time.perf_counter(), on_drift
+        )
     responses = []
     t0 = time.perf_counter()
     for events, batch in workload.segments():
         for event in events:
-            if event.machine is not None and event.machine != args.machine:
-                print(f"!! drift event targets {event.machine!r}, not {args.machine}")
-                continue
-            try:
-                service.system.runner.apply_drift(
-                    event.scale, device_index=event.device_index
-                )
-            except ValueError as error:
-                raise SystemExit(str(error)) from error
-            where = (
-                f"device {event.device_index}"
-                if event.device_index is not None
-                else "all devices"
-            )
-            print(f"-- drift: {where} x{event.scale:g} before request {len(responses)}")
+            on_drift(event)
         if not batch:
             continue
         if args.no_batch:
@@ -703,35 +682,7 @@ def _cmd_replay(args: argparse.Namespace) -> int:
     return 0
 
 
-def _replay_event_driven(args: argparse.Namespace, service, workload) -> int:
-    """The open-loop replay: arrivals on a simulated clock, queueing, SLOs."""
-    from .serving import EventLoop
-
-    telemetry = _telemetry_from_args(args)
-    loop = EventLoop.for_service(
-        service, _event_config_from_args(args, telemetry)
-    )
-
-    def on_drift(event) -> None:
-        if event.machine is not None and event.machine != args.machine:
-            print(f"!! drift event targets {event.machine!r}, not {args.machine}")
-            return
-        try:
-            service.system.runner.apply_drift(
-                event.scale, device_index=event.device_index
-            )
-        except ValueError as error:
-            raise SystemExit(str(error)) from error
-        where = (
-            f"device {event.device_index}"
-            if event.device_index is not None
-            else "all devices"
-        )
-        print(
-            f"-- drift: {where} x{event.scale:g} "
-            f"before request {loop.stats.arrivals}"
-        )
-
+def _print_event_banner(args: argparse.Namespace) -> None:
     print(
         f"event-driven: {args.arrival} arrivals at {args.arrival_rate:g} req/s "
         f"(shed policy {args.shed_policy}"
@@ -739,12 +690,20 @@ def _replay_event_driven(args: argparse.Namespace, service, workload) -> int:
         + (f", hedge at p{args.hedge_at * 100:g}" if args.hedge_at else "")
         + ")"
     )
-    t0 = time.perf_counter()
-    stats = loop.run(workload.timed_items(), drift_handler=on_drift)
+
+
+def _serve_event_driven(args, service, trace, t0, on_drift=None) -> int:
+    """The open-loop service run behind ``replay`` and ``serve``:
+    arrivals on a simulated clock, queueing, SLOs."""
+    from .serving import serve_trace
+
+    options = _serve_options_from_args(args)
+    _print_event_banner(args)
+    result = serve_trace(service, trace, options, drift_handler=on_drift)
     wall_s = time.perf_counter() - t0
-    _print_service_summary(service, stats.execute_time_s, wall_s)
-    _print_latency_summary(stats)
-    _finish_telemetry(args, telemetry, backend=service, stats=stats)
+    _print_service_summary(service, result.stats.execute_time_s, wall_s)
+    _print_latency_summary(result.stats)
+    _finish_telemetry(args, result.telemetry, backend=service, stats=result.stats)
     return 0
 
 
@@ -798,45 +757,13 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         if args.trace:
             stream.close()
     if args.arrival:
-        return _serve_event_driven(args, service, requests, t0)
+        return _serve_event_driven(args, service, requests, t0) if requests else 0
     wall_s = time.perf_counter() - t0
     if responses:
         _print_service_summary(
             service, sum(r.measured_s for r in responses), wall_s
         )
     _finish_telemetry(args, _telemetry_from_args(args), backend=service)
-    return 0
-
-
-def _serve_event_driven(args: argparse.Namespace, service, requests, t0) -> int:
-    """Event-mode ``serve``: arrival timestamps over the parsed trace."""
-    from .serving import EventLoop
-    from .workloads import WorkloadSpec, arrival_times
-
-    if not requests:
-        return 0
-    spec = WorkloadSpec(
-        num_requests=len(requests),
-        seed=args.seed,
-        arrival=args.arrival,
-        rate_rps=args.arrival_rate,
-    )
-    print(
-        f"event-driven: {args.arrival} arrivals at {args.arrival_rate:g} req/s "
-        f"(shed policy {args.shed_policy}"
-        + (f", {len(args.faults)} fault windows" if args.faults else "")
-        + (f", hedge at p{args.hedge_at * 100:g}" if args.hedge_at else "")
-        + ")"
-    )
-    telemetry = _telemetry_from_args(args)
-    loop = EventLoop.for_service(
-        service, _event_config_from_args(args, telemetry)
-    )
-    stats = loop.run(zip(arrival_times(spec), requests))
-    wall_s = time.perf_counter() - t0
-    _print_service_summary(service, stats.execute_time_s, wall_s)
-    _print_latency_summary(stats)
-    _finish_telemetry(args, telemetry, backend=service, stats=stats)
     return 0
 
 
@@ -948,68 +875,29 @@ def _cmd_fleet_serve(args: argparse.Namespace) -> int:
         f"({args.workload} workload, skew {args.skew}, seed {args.seed}, "
         f"{len(workload.drift_events)} drift events)"
     )
+    on_drift = _router_drift_handler(router, workload)
     if args.arrival:
-        return _fleet_serve_event_driven(args, router, sources, workload)
-    served = 0
+        from .serving import serve_trace
+
+        options = _serve_options_from_args(args)
+        _print_event_banner(args)
+        t0 = time.perf_counter()
+        result = serve_trace(
+            router, workload.timed_items(), options, drift_handler=on_drift
+        )
+        wall_s = time.perf_counter() - t0
+        _print_fleet_summary(router, sources, wall_s)
+        _print_latency_summary(result.stats)
+        _finish_telemetry(args, result.telemetry, backend=router, stats=result.stats)
+        return 0
     t0 = time.perf_counter()
     for events, batch in workload.segments():
         for event in events:
-            try:
-                hit = router.apply_drift(event)
-            except ValueError as error:
-                raise SystemExit(str(error)) from error
-            where = (
-                f"device {event.device_index}"
-                if event.device_index is not None
-                else "all devices"
-            )
-            print(
-                f"-- drift: {', '.join(hit)} ({where}) x{event.scale:g} "
-                f"before request {served}"
-            )
+            on_drift(event)
         router.serve(batch)
-        served += len(batch)
     wall_s = time.perf_counter() - t0
     _print_fleet_summary(router, sources, wall_s)
     _finish_telemetry(args, _telemetry_from_args(args), backend=router)
-    return 0
-
-
-def _fleet_serve_event_driven(args, router, sources, workload) -> int:
-    """Event-mode fleet serving: place at arrival, queue per replica."""
-    from .serving import EventLoop
-
-    telemetry = _telemetry_from_args(args)
-    loop = EventLoop.for_fleet(router, _event_config_from_args(args, telemetry))
-
-    def on_drift(event) -> None:
-        try:
-            hit = router.apply_drift(event)
-        except ValueError as error:
-            raise SystemExit(str(error)) from error
-        where = (
-            f"device {event.device_index}"
-            if event.device_index is not None
-            else "all devices"
-        )
-        print(
-            f"-- drift: {', '.join(hit)} ({where}) x{event.scale:g} "
-            f"before request {loop.stats.arrivals}"
-        )
-
-    print(
-        f"event-driven: {args.arrival} arrivals at {args.arrival_rate:g} req/s "
-        f"(shed policy {args.shed_policy}"
-        + (f", {len(args.faults)} fault windows" if args.faults else "")
-        + (f", hedge at p{args.hedge_at * 100:g}" if args.hedge_at else "")
-        + ")"
-    )
-    t0 = time.perf_counter()
-    stats = loop.run(workload.timed_items(), drift_handler=on_drift)
-    wall_s = time.perf_counter() - t0
-    _print_fleet_summary(router, sources, wall_s)
-    _print_latency_summary(stats)
-    _finish_telemetry(args, telemetry, backend=router, stats=stats)
     return 0
 
 
@@ -1179,18 +1067,7 @@ def _cmd_cluster_serve(args: argparse.Namespace) -> int:
         f"seed {args.seed})"
     )
 
-    def on_drift(event) -> None:
-        try:
-            hit = cluster.apply_drift(event)
-        except ValueError as error:
-            raise SystemExit(str(error)) from error
-        where = (
-            f"device {event.device_index}"
-            if event.device_index is not None
-            else "all devices"
-        )
-        print(f"-- drift: {', '.join(hit)} ({where}) x{event.scale:g}")
-
+    on_drift = _router_drift_handler(cluster)
     t0 = time.perf_counter()
     if args.arrival:
         print(
@@ -1788,8 +1665,21 @@ def _cmd_graph_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
-def _service_drift_handler(args: argparse.Namespace, service):
-    """Drift hook for the single-service telemetry commands."""
+def _drift_where(event) -> str:
+    if event.device_index is None:
+        return "all devices"
+    return f"device {event.device_index}"
+
+
+def _drift_position(event, workload) -> str:
+    """`` before request N``: the requests served before ``event`` fires
+    (events past the end of the trace fire after its last request)."""
+    return f" before request {min(event.at_request, len(workload))}"
+
+
+def _service_drift_handler(args: argparse.Namespace, service, workload=None):
+    """Drift hook for the single-service commands; with ``workload``
+    given, every applied event is announced with its trace position."""
 
     def on_drift(event) -> None:
         if event.machine is not None and event.machine != args.machine:
@@ -1801,6 +1691,29 @@ def _service_drift_handler(args: argparse.Namespace, service):
             )
         except ValueError as error:
             raise SystemExit(str(error)) from error
+        if workload is not None:
+            print(
+                f"-- drift: {_drift_where(event)} x{event.scale:g}"
+                + _drift_position(event, workload)
+            )
+
+    return on_drift
+
+
+def _router_drift_handler(router, workload=None):
+    """Drift hook for the fleet and cluster commands: apply the event,
+    announce the machines it hit (and its trace position, when
+    ``workload`` is given)."""
+
+    def on_drift(event) -> None:
+        try:
+            hit = router.apply_drift(event)
+        except ValueError as error:
+            raise SystemExit(str(error)) from error
+        print(
+            f"-- drift: {', '.join(hit)} ({_drift_where(event)}) x{event.scale:g}"
+            + (_drift_position(event, workload) if workload is not None else "")
+        )
 
     return on_drift
 
@@ -1893,20 +1806,19 @@ def _cmd_graph_serve(args: argparse.Namespace) -> int:
         f"distinct pipelines (skew {args.skew}, seed {args.seed})"
     )
     t0 = time.perf_counter()
-    telemetry = _telemetry_from_args(args)
     if args.arrival:
-        from .serving import EventLoop
+        from .serving import serve_trace
 
-        loop = EventLoop.for_service(
-            service, _event_config_from_args(args, telemetry)
-        )
+        options = _serve_options_from_args(args)
         print(
             f"event-driven: {args.arrival} arrivals at {args.arrival_rate:g} req/s"
         )
-        loop_stats = loop.run(workload.timed_items())
+        result = serve_trace(service, workload.timed_items(), options)
         wall_s = time.perf_counter() - t0
+        telemetry, loop_stats = result.telemetry, result.stats
         serialized = loop_stats.execute_time_s
     else:
+        telemetry = _telemetry_from_args(args)
         serialized = 0.0
         for request in workload.requests:
             serialized += service.submit_graph(request).measured_s

@@ -91,8 +91,8 @@ def with_tenants(
 
 @dataclass(frozen=True)
 class ClusterResponse:
-    """A served request plus where the cluster placed it and what the
-    network charged.
+    """A served request (kernel or graph) plus where the cluster placed
+    it and what the network charged.
 
     ``measured_s`` is the end-to-end execution span *including* the
     interconnect handoff when the request was served away from its
@@ -119,31 +119,6 @@ class ClusterResponse:
     @property
     def measured_s(self) -> float:
         return self.response.response.measured_s + self.network_s
-
-
-@dataclass(frozen=True)
-class _GraphClusterResponse:
-    """Graph flavour of :class:`ClusterResponse` (same loop-facing duck
-    type: ``cache_hit`` + ``measured_s``)."""
-
-    pool_index: int
-    home_pool: int
-    replica_index: int
-    network_s: float
-    network_j: float
-    response: object  # GraphServedResponse
-
-    @property
-    def cross_pool(self) -> bool:
-        return self.pool_index != self.home_pool
-
-    @property
-    def cache_hit(self) -> bool:
-        return self.response.cache_hit
-
-    @property
-    def measured_s(self) -> float:
-        return self.response.measured_s + self.network_s
 
 
 @dataclass(frozen=True)
@@ -383,9 +358,8 @@ class ClusterRouter:
         pool wins only when its head start beats the interconnect toll
         — the cluster-level analogue of PCIe-aware partitioning.  Ties
         break toward the home pool, then by pool index.  Within the
-        chosen pool, kernel requests go through the pool's own policy
-        (:meth:`FleetRouter.place`); graph requests spread
-        deterministically as on the fleet path.
+        chosen pool the pool's own :meth:`FleetRouter.place` picks the
+        replica.
         """
         home = self.home_pool(request.tenant)
         best_pool, best_score = home, (math.inf, 1, home)
@@ -394,13 +368,7 @@ class ClusterRouter:
             score = (self._pool_load_s(p) + net_s, 0 if p == home else 1, p)
             if score < best_score:
                 best_pool, best_score = p, score
-        pool = self.pools[best_pool]
-        if isinstance(request, GraphServingRequest):
-            local = request.request_id % len(pool.replicas)
-            pool.replicas[local].routed += 1
-        else:
-            local = pool.place(request)
-        return self._offsets[best_pool] + local
+        return self._offsets[best_pool] + self.pools[best_pool].place(request)
 
     def speculative_index(
         self,
@@ -454,7 +422,7 @@ class ClusterRouter:
 
     def serve_on(
         self, flat_index: int, request: "ServingRequest | GraphServingRequest"
-    ) -> "ClusterResponse | _GraphClusterResponse":
+    ) -> ClusterResponse:
         """Serve one placed request; the network bill rides the response.
 
         A request served outside its tenant's home pool pays the
@@ -463,7 +431,6 @@ class ClusterRouter:
         the joules join the cluster's network meter.
         """
         pool_index, local = self._split(flat_index)
-        pool = self.pools[pool_index]
         home = self.home_pool(request.tenant)
         net_s, net_j = self.handoff_cost(request, pool_index)
         self.served += 1
@@ -471,17 +438,7 @@ class ClusterRouter:
             self.cross_pool += 1
             self.network_s += net_s
             self.network_j += net_j
-        if isinstance(request, GraphServingRequest):
-            response = pool.replicas[local].service.submit_graph(request)
-            return _GraphClusterResponse(
-                pool_index=pool_index,
-                home_pool=home,
-                replica_index=flat_index,
-                network_s=net_s,
-                network_j=net_j,
-                response=response,
-            )
-        fleet_response = pool.serve_on(local, request)
+        fleet_response = self.pools[pool_index].serve_on(local, request)
         return ClusterResponse(
             pool_index=pool_index,
             home_pool=home,
@@ -494,7 +451,7 @@ class ClusterRouter:
 
     def submit(
         self, request: "ServingRequest | GraphServingRequest"
-    ) -> "ClusterResponse | _GraphClusterResponse":
+    ) -> ClusterResponse:
         """Place and serve one request (closed-loop path)."""
         return self.serve_on(self.place(request), request)
 

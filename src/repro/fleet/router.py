@@ -58,8 +58,13 @@ from ..ocl.platform import Platform
 from ..partitioning import Partitioning
 from ..runtime.measurement import Runner
 from ..runtime.scheduler import ExecutionRequest
-from ..serving.service import PartitioningService, ServedResponse, ServiceConfig
-from ..serving.trace import ServingRequest
+from ..serving.service import (
+    GraphServedResponse,
+    PartitioningService,
+    ServedResponse,
+    ServiceConfig,
+)
+from ..serving.trace import GraphServingRequest, ServingRequest
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..workloads.spec import DriftEvent
@@ -197,11 +202,11 @@ class FleetReplica:
 
 @dataclass(frozen=True)
 class FleetResponse:
-    """A served request plus where the router placed it."""
+    """A served request (kernel or graph) plus where the router placed it."""
 
     replica_index: int
     replica_name: str
-    response: ServedResponse
+    response: "ServedResponse | GraphServedResponse"
 
 
 @dataclass(frozen=True)
@@ -610,7 +615,7 @@ class FleetRouter:
 
     # -- serving -----------------------------------------------------------
 
-    def place(self, request: ServingRequest) -> int:
+    def place(self, request: "ServingRequest | GraphServingRequest") -> int:
         """Pick (and commit to) a replica for one request.
 
         This is the routing half of :meth:`submit`, split out so the
@@ -619,7 +624,15 @@ class FleetRouter:
         shows up, not when a queue finally drains.  Calling ``place``
         commits the routing side effects (drain countdown, routed
         counter); follow it with :meth:`serve_on`.
+
+        Graph requests bypass the policies (those interrogate
+        per-kernel predictors) and spread deterministically by request
+        id; they count as routed but do not step drain cooldowns.
         """
+        if isinstance(request, GraphServingRequest):
+            index = request.request_id % len(self.replicas)
+            self.replicas[index].routed += 1
+            return index
         if self.health.enabled:
             # Each routed request moves every draining replica one step
             # closer to rejoining; tick() adds a simulated-time clock on
@@ -657,17 +670,26 @@ class FleetRouter:
             if state.draining > 0:
                 state.draining = max(0, state.draining - steps)
 
-    def serve_on(self, index: int, request: ServingRequest) -> FleetResponse:
-        """Serve one already-placed request on the chosen replica."""
+    def serve_on(
+        self, index: int, request: "ServingRequest | GraphServingRequest"
+    ) -> FleetResponse:
+        """Serve one already-placed request on the chosen replica.
+
+        Kernel responses feed the replica's health tracking; graph
+        responses do not (health compares kernel-level estimates).
+        """
         replica = self.replicas[index]
-        response = replica.service.submit(request)
-        if self.health.enabled:
-            self._observe_health(replica, response)
+        if isinstance(request, GraphServingRequest):
+            response = replica.service.submit_graph(request)
+        else:
+            response = replica.service.submit(request)
+            if self.health.enabled:
+                self._observe_health(replica, response)
         return FleetResponse(
             replica_index=index, replica_name=replica.name, response=response
         )
 
-    def submit(self, request: ServingRequest) -> FleetResponse:
+    def submit(self, request: "ServingRequest | GraphServingRequest") -> FleetResponse:
         """Place and serve one request; returns the placement + response."""
         return self.serve_on(self.place(request), request)
 

@@ -59,7 +59,7 @@ it is opt-in: with the new knobs at their defaults the loop replays
 pre-cluster traces event for event.
 
 Replicas serve one request at a time.  Execution time comes from the
-normal serving loop (:meth:`PartitioningService.submit` at service
+service's serving core (:meth:`PartitioningService.submit` at service
 *start*, so adaptation/refit state evolves in start order exactly as
 it would synchronously); predict time is a configurable simulated cost
 that distinguishes a cache hit from a model inference.  Between
@@ -538,18 +538,11 @@ class _FleetBackend:
         self.services = [r.service for r in router.replicas]
 
     def place(self, request: "ServingRequest | GraphServingRequest") -> int:
-        # Graph requests bypass the router's model-peek policies (those
-        # interrogate per-kernel predictors); a deterministic spread
-        # keeps fleet graph traffic balanced without asking any model.
-        if isinstance(request, GraphServingRequest):
-            return request.request_id % len(self.services)
         return self.router.place(request)
 
     def serve(
         self, index: int, request: "ServingRequest | GraphServingRequest"
     ) -> AnyResponse:
-        if isinstance(request, GraphServingRequest):
-            return self.services[index].submit_graph(request)
         return self.router.serve_on(index, request).response
 
     def tick(self, now_s: float) -> None:

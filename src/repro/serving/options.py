@@ -1,10 +1,9 @@
-"""One serving API: ``serve_trace(backend, trace, options)``.
+"""One way to serve a trace: ``serve_trace(backend, trace, options)``.
 
-The serving surface grew an entrypoint per capability — ``submit`` for
-one request, ``submit_many`` for batched prediction, ``submit_graph``
-for DAGs, ``FleetRouter.serve`` for fleets, ``EventLoop.run`` for
-open-loop arrivals — each with its own knob set.  This module folds
-them behind two names:
+A single request goes straight to a serving core: ``submit`` /
+``submit_graph`` on a service, ``submit`` on a fleet or cluster
+router.  A whole trace — closed-loop or open-loop, on any backend —
+goes through this module's two names:
 
 * :class:`ServeOptions` — every serve-time decision in one frozen
   dataclass: the arrival process, SLO targets and shedding, fault
@@ -19,28 +18,28 @@ them behind two names:
   :class:`~repro.cluster.ClusterRouter`.
 
 ``arrival="sequential"`` is the closed-loop replay (each request
-submitted the instant the previous finishes — the legacy synchronous
-path, responses returned in order).  The open-loop processes
+submitted the instant the previous finishes, responses returned in
+order); a kernel-only trace on a service is answered with batched
+model inference (``submit_many``).  The open-loop processes
 (``uniform`` / ``poisson``) run the simulated-time
 :class:`~repro.serving.EventLoop`; responses are streamed to
 ``on_complete`` and the result carries the loop's bounded-memory
 stats instead of a response list.
 
-The pre-existing entrypoints still exist as thin shims over this
-facade and their outputs are golden-pinned bit-identical — old callers
-see nothing.
+The options are built and validated once per trace; every request
+then reaches the backend's serving core with no further facade work.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable
 
 from ..faults import FaultSchedule
 from ..telemetry import TELEMETRY_MODES, Telemetry
 from .eventloop import CompletedRequest, EventLoop, EventLoopConfig, EventLoopStats
 from .slo import SLOConfig
-from .trace import GraphServingRequest, ServingRequest
+from .trace import GraphServingRequest
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..cluster.router import ClusterRouter
@@ -61,9 +60,6 @@ class ServeOptions:
             event-driven path.
         rate_rps: mean open-loop arrival rate; ignored by sequential.
         seed: seed of the arrival-process draws.
-        batch_predict: on the sequential service path, answer cold keys
-            with one vectorized model pass (the ``submit_many``
-            behaviour) instead of per-request inference.
         slo: latency targets, tenant priorities, shedding exemptions.
         shed_policy: one of :data:`~repro.serving.slo.SHED_POLICIES`.
         faults: seeded fault schedule for the event path, or ``None``.
@@ -89,7 +85,6 @@ class ServeOptions:
     arrival: str = "sequential"
     rate_rps: float = 200.0
     seed: int = 0
-    batch_predict: bool = True
     slo: SLOConfig = field(default_factory=SLOConfig)
     shed_policy: str = "none"
     faults: FaultSchedule | None = None
@@ -219,30 +214,17 @@ def _check_build_knobs(backend, kind: str, options: ServeOptions) -> None:
             )
 
 
-def _sequential(backend, kind: str, requests: list, options: ServeOptions) -> tuple:
-    if kind == "service":
-        if options.batch_predict and not any(
-            isinstance(r, GraphServingRequest) for r in requests
-        ):
-            return tuple(backend._submit_many(requests))
-        return tuple(
-            backend._submit_graph(r)
-            if isinstance(r, GraphServingRequest)
-            else backend._submit(r, None)
-            for r in requests
-        )
-    if kind == "fleet":
-        # Graph requests spread deterministically, exactly as the
-        # event-loop fleet backend does; kernels go through the policy.
-        responses = []
-        for r in requests:
-            if isinstance(r, GraphServingRequest):
-                index = r.request_id % len(backend.replicas)
-                responses.append(backend.replicas[index].service.submit_graph(r))
-            else:
-                responses.append(backend.submit(r))
-        return tuple(responses)
-    return tuple(backend.submit(r) for r in requests)
+def _sequential(backend, kind: str, requests: list) -> tuple:
+    if kind != "service":
+        return tuple(backend.submit(r) for r in requests)
+    if not any(isinstance(r, GraphServingRequest) for r in requests):
+        return tuple(backend._submit_many(requests))
+    return tuple(
+        backend._submit_graph(r)
+        if isinstance(r, GraphServingRequest)
+        else backend._submit(r, None)
+        for r in requests
+    )
 
 
 def serve_trace(
@@ -280,7 +262,7 @@ def serve_trace(
                 "telemetry='trace' needs the simulated clock of the event "
                 "path; sequential serving supports 'off' and 'metrics'"
             )
-        responses = _sequential(backend, kind, items, options)
+        responses = _sequential(backend, kind, items)
         if telemetry is not None:
             telemetry.collect(backend)
         return ServeResult(

@@ -440,21 +440,16 @@ class PartitioningService:
 
     # -- the serving loop -------------------------------------------------
     #
-    # The public entrypoints below are thin shims over the unified
-    # ``serve_trace`` facade (:mod:`repro.serving.options`); the serving
-    # cores are the private ``_submit`` / ``_submit_many`` /
-    # ``_submit_graph`` the facade dispatches back into.  Shim and
-    # direct call produce bit-identical responses (golden-pinned in the
-    # test suite).
+    # ``submit`` / ``submit_many`` / ``submit_graph`` call the serving
+    # cores (``_submit`` / ``_submit_many`` / ``_submit_graph``)
+    # directly.  Whole traces go through ``serve_trace``
+    # (:mod:`repro.serving.options`), which validates its options once
+    # per trace and then calls the same cores; a request served either
+    # way gets a bit-identical response (pinned in the test suite).
 
     def submit(self, request: ServingRequest) -> ServedResponse:
         """Serve one launch request end-to-end."""
-        from .options import ServeOptions, serve_trace
-
-        result = serve_trace(
-            self, [request], ServeOptions(batch_predict=False)
-        )
-        return result.responses[0]
+        return self._submit(request, None)
 
     def _submit(
         self, request: ServingRequest, prefetched: Partitioning | None
@@ -582,9 +577,7 @@ class PartitioningService:
         refit changes the model; the remaining cold keys are then
         re-predicted in one fresh pass.
         """
-        from .options import ServeOptions, serve_trace
-
-        return list(serve_trace(self, trace, ServeOptions()).responses)
+        return self._submit_many(trace)
 
     def _submit_many(self, trace: Sequence[ServingRequest]) -> list[ServedResponse]:
         """The batched-inference serving core behind :meth:`submit_many`."""
@@ -698,12 +691,7 @@ class PartitioningService:
         lands in the training database under its own (program, size)
         key, so graph traffic keeps teaching the single-kernel model.
         """
-        from .options import ServeOptions, serve_trace
-
-        result = serve_trace(
-            self, [request], ServeOptions(batch_predict=False)
-        )
-        return result.responses[0]
+        return self._submit_graph(request)
 
     def _submit_graph(self, request: GraphServingRequest) -> GraphServedResponse:
         """The graph serving core behind :meth:`submit_graph`."""

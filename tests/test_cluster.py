@@ -304,9 +304,9 @@ class TestServeOptions:
             )
 
 
-class TestShimsDelegateBitIdentically:
-    """The legacy entrypoints are thin shims over serve_trace: their
-    outputs must match the facade's on a twin service, field for field."""
+class TestDirectCoresMatchServeTrace:
+    """``submit*`` call the serving cores directly; a sequential
+    ``serve_trace`` on a twin service must answer field for field."""
 
     @staticmethod
     def _pin(response):
@@ -318,37 +318,71 @@ class TestShimsDelegateBitIdentically:
             response.adapted,
         )
 
-    def test_submit_many_matches_facade(self):
+    def test_submit_many_matches_serve_trace(self):
         trace = list(_trace(16))
-        legacy = [self._pin(r) for r in _service().submit_many(trace)]
-        facade = serve_trace(_service(), trace, ServeOptions()).responses
-        assert legacy == [self._pin(r) for r in facade]
+        direct = [self._pin(r) for r in _service().submit_many(trace)]
+        traced = serve_trace(_service(), trace, ServeOptions()).responses
+        assert direct == [self._pin(r) for r in traced]
 
-    def test_submit_matches_facade(self):
-        trace = list(_trace(8))
+    def test_submit_matches_serve_trace(self):
+        trace = list(_trace(16))
         a, b = _service(), _service()
-        legacy = [self._pin(a.submit(r)) for r in trace]
-        facade = [
-            self._pin(
-                serve_trace(
-                    b, [r], ServeOptions(batch_predict=False)
-                ).responses[0]
-            )
-            for r in trace
-        ]
-        assert legacy == facade
+        direct = [self._pin(a.submit(r)) for r in trace]
+        one_by_one = [self._pin(serve_trace(b, [r]).responses[0]) for r in trace]
+        whole = serve_trace(_service(), trace).responses
+        assert direct == one_by_one == [self._pin(r) for r in whole]
 
-    def test_submit_graph_matches_facade(self):
+    def test_submit_graph_matches_serve_trace(self):
         chain = pipeline_chain([("vec_add", 4096), ("mat_mul", 64)])
         requests = [GraphServingRequest(i, chain) for i in range(3)]
         a, b = _service(), _service()
-        legacy = [a.submit_graph(r) for r in requests]
-        facade = serve_trace(
-            b, requests, ServeOptions(batch_predict=False)
-        ).responses
-        assert [(r.measured_s, r.cache_hit, r.plan) for r in legacy] == [
-            (r.measured_s, r.cache_hit, r.plan) for r in facade
+        direct = [a.submit_graph(r) for r in requests]
+        traced = serve_trace(b, requests).responses
+        assert [(r.measured_s, r.cache_hit, r.plan) for r in direct] == [
+            (r.measured_s, r.cache_hit, r.plan) for r in traced
         ]
+
+
+class TestServeOptionsBuiltOncePerTrace:
+    """Options are validated per trace, never per request: the event
+    loop reaches the serving cores without re-entering the facade."""
+
+    @pytest.mark.parametrize("kind", ["service", "cluster"])
+    def test_post_init_runs_once_per_serve_trace(self, monkeypatch, kind):
+        backend = _service() if kind == "service" else _cluster(2, 1)
+        calls = []
+        post_init = ServeOptions.__post_init__
+
+        def counting(self):
+            calls.append(self)
+            post_init(self)
+
+        monkeypatch.setattr(ServeOptions, "__post_init__", counting)
+        for seed in (1, 2):
+            options = ServeOptions(arrival="poisson", rate_rps=500.0, seed=seed)
+            stats = serve_trace(backend, _trace(30, seed=seed), options).stats
+            assert stats.completed == 30
+        assert len(calls) == 2
+
+
+class TestFleetCountsGraphRequests:
+    @pytest.mark.parametrize("arrival", ["sequential", "poisson"])
+    def test_graph_requests_count_as_routed(self, arrival):
+        router = _fleet(2)
+        chain = pipeline_chain([("vec_add", 4096), ("mat_mul", 64)])
+        requests = [GraphServingRequest(i, chain) for i in range(6)]
+        serve_trace(router, requests, ServeOptions(arrival=arrival, rate_rps=500.0))
+        stats = router.stats()
+        assert sum(r.service.stats.graph_requests for r in router.replicas) == 6
+        assert [r.routed for r in stats.replicas] == [3, 3]
+        assert stats.requests == 6
+
+    def test_graph_placement_leaves_drain_cooldowns_alone(self):
+        router = _fleet(2)
+        router._health[0].draining = 4
+        chain = pipeline_chain([("vec_add", 4096)])
+        assert router.place(GraphServingRequest(2, chain)) == 0
+        assert router.replica_health(0).draining_steps == 4
 
 
 # -- the backend x arrival x shedding matrix ----------------------------------

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.inspire import (
@@ -217,6 +217,9 @@ class TestNumericSemantics:
         st.floats(min_value=0.01, max_value=100.0),
         st.floats(min_value=0.01, max_value=100.0),
     )
+    # sqrt(a) and log(b)*exp(-a/50) nearly cancel here, so a one-ulp
+    # difference in exp shows up as a 1e-4 relative error in the sum.
+    @example(a=12.75, b_val=0.01)
     @settings(max_examples=50, deadline=None)
     def test_property_math_matches_numpy(self, a, b_val):
         b = KernelBuilder("math", dim=1)
@@ -226,9 +229,15 @@ class TestNumericSemantics:
         b.store(y, 0, b.sqrt(pa) + b.log(pb) * b.exp(-pa / 50.0))
         y = np.zeros(1, np.float32)
         run_kernel(b.finish(), (1,), {"y": y}, {"a": a, "b": b_val})
+
+        # Builtins are correctly rounded: evaluate in float64, round once.
+        # numpy's float32 exp/log kernels may be a ulp off, so they are
+        # not the reference.
+        def f32(fn, x):
+            return np.float32(fn(np.float64(x)))
+
         a32, b32 = np.float32(a), np.float32(b_val)
-        expected = np.float32(np.sqrt(a32)) + np.float32(
-            np.float32(np.log(b32))
-            * np.float32(np.exp(np.float32(-a32 / np.float32(50.0))))
+        expected = f32(np.sqrt, a32) + np.float32(
+            f32(np.log, b32) * f32(np.exp, np.float32(-a32 / np.float32(50.0)))
         )
         assert y[0] == pytest.approx(expected, rel=1e-5)
