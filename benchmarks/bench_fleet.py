@@ -72,9 +72,13 @@ def run_fleet(fleet_size: int, trace, policy: str, train_programs: int, seed: in
                 "routed": r.routed,
                 "cache_hit_rate": r.cache_hit_rate,
                 "makespan_s": r.makespan_s,
-                "utilization": list(r.utilization),
+                # Busy share of each device over the replica's serialized
+                # served time (runner session stats).
+                "utilization": list(
+                    replica.service.system.runner.stats.utilization()
+                ),
             }
-            for r in stats.replicas
+            for r, replica in zip(stats.replicas, router.replicas)
         ],
     }
 

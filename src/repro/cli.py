@@ -48,13 +48,14 @@ energy|edp`` retargets the model, the regression checks and the local
 search, and ``--power-cap WATTS`` serves under an average-power budget
 (see docs/ENERGY.md).
 
-By default the serving commands replay their trace closed-loop (each
-request submitted the instant the previous one finishes).  ``--arrival
-uniform|poisson`` switches to the event-driven path: requests arrive on
-their own simulated clock at ``--arrival-rate``, queue per replica, and
-the summary gains end-to-end latency percentiles; ``--slo-ms`` sets a
-latency target with violation tracking and ``--shed-policy
-deadline|priority`` enables admission control (see docs/SERVING.md).
+Every serving command runs its trace on the simulated-time event loop
+with one ``serve_trace`` call.  By default the trace is closed-loop
+(each request arrives the instant the previous one resolved);
+``--arrival uniform|poisson`` makes it open-loop: requests arrive on
+their own simulated clock at ``--arrival-rate`` and queue per replica.
+``--slo-ms`` sets a latency target with violation tracking and
+``--shed-policy deadline|priority`` enables admission control (see
+docs/SERVING.md).
 """
 
 from __future__ import annotations
@@ -301,11 +302,6 @@ def _workload_from_args(args: argparse.Namespace, keys):
             "the pipeline family emits task-graph requests; "
             "serve it with the graph-serve command"
         )
-    if args.faults and not args.arrival:
-        raise SystemExit(
-            "--faults needs the event-driven path; pick an --arrival process"
-        )
-    _telemetry_mode(args)  # fail fast: tracing needs the event path
     spec = WorkloadSpec(
         family=args.workload,
         num_requests=args.requests,
@@ -382,35 +378,16 @@ def _serve_options_from_args(args: argparse.Namespace):
 
 def _telemetry_mode(args: argparse.Namespace) -> str:
     """The effective ``--telemetry`` mode (``--trace-out`` implies trace)."""
-    mode = getattr(args, "telemetry", "off")
-    if getattr(args, "trace_out", None) and mode != "trace":
-        mode = "trace"
-    if mode == "trace" and not getattr(args, "arrival", None):
-        raise SystemExit(
-            "--telemetry trace / --trace-out need the simulated clock of "
-            "the event-driven path; pick an --arrival process"
-        )
-    return mode
+    if getattr(args, "trace_out", None):
+        return "trace"
+    return getattr(args, "telemetry", "off")
 
 
-def _telemetry_from_args(args: argparse.Namespace):
-    """The run's Telemetry context (or None), for the closed-loop paths
-    that serve without :func:`serve_trace`."""
-    from .telemetry import Telemetry
-
-    return Telemetry.from_mode(_telemetry_mode(args))
-
-
-def _finish_telemetry(args, telemetry, backend=None, stats=None) -> None:
-    """Collect, report and export whatever telemetry the run produced.
-
-    Collection is idempotent (published series are gauges), so commands
-    that already collected through :func:`serve_trace` can funnel their
-    result's context through here unchanged.
-    """
+def _finish_telemetry(args, telemetry) -> None:
+    """Report and export whatever telemetry the run produced
+    (:func:`serve_trace` already collected it)."""
     if telemetry is None:
         return
-    telemetry.collect(backend, stats=stats)
     if telemetry.tracing:
         analyzer = telemetry.analyzer()
         slowest = analyzer.slowest(0.1)
@@ -479,14 +456,13 @@ def _objective_quantity(service, value: float) -> str:
     return f"{value * 1e3:.3f} ms"
 
 
-def _print_service_summary(service, serialized: float, wall_s: float) -> None:
-    """``serialized`` is the summed execute seconds of the served requests
-    (streamed as a float so the event path never holds a response list)."""
+def _print_service_summary(service, loop_stats, wall_s: float) -> None:
+    """The service's counters after one run; ``loop_stats`` supplies the
+    summed execute seconds of the served requests."""
     stats = service.stats
     cache = service.cache.stats
-    sched = service.scheduler
     runner_stats = service.system.runner.stats
-    multiplexed = sched.makespan_s
+    serialized = loop_stats.execute_time_s
     served_executions = stats.requests * service.config.repetitions
     probes = runner_stats.executions - served_executions
     rows = [
@@ -515,26 +491,18 @@ def _print_service_summary(service, serialized: float, wall_s: float) -> None:
         ),
         ("adaptation gain", _objective_quantity(service, stats.improvement_s)),
         ("simulated serial", f"{serialized * 1e3:.3f} ms"),
-        ("simulated multiplexed", f"{multiplexed * 1e3:.3f} ms"),
-        (
-            "batching speedup",
-            f"{serialized / multiplexed:.2f}x" if multiplexed > 0 else "n/a",
-        ),
-        ("throughput (simulated)", f"{sched.throughput_rps():.1f} req/s"),
         (
             "throughput (wall)",
             f"{stats.requests / wall_s:.1f} req/s" if wall_s > 0 else "n/a",
         ),
         (
             "device utilization",
-            " ".join(f"{u * 100.0:.0f}%" for u in sched.utilization()),
+            " ".join(f"{u * 100.0:.0f}%" for u in runner_stats.utilization()),
         ),
         ("served energy", f"{stats.energy_j:.3f} J"),
         (
-            # Joules over the *serial* served seconds: each run's energy
-            # charges platform idle over its own makespan, so dividing
-            # by the compressed multiplexed span would overstate the
-            # draw (and could contradict the cap row below).
+            # Joules over the serial served seconds: each run's energy
+            # charges platform idle over its own makespan.
             "avg power (served)",
             f"{stats.energy_j / serialized:.1f} W" if serialized > 0 else "n/a",
         ),
@@ -561,7 +529,7 @@ def _print_service_summary(service, serialized: float, wall_s: float) -> None:
 
 
 def _print_latency_summary(loop_stats) -> None:
-    """The event-driven path's report: tail latency, queueing, SLOs."""
+    """The event loop's report: tail latency, queueing, SLOs."""
     lat = loop_stats.latency
     queue = loop_stats.queue_wait
     rows = [
@@ -574,7 +542,7 @@ def _print_latency_summary(loop_stats) -> None:
         ),
         ("availability", f"{loop_stats.availability * 100.0:.2f}%"),
         ("simulated span", f"{loop_stats.clock_s * 1e3:.3f} ms"),
-        ("throughput (event)", f"{loop_stats.throughput_rps:.1f} req/s"),
+        ("throughput (simulated)", f"{loop_stats.throughput_rps:.1f} req/s"),
         (
             "latency p50/p95/p99",
             " / ".join(f"{v * 1e3:.3f} ms" for v in lat.quantiles().values()),
@@ -645,11 +613,12 @@ def _print_latency_summary(loop_stats) -> None:
 
 
 def _cmd_replay(args: argparse.Namespace) -> int:
-    from .serving import key_universe
+    from .serving import key_universe, serve_trace
 
     benchmarks, train_benchmarks, service = _build_service(args)
     keys = key_universe(benchmarks, max_sizes=args.max_sizes)
     workload = _workload_from_args(args, keys)
+    options = _serve_options_from_args(args)
     print(
         f"trained on {len(train_benchmarks)}/{len(benchmarks)} programs "
         f"({len(service.system.database)} records, model {args.model}) "
@@ -660,29 +629,30 @@ def _cmd_replay(args: argparse.Namespace) -> int:
         f"({args.workload} workload, skew {args.skew}, seed {args.seed}, "
         f"{len(workload.drift_events)} drift events)"
     )
-    on_drift = _service_drift_handler(args, service, workload)
-    if args.arrival:
-        return _serve_event_driven(
-            args, service, workload.timed_items(), time.perf_counter(), on_drift
-        )
-    responses = []
+    _print_event_banner(args)
     t0 = time.perf_counter()
-    for events, batch in workload.segments():
-        for event in events:
-            on_drift(event)
-        if not batch:
-            continue
-        if args.no_batch:
-            responses.extend(service.serve(batch))
-        else:
-            responses.extend(service.submit_many(batch))
-    wall_s = time.perf_counter() - t0
-    _print_service_summary(service, sum(r.measured_s for r in responses), wall_s)
-    _finish_telemetry(args, _telemetry_from_args(args), backend=service)
+    result = serve_trace(
+        service,
+        _workload_stream(args, workload),
+        options,
+        drift_handler=_service_drift_handler(args, service, workload),
+    )
+    _print_service_summary(service, result.stats, time.perf_counter() - t0)
+    _print_latency_summary(result.stats)
+    _finish_telemetry(args, result.telemetry)
     return 0
 
 
+def _workload_stream(args: argparse.Namespace, workload):
+    """The workload as ``serve_trace`` input: timestamped under
+    ``--arrival``, closed-loop (untimed) otherwise."""
+    return workload.timed_items() if args.arrival else workload.items()
+
+
 def _print_event_banner(args: argparse.Namespace) -> None:
+    """One line naming the open-loop arrival process, if there is one."""
+    if not args.arrival:
+        return
     print(
         f"event-driven: {args.arrival} arrivals at {args.arrival_rate:g} req/s "
         f"(shed policy {args.shed_policy}"
@@ -692,37 +662,27 @@ def _print_event_banner(args: argparse.Namespace) -> None:
     )
 
 
-def _serve_event_driven(args, service, trace, t0, on_drift=None) -> int:
-    """The open-loop service run behind ``replay`` and ``serve``:
-    arrivals on a simulated clock, queueing, SLOs."""
-    from .serving import serve_trace
-
-    options = _serve_options_from_args(args)
-    _print_event_banner(args)
-    result = serve_trace(service, trace, options, drift_handler=on_drift)
-    wall_s = time.perf_counter() - t0
-    _print_service_summary(service, result.stats.execute_time_s, wall_s)
-    _print_latency_summary(result.stats)
-    _finish_telemetry(args, result.telemetry, backend=service, stats=result.stats)
-    return 0
+def _print_served(completed) -> None:
+    """One line per closed-loop response of the ``serve`` command."""
+    r = completed.response
+    flags = ("hit" if r.cache_hit else "miss") + ("+adapted" if r.adapted else "")
+    print(
+        f"{r.request.program}@{r.request.size}: {r.partitioning.label} "
+        f"{r.measured_s * 1e3:.3f} ms [{flags}]"
+    )
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    from .serving import ServingRequest
+    from .serving import ServingRequest, serve_trace
 
-    if args.faults and not args.arrival:
-        raise SystemExit(
-            "--faults needs the event-driven path; pick an --arrival process"
-        )
-    _telemetry_mode(args)  # fail fast: tracing needs the event path
+    options = _serve_options_from_args(args)
     benchmarks, _train_benchmarks, service = _build_service(args)
     known = {b.name for b in benchmarks}
     stream = Path(args.trace).open() if args.trace else sys.stdin
     print(f"serving on {args.machine}; requests are '<program> <size>' lines")
-    requests = []
-    responses = []
-    t0 = time.perf_counter()
-    try:
+
+    def requests():
+        count = 0
         for line in stream:
             line = line.strip()
             if not line or line.startswith("#"):
@@ -736,34 +696,28 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             ):
                 print(f"!! malformed request {line!r} (want '<program> <size>')")
                 continue
-            request = ServingRequest(
-                request_id=len(requests), program=parts[0], size=int(parts[1])
+            yield ServingRequest(
+                request_id=count, program=parts[0], size=int(parts[1])
             )
-            requests.append(request)
-            if args.arrival:
-                # Event mode queues the whole trace on a simulated
-                # arrival clock; serving happens after the read loop.
-                continue
-            r = service.submit(request)
-            flags = ("hit" if r.cache_hit else "miss") + (
-                "+adapted" if r.adapted else ""
-            )
-            print(
-                f"{r.request.program}@{r.request.size}: {r.partitioning.label} "
-                f"{r.measured_s * 1e3:.3f} ms [{flags}]"
-            )
-            responses.append(r)
+            count += 1
+
+    _print_event_banner(args)
+    t0 = time.perf_counter()
+    try:
+        # Closed-loop serving reads the next line only after the previous
+        # request resolved, so each response prints as it is served.
+        result = serve_trace(
+            service,
+            requests(),
+            options,
+            on_complete=None if args.arrival else _print_served,
+        )
     finally:
         if args.trace:
             stream.close()
-    if args.arrival:
-        return _serve_event_driven(args, service, requests, t0) if requests else 0
-    wall_s = time.perf_counter() - t0
-    if responses:
-        _print_service_summary(
-            service, sum(r.measured_s for r in responses), wall_s
-        )
-    _finish_telemetry(args, _telemetry_from_args(args), backend=service)
+    _print_service_summary(service, result.stats, time.perf_counter() - t0)
+    _print_latency_summary(result.stats)
+    _finish_telemetry(args, result.telemetry)
     return 0
 
 
@@ -818,7 +772,7 @@ def _cmd_fleet_train(args: argparse.Namespace) -> int:
 def _cmd_fleet_serve(args: argparse.Namespace) -> int:
     from .fleet import FleetRouter, ModelRegistry
     from .machines import fleet_platforms
-    from .serving import PartitioningService, ServiceConfig, key_universe
+    from .serving import PartitioningService, ServiceConfig, key_universe, serve_trace
 
     benchmarks, train_benchmarks = _fleet_train_benchmarks(args)
     platforms = fleet_platforms(args.machines)
@@ -875,29 +829,18 @@ def _cmd_fleet_serve(args: argparse.Namespace) -> int:
         f"({args.workload} workload, skew {args.skew}, seed {args.seed}, "
         f"{len(workload.drift_events)} drift events)"
     )
-    on_drift = _router_drift_handler(router, workload)
-    if args.arrival:
-        from .serving import serve_trace
-
-        options = _serve_options_from_args(args)
-        _print_event_banner(args)
-        t0 = time.perf_counter()
-        result = serve_trace(
-            router, workload.timed_items(), options, drift_handler=on_drift
-        )
-        wall_s = time.perf_counter() - t0
-        _print_fleet_summary(router, sources, wall_s)
-        _print_latency_summary(result.stats)
-        _finish_telemetry(args, result.telemetry, backend=router, stats=result.stats)
-        return 0
+    options = _serve_options_from_args(args)
+    _print_event_banner(args)
     t0 = time.perf_counter()
-    for events, batch in workload.segments():
-        for event in events:
-            on_drift(event)
-        router.serve(batch)
-    wall_s = time.perf_counter() - t0
-    _print_fleet_summary(router, sources, wall_s)
-    _finish_telemetry(args, _telemetry_from_args(args), backend=router)
+    result = serve_trace(
+        router,
+        _workload_stream(args, workload),
+        options,
+        drift_handler=_router_drift_handler(router, workload),
+    )
+    _print_fleet_summary(router, sources, time.perf_counter() - t0)
+    _print_latency_summary(result.stats)
+    _finish_telemetry(args, result.telemetry)
     return 0
 
 
@@ -917,9 +860,12 @@ def _print_fleet_summary(router, sources, wall_s: float) -> None:
             f"{r.makespan_s * 1e3:.3f}",
             f"{r.energy_j:.3f}",
             f"{r.avg_power_w:.0f}",
-            " ".join(f"{u * 100.0:.0f}%" for u in r.utilization),
+            " ".join(
+                f"{u * 100.0:.0f}%"
+                for u in replica.service.system.runner.stats.utilization()
+            ),
         )
-        for r, source in zip(stats.replicas, sources)
+        for r, replica, source in zip(stats.replicas, router.replicas, sources)
     ]
     print(
         format_table(
@@ -945,15 +891,7 @@ def _print_fleet_summary(router, sources, wall_s: float) -> None:
     totals = [
         ("requests", f"{stats.requests}"),
         ("fleet makespan (simulated)", f"{stats.makespan_s * 1e3:.3f} ms"),
-        (
-            "fleet throughput (simulated)",
-            f"{stats.throughput_rps:.1f} req/s"
-            + (
-                f" ({stats.zero_span_replicas} zero-span replicas)"
-                if stats.zero_span_replicas
-                else ""
-            ),
-        ),
+        ("fleet throughput (simulated)", f"{stats.throughput_rps:.1f} req/s"),
         (
             "throughput (wall)",
             f"{stats.requests / wall_s:.1f} req/s" if wall_s > 0 else "n/a",
@@ -1067,8 +1005,6 @@ def _cmd_cluster_serve(args: argparse.Namespace) -> int:
         f"seed {args.seed})"
     )
 
-    on_drift = _router_drift_handler(cluster)
-    t0 = time.perf_counter()
     if args.arrival:
         print(
             f"event-driven: {args.arrival} arrivals at "
@@ -1082,25 +1018,16 @@ def _cmd_cluster_serve(args: argparse.Namespace) -> int:
             + (", work-steal" if args.work_steal else "")
             + ")"
         )
-        result = serve_trace(
-            cluster, workload.timed_items(), options, drift_handler=on_drift
-        )
-        wall_s = time.perf_counter() - t0
-        _print_cluster_summary(cluster, wall_s)
-        _print_latency_summary(result.stats)
-        _finish_telemetry(
-            args, result.telemetry, backend=cluster, stats=result.stats
-        )
-    else:
-        result = None
-        for events, batch in workload.segments():
-            for event in events:
-                on_drift(event)
-            result = serve_trace(cluster, batch, options)
-        wall_s = time.perf_counter() - t0
-        _print_cluster_summary(cluster, wall_s)
-        if result is not None:
-            _finish_telemetry(args, result.telemetry, backend=cluster)
+    t0 = time.perf_counter()
+    result = serve_trace(
+        cluster,
+        _workload_stream(args, workload),
+        options,
+        drift_handler=_router_drift_handler(cluster),
+    )
+    _print_cluster_summary(cluster, time.perf_counter() - t0)
+    _print_latency_summary(result.stats)
+    _finish_telemetry(args, result.telemetry)
     return 0
 
 
@@ -1283,7 +1210,7 @@ def _tenancy_parent() -> argparse.ArgumentParser:
         "--queue-discipline",
         default="fifo",
         choices=QUEUE_DISCIPLINES,
-        help="per-replica queue order on the event-driven path",
+        help="per-replica queue order",
     )
     p.add_argument(
         "--speculate-at",
@@ -1401,8 +1328,8 @@ def _event_parent() -> argparse.ArgumentParser:
         "--arrival",
         default=None,
         choices=("uniform", "poisson"),
-        help="arrival process: open-loop event-driven serving "
-        "(default: closed-loop replay, no timestamps)",
+        help="open-loop arrival process (default: closed-loop, each "
+        "request arrives when the previous one resolved)",
     )
     p.add_argument(
         "--arrival-rate",
@@ -1495,7 +1422,7 @@ def _event_parent() -> argparse.ArgumentParser:
         default=None,
         metavar="PATH",
         help="write the span/event JSONL trace here (implies --telemetry "
-        "trace; event-driven path only)",
+        "trace)",
     )
     return p
 
@@ -1743,9 +1670,7 @@ def _cmd_trace_export(args: argparse.Namespace) -> int:
         drift_handler=_service_drift_handler(args, service),
     )
     _print_latency_summary(result.stats)
-    _finish_telemetry(
-        args, result.telemetry, backend=service, stats=result.stats
-    )
+    _finish_telemetry(args, result.telemetry)
     return 0
 
 
@@ -1764,15 +1689,12 @@ def _cmd_metrics_report(args: argparse.Namespace) -> int:
         f"({args.workload} workload, seed {args.seed}) "
         f"with telemetry={options.telemetry}"
     )
-    if args.arrival:
-        result = serve_trace(
-            service,
-            workload.timed_items(),
-            options,
-            drift_handler=_service_drift_handler(args, service),
-        )
-    else:
-        result = serve_trace(service, list(workload.requests), options)
+    result = serve_trace(
+        service,
+        _workload_stream(args, workload),
+        options,
+        drift_handler=_service_drift_handler(args, service),
+    )
     _print_metrics_report(result.telemetry.registry, as_json=args.json)
     if result.telemetry.tracing and args.trace_out:
         result.telemetry.tracer.export(args.trace_out)
@@ -1781,7 +1703,7 @@ def _cmd_metrics_report(args: argparse.Namespace) -> int:
 
 
 def _cmd_graph_serve(args: argparse.Namespace) -> int:
-    from .serving import key_universe
+    from .serving import key_universe, serve_trace
     from .workloads import WorkloadSpec, make_workload
 
     benchmarks, train_benchmarks, service = _build_service(args)
@@ -1805,25 +1727,14 @@ def _cmd_graph_serve(args: argparse.Namespace) -> int:
         f"serving {len(workload)} task-graph requests over {len(graphs)} "
         f"distinct pipelines (skew {args.skew}, seed {args.seed})"
     )
-    t0 = time.perf_counter()
+    options = _serve_options_from_args(args)
     if args.arrival:
-        from .serving import serve_trace
-
-        options = _serve_options_from_args(args)
         print(
             f"event-driven: {args.arrival} arrivals at {args.arrival_rate:g} req/s"
         )
-        result = serve_trace(service, workload.timed_items(), options)
-        wall_s = time.perf_counter() - t0
-        telemetry, loop_stats = result.telemetry, result.stats
-        serialized = loop_stats.execute_time_s
-    else:
-        telemetry = _telemetry_from_args(args)
-        serialized = 0.0
-        for request in workload.requests:
-            serialized += service.submit_graph(request).measured_s
-        wall_s = time.perf_counter() - t0
-        loop_stats = None
+    t0 = time.perf_counter()
+    result = serve_trace(service, _workload_stream(args, workload), options)
+    wall_s = time.perf_counter() - t0
     stats = service.stats
     cache = service.cache.stats
     rows = [
@@ -1846,7 +1757,7 @@ def _cmd_graph_serve(args: argparse.Namespace) -> int:
             "drift",
             f"{stats.drift_flags} flags, {stats.drift_escalations} escalations",
         ),
-        ("simulated serial", f"{serialized * 1e3:.3f} ms"),
+        ("simulated serial", f"{result.stats.execute_time_s * 1e3:.3f} ms"),
         (
             "throughput (wall)",
             f"{stats.graph_requests / wall_s:.1f} req/s" if wall_s > 0 else "n/a",
@@ -1863,9 +1774,8 @@ def _cmd_graph_serve(args: argparse.Namespace) -> int:
             )
         )
     print(format_table(["metric", "value"], rows, title="Graph serving summary"))
-    if loop_stats is not None:
-        _print_latency_summary(loop_stats)
-    _finish_telemetry(args, telemetry, backend=service, stats=loop_stats)
+    _print_latency_summary(result.stats)
+    _finish_telemetry(args, result.telemetry)
     return 0
 
 
@@ -1973,11 +1883,6 @@ def build_parser() -> argparse.ArgumentParser:
         "replay",
         help="serve a synthetic request trace (online adaptation)",
         parents=[trace, serving, workload, event],
-    )
-    p_replay.add_argument(
-        "--no-batch",
-        action="store_true",
-        help="serve sequentially instead of batching model inference",
     )
     p_replay.set_defaults(fn=_cmd_replay)
 

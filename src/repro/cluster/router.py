@@ -344,9 +344,9 @@ class ClusterRouter:
         return self.network.handoff(self.request_bytes(request))
 
     def _pool_load_s(self, pool_index: int) -> float:
-        """Mean multiplexed backlog across the pool's replicas."""
+        """Mean backlog clock across the pool's replicas."""
         pool = self.pools[pool_index]
-        return sum(r.scheduler.makespan_s for r in pool.replicas) / len(pool.replicas)
+        return sum(r.service.backlog_s for r in pool.replicas) / len(pool.replicas)
 
     # -- placement -----------------------------------------------------------
 
@@ -395,7 +395,7 @@ class ClusterRouter:
             pool = self.pools[best]
             local = min(
                 range(len(pool.replicas)),
-                key=lambda i: (pool.replicas[i].scheduler.makespan_s, i),
+                key=lambda i: (pool.replicas[i].service.backlog_s, i),
             )
             return self._offsets[best] + local
         flat = [i for i in range(self._num_replicas) if i not in exclude]
@@ -452,7 +452,7 @@ class ClusterRouter:
     def submit(
         self, request: "ServingRequest | GraphServingRequest"
     ) -> ClusterResponse:
-        """Place and serve one request (closed-loop path)."""
+        """Place and serve one request directly (no event loop)."""
         return self.serve_on(self.place(request), request)
 
     def apply_drift(self, event: "DriftEvent") -> tuple[str, ...]:

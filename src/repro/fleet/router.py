@@ -9,8 +9,8 @@ and HeMT's dispatch tier made explicit.  The router owns N replicas
 :class:`PartitioningService`) and places every request via a pluggable
 policy:
 
-* ``least-loaded`` — the replica whose multiplexed timeline frees up
-  first (:attr:`BatchScheduler.makespan_s`), the classic list-scheduling
+* ``least-loaded`` — the replica whose backlog clock frees up first
+  (:attr:`PartitioningService.backlog_s`), the classic list-scheduling
   greedy.
 * ``affinity`` — a stable hash of (program, size): every key always
   lands on the same replica, maximizing that replica's prediction-cache
@@ -134,14 +134,6 @@ class _ReplicaHealth:
     ewma: float = 1.0
     observations: int = 0
     draining: int = 0
-    #: Smoothed serving rate (requests per simulated second).  The
-    #: batch scheduler reports an ``inf`` sentinel when everything a
-    #: replica served took zero simulated time; those samples are
-    #: excluded here exactly like non-finite costs are excluded from
-    #: the degradation EWMA — one poisoned sample would otherwise make
-    #: the smoothed rate ``inf``/``nan`` forever.
-    rate_ewma: float = 0.0
-    rate_observations: int = 0
 
 
 @dataclass(frozen=True)
@@ -161,17 +153,12 @@ class ReplicaHealthView:
             last drain.
         draining_steps: placements/ticks the replica still sits out;
             0 means it is in rotation.
-        rate_ewma: smoothed serving rate (requests per simulated
-            second), always finite.
-        rate_observations: finite rate samples folded into the EWMA.
     """
 
     index: int
     ewma: float
     observations: int
     draining_steps: int
-    rate_ewma: float
-    rate_observations: int
 
     @property
     def draining(self) -> bool:
@@ -195,10 +182,6 @@ class FleetReplica:
     def name(self) -> str:
         return self.platform.name
 
-    @property
-    def scheduler(self):
-        return self.service.scheduler
-
 
 @dataclass(frozen=True)
 class FleetResponse:
@@ -219,18 +202,14 @@ class ReplicaStats:
     adaptations: int
     refits: int
     cache_hit_rate: float
+    #: The replica's backlog clock (:attr:`PartitioningService.backlog_s`).
     makespan_s: float
-    throughput_rps: float
-    utilization: tuple[float, ...]
     drift_flags: int = 0
     rewarms: int = 0
     health: float = 1.0
     draining: bool = False
     energy_j: float = 0.0
     avg_power_w: float = 0.0
-    #: Router-side smoothed serving rate; always finite (the scheduler's
-    #: zero-span ``inf`` sentinel never enters the EWMA).
-    rate_ewma: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -238,14 +217,8 @@ class FleetStats:
     """Cross-fleet telemetry of one routing session.
 
     Replicas run concurrently, so the fleet makespan is the *maximum*
-    over the replicas' multiplexed timelines and fleet throughput is
-    total requests over that span.  Per-replica schedulers report an
-    ``inf`` throughput sentinel when everything they served took zero
-    simulated time; the *aggregate* never propagates it — replicas in
-    that state are counted in :attr:`zero_span_replicas` and the fleet
-    throughput stays finite (0.0 when no simulated time elapsed at
-    all), so downstream arithmetic (speedup ratios, JSON baselines)
-    cannot be poisoned by a leaked ``inf``.
+    over the replicas' backlog clocks and fleet throughput is total
+    requests over that span (0.0 when no simulated time elapsed).
     """
 
     replicas: tuple[ReplicaStats, ...]
@@ -256,7 +229,6 @@ class FleetStats:
     refits: int
     drift_flags: int = 0
     rewarms: int = 0
-    zero_span_replicas: int = 0
     energy_j: float = 0.0
     avg_power_w: float = 0.0
 
@@ -388,7 +360,7 @@ class FleetRouter:
     def _least_loaded_index(self) -> int:
         return min(
             self._candidates(),
-            key=lambda i: (self.replicas[i].scheduler.makespan_s, i),
+            key=lambda i: (self.replicas[i].service.backlog_s, i),
         )
 
     def _plumbing(
@@ -457,7 +429,7 @@ class FleetRouter:
             duration = self._estimators[replica.index].time_of(
                 exec_request, partitioning
             )
-            free = replica.scheduler.device_free_s
+            free = replica.service.device_free_s
             start = max(free[d] for d in partitioning.active_devices)
             finish = start + duration
             if finish < best_finish:
@@ -484,7 +456,7 @@ class FleetRouter:
             replica = self.replicas[index]
             partitioning = self._peek(replica, request, features)
             run = self._estimators[replica.index].measure(exec_request, partitioning)
-            free = replica.scheduler.device_free_s
+            free = replica.service.device_free_s
             start = max(free[d] for d in partitioning.active_devices)
             score = (run.energy_j, start + run.median_s)
             if score < best_score:
@@ -514,19 +486,6 @@ class FleetRouter:
         replica's decisions in place.
         """
         state = self._health[replica.index]
-        rate = replica.scheduler.throughput_rps()
-        if math.isfinite(rate):
-            # First finite sample seeds the EWMA; the scheduler's
-            # zero-span ``inf`` sentinel is skipped entirely (see
-            # _ReplicaHealth.rate_ewma).
-            if state.rate_observations == 0:
-                state.rate_ewma = rate
-            else:
-                state.rate_ewma = (
-                    self.health.alpha * rate
-                    + (1.0 - self.health.alpha) * state.rate_ewma
-                )
-            state.rate_observations += 1
         estimate = response.estimate_s
         if estimate is None or estimate <= 0:
             return
@@ -704,9 +663,9 @@ class FleetRouter:
         """A frozen snapshot of one replica's health bookkeeping.
 
         The supported read path for everything the router tracks per
-        replica — drain countdown, degradation EWMA, smoothed serving
-        rate — so layers above (the cluster router, benchmarks, tests)
-        never couple to the private counters.
+        replica — drain countdown and degradation EWMA — so layers
+        above (the cluster router, benchmarks, tests) never couple to
+        the private counters.
         """
         state = self._health[index]
         return ReplicaHealthView(
@@ -714,15 +673,13 @@ class FleetRouter:
             ewma=state.ewma,
             observations=state.observations,
             draining_steps=state.draining,
-            rate_ewma=state.rate_ewma,
-            rate_observations=state.rate_observations,
         )
 
     def stats(self) -> FleetStats:
-        """Per-replica utilization and cross-fleet throughput, right now."""
+        """Per-replica counters and cross-fleet throughput, right now."""
         per = []
         for r in self.replicas:
-            sched = r.scheduler
+            backlog = r.service.backlog_s
             stats = r.service.stats
             health = self._health[r.index]
             per.append(
@@ -733,32 +690,19 @@ class FleetRouter:
                     adaptations=stats.adaptations,
                     refits=stats.refits,
                     cache_hit_rate=r.service.cache.stats.hit_rate,
-                    makespan_s=sched.makespan_s,
-                    throughput_rps=sched.throughput_rps(),
-                    utilization=sched.utilization(),
+                    makespan_s=backlog,
                     drift_flags=stats.drift_flags,
                     rewarms=r.rewarms,
                     health=health.ewma,
                     draining=health.draining > 0,
-                    rate_ewma=health.rate_ewma,
                     energy_j=stats.energy_j,
-                    # Average draw over the replica's own multiplexed
-                    # span; zero-span replicas report 0 W, not inf.
-                    avg_power_w=(
-                        stats.energy_j / sched.makespan_s
-                        if sched.makespan_s > 0
-                        else 0.0
-                    ),
+                    # Average draw over the replica's backlog span;
+                    # zero-span replicas report 0 W, not inf.
+                    avg_power_w=stats.energy_j / backlog if backlog > 0 else 0.0,
                 )
             )
         requests = sum(p.routed for p in per)
         makespan = max((p.makespan_s for p in per), default=0.0)
-        # Regression guard: the per-replica scheduler reports an ``inf``
-        # sentinel for served-in-zero-time; summing/aggregating that
-        # into the fleet number poisons speedup ratios and JSON
-        # baselines downstream.  The aggregate stays finite and the
-        # sentinel cases are surfaced as a count instead.
-        zero_span = sum(1 for p in per if math.isinf(p.throughput_rps))
         throughput = requests / makespan if makespan > 0 else 0.0
         energy = sum(p.energy_j for p in per)
         return FleetStats(
@@ -770,7 +714,6 @@ class FleetRouter:
             refits=sum(p.refits for p in per),
             drift_flags=sum(p.drift_flags for p in per),
             rewarms=sum(p.rewarms for p in per),
-            zero_span_replicas=zero_span,
             energy_j=energy,
             # Fleet draw averaged over the concurrent span (replicas
             # run side by side, so joules sum but seconds do not).
@@ -793,9 +736,6 @@ class FleetRouter:
         registry.gauge(f"{prefix}.refits").set(stats.refits)
         registry.gauge(f"{prefix}.drift_flags").set(stats.drift_flags)
         registry.gauge(f"{prefix}.rewarms").set(stats.rewarms)
-        registry.gauge(f"{prefix}.zero_span_replicas").set(
-            stats.zero_span_replicas
-        )
         registry.gauge(f"{prefix}.energy_j").set(stats.energy_j)
         registry.gauge(f"{prefix}.avg_power_w").set(stats.avg_power_w)
         for snap, replica in zip(stats.replicas, self.replicas):
@@ -804,5 +744,4 @@ class FleetRouter:
             registry.gauge(f"{base}.cache_hit_rate").set(snap.cache_hit_rate)
             registry.gauge(f"{base}.health").set(snap.health)
             registry.gauge(f"{base}.draining").set(int(snap.draining))
-            registry.gauge(f"{base}.rate_ewma").set(snap.rate_ewma)
             replica.service.publish_metrics(registry, prefix=f"{base}.service")

@@ -56,8 +56,8 @@ class SessionStats:
     total simulated seconds and per-device busy seconds.  The serving
     CLI reports adaptation-probe overhead from it (executions beyond
     the served requests); :meth:`utilization` gives the per-device
-    busy share of the *serialized* timeline, complementing the batch
-    scheduler's multiplexed view.
+    busy share of the *serialized* timeline, which the serving
+    summaries report as device utilization.
     """
 
     executions: int = 0

@@ -1,13 +1,12 @@
 """The serving layer: online-adaptive partitioning as a service.
 
 Everything above one-shot deployment lives here — the LRU prediction
-cache, the batch scheduler multiplexing requests over the simulated
-devices, synthetic request traces, and the :class:`PartitioningService`
-that closes the train→predict→execute loop with online adaptation.
+cache, synthetic request traces, the simulated-time event loop every
+trace is served on, and the :class:`PartitioningService` that closes
+the train→predict→execute loop with online adaptation.
 """
 
 from .cache import CacheKey, CacheStats, PredictionCache
-from .dispatch import BatchScheduler, DispatchSlot
 from .drift import DriftDetector
 from .eventloop import (
     QUEUE_DISCIPLINES,
@@ -47,8 +46,6 @@ __all__ = [
     "CacheStats",
     "DriftDetector",
     "PredictionCache",
-    "BatchScheduler",
-    "DispatchSlot",
     "CompletedRequest",
     "EventLoop",
     "EventLoopConfig",

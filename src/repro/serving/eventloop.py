@@ -1,16 +1,11 @@
 """The simulated-time event loop: arrivals, queues, tail latency, faults.
 
-The original serving path replays a trace *synchronously*: every
-request is measured back-to-back and throughput is derived after the
-fact from the batch scheduler's dense timeline.  That answers "how fast
-can the service go" but not the production question — "what latency do
-requests *see* when they arrive on their own clock?"  There is no
-queueing in a closed-loop replay, hence no p99 and nothing for
-admission control to do.
-
-This module is the open-loop core.  Requests arrive with explicit
-timestamps (a :class:`~repro.workloads.WorkloadSpec` arrival process),
-queue FIFO per replica, and each request accrues
+Every trace is served here.  Requests arrive either with explicit
+timestamps (an open-loop :class:`~repro.workloads.WorkloadSpec`
+arrival process) or closed-loop: an untimed item is admitted at the
+simulated instant the previous one resolved (completed, failed or was
+shed), so a closed-loop replay never queues.  Requests queue FIFO per
+replica, and each request accrues
 
     latency = queue wait + predict + execute
 
@@ -272,6 +267,10 @@ class CompletedRequest:
     hedged: bool = False
     #: Speculative re-executions fired for it (cluster straggler escape).
     speculated: int = 0
+    #: What the backend's ``serve`` returned for the winning attempt
+    #: (a ``ServedResponse``/``GraphServedResponse`` on a service or
+    #: fleet, a ``ClusterResponse`` on a cluster).
+    response: object = None
 
     @property
     def latency_s(self) -> float:
@@ -482,6 +481,8 @@ class _Attempt:
     service_s: float = 0.0
     #: Weighted-fair virtual finish tag (0 under FIFO).
     vtag: float = 0.0
+    #: The backend response, once service started (None on a predict error).
+    response: object = None
     #: Tracer marker id (0 when tracing is off).
     tid: int = 0
 
@@ -591,11 +592,12 @@ class _ClusterBackend:
 class EventLoop:
     """Single-use simulated-time serving loop over one backend.
 
-    Build one per trace (:meth:`for_service` / :meth:`for_fleet`), feed
-    it a stream of ``(arrival_s, request)`` items — non-decreasing in
-    time, optionally interleaved with
-    :class:`~repro.workloads.DriftEvent` payloads — and read the
-    :class:`EventLoopStats` it returns.
+    Build one per trace (:meth:`for_service` / :meth:`for_fleet` /
+    :meth:`for_cluster`), feed it a stream of ``(arrival_s, request)``
+    items — non-decreasing in time, optionally interleaved with
+    :class:`~repro.workloads.DriftEvent` payloads — or of bare payloads
+    for the closed-loop process, and read the :class:`EventLoopStats`
+    it returns.
 
     Everything that happens between arrivals — completions, attempt
     failures, retry firings, hedge triggers, timeouts, crashes and
@@ -680,24 +682,31 @@ class EventLoop:
         """Play the whole arrival stream and drain every queue.
 
         ``arrivals`` yields ``(timestamp, payload)`` with non-decreasing
-        timestamps; a payload that is not a request (kernel
-        :class:`ServingRequest` or :class:`GraphServingRequest`) is
-        treated as a drift event and handed to ``drift_handler`` at its
-        place on the simulated timeline (so requests already queued are
-        measured on the drifted hardware, exactly as a wall-clock drift
-        would hit them).
+        timestamps, or bare payloads: the closed-loop arrival process,
+        where each one arrives at the current clock and is played until
+        it resolves before the next is read.  A payload that is not a
+        request (kernel :class:`ServingRequest` or
+        :class:`GraphServingRequest`) is treated as a drift event and
+        handed to ``drift_handler`` at its place on the simulated
+        timeline (so requests already queued are measured on the
+        drifted hardware, exactly as a wall-clock drift would hit them).
         """
         if self._ran:
             raise RuntimeError("an EventLoop is single-use; build a new one")
         self._ran = True
         self._schedule_crashes()
         last_arrival = 0.0
-        for at_s, payload in arrivals:
-            if at_s < last_arrival:
-                raise ValueError(
-                    f"arrival timestamps must be non-decreasing "
-                    f"(got {at_s} after {last_arrival})"
-                )
+        for item in arrivals:
+            closed = not isinstance(item, tuple)
+            if closed:
+                at_s, payload = self._clock, item
+            else:
+                at_s, payload = item
+                if at_s < last_arrival:
+                    raise ValueError(
+                        f"arrival timestamps must be non-decreasing "
+                        f"(got {at_s} after {last_arrival})"
+                    )
             last_arrival = at_s
             # Events due before this arrival happen first — the
             # simulated clock never moves backwards.
@@ -713,6 +722,10 @@ class EventLoop:
                         "drift_handler was given"
                     )
                 drift_handler(payload)
+            if closed:
+                # The next closed-loop item arrives when this one resolves.
+                while self._events and self._live:
+                    self._dispatch(on_complete)
         # Drain until every admitted request is resolved.  Fault windows
         # scheduled beyond the last resolution (a recovery on an already
         # idle fleet) are dropped rather than stretching the clock.
@@ -945,6 +958,7 @@ class EventLoop:
             self._push(attempt.finish_s, "attempt-failed", attempt)
             return
         response = self.backend.serve(replica.index, request)
+        attempt.response = response
         predict_s = (
             self.config.predict_hit_s
             if response.cache_hit
@@ -1070,6 +1084,7 @@ class EventLoop:
                     attempts=pending.attempts,
                     hedged=pending.hedged,
                     speculated=pending.speculated,
+                    response=attempt.response,
                 )
             )
         if not replica.crashed:

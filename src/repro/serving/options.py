@@ -17,14 +17,14 @@ goes through this module's two names:
   :class:`~repro.fleet.FleetRouter`, or a
   :class:`~repro.cluster.ClusterRouter`.
 
-``arrival="sequential"`` is the closed-loop replay (each request
-submitted the instant the previous finishes, responses returned in
-order); a kernel-only trace on a service is answered with batched
-model inference (``submit_many``).  The open-loop processes
-(``uniform`` / ``poisson``) run the simulated-time
-:class:`~repro.serving.EventLoop`; responses are streamed to
-``on_complete`` and the result carries the loop's bounded-memory
-stats instead of a response list.
+Every trace runs on the simulated-time
+:class:`~repro.serving.EventLoop`.  ``arrival="sequential"`` is its
+closed-loop process (each request admitted the instant the previous
+one resolved); the open-loop processes (``uniform`` / ``poisson``)
+timestamp the trace up front.  Per-request results stream to
+``on_complete`` (each :class:`~repro.serving.CompletedRequest` carries
+the backend's response) and the result carries the loop's
+bounded-memory stats.
 
 The options are built and validated once per trace; every request
 then reaches the backend's serving core with no further facade work.
@@ -33,13 +33,13 @@ then reaches the backend's serving core with no further facade work.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from itertools import chain
 from typing import TYPE_CHECKING, Callable, Iterable
 
 from ..faults import FaultSchedule
 from ..telemetry import TELEMETRY_MODES, Telemetry
 from .eventloop import CompletedRequest, EventLoop, EventLoopConfig, EventLoopStats
 from .slo import SLOConfig
-from .trace import GraphServingRequest
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..cluster.router import ClusterRouter
@@ -55,14 +55,13 @@ class ServeOptions:
     """Every serve-time knob of :func:`serve_trace`, in one place.
 
     Attributes:
-        arrival: ``"sequential"`` for the closed-loop replay, or an
-            open-loop process (``"uniform"`` / ``"poisson"``) for the
-            event-driven path.
+        arrival: ``"sequential"`` for the closed-loop process, or an
+            open-loop one (``"uniform"`` / ``"poisson"``).
         rate_rps: mean open-loop arrival rate; ignored by sequential.
         seed: seed of the arrival-process draws.
         slo: latency targets, tenant priorities, shedding exemptions.
         shed_policy: one of :data:`~repro.serving.slo.SHED_POLICIES`.
-        faults: seeded fault schedule for the event path, or ``None``.
+        faults: seeded fault schedule, or ``None``.
         timeout_factor / max_retries / retry_backoff_s / retry_budget /
             hedge_at / hedge_min_completions / failover: the event
             loop's fault-handling knobs, verbatim
@@ -79,7 +78,7 @@ class ServeOptions:
             :class:`~repro.telemetry.MetricsRegistry` every layer
             publishes into, returned on the result), or ``"trace"``
             (metrics plus request-scoped spans and the JSONL event
-            log; event path only).
+            log).
     """
 
     arrival: str = "sequential"
@@ -118,9 +117,8 @@ class ServeOptions:
                 f"unknown telemetry mode {self.telemetry!r}; "
                 f"choose from {TELEMETRY_MODES}"
             )
-        # Everything event-side is validated once, eagerly, by building
-        # the loop config — a sequential run with bad event knobs fails
-        # just as loudly as an event run would.
+        # The loop knobs are validated once, eagerly, by building the
+        # loop config.
         self.event_config()
 
     def event_config(self) -> EventLoopConfig:
@@ -147,17 +145,14 @@ class ServeOptions:
 class ServeResult:
     """What one :func:`serve_trace` call produced.
 
-    ``responses`` is populated on the sequential path (one response per
-    request, in arrival order) and empty on the event path, where
-    per-request results stream through ``on_complete`` and ``stats``
-    carries the bounded-memory aggregate instead.  ``telemetry`` is the
-    run's :class:`~repro.telemetry.Telemetry` context when the options
-    asked for one (``"metrics"`` / ``"trace"``), else ``None``.
+    ``stats`` is the event loop's bounded-memory aggregate; per-request
+    results stream through ``on_complete`` instead.  ``telemetry`` is
+    the run's :class:`~repro.telemetry.Telemetry` context when the
+    options asked for one (``"metrics"`` / ``"trace"``), else ``None``.
     """
 
     backend_kind: str
-    responses: tuple = ()
-    stats: EventLoopStats | None = None
+    stats: EventLoopStats
     telemetry: Telemetry | None = None
 
 
@@ -214,19 +209,6 @@ def _check_build_knobs(backend, kind: str, options: ServeOptions) -> None:
             )
 
 
-def _sequential(backend, kind: str, requests: list) -> tuple:
-    if kind != "service":
-        return tuple(backend.submit(r) for r in requests)
-    if not any(isinstance(r, GraphServingRequest) for r in requests):
-        return tuple(backend._submit_many(requests))
-    return tuple(
-        backend._submit_graph(r)
-        if isinstance(r, GraphServingRequest)
-        else backend._submit(r, None)
-        for r in requests
-    )
-
-
 def serve_trace(
     backend,
     trace: "Iterable",
@@ -237,11 +219,13 @@ def serve_trace(
 ) -> ServeResult:
     """Serve one trace on one backend under one set of options.
 
-    ``trace`` is a sequence of requests (kernel or graph), or — on the
-    event path only — an already-timed stream of ``(arrival_s,
-    payload)`` items (e.g. :meth:`Workload.timed_items`), in which case
-    the options' arrival process is ignored in favour of the stream's
-    own timestamps.
+    ``trace`` is a sequence of requests (kernel or graph, optionally
+    interleaved with :class:`~repro.workloads.DriftEvent` items), or an
+    already-timed stream of ``(arrival_s, payload)`` items (e.g.
+    :meth:`Workload.timed_items`), in which case the options' arrival
+    process is ignored in favour of the stream's own timestamps.  A
+    sequential trace is consumed lazily: each item is read once the
+    previous one resolved.
 
     On a cluster backend the router's per-tenant isolation meters are
     fed automatically; a caller's ``on_complete`` chains after them.
@@ -249,33 +233,17 @@ def serve_trace(
     kind = _backend_kind(backend)
     _check_build_knobs(backend, kind, options)
     telemetry = Telemetry.from_mode(options.telemetry)
-    items = list(trace)
-    pretimed = bool(items) and isinstance(items[0], tuple)
-    if options.arrival == "sequential" and not pretimed:
-        if on_complete is not None or drift_handler is not None:
-            raise ValueError(
-                "on_complete/drift_handler are event-path hooks; "
-                "sequential serving returns responses directly"
-            )
-        if telemetry is not None and telemetry.tracing:
-            raise ValueError(
-                "telemetry='trace' needs the simulated clock of the event "
-                "path; sequential serving supports 'off' and 'metrics'"
-            )
-        responses = _sequential(backend, kind, items)
-        if telemetry is not None:
-            telemetry.collect(backend)
-        return ServeResult(
-            backend_kind=kind,
-            responses=responses,
-            telemetry=telemetry,
-        )
-    if pretimed:
+    items = iter(trace)
+    first = next(items, None)
+    if first is not None:
+        items = chain((first,), items)
+    if isinstance(first, tuple) or options.arrival == "sequential":
         stream = items
     else:
         from ..workloads.arrivals import arrival_times
         from ..workloads.spec import WorkloadSpec
 
+        items = list(items)
         times = arrival_times(
             WorkloadSpec(
                 num_requests=len(items),

@@ -4,8 +4,10 @@ Ties the trained system into a long-running loop à la HeSP/HeMT:
 
 1. **Predict** — answer each (program, size) request from an LRU
    prediction cache, falling back to the model on a miss.
-2. **Dispatch** — place the measured execution on the multiplexed
-   device timeline of the :class:`~repro.serving.dispatch.BatchScheduler`.
+2. **Dispatch** — advance the per-device backlog clock
+   (:attr:`PartitioningService.device_free_s`) by the measured
+   execution: it starts once all of its active devices are free, so
+   launches on disjoint devices overlap and shared ones serialize.
 3. **Observe** — append every measured run to the training database.
 4. **Adapt** — when the observed makespan regresses past a threshold
    versus the predicted-best estimate (or a key outside the training
@@ -54,7 +56,6 @@ from ..partitioning import (
 )
 from ..runtime.scheduler import ExecutionRequest
 from .cache import CacheKey, PredictionCache
-from .dispatch import BatchScheduler, DispatchSlot
 from .drift import DriftDetector
 from .trace import GraphServingRequest, ServingRequest
 
@@ -228,7 +229,6 @@ class ServedResponse:
     cache_hit: bool
     measured_s: float
     estimate_s: float | None
-    slot: DispatchSlot
     adapted: bool = False
     improvement_s: float = 0.0
     energy_j: float = 0.0
@@ -319,7 +319,10 @@ class PartitioningService:
         self.system = system
         self.config = config
         self.cache = PredictionCache(config.cache_capacity)
-        self.scheduler = BatchScheduler(system.platform.num_devices)
+        #: The backlog clock: the simulated instant each device is next
+        #: free, advanced by every served kernel launch.  Fleet and
+        #: cluster placement read it (see :attr:`backlog_s`).
+        self.device_free_s = [0.0] * system.platform.num_devices
         self.stats = ServiceStats()
         self.engine = SweepEngine(system.runner) if config.memoize else None
         self.detector = (
@@ -360,6 +363,11 @@ class PartitioningService:
     @property
     def machine(self) -> str:
         return self.system.platform.name
+
+    @property
+    def backlog_s(self) -> float:
+        """Simulated instant every served launch so far has finished."""
+        return max(self.device_free_s)
 
     def _key(self, request: ServingRequest) -> CacheKey:
         return (self.machine, request.program, request.size)
@@ -486,7 +494,13 @@ class PartitioningService:
         cold = estimate is None
         measured, energy = self._measure(exec_request, partitioning)
         cost = self._cost(measured, energy)
-        slot = self.scheduler.dispatch(partitioning, measured)
+        # Occupy the active devices from the instant all are free.
+        free = self.device_free_s
+        active = partitioning.active_devices
+        start = max(free[d] for d in active)
+        end = start + measured
+        for d in active:
+            free[d] = end
         self.stats.energy_j += energy
         if (
             self.config.power_cap_w is not None
@@ -553,7 +567,6 @@ class PartitioningService:
             cache_hit=cache_hit,
             measured_s=measured,
             estimate_s=estimate,
-            slot=slot,
             adapted=adapted,
             improvement_s=improvement,
             energy_j=energy,
@@ -955,7 +968,7 @@ class PartitioningService:
         snapshot), otherwise by refitting the current model on the full
         observation history.  Either way the prediction cache, pinned
         winners, adaptation budgets and detector state all restart
-        cold; the scheduler timeline and runner telemetry carry on.
+        cold; the backlog clock and runner telemetry carry on.
         Post-drift estimate baselines *survive*, exactly as they do
         across an escalation: a model rollback does not roll back the
         hardware, and reverting to pre-drift database minima the

@@ -45,9 +45,9 @@ WORKLOAD_FAMILIES = ("stationary", "phase-shift", "flash-crowd", "diurnal", "pip
 
 #: How request timestamps are drawn along the trace.
 #:
-#: * ``sequential`` — no timestamps: the closed-loop replay where each
-#:   request is submitted the instant the previous one finishes (the
-#:   legacy synchronous path; queueing never happens).
+#: * ``sequential`` — no timestamps: the event loop's closed-loop
+#:   process, where each request arrives the instant the previous one
+#:   resolved (queueing never happens).
 #: * ``uniform`` — a deterministic open-loop clock: one request every
 #:   ``1 / rate_rps`` seconds.
 #: * ``poisson`` — memoryless open-loop arrivals: exponential gaps with

@@ -304,10 +304,20 @@ class TestTelemetryCommands:
         kinds = {r["kind"] for r in records if r["type"] == "span"}
         assert "request" in kinds and "execute" in kinds
 
-    def test_trace_out_requires_event_path(self):
-        with pytest.raises(SystemExit, match="event-driven"):
-            main(["replay", "--requests", "5", *self.TINY,
-                  "--trace-out", "/tmp/nope.jsonl"])
+    def test_closed_loop_replay_traces_and_injects_faults(self, tmp_path, capsys):
+        # No --arrival: the closed-loop trace runs on the event loop, so
+        # tracing and fault injection need no open-loop process.
+        out_path = tmp_path / "closed.jsonl"
+        assert main(
+            ["replay", "--requests", "12", *self.TINY,
+             "--faults", "crash:0.0005:0.001::0",
+             "--trace-out", str(out_path)]
+        ) == 0
+        out = capsys.readouterr().out
+        assert "Latency summary" in out and "crashes" in out
+        assert "Critical path" in out
+        header = json.loads(out_path.read_text().splitlines()[0])
+        assert header["completed"] + header["failed"] == 12
 
     def test_replay_telemetry_metrics_reports_series_count(self, capsys):
         assert main(

@@ -20,7 +20,9 @@ from repro.faults import FaultSchedule, FaultSpec
 from repro.fleet import FleetRouter
 from repro.graphs import pipeline_chain
 from repro.machines import cluster_platforms, fleet_platforms
+from repro.telemetry import CriticalPathAnalyzer
 from repro.serving import (
+    EventLoopStats,
     GraphServingRequest,
     PartitioningService,
     ServeOptions,
@@ -259,7 +261,6 @@ class TestReplicaHealthAccessor:
         assert view.index == 0
         assert view.draining_steps == 0 and not view.draining
         assert view.observations == 0
-        assert view.rate_observations == 0
 
     def test_out_of_range_rejected(self):
         with pytest.raises(IndexError):
@@ -294,14 +295,14 @@ class TestServeOptions:
         result = serve_trace(
             service, _trace(2), ServeOptions(objective="makespan")
         )
-        assert len(result.responses) == 2
+        assert result.stats.completed == 2
 
-    def test_sequential_rejects_event_hooks(self):
-        service = _service()
-        with pytest.raises(ValueError, match="event-path"):
-            serve_trace(
-                service, _trace(2), on_complete=lambda completed: None
-            )
+
+def _responses(backend, trace, options=ServeOptions()):
+    """Serve ``trace``; return the winning responses in completion order."""
+    completed = []
+    serve_trace(backend, trace, options, on_complete=completed.append)
+    return [c.response for c in completed]
 
 
 class TestDirectCoresMatchServeTrace:
@@ -321,15 +322,15 @@ class TestDirectCoresMatchServeTrace:
     def test_submit_many_matches_serve_trace(self):
         trace = list(_trace(16))
         direct = [self._pin(r) for r in _service().submit_many(trace)]
-        traced = serve_trace(_service(), trace, ServeOptions()).responses
+        traced = _responses(_service(), trace)
         assert direct == [self._pin(r) for r in traced]
 
     def test_submit_matches_serve_trace(self):
         trace = list(_trace(16))
         a, b = _service(), _service()
         direct = [self._pin(a.submit(r)) for r in trace]
-        one_by_one = [self._pin(serve_trace(b, [r]).responses[0]) for r in trace]
-        whole = serve_trace(_service(), trace).responses
+        one_by_one = [self._pin(_responses(b, [r])[0]) for r in trace]
+        whole = _responses(_service(), trace)
         assert direct == one_by_one == [self._pin(r) for r in whole]
 
     def test_submit_graph_matches_serve_trace(self):
@@ -337,7 +338,7 @@ class TestDirectCoresMatchServeTrace:
         requests = [GraphServingRequest(i, chain) for i in range(3)]
         a, b = _service(), _service()
         direct = [a.submit_graph(r) for r in requests]
-        traced = serve_trace(b, requests).responses
+        traced = _responses(b, requests)
         assert [(r.measured_s, r.cache_hit, r.plan) for r in direct] == [
             (r.measured_s, r.cache_hit, r.plan) for r in traced
         ]
@@ -442,6 +443,79 @@ class TestServeTraceMatrix:
         stats = result.stats
         assert stats.speculations == 0 and stats.cancelled_speculative == 0
         assert stats.arrivals == stats.completed + stats.shed + stats.failed
+
+
+#: Crash, straggler and error windows inside a short closed-loop trace's
+#: simulated span (each request takes well under a millisecond).
+CLOSED_LOOP_FAULTS = FaultSchedule(
+    specs=(
+        FaultSpec(
+            kind="straggler", at_s=0.0, duration_s=0.05, magnitude=4.0, replica=0
+        ),
+        FaultSpec(kind="error", at_s=0.0, duration_s=1.0, magnitude=0.15),
+        FaultSpec(kind="crash", at_s=0.002, duration_s=0.002, replica=0),
+    ),
+    seed=3,
+)
+
+_BACKENDS = {
+    "service": _service,
+    "fleet": lambda: _fleet(2),
+    "cluster": lambda: _cluster(pools=2, machines_per_pool=1),
+}
+
+
+class TestClosedLoop:
+    """``arrival="sequential"`` is the event loop's closed-loop process:
+    one request in flight, each admitted when the previous resolved."""
+
+    @staticmethod
+    def _run(kind, faults):
+        completed = []
+        options = ServeOptions(faults=faults, max_retries=3, telemetry="trace")
+        result = serve_trace(
+            _BACKENDS[kind](), _trace(30), options, on_complete=completed.append
+        )
+        return result, completed
+
+    @pytest.mark.parametrize("kind", ["service", "fleet", "cluster"])
+    @pytest.mark.parametrize("faults", [None, CLOSED_LOOP_FAULTS])
+    def test_closed_loop_matrix(self, kind, faults):
+        result, completed = self._run(kind, faults)
+        stats = result.stats
+        assert isinstance(stats, EventLoopStats)
+        assert stats.arrivals == 30 and stats.in_flight == 0
+        assert _conserved(stats)
+        if faults is not None:
+            assert stats.exec_errors > 0 and stats.crashes == 1
+        # Completions come back in arrival order.
+        ids = [c.request.request_id for c in completed]
+        assert ids == sorted(ids) and len(ids) == stats.completed
+        # Every request arrives at the instant the previous one resolved
+        # (completed or failed): the request root spans chain end to end.
+        tracer = result.telemetry.tracer
+        roots = sorted(
+            (s for s in tracer.spans if s.kind == "request"),
+            key=lambda s: s.trace_id,
+        )
+        assert len(roots) == stats.arrivals
+        assert roots[0].start_s == 0.0
+        for previous, current in zip(roots, roots[1:]):
+            assert current.start_s == previous.end_s
+        analyzer = CriticalPathAnalyzer(tracer.spans)
+        assert len(analyzer.completed_ids()) == stats.completed
+        for tid in analyzer.completed_ids():
+            analyzer.check(tid)
+        again, _ = self._run(kind, faults)
+        assert tracer.export_lines() == again.telemetry.tracer.export_lines()
+
+    def test_sequential_cluster_trace_feeds_tenant_meters(self):
+        # Regression: a closed-loop cluster trace skipped the isolation
+        # meters, so the tenant report came back empty.
+        cluster = _cluster(pools=2, machines_per_pool=1)
+        serve_trace(cluster, _trace(20, tenants=("a", "b")))
+        assert cluster.tenant_meters() == {"a": 10, "b": 10}
+        assert {t.tenant for t in cluster.stats().tenants} == {"a", "b"}
 
 
 class TestClusterEventPath:

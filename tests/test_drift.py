@@ -1,7 +1,5 @@
 """Tests for platform drift: hardware rescaling, detection, fleet repair."""
 
-import math
-
 import pytest
 
 from repro.benchsuite import get_benchmark
@@ -15,9 +13,11 @@ from repro.engine import SweepEngine
 from repro.serving import (
     DriftDetector,
     PartitioningService,
+    ServeOptions,
     ServiceConfig,
     ServingRequest,
     key_universe,
+    serve_trace,
 )
 from repro.workloads import DriftEvent, WorkloadSpec, make_workload
 
@@ -236,6 +236,56 @@ class TestServiceDriftHandling:
         assert [r.measured_s for r in r_bat] == [r.measured_s for r in r_seq]
         assert batched.stats == sequential.stats
 
+    def _drift_workload(self):
+        keys = key_universe(BENCHMARKS, max_sizes=2)
+        spec = WorkloadSpec(
+            num_requests=20,
+            seed=5,
+            drift_events=(DriftEvent(10, 0.25, device_index=0),),
+        )
+        return make_workload(spec, keys)
+
+    def test_sequential_serve_trace_applies_drift_events(self):
+        # Regression: a closed-loop trace carrying DriftEvents crashed
+        # with AttributeError.  The loop now hands each event to the
+        # drift handler once the previous request resolved, so the run
+        # matches direct submits with the drift applied in place.
+        workload = self._drift_workload()
+        service = PartitioningService(_train(), ServiceConfig())
+        applied, served = [], []
+
+        def on_drift(event):
+            applied.append(service.stats.requests)
+            service.system.runner.apply_drift(
+                event.scale, device_index=event.device_index
+            )
+
+        result = serve_trace(
+            service,
+            workload.items(),
+            ServeOptions(),
+            on_complete=served.append,
+            drift_handler=on_drift,
+        )
+        assert applied == [10]
+        assert result.stats.completed == 20
+        twin = PartitioningService(_train(), ServiceConfig())
+        direct = []
+        for item in workload.items():
+            if isinstance(item, DriftEvent):
+                twin.system.runner.apply_drift(
+                    item.scale, device_index=item.device_index
+                )
+            else:
+                direct.append(twin.submit(item).measured_s)
+        assert [c.response.measured_s for c in served] == direct
+        assert service.stats == twin.stats
+
+    def test_sequential_drift_without_handler_rejected(self):
+        service = PartitioningService(_train(), ServiceConfig())
+        with pytest.raises(ValueError, match="drift_handler"):
+            serve_trace(service, self._drift_workload().items(), ServeOptions())
+
     def test_rewarm_resets_online_state_but_keeps_drift_baselines(self):
         service = self._drifting_scenario(ServiceConfig(drift_escalation=0))
         assert len(service.cache) > 0
@@ -394,36 +444,3 @@ class TestFleetDriftRepair:
         router.rewarm_replica(0)
         assert len(replica.service.system.database) == baseline_records
         assert replica.service.stats.rewarms == 1
-
-
-class TestFleetStatsInfClamp:
-    def test_zero_span_sentinel_never_poisons_fleet_aggregate(self):
-        # Regression: BatchScheduler.throughput_rps reports inf when
-        # everything served in zero simulated time; the fleet aggregate
-        # must clamp it (finite numbers only) and flag the replicas.
-        platforms = fleet_platforms(2)
-        services = [PartitioningService(_train(p), FROZEN) for p in platforms]
-        router = FleetRouter(services, policy="least-loaded")
-        for replica in router.replicas:
-            replica.routed = 2
-            replica.scheduler.dispatch(Partitioning((100, 0, 0)), 0.0)
-            replica.scheduler.dispatch(Partitioning((0, 100, 0)), 0.0)
-        stats = router.stats()
-        assert all(math.isinf(r.throughput_rps) for r in stats.replicas)
-        assert stats.zero_span_replicas == 2
-        assert math.isfinite(stats.throughput_rps)
-        assert stats.throughput_rps == 0.0
-        # Downstream ratio arithmetic stays finite.
-        assert math.isfinite(stats.throughput_rps / max(stats.requests, 1))
-
-    def test_mixed_zero_span_replica_is_flagged_but_fleet_stays_real(self):
-        platforms = fleet_platforms(2)
-        services = [PartitioningService(_train(p), FROZEN) for p in platforms]
-        router = FleetRouter(services, policy="least-loaded")
-        router.replicas[0].routed = 1
-        router.replicas[0].scheduler.dispatch(Partitioning((100, 0, 0)), 0.0)
-        router.replicas[1].routed = 1
-        router.replicas[1].scheduler.dispatch(Partitioning((100, 0, 0)), 2.0)
-        stats = router.stats()
-        assert stats.zero_span_replicas == 1
-        assert stats.throughput_rps == pytest.approx(1.0)  # 2 requests / 2s

@@ -148,9 +148,9 @@ class TestRouting:
         # With one replica's devices all busy far into the future, the
         # makespan-aware policy must place the next request elsewhere.
         router = _router(fleet_platforms(2), policy="predicted")
-        busy = router.replicas[0].scheduler
-        for d in range(len(busy.device_free_s)):
-            busy.device_free_s[d] = 1e6
+        free = router.replicas[0].service.device_free_s
+        for d in range(len(free)):
+            free[d] = 1e6
         size = get_benchmark("vec_add").problem_sizes()[0]
         fr = router.submit(ServingRequest(request_id=0, program="vec_add", size=size))
         assert fr.replica_index == 1
@@ -214,59 +214,6 @@ class TestFleetStats:
         stats = duo_router.stats()
         assert stats.adaptations == sum(r.adaptations for r in stats.replicas)
         assert stats.refits == sum(r.refits for r in stats.replicas)
-
-
-class TestRateEWMA:
-    def test_serving_rate_ewma_tracks_and_stays_finite(self):
-        import math
-
-        router = _router(fleet_platforms(1))
-        for request in _trace(8):
-            router.submit(request)
-        stats = router.stats()
-        assert stats.replicas[0].rate_ewma > 0.0
-        assert math.isfinite(stats.replicas[0].rate_ewma)
-
-    def test_inf_throughput_sentinel_excluded_from_rate_ewma(self):
-        # Regression: BatchScheduler.throughput_rps reports an ``inf``
-        # sentinel when everything a replica served took zero simulated
-        # time.  One such sample folded into the health rate EWMA would
-        # make it inf forever; non-finite rates must be excluded the
-        # same way non-finite costs already are.
-        import math
-
-        from repro.partitioning import Partitioning
-        from repro.serving.service import ServedResponse
-
-        router = _router(fleet_platforms(1))
-        replica = router.replicas[0]
-        replica.scheduler.dispatch(Partitioning((100, 0, 0)), 0.0)
-        assert math.isinf(replica.scheduler.throughput_rps())
-        response = ServedResponse(
-            request=_trace(1)[0],
-            partitioning=Partitioning((100, 0, 0)),
-            cache_hit=True,
-            measured_s=1e-3,
-            estimate_s=1e-3,
-            slot=None,
-            cost=1e-3,
-        )
-        router._observe_health(replica, response)
-        view = router.replica_health(0)
-        # The poisoned sample was skipped entirely: no observation, no
-        # change to the (still unseeded) EWMA.
-        assert view.rate_observations == 0
-        assert view.rate_ewma == 0.0
-        assert math.isfinite(router.stats().replicas[0].rate_ewma)
-        # Once the span is real, finite samples seed the EWMA normally.
-        replica.scheduler.dispatch(Partitioning((0, 100, 0)), 2.0)
-        router._observe_health(replica, response)
-        view = router.replica_health(0)
-        assert view.rate_observations == 1
-        assert math.isfinite(view.rate_ewma)
-        assert view.rate_ewma == pytest.approx(
-            replica.scheduler.throughput_rps()
-        )
 
 
 class TestModelRegistry:

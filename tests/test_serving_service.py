@@ -1,6 +1,4 @@
-"""Tests for the serving layer: traces, dispatch and the service loop."""
-
-import math
+"""Tests for the serving layer: traces, the backlog clock and the service loop."""
 
 import pytest
 
@@ -9,7 +7,6 @@ from repro.core import TrainingConfig, train_system
 from repro.machines import MC2
 from repro.partitioning import Partitioning, partition_space
 from repro.serving import (
-    BatchScheduler,
     PartitioningService,
     ServiceConfig,
     ServingRequest,
@@ -56,60 +53,6 @@ class TestTrace:
             key_universe(())
 
 
-class TestBatchScheduler:
-    def test_disjoint_devices_overlap(self):
-        sched = BatchScheduler(num_devices=3)
-        a = sched.dispatch(Partitioning((100, 0, 0)), 1.0)
-        b = sched.dispatch(Partitioning((0, 50, 50)), 2.0)
-        assert a.start_s == 0.0 and b.start_s == 0.0  # run concurrently
-        assert sched.makespan_s == 2.0
-        assert sched.throughput_rps() == pytest.approx(1.0)
-
-    def test_shared_device_serializes(self):
-        sched = BatchScheduler(num_devices=3)
-        sched.dispatch(Partitioning((50, 50, 0)), 1.0)
-        slot = sched.dispatch(Partitioning((0, 100, 0)), 1.0)
-        assert slot.start_s == 1.0
-        assert sched.makespan_s == 2.0
-
-    def test_utilization_accounts_busy_time(self):
-        sched = BatchScheduler(num_devices=2)
-        sched.dispatch(Partitioning((100, 0)), 1.0)
-        sched.dispatch(Partitioning((0, 100)), 4.0)
-        assert sched.utilization() == pytest.approx((0.25, 1.0))
-
-    def test_device_count_mismatch_rejected(self):
-        sched = BatchScheduler(num_devices=2)
-        with pytest.raises(ValueError):
-            sched.dispatch(Partitioning((100, 0, 0)), 1.0)
-
-    def test_all_zero_duration_runs_report_inf_not_zero(self):
-        # Regression: dispatched > 0 with span == 0 used to report
-        # 0.0 req/s, indistinguishable from an idle scheduler.
-        sched = BatchScheduler(num_devices=2)
-        sched.dispatch(Partitioning((100, 0)), 0.0)
-        sched.dispatch(Partitioning((0, 100)), 0.0)
-        assert sched.dispatched == 2
-        assert sched.zero_duration == 2
-        t = sched.throughput_rps()
-        assert math.isinf(t) and t > 0
-        u = sched.utilization()
-        assert u == (0.0, 0.0)
-        assert not any(math.isnan(x) for x in u)
-
-    def test_idle_scheduler_still_reports_zero(self):
-        sched = BatchScheduler(num_devices=2)
-        assert sched.throughput_rps() == 0.0
-        assert sched.zero_duration == 0
-
-    def test_mixed_zero_duration_runs_are_counted(self):
-        sched = BatchScheduler(num_devices=2)
-        sched.dispatch(Partitioning((100, 0)), 0.0)
-        sched.dispatch(Partitioning((100, 0)), 2.0)
-        assert sched.zero_duration == 1
-        assert sched.throughput_rps() == pytest.approx(1.0)
-
-
 @pytest.fixture(scope="module")
 def small_system():
     """A system trained on two programs; everything else arrives cold."""
@@ -124,6 +67,48 @@ def small_system():
 
 def _request(i, program, size):
     return ServingRequest(request_id=i, program=program, size=size)
+
+
+class TestBacklogClock:
+    """The service's per-device free clock: a launch starts once every
+    one of its active devices is free, so disjoint launches overlap."""
+
+    def _serve_pinned(self, system, partitionings):
+        # No adaptation budget: each request is served with exactly the
+        # partitioning pinned in the cache for its key.
+        service = PartitioningService(
+            system, ServiceConfig(max_adaptations_per_key=0)
+        )
+        sizes = get_benchmark("vec_add").problem_sizes()
+        responses = []
+        for i, partitioning in enumerate(partitionings):
+            request = _request(i, "vec_add", sizes[i])
+            service.cache.put(service._key(request), partitioning)
+            responses.append(service.submit(request))
+        assert [r.partitioning for r in responses] == list(partitionings)
+        return service, [r.measured_s for r in responses]
+
+    def test_idle_service_backlog_is_zero(self, small_system):
+        service = PartitioningService(small_system, ServiceConfig())
+        assert service.device_free_s == [0.0, 0.0, 0.0]
+        assert service.backlog_s == 0.0
+
+    def test_disjoint_devices_overlap(self, small_system):
+        service, (a, b) = self._serve_pinned(
+            small_system, (Partitioning((100, 0, 0)), Partitioning((0, 50, 50)))
+        )
+        assert a > 0 and b > 0
+        # Both launches start at 0: they run concurrently.
+        assert service.device_free_s == [a, b, b]
+        assert service.backlog_s == max(a, b)
+
+    def test_shared_device_serializes(self, small_system):
+        service, (a, b) = self._serve_pinned(
+            small_system, (Partitioning((50, 50, 0)), Partitioning((0, 100, 0)))
+        )
+        # The second launch waits for device 1 to free up.
+        assert service.device_free_s == [a, a + b, 0.0]
+        assert service.backlog_s == a + b
 
 
 class TestPartitioningService:
@@ -287,7 +272,7 @@ class TestPartitioningService:
         responses = service.serve(trace)
         assert len(responses) == 30
         assert service.stats.requests == 30
-        assert service.scheduler.dispatched == 30
+        assert service.backlog_s > 0
         assert service.cache.stats.hit_rate > 0.5  # 4 keys, 30 requests
 
 

@@ -149,11 +149,6 @@ class TestTelemetryFacade:
         with pytest.raises(ValueError, match="telemetry"):
             ServeOptions(telemetry="verbose")
 
-    def test_trace_mode_rejected_on_sequential_path(self, system):
-        with pytest.raises(ValueError, match="event"):
-            serve_trace(_service(system), _trace(4),
-                        ServeOptions(telemetry="trace"))
-
 
 class TestTracedServiceRun:
     @pytest.fixture(scope="class")
