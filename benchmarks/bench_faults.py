@@ -172,7 +172,6 @@ def run_scenario(
         seed=seed,
         arrival="poisson",
         rate_rps=rate_rps,
-        faults=config.faults.specs if config.faults is not None else (),
     )
     loop = EventLoop.for_fleet(router, config)
     t0 = time.perf_counter()

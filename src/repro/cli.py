@@ -12,50 +12,30 @@ Commands:
     graph-sweep               — co-search scheduling × partitioning for
                                 one task-graph chain vs the greedy
                                 partition-each-task baseline
-    graph-serve               — serve a Zipf stream of task graphs
-                                (the ``pipeline`` workload family)
-                                through the graph-level plan cache
-    replay                    — serve a synthetic trace (stationary /
-                                phase-shift / flash-crowd / diurnal
-                                workloads, optional platform drift)
-    serve                     — serve "program size" requests from a
-                                file or stdin
-    trace-export              — serve a synthetic trace with tracing on
-                                and export the span/event JSONL
-    metrics-report            — serve a synthetic trace and print the
-                                unified metrics registry
     fleet-train               — train + persist one model per fleet
                                 machine into a model registry
-    fleet-serve               — route one trace across a fleet of
-                                machines (least-loaded / affinity /
-                                predicted / energy placement, drain +
-                                re-warm on sustained degradation)
-    cluster-train             — train + persist one model per machine
-                                across every pool of a cluster
-    cluster-serve             — route a multi-tenant trace across
-                                machine pools behind a priced
-                                interconnect (home-pool tenancy,
-                                speculative re-execution, work
-                                stealing, weighted-fair queueing)
+    serve                     — serve one trace on one machine, a fleet
+                                or a cluster of machine pools
 
-Shared flag groups (the workload generator, the event-driven serving
-path, the objective knobs, ...) are defined once as argparse parent
-parsers and attached to every command that supports them, so
-``--arrival`` or ``--slo-ms`` mean the same thing everywhere.
+``serve`` works out its backend from the flags: one
+``PartitioningService`` on ``--machine`` by default, a ``FleetRouter``
+over ``--machines N`` machines, or a ``ClusterRouter`` of ``--pools P``
+pools of N/P machines each.  Every machine loads its ``--registry``
+entry, else warm-starts (``--warm-start``), else trains.  Requests come
+from the workload generator (every family, task-graph ``pipeline``
+included) or from ``--trace PATH`` (``-`` is stdin), one
+``<program> <size>`` per line.
 
-The serving commands optimize makespan by default; ``--objective
-energy|edp`` retargets the model, the regression checks and the local
-search, and ``--power-cap WATTS`` serves under an average-power budget
-(see docs/ENERGY.md).
-
-Every serving command runs its trace on the simulated-time event loop
-with one ``serve_trace`` call.  By default the trace is closed-loop
-(each request arrives the instant the previous one resolved);
-``--arrival uniform|poisson`` makes it open-loop: requests arrive on
-their own simulated clock at ``--arrival-rate`` and queue per replica.
+The trace runs on the simulated-time event loop with one
+``serve_trace`` call.  By default it is closed-loop (each request
+arrives the instant the previous one resolved); ``--arrival
+uniform|poisson`` makes it open-loop: requests arrive on their own
+simulated clock at ``--arrival-rate`` and queue per replica.
 ``--slo-ms`` sets a latency target with violation tracking and
 ``--shed-policy deadline|priority`` enables admission control (see
-docs/SERVING.md).
+docs/SERVING.md).  ``--objective energy|edp`` retargets the model, the
+regression checks and the local search, and ``--power-cap WATTS``
+serves under an average-power budget (see docs/ENERGY.md).
 """
 
 from __future__ import annotations
@@ -190,47 +170,104 @@ def _training_objective(args: argparse.Namespace):
     return objective if objective in MODEL_OBJECTIVES else Objective.MAKESPAN
 
 
-def _build_service(args: argparse.Namespace):
-    """Train a system and wrap it in a PartitioningService (serve/replay)."""
-    from .serving import PartitioningService, ServiceConfig
-
-    platform = machine_by_name(args.machine)
+def _benchmark_split(args: argparse.Namespace):
+    """The (whole suite, training subset) pair behind ``--train-programs``."""
     benchmarks = all_benchmarks()
     train_benchmarks = benchmarks
     if args.train_programs is not None:
         if not 1 <= args.train_programs <= len(benchmarks):
-            raise SystemExit(
-                f"--train-programs must be in [1, {len(benchmarks)}]"
-            )
+            raise SystemExit(f"--train-programs must be in [1, {len(benchmarks)}]")
         train_benchmarks = benchmarks[: args.train_programs]
-    config = TrainingConfig(
+    return benchmarks, train_benchmarks
+
+
+def _build_backend(args: argparse.Namespace, train_benchmarks, slo):
+    """The backend ``--machines``/``--pools`` name, plus its services
+    and each one's model source, in flat replica order.
+
+    No ``--machines`` is one :class:`PartitioningService` on
+    ``--machine``; ``--machines N`` is a :class:`FleetRouter` over
+    ``fleet_platforms(N)``; adding ``--pools P`` chunks the same N
+    machines into a :class:`ClusterRouter` of P pools.  Each machine
+    loads its ``--registry`` entry, else warm-starts from the most
+    similar registered machine (``--warm-start``), else trains.
+    """
+    from .cluster import ClusterRouter, NetworkSpec
+    from .fleet import FleetRouter, ModelRegistry
+    from .machines import fleet_platforms
+    from .serving import PartitioningService, ServiceConfig
+
+    if args.machines is None:
+        platforms = (machine_by_name(args.machine),)
+    else:
+        platforms = fleet_platforms(args.machines)
+    registry = ModelRegistry(args.registry) if args.registry else None
+    training = TrainingConfig(
         repetitions=1,
         noise_sigma=args.noise,
         seed=args.seed,
         max_sizes=args.max_sizes,
     )
-    system = train_system(
-        platform,
-        train_benchmarks,
-        model_kind=args.model,
-        config=config,
-        objective=_training_objective(args),
-    )
     try:
-        service = PartitioningService(
-            system,
-            ServiceConfig(
-                cache_capacity=args.cache_capacity,
-                regression_threshold=args.threshold,
-                instance_seed=args.seed,
-                memoize=not args.no_memoize,
-                objective=args.objective,
-                power_cap_w=args.power_cap,
-            ),
+        serving = ServiceConfig(
+            cache_capacity=args.cache_capacity,
+            regression_threshold=args.threshold,
+            instance_seed=args.seed,
+            memoize=not args.no_memoize,
+            objective=args.objective,
+            power_cap_w=args.power_cap,
+        )
+        network = NetworkSpec(
+            bandwidth_gbs=args.net_bandwidth,
+            latency_s=args.net_latency_us * 1e-6,
+            link_watts=args.net_watts,
         )
     except ValueError as error:
         raise SystemExit(str(error)) from error
-    return benchmarks, train_benchmarks, service
+    services, sources = [], []
+    for platform in platforms:
+        if registry is not None and registry.has(platform.name):
+            system = registry.load(platform, noise_sigma=args.noise, seed=args.seed)
+            source = "registry"
+        elif registry is not None and args.warm_start and registry.machines():
+            donor = registry.most_similar(platform)
+            system = registry.warm_start(
+                platform,
+                model_kind=args.model,
+                noise_sigma=args.noise,
+                seed=args.seed,
+                donor=donor,
+            )
+            source = f"warm({donor})"
+        else:
+            system = train_system(
+                platform,
+                train_benchmarks,
+                model_kind=args.model,
+                config=training,
+                objective=_training_objective(args),
+            )
+            source = "trained"
+        try:
+            services.append(PartitioningService(system, serving))
+        except ValueError as error:
+            raise SystemExit(str(error)) from error
+        sources.append(source)
+    if args.machines is None:
+        return services[0], services, sources
+    if args.pools is None:
+        router = FleetRouter(services, policy=args.policy, registry=registry)
+        return router, services, sources
+    width = args.machines // args.pools
+    pools = [
+        FleetRouter(
+            services[p * width : (p + 1) * width],
+            policy=args.policy,
+            registry=registry,
+        )
+        for p in range(args.pools)
+    ]
+    return ClusterRouter(pools, network=network, slo=slo), services, sources
 
 
 def _parse_drift_events(values: list[str]):
@@ -293,15 +330,23 @@ def _parse_fault_specs(values: list[str]):
     return tuple(specs)
 
 
-def _workload_from_args(args: argparse.Namespace, keys):
-    """Build the WorkloadSpec the serving commands share and generate it."""
+def _parse_tenants(args: argparse.Namespace) -> tuple[str, ...]:
+    """``--tenants A,B,...`` → tenant names (empty without the flag)."""
+    if args.tenants is None:
+        return ()
+    tenants = tuple(t.strip() for t in args.tenants.split(",") if t.strip())
+    if not tenants:
+        raise SystemExit("--tenants: want a comma-separated tenant list")
+    return tenants
+
+
+def _workload_from_args(args: argparse.Namespace, keys, tenants):
+    """Generate the synthetic trace the workload flags describe."""
+    from dataclasses import replace
+
+    from .cluster import with_tenants
     from .workloads import WorkloadSpec, make_workload
 
-    if args.workload == "pipeline":
-        raise SystemExit(
-            "the pipeline family emits task-graph requests; "
-            "serve it with the graph-serve command"
-        )
     spec = WorkloadSpec(
         family=args.workload,
         num_requests=args.requests,
@@ -315,11 +360,45 @@ def _workload_from_args(args: argparse.Namespace, keys):
         skew_min=args.skew_min,
         skew_max=args.skew_max,
         drift_events=_parse_drift_events(args.drift),
-        faults=_parse_fault_specs(args.faults),
         arrival=args.arrival or "sequential",
         rate_rps=args.arrival_rate,
     )
-    return make_workload(spec, keys)
+    workload = make_workload(spec, keys)
+    if tenants:
+        workload = replace(workload, requests=with_tenants(workload.requests, tenants))
+    return workload
+
+
+def _read_requests(path: str, known: set[str], tenants: tuple[str, ...]):
+    """``<program> <size>`` lines from ``path`` (``-`` is stdin) →
+    requests, read lazily; malformed lines are reported and skipped."""
+    from contextlib import nullcontext
+    from dataclasses import replace
+
+    from .serving import ServingRequest
+
+    count = 0
+    with nullcontext(sys.stdin) if path == "-" else open(path) as stream:
+        for line in stream:
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            parts = line.split()
+            if (
+                len(parts) != 2
+                or parts[0] not in known
+                or not parts[1].isdigit()
+                or int(parts[1]) < 1
+            ):
+                print(f"!! malformed request {line!r} (want '<program> <size>')")
+                continue
+            request = ServingRequest(
+                request_id=count, program=parts[0], size=int(parts[1])
+            )
+            if tenants:
+                request = replace(request, tenant=tenants[count % len(tenants)])
+            yield request
+            count += 1
 
 
 def _parse_tenant_priorities(values: list[str]):
@@ -336,13 +415,8 @@ def _parse_tenant_priorities(values: list[str]):
 
 
 def _serve_options_from_args(args: argparse.Namespace):
-    """The :class:`ServeOptions` behind the shared serving flag groups.
-
-    Every serving command funnels through here, so ``--slo-ms`` or
-    ``--hedge-at`` mean exactly the same thing on one machine, a fleet
-    or a cluster.  Cluster-only flags are read defensively: commands
-    that don't mount the tenancy parent simply keep the defaults.
-    """
+    """The :class:`ServeOptions` behind the event-loop flags, which
+    mean the same thing on one machine, a fleet or a cluster."""
     from .faults import FaultSchedule
     from .serving import ServeOptions, SLOConfig
 
@@ -352,7 +426,7 @@ def _serve_options_from_args(args: argparse.Namespace):
     if specs:
         seed = args.fault_seed if args.fault_seed is not None else args.seed
         faults = FaultSchedule(specs=specs, seed=seed)
-    priorities = _parse_tenant_priorities(getattr(args, "tenant_priority", []))
+    priorities = _parse_tenant_priorities(args.tenant_priority)
     try:
         return ServeOptions(
             arrival=args.arrival or "sequential",
@@ -368,24 +442,28 @@ def _serve_options_from_args(args: argparse.Namespace):
             retry_budget=args.retry_budget,
             hedge_at=args.hedge_at,
             failover=not args.no_failover,
-            speculate_at=getattr(args, "speculate_at", None),
-            work_steal=getattr(args, "work_steal", False),
-            queue_discipline=getattr(args, "queue_discipline", "fifo"),
+            speculate_at=args.speculate_at,
+            work_steal=args.work_steal,
+            queue_discipline=args.queue_discipline,
         )
     except ValueError as error:
         raise SystemExit(str(error)) from error
 
 
 def _telemetry_mode(args: argparse.Namespace) -> str:
-    """The effective ``--telemetry`` mode (``--trace-out`` implies trace)."""
-    if getattr(args, "trace_out", None):
+    """The effective ``--telemetry`` mode: ``--trace-out`` implies
+    ``trace`` and ``--json`` at least ``metrics``."""
+    if args.trace_out:
         return "trace"
-    return getattr(args, "telemetry", "off")
+    if args.json and args.telemetry == "off":
+        return "metrics"
+    return args.telemetry
 
 
 def _finish_telemetry(args, telemetry) -> None:
     """Report and export whatever telemetry the run produced
-    (:func:`serve_trace` already collected it)."""
+    (:func:`serve_trace` already collected it): the critical-path table
+    and the JSONL trace when tracing, then the whole registry."""
     if telemetry is None:
         return
     if telemetry.tracing:
@@ -399,17 +477,13 @@ def _finish_telemetry(args, telemetry) -> None:
                     f"({len(slowest)} requests)",
                 )
             )
-        if getattr(args, "trace_out", None):
+        if args.trace_out:
             telemetry.tracer.export(args.trace_out)
             print(
                 f"trace: {len(telemetry.tracer.spans)} spans over "
                 f"{len(analyzer.trace_ids())} requests -> {args.trace_out}"
             )
-    else:
-        print(
-            f"metrics: {len(telemetry.registry)} series collected "
-            "(metrics-report prints a full registry)"
-        )
+    _print_metrics_report(telemetry.registry, as_json=args.json)
 
 
 def _print_metrics_report(registry, as_json: bool = False) -> None:
@@ -456,7 +530,16 @@ def _objective_quantity(service, value: float) -> str:
     return f"{value * 1e3:.3f} ms"
 
 
-def _print_service_summary(service, loop_stats, wall_s: float) -> None:
+def _graph_rows(services) -> list[tuple[str, str]]:
+    """Task-graph counters, when the services answered any graph."""
+    graphs = sum(s.stats.graph_requests for s in services)
+    if not graphs:
+        return []
+    cosearches = sum(s.stats.graph_cosearches for s in services)
+    return [("graph requests", f"{graphs}"), ("co-searches", f"{cosearches}")]
+
+
+def _print_service_summary(service, source: str, loop_stats, wall_s: float) -> None:
     """The service's counters after one run; ``loop_stats`` supplies the
     summed execute seconds of the served requests."""
     stats = service.stats
@@ -466,8 +549,10 @@ def _print_service_summary(service, loop_stats, wall_s: float) -> None:
     served_executions = stats.requests * service.config.repetitions
     probes = runner_stats.executions - served_executions
     rows = [
+        ("model source", source),
         ("objective", service.config.objective.value),
         ("requests", f"{stats.requests}"),
+        *_graph_rows([service]),
         (
             "executions",
             f"{runner_stats.executions} ({probes} adaptation probes)",
@@ -612,238 +697,6 @@ def _print_latency_summary(loop_stats) -> None:
     print(format_table(["metric", "value"], rows, title="Latency summary"))
 
 
-def _cmd_replay(args: argparse.Namespace) -> int:
-    from .serving import key_universe, serve_trace
-
-    benchmarks, train_benchmarks, service = _build_service(args)
-    keys = key_universe(benchmarks, max_sizes=args.max_sizes)
-    workload = _workload_from_args(args, keys)
-    options = _serve_options_from_args(args)
-    print(
-        f"trained on {len(train_benchmarks)}/{len(benchmarks)} programs "
-        f"({len(service.system.database)} records, model {args.model}) "
-        f"on {args.machine}"
-    )
-    print(
-        f"replaying {len(workload)} requests over {len(keys)} keys "
-        f"({args.workload} workload, skew {args.skew}, seed {args.seed}, "
-        f"{len(workload.drift_events)} drift events)"
-    )
-    _print_event_banner(args)
-    t0 = time.perf_counter()
-    result = serve_trace(
-        service,
-        _workload_stream(args, workload),
-        options,
-        drift_handler=_service_drift_handler(args, service, workload),
-    )
-    _print_service_summary(service, result.stats, time.perf_counter() - t0)
-    _print_latency_summary(result.stats)
-    _finish_telemetry(args, result.telemetry)
-    return 0
-
-
-def _workload_stream(args: argparse.Namespace, workload):
-    """The workload as ``serve_trace`` input: timestamped under
-    ``--arrival``, closed-loop (untimed) otherwise."""
-    return workload.timed_items() if args.arrival else workload.items()
-
-
-def _print_event_banner(args: argparse.Namespace) -> None:
-    """One line naming the open-loop arrival process, if there is one."""
-    if not args.arrival:
-        return
-    print(
-        f"event-driven: {args.arrival} arrivals at {args.arrival_rate:g} req/s "
-        f"(shed policy {args.shed_policy}"
-        + (f", {len(args.faults)} fault windows" if args.faults else "")
-        + (f", hedge at p{args.hedge_at * 100:g}" if args.hedge_at else "")
-        + ")"
-    )
-
-
-def _print_served(completed) -> None:
-    """One line per closed-loop response of the ``serve`` command."""
-    r = completed.response
-    flags = ("hit" if r.cache_hit else "miss") + ("+adapted" if r.adapted else "")
-    print(
-        f"{r.request.program}@{r.request.size}: {r.partitioning.label} "
-        f"{r.measured_s * 1e3:.3f} ms [{flags}]"
-    )
-
-
-def _cmd_serve(args: argparse.Namespace) -> int:
-    from .serving import ServingRequest, serve_trace
-
-    options = _serve_options_from_args(args)
-    benchmarks, _train_benchmarks, service = _build_service(args)
-    known = {b.name for b in benchmarks}
-    stream = Path(args.trace).open() if args.trace else sys.stdin
-    print(f"serving on {args.machine}; requests are '<program> <size>' lines")
-
-    def requests():
-        count = 0
-        for line in stream:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if (
-                len(parts) != 2
-                or parts[0] not in known
-                or not parts[1].isdigit()
-                or int(parts[1]) < 1
-            ):
-                print(f"!! malformed request {line!r} (want '<program> <size>')")
-                continue
-            yield ServingRequest(
-                request_id=count, program=parts[0], size=int(parts[1])
-            )
-            count += 1
-
-    _print_event_banner(args)
-    t0 = time.perf_counter()
-    try:
-        # Closed-loop serving reads the next line only after the previous
-        # request resolved, so each response prints as it is served.
-        result = serve_trace(
-            service,
-            requests(),
-            options,
-            on_complete=None if args.arrival else _print_served,
-        )
-    finally:
-        if args.trace:
-            stream.close()
-    _print_service_summary(service, result.stats, time.perf_counter() - t0)
-    _print_latency_summary(result.stats)
-    _finish_telemetry(args, result.telemetry)
-    return 0
-
-
-def _fleet_train_benchmarks(args: argparse.Namespace):
-    """The (all, training-subset) benchmark split shared by fleet commands."""
-    benchmarks = all_benchmarks()
-    train_benchmarks = benchmarks
-    if args.train_programs is not None:
-        if not 1 <= args.train_programs <= len(benchmarks):
-            raise SystemExit(f"--train-programs must be in [1, {len(benchmarks)}]")
-        train_benchmarks = benchmarks[: args.train_programs]
-    return benchmarks, train_benchmarks
-
-
-def _cmd_fleet_train(args: argparse.Namespace) -> int:
-    from .fleet import ModelRegistry
-    from .machines import fleet_platforms
-
-    if args.model not in PERSISTABLE_MODEL_KINDS:
-        # Catch this before spending minutes on the first machine's
-        # training campaign only to fail in save_model.
-        raise SystemExit(
-            f"--model {args.model!r} cannot be persisted; "
-            f"choose from {', '.join(PERSISTABLE_MODEL_KINDS)}"
-        )
-    _benchmarks, train_benchmarks = _fleet_train_benchmarks(args)
-    platforms = fleet_platforms(args.machines)
-    registry = ModelRegistry(args.registry)
-    config = TrainingConfig(
-        repetitions=1,
-        noise_sigma=args.noise,
-        seed=args.seed,
-        max_sizes=args.max_sizes,
-    )
-    rows = []
-    for platform in platforms:
-        system = train_system(
-            platform, train_benchmarks, model_kind=args.model, config=config
-        )
-        path = registry.save(system)
-        rows.append((platform.name, len(system.database), args.model, str(path)))
-    print(
-        format_table(
-            ["machine", "records", "model", "path"],
-            rows,
-            title=f"Fleet training ({args.machines} machines)",
-        )
-    )
-    return 0
-
-
-def _cmd_fleet_serve(args: argparse.Namespace) -> int:
-    from .fleet import FleetRouter, ModelRegistry
-    from .machines import fleet_platforms
-    from .serving import PartitioningService, ServiceConfig, key_universe, serve_trace
-
-    benchmarks, train_benchmarks = _fleet_train_benchmarks(args)
-    platforms = fleet_platforms(args.machines)
-    registry = ModelRegistry(args.registry) if args.registry else None
-    config = TrainingConfig(
-        repetitions=1,
-        noise_sigma=args.noise,
-        seed=args.seed,
-        max_sizes=args.max_sizes,
-    )
-    service_config = ServiceConfig(
-        cache_capacity=args.cache_capacity,
-        regression_threshold=args.threshold,
-        instance_seed=args.seed,
-        memoize=not args.no_memoize,
-        objective=args.objective,
-        power_cap_w=args.power_cap,
-    )
-    services, sources = [], []
-    for platform in platforms:
-        if registry is not None and registry.has(platform.name):
-            system = registry.load(platform, noise_sigma=args.noise, seed=args.seed)
-            source = "registry"
-        elif registry is not None and args.warm_start and registry.machines():
-            donor = registry.most_similar(platform)
-            system = registry.warm_start(
-                platform,
-                model_kind=args.model,
-                noise_sigma=args.noise,
-                seed=args.seed,
-                donor=donor,
-            )
-            source = f"warm({donor})"
-        else:
-            system = train_system(
-                platform,
-                train_benchmarks,
-                model_kind=args.model,
-                config=config,
-                objective=_training_objective(args),
-            )
-            source = "trained"
-        try:
-            services.append(PartitioningService(system, service_config))
-        except ValueError as error:
-            raise SystemExit(str(error)) from error
-        sources.append(source)
-    router = FleetRouter(services, policy=args.policy, registry=registry)
-    keys = key_universe(benchmarks, max_sizes=args.max_sizes)
-    workload = _workload_from_args(args, keys)
-    print(
-        f"fleet of {len(platforms)} machines (policy {args.policy}); "
-        f"routing {len(workload)} requests over {len(keys)} keys "
-        f"({args.workload} workload, skew {args.skew}, seed {args.seed}, "
-        f"{len(workload.drift_events)} drift events)"
-    )
-    options = _serve_options_from_args(args)
-    _print_event_banner(args)
-    t0 = time.perf_counter()
-    result = serve_trace(
-        router,
-        _workload_stream(args, workload),
-        options,
-        drift_handler=_router_drift_handler(router, workload),
-    )
-    _print_fleet_summary(router, sources, time.perf_counter() - t0)
-    _print_latency_summary(result.stats)
-    _finish_telemetry(args, result.telemetry)
-    return 0
-
-
 def _print_fleet_summary(router, sources, wall_s: float) -> None:
     stats = router.stats()
     rows = [
@@ -890,6 +743,7 @@ def _print_fleet_summary(router, sources, wall_s: float) -> None:
     )
     totals = [
         ("requests", f"{stats.requests}"),
+        *_graph_rows([r.service for r in router.replicas]),
         ("fleet makespan (simulated)", f"{stats.makespan_s * 1e3:.3f} ms"),
         ("fleet throughput (simulated)", f"{stats.throughput_rps:.1f} req/s"),
         (
@@ -906,138 +760,15 @@ def _print_fleet_summary(router, sources, wall_s: float) -> None:
     print(format_table(["metric", "value"], totals, title="Fleet totals"))
 
 
-def _cmd_cluster_train(args: argparse.Namespace) -> int:
-    from .fleet import ModelRegistry
-    from .machines import cluster_platforms
-
-    if args.model not in PERSISTABLE_MODEL_KINDS:
-        raise SystemExit(
-            f"--model {args.model!r} cannot be persisted; "
-            f"choose from {', '.join(PERSISTABLE_MODEL_KINDS)}"
-        )
-    _benchmarks, train_benchmarks = _fleet_train_benchmarks(args)
-    registry = ModelRegistry(args.registry)
-    config = TrainingConfig(
-        repetitions=1,
-        noise_sigma=args.noise,
-        seed=args.seed,
-        max_sizes=args.max_sizes,
-    )
-    rows = []
-    for pool, chunk in enumerate(
-        cluster_platforms(args.pools, args.machines_per_pool)
-    ):
-        for platform in chunk:
-            system = train_system(
-                platform, train_benchmarks, model_kind=args.model, config=config
-            )
-            path = registry.save(system)
-            rows.append(
-                (pool, platform.name, len(system.database), args.model, str(path))
-            )
-    print(
-        format_table(
-            ["pool", "machine", "records", "model", "path"],
-            rows,
-            title=(
-                f"Cluster training ({args.pools} pools x "
-                f"{args.machines_per_pool} machines)"
-            ),
-        )
-    )
-    return 0
-
-
-def _cmd_cluster_serve(args: argparse.Namespace) -> int:
-    from dataclasses import replace
-
-    from .cluster import ClusterRouter, NetworkSpec, with_tenants
-    from .serving import ServiceConfig, key_universe, serve_trace
-
-    benchmarks, train_benchmarks = _fleet_train_benchmarks(args)
-    options = _serve_options_from_args(args)
-    try:
-        cluster = ClusterRouter.build(
-            pools=args.pools,
-            machines_per_pool=args.machines_per_pool,
-            benchmarks=train_benchmarks,
-            model_kind=args.model,
-            training=TrainingConfig(
-                repetitions=1,
-                noise_sigma=args.noise,
-                seed=args.seed,
-                max_sizes=args.max_sizes,
-            ),
-            serving=ServiceConfig(
-                cache_capacity=args.cache_capacity,
-                regression_threshold=args.threshold,
-                instance_seed=args.seed,
-                memoize=not args.no_memoize,
-                objective=args.objective,
-                power_cap_w=args.power_cap,
-            ),
-            policy=args.policy,
-            network=NetworkSpec(
-                bandwidth_gbs=args.net_bandwidth,
-                latency_s=args.net_latency_us * 1e-6,
-                link_watts=args.net_watts,
-            ),
-            slo=options.slo,
-        )
-    except ValueError as error:
-        raise SystemExit(str(error)) from error
-    keys = key_universe(benchmarks, max_sizes=args.max_sizes)
-    workload = _workload_from_args(args, keys)
-    if args.tenants:
-        tenants = tuple(t.strip() for t in args.tenants.split(",") if t.strip())
-        if not tenants:
-            raise SystemExit("--tenants: want a comma-separated tenant list")
-        workload = replace(
-            workload, requests=with_tenants(workload.requests, tenants)
-        )
-    num_tenants = len({r.tenant for r in workload.requests})
-    print(
-        f"cluster of {args.pools}x{args.machines_per_pool} machines "
-        f"(policy {args.policy}, net {args.net_bandwidth:g} GB/s + "
-        f"{args.net_latency_us:g} us); routing {len(workload)} requests "
-        f"from {num_tenants} tenant{'s' if num_tenants != 1 else ''} over "
-        f"{len(keys)} keys ({args.workload} workload, skew {args.skew}, "
-        f"seed {args.seed})"
-    )
-
-    if args.arrival:
-        print(
-            f"event-driven: {args.arrival} arrivals at "
-            f"{args.arrival_rate:g} req/s (shed policy {args.shed_policy}, "
-            f"queue {args.queue_discipline}"
-            + (
-                f", speculate at p{args.speculate_at * 100:g}"
-                if args.speculate_at
-                else ""
-            )
-            + (", work-steal" if args.work_steal else "")
-            + ")"
-        )
-    t0 = time.perf_counter()
-    result = serve_trace(
-        cluster,
-        _workload_stream(args, workload),
-        options,
-        drift_handler=_router_drift_handler(cluster),
-    )
-    _print_cluster_summary(cluster, time.perf_counter() - t0)
-    _print_latency_summary(result.stats)
-    _finish_telemetry(args, result.telemetry)
-    return 0
-
-
-def _print_cluster_summary(cluster, wall_s: float) -> None:
+def _print_cluster_summary(cluster, sources, wall_s: float) -> None:
     """Pool table, network toll and per-tenant isolation report."""
     stats = cluster.stats()
+    width = len(cluster.pools[0].replicas)
     rows = [
         (
             f"pool {p}",
             " ".join(r.name for r in cluster.pools[p].replicas),
+            " ".join(sources[p * width : (p + 1) * width]),
             f"{ps.requests}",
             f"{ps.makespan_s * 1e3:.3f}",
             f"{ps.energy_j:.3f}",
@@ -1047,7 +778,15 @@ def _print_cluster_summary(cluster, wall_s: float) -> None:
     ]
     print(
         format_table(
-            ["pool", "machines", "requests", "makespan (ms)", "energy (J)", "rewarms"],
+            [
+                "pool",
+                "machines",
+                "model source",
+                "requests",
+                "makespan (ms)",
+                "energy (J)",
+                "rewarms",
+            ],
             rows,
             title="Cluster pools",
         )
@@ -1059,6 +798,7 @@ def _print_cluster_summary(cluster, wall_s: float) -> None:
     )
     totals = [
         ("served", f"{stats.served}"),
+        *_graph_rows(cluster.services),
         ("cross-pool", cross),
         ("network time", f"{stats.network_s * 1e3:.3f} ms"),
         ("network energy", f"{stats.network_j:.3f} J"),
@@ -1099,353 +839,180 @@ def _print_cluster_summary(cluster, wall_s: float) -> None:
         )
 
 
-# -- shared flag groups ------------------------------------------------------
-#
-# Each group is defined exactly once, as an argparse *parent* parser
-# (add_help=False); build_parser() mounts the groups a command supports
-# via parents=[...].  Adding a flag here adds it to every command that
-# mounts the group.
+def _print_banner(args, num_benchmarks: int, num_train: int, workload, keys) -> None:
+    """What is served where: the backend, the trace, and (open-loop)
+    the arrival process with its loop knobs."""
+    from .serving import GraphServingRequest
+
+    model = f"model {args.model}, training set {num_train}/{num_benchmarks} programs"
+    if args.machines is None:
+        print(f"one machine ({args.machine}); {model}")
+    elif args.pools is None:
+        print(f"fleet of {args.machines} machines (policy {args.policy}); {model}")
+    else:
+        print(
+            f"cluster of {args.pools}x{args.machines // args.pools} machines "
+            f"(policy {args.policy}, net {args.net_bandwidth:g} GB/s + "
+            f"{args.net_latency_us:g} us); {model}"
+        )
+    if workload is None:
+        source = "stdin" if args.trace == "-" else args.trace
+        print(f"serving '<program> <size>' lines from {source}")
+    else:
+        tenants = len({r.tenant for r in workload.requests})
+        pipelines = len(
+            {r.program for r in workload.requests if isinstance(r, GraphServingRequest)}
+        )
+        print(
+            f"serving {len(workload)} requests from {tenants} "
+            f"tenant{'s' if tenants != 1 else ''} over {len(keys)} keys "
+            f"({args.workload} workload"
+            + (f", {pipelines} distinct pipelines" if pipelines else "")
+            + f", skew {args.skew}, seed {args.seed}, "
+            f"{len(workload.drift_events)} drift events)"
+        )
+    if args.arrival:
+        print(
+            f"event-driven: {args.arrival} arrivals at {args.arrival_rate:g} req/s "
+            f"(shed policy {args.shed_policy}, queue {args.queue_discipline}"
+            + (f", {len(args.faults)} fault windows" if args.faults else "")
+            + (f", hedge at p{args.hedge_at * 100:g}" if args.hedge_at else "")
+            + (
+                f", speculate at p{args.speculate_at * 100:g}"
+                if args.speculate_at
+                else ""
+            )
+            + (", work-steal" if args.work_steal else "")
+            + ")"
+        )
 
 
-def _model_flags(
-    p: argparse.ArgumentParser, model_default: str, noise_default: float
-) -> None:
-    """The model/training flags every serving command carries."""
-    p.add_argument("--model", default=model_default, help="prediction model kind")
-    p.add_argument(
-        "--train-programs",
-        type=int,
-        default=16,
-        help="train on the first N suite programs (the rest arrive cold)",
-    )
-    p.add_argument(
-        "--max-sizes",
-        type=int,
-        default=3,
-        help="cap each program's size ladder (training and trace)",
-    )
-    p.add_argument("--noise", type=float, default=noise_default)
-    p.add_argument("--seed", type=int, default=0)
+def _drift_handler(args: argparse.Namespace, backend, workload):
+    """Apply each drift event and announce the machines it hit and the
+    requests served before it (events past the end of the trace fire
+    after its last request)."""
+
+    def on_drift(event) -> None:
+        try:
+            if args.machines is not None:
+                hit = backend.apply_drift(event)
+            elif event.machine in (None, args.machine):
+                backend.system.runner.apply_drift(
+                    event.scale, device_index=event.device_index
+                )
+                hit = (args.machine,)
+            else:
+                print(f"!! drift event targets {event.machine!r}, not {args.machine}")
+                return
+        except ValueError as error:
+            raise SystemExit(str(error)) from error
+        where = (
+            "all devices"
+            if event.device_index is None
+            else f"device {event.device_index}"
+        )
+        print(
+            f"-- drift: {', '.join(hit)} ({where}) x{event.scale:g} "
+            f"before request {min(event.at_request, len(workload))}"
+        )
+
+    return on_drift
 
 
-def _fleet_parent() -> argparse.ArgumentParser:
-    """Flags shared by fleet-train and fleet-serve."""
-    p = argparse.ArgumentParser(add_help=False)
-    p.add_argument(
-        "--machines",
-        type=int,
-        default=4,
-        help="fleet size (machines generated by repro.machines.fleet_platforms)",
-    )
-    _model_flags(p, model_default="knn", noise_default=0.0)
-    return p
+def _served_printer(services):
+    """One line per closed-loop response to a ``--trace`` request,
+    naming the machine that served it when there are several."""
+    names = [s.system.platform.name for s in services]
+
+    def print_served(completed) -> None:
+        r = completed.response
+        while hasattr(r, "response"):  # a cluster answer wraps the pool's
+            r = r.response
+        flags = ("hit" if r.cache_hit else "miss") + ("+adapted" if r.adapted else "")
+        where = f" on {names[completed.replica_index]}" if len(names) > 1 else ""
+        print(
+            f"{r.request.program}@{r.request.size}: {r.partitioning.label} "
+            f"{r.measured_s * 1e3:.3f} ms [{flags}]{where}"
+        )
+
+    return print_served
 
 
-def _cluster_parent() -> argparse.ArgumentParser:
-    """Topology + model flags shared by cluster-train and cluster-serve."""
-    p = argparse.ArgumentParser(add_help=False)
-    p.add_argument(
-        "--pools",
-        type=int,
-        default=2,
-        help="machine pools (each pool is a full fleet router)",
+def _cmd_serve(args: argparse.Namespace) -> int:
+    """Serve one trace on the backend ``--machines``/``--pools`` name."""
+    from .serving import key_universe, serve_trace
+
+    options = _serve_options_from_args(args)
+    tenants = _parse_tenants(args)
+    benchmarks, train_benchmarks = _benchmark_split(args)
+    backend, services, sources = _build_backend(args, train_benchmarks, options.slo)
+    workload = keys = None
+    if args.trace is None:
+        keys = key_universe(benchmarks, max_sizes=args.max_sizes)
+        workload = _workload_from_args(args, keys, tenants)
+        items = workload.timed_items() if args.arrival else workload.items()
+    else:
+        items = _read_requests(args.trace, {b.name for b in benchmarks}, tenants)
+    _print_banner(args, len(benchmarks), len(train_benchmarks), workload, keys)
+    t0 = time.perf_counter()
+    # Closed-loop serving reads the next line only after the previous
+    # request resolved, so each response prints as it is served.
+    result = serve_trace(
+        backend,
+        items,
+        options,
+        on_complete=(
+            _served_printer(services) if args.trace and not args.arrival else None
+        ),
+        drift_handler=_drift_handler(args, backend, workload),
     )
-    p.add_argument(
-        "--machines-per-pool",
-        type=int,
-        default=2,
-        help="machines per pool (repro.machines.cluster_platforms)",
-    )
-    _model_flags(p, model_default="knn", noise_default=0.0)
-    return p
+    wall_s = time.perf_counter() - t0
+    if args.machines is None:
+        _print_service_summary(backend, sources[0], result.stats, wall_s)
+    elif args.pools is None:
+        _print_fleet_summary(backend, sources, wall_s)
+    else:
+        _print_cluster_summary(backend, sources, wall_s)
+    _print_latency_summary(result.stats)
+    _finish_telemetry(args, result.telemetry)
+    return 0
 
 
-def _network_parent() -> argparse.ArgumentParser:
-    """The interconnect cost model pricing cross-pool handoffs."""
-    p = argparse.ArgumentParser(add_help=False)
-    p.add_argument(
-        "--net-bandwidth",
-        type=float,
-        default=10.0,
-        metavar="GB/S",
-        help="interconnect bandwidth charged per cross-pool handoff",
-    )
-    p.add_argument(
-        "--net-latency-us",
-        type=float,
-        default=50.0,
-        metavar="US",
-        help="fixed interconnect latency per cross-pool transfer",
-    )
-    p.add_argument(
-        "--net-watts",
-        type=float,
-        default=8.0,
-        metavar="W",
-        help="link power while a handoff is in flight (joules metering)",
-    )
-    return p
+def _cmd_fleet_train(args: argparse.Namespace) -> int:
+    from .fleet import ModelRegistry
+    from .machines import fleet_platforms
 
-
-def _tenancy_parent() -> argparse.ArgumentParser:
-    """Multi-tenant and straggler-handling flags (cluster-serve)."""
-    from .serving import QUEUE_DISCIPLINES
-
-    p = argparse.ArgumentParser(add_help=False)
-    p.add_argument(
-        "--tenants",
-        default=None,
-        metavar="A,B,...",
-        help="tenant names assigned round-robin over the trace",
+    if args.model not in PERSISTABLE_MODEL_KINDS:
+        # Catch this before spending minutes on the first machine's
+        # training campaign only to fail in save_model.
+        raise SystemExit(
+            f"--model {args.model!r} cannot be persisted; "
+            f"choose from {', '.join(PERSISTABLE_MODEL_KINDS)}"
+        )
+    _benchmarks, train_benchmarks = _benchmark_split(args)
+    platforms = fleet_platforms(args.machines)
+    registry = ModelRegistry(args.registry)
+    config = TrainingConfig(
+        repetitions=1,
+        noise_sigma=args.noise,
+        seed=args.seed,
+        max_sizes=args.max_sizes,
     )
-    p.add_argument(
-        "--tenant-priority",
-        action="append",
-        default=[],
-        metavar="TENANT:PRIO",
-        help="one tenant's priority (repeatable; fair-share weight is "
-        "1 + priority)",
+    rows = []
+    for platform in platforms:
+        system = train_system(
+            platform, train_benchmarks, model_kind=args.model, config=config
+        )
+        path = registry.save(system)
+        rows.append((platform.name, len(system.database), args.model, str(path)))
+    print(
+        format_table(
+            ["machine", "records", "model", "path"],
+            rows,
+            title=f"Fleet training ({args.machines} machines)",
+        )
     )
-    p.add_argument(
-        "--queue-discipline",
-        default="fifo",
-        choices=QUEUE_DISCIPLINES,
-        help="per-replica queue order",
-    )
-    p.add_argument(
-        "--speculate-at",
-        type=float,
-        default=None,
-        metavar="Q",
-        help="speculatively re-execute in another pool once a request "
-        "outlives the Q latency quantile (first completion wins)",
-    )
-    p.add_argument(
-        "--work-steal",
-        action="store_true",
-        help="idle replicas steal queued work from other pools",
-    )
-    return p
-
-
-def _workload_parent() -> argparse.ArgumentParser:
-    """Flags of the trace generator (replay, fleet-serve, cluster-serve)."""
-    from .workloads import WORKLOAD_FAMILIES
-
-    p = argparse.ArgumentParser(add_help=False)
-
-    p.add_argument(
-        "--workload",
-        default="stationary",
-        choices=WORKLOAD_FAMILIES,
-        help="trace family (see docs/WORKLOADS.md)",
-    )
-    p.add_argument(
-        "--phases",
-        type=int,
-        default=3,
-        help="hot-set rotations (phase-shift family)",
-    )
-    p.add_argument(
-        "--burst-every",
-        type=int,
-        default=50,
-        help="requests between flash-crowd bursts",
-    )
-    p.add_argument(
-        "--burst-length", type=int, default=12, help="requests per burst"
-    )
-    p.add_argument(
-        "--burst-share",
-        type=float,
-        default=0.8,
-        help="traffic share the burst key takes during a burst",
-    )
-    p.add_argument(
-        "--period", type=int, default=100, help="requests per diurnal cycle"
-    )
-    p.add_argument(
-        "--skew-min", type=float, default=0.3, help="diurnal trough skew"
-    )
-    p.add_argument(
-        "--skew-max", type=float, default=2.2, help="diurnal peak skew"
-    )
-    p.add_argument(
-        "--drift",
-        action="append",
-        default=[],
-        metavar="AT:SCALE[:MACHINE[:DEVICE]]",
-        help="platform drift event, e.g. 100:0.5:mc2:1 (repeatable)",
-    )
-    return p
-
-
-def _trace_parent() -> argparse.ArgumentParser:
-    """Trace length and popularity skew (every trace-serving command)."""
-    p = argparse.ArgumentParser(add_help=False)
-    p.add_argument("--requests", type=int, default=200)
-    p.add_argument("--skew", type=float, default=1.5)
-    return p
-
-
-def _service_parent() -> argparse.ArgumentParser:
-    """The PartitioningService build knobs every serve command shares."""
-    p = argparse.ArgumentParser(add_help=False)
-    p.add_argument("--cache-capacity", type=int, default=512)
-    p.add_argument(
-        "--threshold",
-        type=float,
-        default=0.3,
-        help="relative regression slack before adaptation triggers",
-    )
-    p.add_argument(
-        "--no-memoize",
-        action="store_true",
-        help="measure without the memoizing sweep engine (A/B baseline)",
-    )
-    return p
-
-
-def _serving_parent() -> argparse.ArgumentParser:
-    """Flags of the single-machine serving commands (serve/replay/...)."""
-    p = argparse.ArgumentParser(
-        add_help=False, parents=[_service_parent(), _objective_parent()]
-    )
-    p.add_argument(
-        "--machine", default="mc2", choices=[m.name for m in ALL_MACHINES]
-    )
-    _model_flags(p, model_default="mlp", noise_default=0.05)
-    return p
-
-
-def _event_parent() -> argparse.ArgumentParser:
-    """Flags of the event-driven serving path (docs/SERVING.md)."""
-    from .serving import SHED_POLICIES
-    from .telemetry import TELEMETRY_MODES
-
-    p = argparse.ArgumentParser(add_help=False)
-    p.add_argument(
-        "--arrival",
-        default=None,
-        choices=("uniform", "poisson"),
-        help="open-loop arrival process (default: closed-loop, each "
-        "request arrives when the previous one resolved)",
-    )
-    p.add_argument(
-        "--arrival-rate",
-        type=float,
-        default=200.0,
-        metavar="RPS",
-        help="mean arrival rate in requests per simulated second",
-    )
-    p.add_argument(
-        "--slo-ms",
-        type=float,
-        default=None,
-        metavar="MS",
-        help="end-to-end latency target; violations are tracked per tenant",
-    )
-    p.add_argument(
-        "--shed-policy",
-        default="none",
-        choices=SHED_POLICIES,
-        help="admission control under --slo-ms (deadline-aware shedding)",
-    )
-    p.add_argument(
-        "--faults",
-        action="append",
-        default=[],
-        metavar="KIND:AT:DUR[:MAG[:REPLICA]]",
-        help="inject one fault window (repeatable): kind crash|straggler|"
-        "error|predict-error, start and duration in simulated seconds, "
-        "magnitude a slowdown factor or error probability, replica index "
-        "or empty for all (docs/FAULTS.md)",
-    )
-    p.add_argument(
-        "--fault-seed",
-        type=int,
-        default=None,
-        metavar="SEED",
-        help="seed of the fault schedule's error draws (default: --seed)",
-    )
-    p.add_argument(
-        "--timeout-factor",
-        type=float,
-        default=None,
-        metavar="X",
-        help="fail a request once its age exceeds X times its SLO target",
-    )
-    p.add_argument(
-        "--max-retries",
-        type=int,
-        default=2,
-        metavar="N",
-        help="extra service attempts after transient failures",
-    )
-    p.add_argument(
-        "--retry-backoff-ms",
-        type=float,
-        default=1.0,
-        metavar="MS",
-        help="base retry backoff, doubling per retry",
-    )
-    p.add_argument(
-        "--retry-budget",
-        type=float,
-        default=0.2,
-        metavar="X",
-        help="retry tokens earned per admitted request (caps retry traffic)",
-    )
-    p.add_argument(
-        "--hedge-at",
-        type=float,
-        default=None,
-        metavar="Q",
-        help="fire a hedged duplicate once a request outlives the Q latency "
-        "quantile of completions so far (e.g. 0.95)",
-    )
-    p.add_argument(
-        "--no-failover",
-        action="store_true",
-        help="do not route around crashed replicas (availability baseline)",
-    )
-    p.add_argument(
-        "--telemetry",
-        default="off",
-        choices=TELEMETRY_MODES,
-        help="metrics: publish every layer into one registry; trace: also "
-        "record per-request spans and the JSONL event log "
-        "(docs/OBSERVABILITY.md)",
-    )
-    p.add_argument(
-        "--trace-out",
-        default=None,
-        metavar="PATH",
-        help="write the span/event JSONL trace here (implies --telemetry "
-        "trace)",
-    )
-    return p
-
-
-def _objective_parent() -> argparse.ArgumentParser:
-    """Flags of the energy-aware serving commands."""
-    from .energy import Objective
-
-    p = argparse.ArgumentParser(add_help=False)
-    p.add_argument(
-        "--objective",
-        default=Objective.MAKESPAN.value,
-        choices=[o.value for o in Objective],
-        help="what the model and the adaptation loop optimize",
-    )
-    p.add_argument(
-        "--power-cap",
-        type=float,
-        default=None,
-        metavar="WATTS",
-        help="average-power budget per served launch (docs/ENERGY.md)",
-    )
-    return p
+    return 0
 
 
 def _cmd_energy_sweep(args: argparse.Namespace) -> int:
@@ -1592,193 +1159,6 @@ def _cmd_graph_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
-def _drift_where(event) -> str:
-    if event.device_index is None:
-        return "all devices"
-    return f"device {event.device_index}"
-
-
-def _drift_position(event, workload) -> str:
-    """`` before request N``: the requests served before ``event`` fires
-    (events past the end of the trace fire after its last request)."""
-    return f" before request {min(event.at_request, len(workload))}"
-
-
-def _service_drift_handler(args: argparse.Namespace, service, workload=None):
-    """Drift hook for the single-service commands; with ``workload``
-    given, every applied event is announced with its trace position."""
-
-    def on_drift(event) -> None:
-        if event.machine is not None and event.machine != args.machine:
-            print(f"!! drift event targets {event.machine!r}, not {args.machine}")
-            return
-        try:
-            service.system.runner.apply_drift(
-                event.scale, device_index=event.device_index
-            )
-        except ValueError as error:
-            raise SystemExit(str(error)) from error
-        if workload is not None:
-            print(
-                f"-- drift: {_drift_where(event)} x{event.scale:g}"
-                + _drift_position(event, workload)
-            )
-
-    return on_drift
-
-
-def _router_drift_handler(router, workload=None):
-    """Drift hook for the fleet and cluster commands: apply the event,
-    announce the machines it hit (and its trace position, when
-    ``workload`` is given)."""
-
-    def on_drift(event) -> None:
-        try:
-            hit = router.apply_drift(event)
-        except ValueError as error:
-            raise SystemExit(str(error)) from error
-        print(
-            f"-- drift: {', '.join(hit)} ({_drift_where(event)}) x{event.scale:g}"
-            + (_drift_position(event, workload) if workload is not None else "")
-        )
-
-    return on_drift
-
-
-def _cmd_trace_export(args: argparse.Namespace) -> int:
-    """Serve a synthetic workload with tracing on; write the JSONL spans."""
-    from .serving import key_universe, serve_trace
-
-    if not args.trace_out:
-        raise SystemExit("trace-export needs --trace-out PATH")
-    args.telemetry = "trace"
-    if not args.arrival:
-        args.arrival = "poisson"
-    benchmarks, _train_benchmarks, service = _build_service(args)
-    keys = key_universe(benchmarks, max_sizes=args.max_sizes)
-    workload = _workload_from_args(args, keys)
-    options = _serve_options_from_args(args)
-    print(
-        f"tracing {len(workload)} requests over {len(keys)} keys "
-        f"({args.workload} workload, {args.arrival} arrivals at "
-        f"{args.arrival_rate:g} req/s, seed {args.seed})"
-    )
-    result = serve_trace(
-        service,
-        workload.timed_items(),
-        options,
-        drift_handler=_service_drift_handler(args, service),
-    )
-    _print_latency_summary(result.stats)
-    _finish_telemetry(args, result.telemetry)
-    return 0
-
-
-def _cmd_metrics_report(args: argparse.Namespace) -> int:
-    """Serve a synthetic workload; print the unified metrics registry."""
-    from .serving import key_universe, serve_trace
-
-    if _telemetry_mode(args) == "off":
-        args.telemetry = "metrics"
-    benchmarks, _train_benchmarks, service = _build_service(args)
-    keys = key_universe(benchmarks, max_sizes=args.max_sizes)
-    workload = _workload_from_args(args, keys)
-    options = _serve_options_from_args(args)
-    print(
-        f"serving {len(workload)} requests over {len(keys)} keys "
-        f"({args.workload} workload, seed {args.seed}) "
-        f"with telemetry={options.telemetry}"
-    )
-    result = serve_trace(
-        service,
-        _workload_stream(args, workload),
-        options,
-        drift_handler=_service_drift_handler(args, service),
-    )
-    _print_metrics_report(result.telemetry.registry, as_json=args.json)
-    if result.telemetry.tracing and args.trace_out:
-        result.telemetry.tracer.export(args.trace_out)
-        print(f"trace -> {args.trace_out}")
-    return 0
-
-
-def _cmd_graph_serve(args: argparse.Namespace) -> int:
-    from .serving import key_universe, serve_trace
-    from .workloads import WorkloadSpec, make_workload
-
-    benchmarks, train_benchmarks, service = _build_service(args)
-    keys = key_universe(benchmarks, max_sizes=args.max_sizes)
-    spec = WorkloadSpec(
-        family="pipeline",
-        num_requests=args.requests,
-        skew=args.skew,
-        seed=args.seed,
-        arrival=args.arrival or "sequential",
-        rate_rps=args.arrival_rate,
-    )
-    workload = make_workload(spec, keys)
-    graphs = {r.graph.signature_label for r in workload.requests}
-    print(
-        f"trained on {len(train_benchmarks)}/{len(benchmarks)} programs "
-        f"({len(service.system.database)} records, model {args.model}) "
-        f"on {args.machine}"
-    )
-    print(
-        f"serving {len(workload)} task-graph requests over {len(graphs)} "
-        f"distinct pipelines (skew {args.skew}, seed {args.seed})"
-    )
-    options = _serve_options_from_args(args)
-    if args.arrival:
-        print(
-            f"event-driven: {args.arrival} arrivals at {args.arrival_rate:g} req/s"
-        )
-    t0 = time.perf_counter()
-    result = serve_trace(service, _workload_stream(args, workload), options)
-    wall_s = time.perf_counter() - t0
-    stats = service.stats
-    cache = service.cache.stats
-    rows = [
-        ("objective", service.config.objective.value),
-        ("graph requests", f"{stats.graph_requests}"),
-        ("distinct pipelines", f"{len(graphs)}"),
-        (
-            "plan cache hit rate",
-            f"{cache.hit_rate * 100.0:.1f}% "
-            f"({cache.hits} hits / {cache.misses} misses)",
-        ),
-        ("co-searches", f"{stats.graph_cosearches}"),
-        (
-            "adaptations",
-            f"{stats.adaptations} (cold validations {stats.cold_validations}, "
-            f"regressions {stats.regressions})",
-        ),
-        ("adaptation gain", _objective_quantity(service, stats.improvement_s)),
-        (
-            "drift",
-            f"{stats.drift_flags} flags, {stats.drift_escalations} escalations",
-        ),
-        ("simulated serial", f"{result.stats.execute_time_s * 1e3:.3f} ms"),
-        (
-            "throughput (wall)",
-            f"{stats.graph_requests / wall_s:.1f} req/s" if wall_s > 0 else "n/a",
-        ),
-        ("served energy", f"{stats.energy_j:.3f} J"),
-    ]
-    if service.engine is not None:
-        es = service.engine.stats
-        rows.append(
-            (
-                "sweep engine",
-                f"{es.compositions} compositions, "
-                f"{es.tape_hit_rate * 100.0:.1f}% tape hits",
-            )
-        )
-    print(format_table(["metric", "value"], rows, title="Graph serving summary"))
-    _print_latency_summary(result.stats)
-    _finish_telemetry(args, result.telemetry)
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -1865,120 +1245,349 @@ def build_parser() -> argparse.ArgumentParser:
     p_gsweep.add_argument("--seed", type=int, default=0)
     p_gsweep.set_defaults(fn=_cmd_graph_sweep)
 
-    serving = _serving_parent()
-    workload = _workload_parent()
-    event = _event_parent()
-    objective = _objective_parent()
-    trace = _trace_parent()
-    service = _service_parent()
 
-    p_gserve = sub.add_parser(
-        "graph-serve",
-        help="serve a Zipf stream of task graphs (pipeline workload family)",
-        parents=[trace, serving, event],
-    )
-    p_gserve.set_defaults(fn=_cmd_graph_serve, requests=50)
-
-    p_replay = sub.add_parser(
-        "replay",
-        help="serve a synthetic request trace (online adaptation)",
-        parents=[trace, serving, workload, event],
-    )
-    p_replay.set_defaults(fn=_cmd_replay)
-
-    p_serve = sub.add_parser(
-        "serve",
-        help="serve '<program> <size>' requests from a file or stdin",
-        parents=[serving, event],
-    )
-    p_serve.add_argument(
-        "--trace", default=None, help="request file (default: read stdin)"
-    )
-    p_serve.set_defaults(fn=_cmd_serve)
-
-    p_texport = sub.add_parser(
-        "trace-export",
-        help="serve a synthetic trace with tracing on and export the "
-        "span/event JSONL (docs/OBSERVABILITY.md)",
-        parents=[trace, serving, workload, event],
-    )
-    p_texport.set_defaults(fn=_cmd_trace_export)
-
-    p_mreport = sub.add_parser(
-        "metrics-report",
-        help="serve a synthetic trace and print the unified metrics registry",
-        parents=[trace, serving, workload, event],
-    )
-    p_mreport.add_argument(
-        "--json", action="store_true", help="raw JSON instead of a table"
-    )
-    p_mreport.set_defaults(fn=_cmd_metrics_report)
-
-    fleet = _fleet_parent()
+    _serve_parser(sub)
 
     p_ftrain = sub.add_parser(
         "fleet-train",
         help="train + persist one model per fleet machine",
-        parents=[fleet],
+    )
+    p_ftrain.add_argument(
+        "--machines",
+        type=_positive_int,
+        default=4,
+        help="fleet size (machines generated by repro.machines.fleet_platforms)",
     )
     p_ftrain.add_argument("--registry", required=True, help="model registry directory")
+    _model_flags(p_ftrain)
     p_ftrain.set_defaults(fn=_cmd_fleet_train)
-
-    from .fleet import ROUTING_POLICIES
-
-    p_fserve = sub.add_parser(
-        "fleet-serve",
-        help="route one request trace across a fleet of machines",
-        parents=[fleet, trace, service, workload, event, objective],
-    )
-    p_fserve.add_argument(
-        "--policy", default="least-loaded", choices=ROUTING_POLICIES
-    )
-    p_fserve.add_argument(
-        "--registry", default=None, help="load machines registered here"
-    )
-    p_fserve.add_argument(
-        "--warm-start",
-        action="store_true",
-        help="seed unregistered machines from the most similar registered one",
-    )
-    p_fserve.set_defaults(fn=_cmd_fleet_serve)
-
-    cluster = _cluster_parent()
-
-    p_ctrain = sub.add_parser(
-        "cluster-train",
-        help="train + persist one model per machine across every pool",
-        parents=[cluster],
-    )
-    p_ctrain.add_argument("--registry", required=True, help="model registry directory")
-    p_ctrain.set_defaults(fn=_cmd_cluster_train)
-
-    p_cserve = sub.add_parser(
-        "cluster-serve",
-        help="route a multi-tenant trace across machine pools behind a "
-        "priced interconnect",
-        parents=[
-            cluster,
-            trace,
-            service,
-            _network_parent(),
-            _tenancy_parent(),
-            workload,
-            event,
-            objective,
-        ],
-    )
-    p_cserve.add_argument(
-        "--policy", default="least-loaded", choices=ROUTING_POLICIES
-    )
-    p_cserve.set_defaults(fn=_cmd_cluster_serve)
 
     return parser
 
 
+def _positive_int(value: str) -> int:
+    number = int(value)
+    if number < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {number}")
+    return number
+
+
+def _model_flags(p: argparse.ArgumentParser) -> None:
+    """The model/training flags of ``serve`` and ``fleet-train``."""
+    p.add_argument("--model", default="knn", help="prediction model kind")
+    p.add_argument(
+        "--train-programs",
+        type=int,
+        default=16,
+        help="train on the first N suite programs (the rest arrive cold)",
+    )
+    p.add_argument(
+        "--max-sizes",
+        type=int,
+        default=3,
+        help="cap each program's size ladder (training and trace)",
+    )
+    p.add_argument("--noise", type=float, default=0.0)
+    p.add_argument("--seed", type=int, default=0)
+
+
+def _serve_parser(sub) -> None:
+    """The ``serve`` command and its flag groups."""
+    from .energy import Objective
+    from .fleet import ROUTING_POLICIES
+    from .serving import QUEUE_DISCIPLINES, SHED_POLICIES
+    from .telemetry import TELEMETRY_MODES
+    from .workloads import WORKLOAD_FAMILIES
+
+    p = sub.add_parser(
+        "serve",
+        help="serve a trace on one machine, a fleet, or a cluster of pools",
+    )
+    p.set_defaults(fn=_cmd_serve)
+
+    g = p.add_argument_group("backend")
+    g.add_argument(
+        "--machine",
+        default="mc2",
+        choices=[m.name for m in ALL_MACHINES],
+        help="the machine served without --machines",
+    )
+    g.add_argument(
+        "--machines",
+        type=_positive_int,
+        default=None,
+        help="serve a fleet of N machines (repro.machines.fleet_platforms)",
+    )
+    g.add_argument(
+        "--pools",
+        type=_positive_int,
+        default=None,
+        help="split the --machines into P equal pools of a cluster",
+    )
+    g.add_argument(
+        "--policy",
+        default="least-loaded",
+        choices=ROUTING_POLICIES,
+        help="replica placement policy of a fleet (or of each pool)",
+    )
+    g.add_argument("--registry", default=None, help="load machines registered here")
+    g.add_argument(
+        "--warm-start",
+        action="store_true",
+        help="seed unregistered machines from the most similar registered one",
+    )
+    _model_flags(g)
+
+    g = p.add_argument_group("service")
+    g.add_argument("--cache-capacity", type=int, default=512)
+    g.add_argument(
+        "--threshold",
+        type=float,
+        default=0.3,
+        help="relative regression slack before adaptation triggers",
+    )
+    g.add_argument(
+        "--no-memoize",
+        action="store_true",
+        help="measure without the memoizing sweep engine (A/B baseline)",
+    )
+    g.add_argument(
+        "--objective",
+        default=Objective.MAKESPAN.value,
+        choices=[o.value for o in Objective],
+        help="what the model and the adaptation loop optimize",
+    )
+    g.add_argument(
+        "--power-cap",
+        type=float,
+        default=None,
+        metavar="WATTS",
+        help="average-power budget per served launch (docs/ENERGY.md)",
+    )
+
+    g = p.add_argument_group("requests (the workload generator, or --trace)")
+    g.add_argument(
+        "--trace",
+        default=None,
+        metavar="PATH",
+        help="serve '<program> <size>' lines from PATH ('-' is stdin) "
+        "instead of a generated workload",
+    )
+    g.add_argument("--requests", type=int, default=200)
+    g.add_argument("--skew", type=float, default=1.5)
+    g.add_argument(
+        "--workload",
+        default="stationary",
+        choices=WORKLOAD_FAMILIES,
+        help="trace family (see docs/WORKLOADS.md)",
+    )
+    g.add_argument(
+        "--phases",
+        type=int,
+        default=3,
+        help="hot-set rotations (phase-shift family)",
+    )
+    g.add_argument(
+        "--burst-every",
+        type=int,
+        default=50,
+        help="requests between flash-crowd bursts",
+    )
+    g.add_argument("--burst-length", type=int, default=12, help="requests per burst")
+    g.add_argument(
+        "--burst-share",
+        type=float,
+        default=0.8,
+        help="traffic share the burst key takes during a burst",
+    )
+    g.add_argument("--period", type=int, default=100, help="requests per diurnal cycle")
+    g.add_argument("--skew-min", type=float, default=0.3, help="diurnal trough skew")
+    g.add_argument("--skew-max", type=float, default=2.2, help="diurnal peak skew")
+    g.add_argument(
+        "--drift",
+        action="append",
+        default=[],
+        metavar="AT:SCALE[:MACHINE[:DEVICE]]",
+        help="platform drift event, e.g. 100:0.5:mc2:1 (repeatable)",
+    )
+    g.add_argument(
+        "--tenants",
+        default=None,
+        metavar="A,B,...",
+        help="tenant names assigned round-robin over the trace",
+    )
+
+    g = p.add_argument_group("event loop (docs/SERVING.md, docs/FAULTS.md)")
+    g.add_argument(
+        "--arrival",
+        default=None,
+        choices=("uniform", "poisson"),
+        help="open-loop arrival process (default: closed-loop, each "
+        "request arrives when the previous one resolved)",
+    )
+    g.add_argument(
+        "--arrival-rate",
+        type=float,
+        default=200.0,
+        metavar="RPS",
+        help="mean arrival rate in requests per simulated second",
+    )
+    g.add_argument(
+        "--slo-ms",
+        type=float,
+        default=None,
+        metavar="MS",
+        help="end-to-end latency target; violations are tracked per tenant",
+    )
+    g.add_argument(
+        "--shed-policy",
+        default="none",
+        choices=SHED_POLICIES,
+        help="admission control under --slo-ms (deadline-aware shedding)",
+    )
+    g.add_argument(
+        "--tenant-priority",
+        action="append",
+        default=[],
+        metavar="TENANT:PRIO",
+        help="one tenant's priority (repeatable; fair-share weight is "
+        "1 + priority)",
+    )
+    g.add_argument(
+        "--queue-discipline",
+        default="fifo",
+        choices=QUEUE_DISCIPLINES,
+        help="per-replica queue order",
+    )
+    g.add_argument(
+        "--faults",
+        action="append",
+        default=[],
+        metavar="KIND:AT:DUR[:MAG[:REPLICA]]",
+        help="inject one fault window (repeatable): kind crash|straggler|"
+        "error|predict-error, start and duration in simulated seconds, "
+        "magnitude a slowdown factor or error probability, replica index "
+        "or empty for all (docs/FAULTS.md)",
+    )
+    g.add_argument(
+        "--fault-seed",
+        type=int,
+        default=None,
+        metavar="SEED",
+        help="seed of the fault schedule's error draws (default: --seed)",
+    )
+    g.add_argument(
+        "--timeout-factor",
+        type=float,
+        default=None,
+        metavar="X",
+        help="fail a request once its age exceeds X times its SLO target",
+    )
+    g.add_argument(
+        "--max-retries",
+        type=int,
+        default=2,
+        metavar="N",
+        help="extra service attempts after transient failures",
+    )
+    g.add_argument(
+        "--retry-backoff-ms",
+        type=float,
+        default=1.0,
+        metavar="MS",
+        help="base retry backoff, doubling per retry",
+    )
+    g.add_argument(
+        "--retry-budget",
+        type=float,
+        default=0.2,
+        metavar="X",
+        help="retry tokens earned per admitted request (caps retry traffic)",
+    )
+    g.add_argument(
+        "--hedge-at",
+        type=float,
+        default=None,
+        metavar="Q",
+        help="fire a hedged duplicate once a request outlives the Q latency "
+        "quantile of completions so far (e.g. 0.95)",
+    )
+    g.add_argument(
+        "--no-failover",
+        action="store_true",
+        help="do not route around crashed replicas (availability baseline)",
+    )
+    g.add_argument(
+        "--speculate-at",
+        type=float,
+        default=None,
+        metavar="Q",
+        help="speculatively re-execute on another replica (another pool on "
+        "a cluster) once a request outlives the Q latency quantile (first "
+        "completion wins)",
+    )
+    g.add_argument(
+        "--work-steal",
+        action="store_true",
+        help="idle replicas steal queued work (cross-pool on a cluster)",
+    )
+
+    g = p.add_argument_group("network (cluster only)")
+    g.add_argument(
+        "--net-bandwidth",
+        type=float,
+        default=10.0,
+        metavar="GB/S",
+        help="interconnect bandwidth charged per cross-pool handoff",
+    )
+    g.add_argument(
+        "--net-latency-us",
+        type=float,
+        default=50.0,
+        metavar="US",
+        help="fixed interconnect latency per cross-pool transfer",
+    )
+    g.add_argument(
+        "--net-watts",
+        type=float,
+        default=8.0,
+        metavar="W",
+        help="link power while a handoff is in flight (joules metering)",
+    )
+
+    g = p.add_argument_group("telemetry (docs/OBSERVABILITY.md)")
+    g.add_argument(
+        "--telemetry",
+        default="off",
+        choices=TELEMETRY_MODES,
+        help="metrics: publish every layer into one registry and print it; "
+        "trace: also record per-request spans and the JSONL event log",
+    )
+    g.add_argument(
+        "--trace-out",
+        default=None,
+        metavar="PATH",
+        help="write the span/event JSONL trace here (implies --telemetry "
+        "trace)",
+    )
+    g.add_argument(
+        "--json",
+        action="store_true",
+        help="print the metrics registry as JSON (implies --telemetry metrics)",
+    )
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.command == "serve" and args.pools is not None:
+        if args.machines is None:
+            parser.error("serve --pools P needs --machines N (N machines in P pools)")
+        if args.machines % args.pools:
+            parser.error(
+                f"serve --machines {args.machines} is not a multiple of "
+                f"--pools {args.pools}"
+            )
     return args.fn(args)
 
 

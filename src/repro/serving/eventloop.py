@@ -71,7 +71,7 @@ import heapq
 import math
 from collections import deque
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator
+from typing import TYPE_CHECKING, Callable, Iterable
 
 from ..energy.meter import EnergyMeter
 from ..faults import FaultInjector, FaultSchedule
@@ -320,7 +320,8 @@ class EventLoopStats:
     unchanged — ``stats.completed``, ``stats.retries += 1`` and
     ``to_dict()`` read and write the registry cells through properties
     — so pre-registry callers and committed baselines see identical
-    numbers, while ``metrics-report`` reads the same cells by name.
+    numbers, while ``serve --telemetry metrics`` reads the same cells by
+    name.
 
     Scalar semantics (see also :meth:`to_dict`):
 
@@ -1348,10 +1349,3 @@ class EventLoop:
             if self._clock > replica.idle_since:
                 self._record_idle(replica, self._clock - replica.idle_since)
                 replica.idle_since = self._clock
-
-
-def timed(
-    requests: Iterable[ServingRequest], times: Iterable[float]
-) -> Iterator[tuple[float, ServingRequest]]:
-    """Zip arrival timestamps onto a request stream."""
-    return zip(times, requests)

@@ -7,11 +7,10 @@ goes through this module's two names:
 
 * :class:`ServeOptions` — every serve-time decision in one frozen
   dataclass: the arrival process, SLO targets and shedding, fault
-  injection, retries/hedging/failover, cluster-scope speculation and
-  work-stealing, the queue discipline, and the objective/power-cap
-  *assertions* (those two are build-time service knobs; naming them
-  here makes the facade verify the backend was built the way the
-  caller believes).
+  injection, retries/hedging/failover, speculation and work-stealing,
+  the queue discipline, and the telemetry mode.  The objective and
+  power cap are build-time knobs of each service
+  (:class:`~repro.serving.ServiceConfig`).
 * :func:`serve_trace` — one call that routes any trace through any
   backend: a :class:`~repro.serving.PartitioningService`, a
   :class:`~repro.fleet.FleetRouter`, or a
@@ -67,13 +66,8 @@ class ServeOptions:
             loop's fault-handling knobs, verbatim
             (:class:`~repro.serving.EventLoopConfig`).
         speculate_at / speculate_min_completions / work_steal /
-            queue_discipline: the cluster-scope straggler and fairness
-            knobs, verbatim.
-        objective: when not ``None``, assert the backend's services
-            were built under this training/serving objective — the
-            facade cannot change a trained objective at serve time, but
-            it can refuse to quietly serve under the wrong one.
-        power_cap_w: same assertion for the per-launch power cap.
+            queue_discipline: the straggler and fairness knobs,
+            verbatim.
         telemetry: ``"off"`` (default), ``"metrics"`` (a shared
             :class:`~repro.telemetry.MetricsRegistry` every layer
             publishes into, returned on the result), or ``"trace"``
@@ -98,8 +92,6 @@ class ServeOptions:
     speculate_min_completions: int = 32
     work_steal: bool = False
     queue_discipline: str = "fifo"
-    objective: object | None = None
-    power_cap_w: float | None = None
     telemetry: str = "off"
 
     def __post_init__(self) -> None:
@@ -173,42 +165,6 @@ def _backend_kind(backend) -> str:
     )
 
 
-def _service_configs(backend, kind: str):
-    if kind == "service":
-        return [backend.config]
-    if kind == "fleet":
-        return [r.service.config for r in backend.replicas]
-    return [r.service.config for pool in backend.pools for r in pool.replicas]
-
-
-def _check_build_knobs(backend, kind: str, options: ServeOptions) -> None:
-    """Objective/power-cap are baked in at build time; verify, don't mutate."""
-    from ..energy.objectives import coerce_objective
-
-    if options.objective is None and options.power_cap_w is None:
-        return
-    want = (
-        coerce_objective(options.objective)
-        if options.objective is not None
-        else None
-    )
-    for config in _service_configs(backend, kind):
-        if want is not None and config.objective is not want:
-            raise ValueError(
-                f"options.objective={want.value!r} but the backend was built "
-                f"with objective={config.objective.value!r}; rebuild the "
-                "service/fleet/cluster under the desired objective"
-            )
-        if (
-            options.power_cap_w is not None
-            and config.power_cap_w != options.power_cap_w
-        ):
-            raise ValueError(
-                f"options.power_cap_w={options.power_cap_w!r} but the backend "
-                f"was built with power_cap_w={config.power_cap_w!r}"
-            )
-
-
 def serve_trace(
     backend,
     trace: "Iterable",
@@ -231,7 +187,6 @@ def serve_trace(
     fed automatically; a caller's ``on_complete`` chains after them.
     """
     kind = _backend_kind(backend)
-    _check_build_knobs(backend, kind, options)
     telemetry = Telemetry.from_mode(options.telemetry)
     items = iter(trace)
     first = next(items, None)

@@ -20,9 +20,10 @@ The :class:`Telemetry` facade ties the three together behind
   (they always sit on a private registry) and the marginal cost is a
   handful of ``is None`` checks.
 * ``metrics`` — the loop's registry is shared, and after the run every
-  backend layer publishes its counters into it (``metrics-report``).
+  backend layer publishes its counters into it (``serve --telemetry
+  metrics``).
 * ``trace`` — metrics plus the span tracer and JSONL event log
-  (``trace-export`` / ``--trace-out``).
+  (``serve --trace-out``).
 """
 
 from __future__ import annotations

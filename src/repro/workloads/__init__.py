@@ -6,8 +6,8 @@ This package generates the streams production actually sees: rotating
 hot sets, flash crowds, diurnal concentration ramps, and platform drift
 events that rescale a machine's device throughput mid-serve.  One
 :class:`WorkloadSpec` describes a scenario; :func:`make_workload` turns
-it into the concrete trace every consumer (``serve``, ``fleet-serve``,
-the benchmarks) plays back.
+it into the concrete trace every consumer (``serve``, the benchmarks)
+plays back.
 """
 
 from .arrivals import arrival_times, rate_factors

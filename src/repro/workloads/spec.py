@@ -36,8 +36,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..faults import FaultSpec
-
 __all__ = ["ARRIVAL_PROCESSES", "WORKLOAD_FAMILIES", "DriftEvent", "WorkloadSpec"]
 
 #: The supported trace families.
@@ -107,12 +105,6 @@ class WorkloadSpec:
         skew_min: diurnal trough exponent (0 = uniform traffic).
         skew_max: diurnal peak exponent.
         drift_events: platform drift schedule riding along the trace.
-        faults: serving-side fault schedule for the scenario — replica
-            crashes, straggler windows, transient error windows
-            (:class:`repro.faults.FaultSpec`).  Carried on the spec so
-            a chaos scenario is reproducible from the same handful of
-            numbers as the trace itself; the event loop consumes it via
-            :class:`repro.faults.FaultSchedule`.
         arrival: one of :data:`ARRIVAL_PROCESSES`; how timestamps are
             assigned to requests on the event-driven serving path.
         rate_rps: mean arrival rate (requests per simulated second)
@@ -133,7 +125,6 @@ class WorkloadSpec:
     skew_min: float = 0.3
     skew_max: float = 2.2
     drift_events: tuple[DriftEvent, ...] = field(default=())
-    faults: tuple[FaultSpec, ...] = field(default=())
     arrival: str = "poisson"
     rate_rps: float = 200.0
     burst_rate: float = 4.0
@@ -176,9 +167,4 @@ class WorkloadSpec:
             self,
             "drift_events",
             tuple(sorted(self.drift_events, key=lambda e: e.at_request)),
-        )
-        object.__setattr__(
-            self,
-            "faults",
-            tuple(sorted(self.faults, key=lambda f: (f.at_s, f.end_s))),
         )

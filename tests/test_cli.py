@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import io
+import itertools
 import json
 
 import pytest
@@ -60,10 +62,94 @@ class TestRun:
         assert "40/30/30" in out
 
 
+#: The smallest training campaign the serving tests need.
+TINY = ["--train-programs", "2", "--max-sizes", "1", "--model", "knn"]
+
+
+def _registry_json(out: str) -> dict:
+    """The ``--json`` registry, printed last after the summary tables."""
+    return json.loads(out[out.rindex("\n{\n") :])
+
+
+class TestServe:
+    BACKENDS = {
+        "service": ([], "Serving summary"),
+        "fleet": (["--machines", "2"], "Fleet summary"),
+        "cluster": (["--machines", "2", "--pools", "2"], "Cluster pools"),
+    }
+
+    @pytest.mark.parametrize(
+        "backend, arrival, family",
+        itertools.product(
+            ["service", "fleet", "cluster"],
+            ["closed", "poisson"],
+            ["stationary", "pipeline"],
+        ),
+    )
+    def test_backend_arrival_family(self, backend, arrival, family, capsys):
+        flags, summary = self.BACKENDS[backend]
+        argv = ["serve", *TINY, "--requests", "8", "--workload", family, *flags]
+        if arrival == "poisson":
+            argv += ["--arrival", "poisson"]
+        assert main([*argv, "--telemetry", "metrics", "--json"]) == 0
+        out = capsys.readouterr().out
+        payload = _registry_json(out)
+        assert (
+            payload["loop.completed"] + payload["loop.shed"] + payload["loop.failed"]
+            == 8
+        )
+        assert summary in out
+
+    def test_pools_need_machines_in_equal_pools(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["serve", "--pools", "2"])
+        assert "--pools P needs --machines N" in capsys.readouterr().err
+        with pytest.raises(SystemExit):
+            main(["serve", "--machines", "3", "--pools", "2"])
+        assert "not a multiple of --pools 2" in capsys.readouterr().err
+
+    def test_cluster_serves_from_a_fleet_registry(self, tmp_path, capsys):
+        registry = str(tmp_path / "registry")
+        train = ["fleet-train", "--registry", registry, "--machines", "4", *TINY]
+        assert main(train) == 0
+        capsys.readouterr()
+        assert main(
+            ["serve", "--machines", "4", "--pools", "2", "--registry", registry,
+             "--requests", "8", *TINY]
+        ) == 0
+        out = capsys.readouterr().out
+        rows = [
+            line.split()
+            for line in out.splitlines()
+            if line.startswith(("pool 0", "pool 1"))
+        ]
+        # "pool", index, two machines, then each machine's model source.
+        assert [row[4:6] for row in rows] == [["registry", "registry"]] * 2
+
+    def test_priority_shedding_spares_the_priority_tenant(self, capsys):
+        assert main(
+            ["serve", *TINY, "--requests", "40", "--arrival", "poisson",
+             "--arrival-rate", "5000", "--slo-ms", "0.5",
+             "--shed-policy", "priority", "--tenants", "gold,silver",
+             "--tenant-priority", "gold:2", "--json"]
+        ) == 0
+        payload = _registry_json(capsys.readouterr().out)
+        assert payload["slo.tenant.gold.shed"] == 0
+        assert payload["slo.tenant.silver.shed"] >= 1
+
+    def test_serve_reads_stdin_on_a_fleet(self, monkeypatch, capsys):
+        monkeypatch.setattr("sys.stdin", io.StringIO("vec_add 4096\nvec_add 4096\n"))
+        assert main(["serve", "--trace", "-", "--machines", "2", *TINY]) == 0
+        out = capsys.readouterr().out
+        assert "lines from stdin" in out
+        assert out.count("vec_add@4096") == 2 and " on mc" in out
+        assert "Fleet summary" in out
+
+
 class TestServing:
     def test_replay_reports_summary(self, capsys):
         assert main(
-            ["replay", "--machine", "mc2", "--requests", "25",
+            ["serve", "--machine", "mc2", "--requests", "25",
              "--train-programs", "4", "--max-sizes", "1", "--model", "knn"]
         ) == 0
         out = capsys.readouterr().out
@@ -93,11 +179,11 @@ class TestServing:
 
     def test_replay_rejects_bad_train_programs(self):
         with pytest.raises(SystemExit):
-            main(["replay", "--requests", "1", "--train-programs", "0"])
+            main(["serve", "--requests", "1", "--train-programs", "0"])
 
     def test_replay_with_energy_objective_reports_energy(self, capsys):
         assert main(
-            ["replay", "--machine", "mc2", "--requests", "20",
+            ["serve", "--machine", "mc2", "--requests", "20",
              "--train-programs", "4", "--max-sizes", "1", "--model", "knn",
              "--objective", "energy"]
         ) == 0
@@ -108,7 +194,7 @@ class TestServing:
 
     def test_replay_with_power_cap_reports_cap_row(self, capsys):
         assert main(
-            ["replay", "--machine", "mc2", "--requests", "15",
+            ["serve", "--machine", "mc2", "--requests", "15",
              "--train-programs", "4", "--max-sizes", "1", "--model", "knn",
              "--power-cap", "160"]
         ) == 0
@@ -119,22 +205,14 @@ class TestServing:
     def test_replay_rejects_cap_below_idle_floor(self):
         with pytest.raises(SystemExit, match="idle floor"):
             main(
-                ["replay", "--machine", "mc2", "--requests", "5",
+                ["serve", "--machine", "mc2", "--requests", "5",
                  "--train-programs", "2", "--max-sizes", "1", "--model", "knn",
                  "--power-cap", "1"]
             )
 
     def test_objective_choices_validated(self):
         with pytest.raises(SystemExit):
-            main(["replay", "--requests", "1", "--objective", "speed"])
-
-    def test_replay_rejects_pipeline_workload(self):
-        with pytest.raises(SystemExit, match="graph-serve"):
-            main(
-                ["replay", "--requests", "5", "--train-programs", "2",
-                 "--max-sizes", "1", "--model", "knn",
-                 "--workload", "pipeline"]
-            )
+            main(["serve", "--requests", "1", "--objective", "speed"])
 
 
 class TestGraphCommands:
@@ -157,25 +235,16 @@ class TestGraphCommands:
 
     def test_graph_serve_reports_summary(self, capsys):
         assert main(
-            ["graph-serve", "--machine", "mc2", "--requests", "6",
-             "--train-programs", "4", "--max-sizes", "1", "--model", "knn"]
+            ["serve", "--workload", "pipeline", "--machine", "mc2",
+             "--requests", "6", "--train-programs", "4", "--max-sizes", "1",
+             "--model", "knn"]
         ) == 0
         out = capsys.readouterr().out
-        assert "Graph serving summary" in out
+        assert "Serving summary" in out
         assert "graph requests" in out
         assert "distinct pipelines" in out
-        assert "plan cache hit rate" in out
+        assert "cache hit rate" in out
         assert "co-searches" in out
-
-    def test_graph_serve_event_driven_prints_latency(self, capsys):
-        assert main(
-            ["graph-serve", "--machine", "mc2", "--requests", "5",
-             "--train-programs", "4", "--max-sizes", "1", "--model", "knn",
-             "--arrival", "poisson", "--arrival-rate", "50"]
-        ) == 0
-        out = capsys.readouterr().out
-        assert "Graph serving summary" in out
-        assert "Latency" in out
 
 
 class TestEnergySweep:
@@ -200,7 +269,7 @@ class TestEnergySweep:
 class TestFleet:
     def test_fleet_serve_reports_summary(self, capsys):
         assert main(
-            ["fleet-serve", "--machines", "2", "--requests", "15",
+            ["serve", "--machines", "2", "--requests", "15",
              "--train-programs", "2", "--max-sizes", "1", "--model", "knn"]
         ) == 0
         out = capsys.readouterr().out
@@ -212,11 +281,11 @@ class TestFleet:
 
     def test_fleet_serve_policy_choices(self):
         with pytest.raises(SystemExit):
-            main(["fleet-serve", "--policy", "round-robin"])
+            main(["serve", "--machines", "2", "--policy", "round-robin"])
 
     def test_fleet_serve_energy_policy_reports_power(self, capsys):
         assert main(
-            ["fleet-serve", "--machines", "2", "--requests", "12",
+            ["serve", "--machines", "2", "--requests", "12",
              "--train-programs", "2", "--max-sizes", "1", "--model", "knn",
              "--policy", "energy", "--objective", "energy"]
         ) == 0
@@ -246,7 +315,7 @@ class TestFleet:
 
         # A third, unregistered machine warm-starts from the registry.
         assert main(
-            ["fleet-serve", "--registry", str(registry), "--machines", "3",
+            ["serve", "--registry", str(registry), "--machines", "3",
              "--warm-start", "--requests", "10", "--train-programs", "2",
              "--max-sizes", "1", "--model", "knn", "--policy", "predicted"]
         ) == 0
@@ -256,14 +325,12 @@ class TestFleet:
 
 
 class TestTelemetryCommands:
-    TINY = ["--train-programs", "2", "--max-sizes", "1", "--model", "knn"]
-
     def test_serve_trace_out_writes_jsonl(self, tmp_path, capsys):
         trace = tmp_path / "requests.txt"
         trace.write_text("vec_add 4096\nmat_mul 64\nvec_add 4096\n")
         out_path = tmp_path / "spans.jsonl"
         assert main(
-            ["serve", "--trace", str(trace), *self.TINY,
+            ["serve", "--trace", str(trace), *TINY,
              "--arrival", "poisson", "--trace-out", str(out_path)]
         ) == 0
         out = capsys.readouterr().out
@@ -277,8 +344,8 @@ class TestTelemetryCommands:
     def test_fleet_serve_trace_out(self, tmp_path, capsys):
         out_path = tmp_path / "fleet.jsonl"
         assert main(
-            ["fleet-serve", "--machines", "2", "--requests", "12",
-             *self.TINY, "--arrival", "poisson",
+            ["serve", "--machines", "2", "--requests", "12",
+             *TINY, "--arrival", "poisson",
              "--trace-out", str(out_path)]
         ) == 0
         out = capsys.readouterr().out
@@ -290,8 +357,8 @@ class TestTelemetryCommands:
     def test_cluster_serve_trace_out(self, tmp_path, capsys):
         out_path = tmp_path / "cluster.jsonl"
         assert main(
-            ["cluster-serve", "--pools", "2", "--machines-per-pool", "1",
-             "--requests", "12", *self.TINY, "--arrival", "poisson",
+            ["serve", "--machines", "2", "--pools", "2",
+             "--requests", "12", *TINY, "--arrival", "poisson",
              "--tenants", "gold,silver", "--trace-out", str(out_path)]
         ) == 0
         out = capsys.readouterr().out
@@ -309,7 +376,7 @@ class TestTelemetryCommands:
         # tracing and fault injection need no open-loop process.
         out_path = tmp_path / "closed.jsonl"
         assert main(
-            ["replay", "--requests", "12", *self.TINY,
+            ["serve", "--requests", "12", *TINY,
              "--faults", "crash:0.0005:0.001::0",
              "--trace-out", str(out_path)]
         ) == 0
@@ -321,50 +388,34 @@ class TestTelemetryCommands:
 
     def test_replay_telemetry_metrics_reports_series_count(self, capsys):
         assert main(
-            ["replay", "--requests", "10", *self.TINY,
+            ["serve", "--requests", "10", *TINY,
              "--arrival", "poisson", "--telemetry", "metrics"]
         ) == 0
         out = capsys.readouterr().out
-        assert "metrics:" in out and "series collected" in out
+        assert "Metrics registry (" in out and " series)" in out
 
     def test_trace_export_command(self, tmp_path, capsys):
         out_path = tmp_path / "export.jsonl"
         assert main(
-            ["trace-export", "--requests", "15", *self.TINY,
+            ["serve", "--requests", "15", *TINY, "--arrival", "poisson",
              "--trace-out", str(out_path)]
         ) == 0
         out = capsys.readouterr().out
-        assert "tracing 15 requests" in out
         assert "Critical path" in out
-        assert out_path.is_file()
-
-    def test_trace_export_requires_out(self):
-        with pytest.raises(SystemExit, match="--trace-out"):
-            main(["trace-export", "--requests", "5", *self.TINY])
+        assert json.loads(out_path.read_text().splitlines()[0])["completed"] == 15
 
     def test_metrics_report_command(self, capsys):
         assert main(
-            ["metrics-report", "--requests", "10", *self.TINY]
+            ["serve", "--requests", "10", *TINY, "--telemetry", "metrics"]
         ) == 0
         out = capsys.readouterr().out
         assert "Metrics registry" in out
         assert "service.requests" in out
         assert "service.cache.hit_rate" in out
 
-    def test_metrics_report_json(self, capsys):
-        assert main(
-            ["metrics-report", "--requests", "8", *self.TINY,
-             "--arrival", "poisson", "--json"]
-        ) == 0
-        out = capsys.readouterr().out
-        payload = json.loads(out[out.index("{"):])
-        assert payload["loop.completed"] + payload["loop.failed"] == 8
-        assert payload["service.requests"] >= 1
-        assert payload["loop.latency"]["count"] == payload["loop.completed"]
-
     def test_telemetry_mode_choices_validated(self):
         with pytest.raises(SystemExit):
-            main(["replay", "--requests", "1", "--telemetry", "loud"])
+            main(["serve", "--requests", "1", "--telemetry", "loud"])
 
 
 class TestTrainAndReport:

@@ -285,18 +285,6 @@ class TestServeOptions:
         with pytest.raises(TypeError, match="serve_trace backends"):
             serve_trace(object(), _trace(1))
 
-    def test_objective_assertion_refuses_mismatched_backend(self):
-        service = _service()  # built under the default makespan objective
-        with pytest.raises(ValueError, match="objective"):
-            serve_trace(service, _trace(2), ServeOptions(objective="energy"))
-
-    def test_matching_objective_assertion_passes(self):
-        service = _service()
-        result = serve_trace(
-            service, _trace(2), ServeOptions(objective="makespan")
-        )
-        assert result.stats.completed == 2
-
 
 def _responses(backend, trace, options=ServeOptions()):
     """Serve ``trace``; return the winning responses in completion order."""
