@@ -54,9 +54,9 @@ class TrainingRecord:
     def __post_init__(self) -> None:
         if self.best_label not in self.timings:
             raise ValueError(f"best label {self.best_label!r} not among timings")
-        stray = set(self.energies) - set(self.timings)
-        if stray:
-            raise ValueError(f"energies name unswept partitionings: {sorted(stray)}")
+        if not self.energies.keys() <= self.timings.keys():
+            stray = sorted(set(self.energies) - set(self.timings))
+            raise ValueError(f"energies name unswept partitionings: {stray}")
 
     @property
     def best_time(self) -> float:
@@ -137,6 +137,13 @@ class TrainingDatabase:
         self.records: list[TrainingRecord] = list(records)
         self._index: dict[tuple[str, str, int], int] = {}
         self._indexed_count = -1
+        # Key -> the record merge_timings last stored for it.  Only
+        # these are known to carry the label ``min`` picks over their
+        # own sweep order, so only these may come back unchanged.  A
+        # record from anywhere else is re-derived on its first merge: a
+        # loaded JSON file stores its sweep in sorted label order, so
+        # its tied best label need not be the one ``min`` picks.
+        self._merged_records: dict[tuple[str, str, int], TrainingRecord] = {}
 
     def _key_index(self) -> dict[tuple[str, str, int], int]:
         """Key → first record position, rebuilt lazily after appends.
@@ -196,11 +203,28 @@ class TrainingDatabase:
         partitionings per launch; merging grows the key's partial sweep
         over time and re-derives the oracle label from everything seen
         so far.  Energy measurements merge alongside the timings when
-        provided.  Returns the updated record.
+        provided.  Returns the key's record after the merge.
+
+        When every measured value and the features equal the stored
+        ones, the stored record itself comes back, at a cost that
+        follows the labels measured.  Otherwise the record is
+        re-derived by :meth:`TrainingRecord.from_timings` from the
+        merged sweep.  A key whose record did not come from this method
+        (added, upserted or loaded) is re-derived on its first merge.
+        The caller's dicts are copied, never stored.
         """
         if not timings:
             raise ValueError("empty timing sweep")
+        key = (machine, program, size)
         existing = self.record_for(machine, program, size)
+        if (
+            existing is not None
+            and self._merged_records.get(key) is existing
+            and timings.items() <= existing.timings.items()
+            and (not energies or energies.items() <= existing.energies.items())
+            and features == existing.features
+        ):
+            return existing
         merged = dict(existing.timings) if existing is not None else {}
         merged.update(timings)
         merged_energy = dict(existing.energies) if existing is not None else {}
@@ -210,6 +234,7 @@ class TrainingDatabase:
             machine, program, size, features, merged, energies=merged_energy
         )
         self.upsert(record)
+        self._merged_records[key] = record
         return record
 
     def __len__(self) -> int:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 __all__ = [
     "Partitioning",
@@ -33,6 +33,11 @@ class Partitioning:
     ``shares[i]`` is the integer percentage of work items executed by
     device ``i`` (device order is the machine's device order: CPU first,
     then the GPUs).
+
+    :attr:`label` and :attr:`active_devices` are computed on first read
+    and kept in the instance dict.  They are not fields, so equality,
+    hashing, ordering, ``repr``, ``asdict`` and ``replace`` see only
+    ``shares``.
     """
 
     shares: tuple[int, ...]
@@ -74,7 +79,7 @@ class Partitioning:
     def num_devices(self) -> int:
         return len(self.shares)
 
-    @property
+    @cached_property
     def active_devices(self) -> tuple[int, ...]:
         """Indices of devices with a non-zero share."""
         return tuple(i for i, s in enumerate(self.shares) if s > 0)
@@ -87,7 +92,7 @@ class Partitioning:
         """Share of device ``device_index`` as a fraction in [0, 1]."""
         return self.shares[device_index] / 100.0
 
-    @property
+    @cached_property
     def label(self) -> str:
         """Compact display form, e.g. ``"50/30/20"``."""
         return "/".join(str(s) for s in self.shares)

@@ -556,7 +556,7 @@ class PartitioningService:
         # Every measured run — adapted or not — lands in the database.
         self.system.database.merge_timings(
             *key,
-            features=dict(self._features[key]),
+            features=self._features[key],
             timings=timings,
             energies=energies,
         )
@@ -790,7 +790,7 @@ class PartitioningService:
             self._execution_request(get_benchmark(node.program), node_key)
             self.system.database.merge_timings(
                 *node_key,
-                features=dict(self._features[node_key]),
+                features=self._features[node_key],
                 timings={node_run.partitioning.label: node_run.median_s},
                 energies={node_run.partitioning.label: node_run.energy_j},
             )

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.database import TrainingDatabase, TrainingRecord
 from repro.partitioning import Partitioning
@@ -159,6 +161,123 @@ class TestOnlineAppend:
         assert db.record_for("mc1", "p1", 64) is None
         db.records.append(_record(program="p1"))
         assert db.record_for("mc1", "p1", 64) is not None
+
+
+# Small pools, so keys, labels, equal re-measurements and ties repeat.
+_KEYS = (("mc1", "p1", 32), ("mc1", "p1", 64), ("mc2", "p2", 32))
+_LABELS = ("100/0/0", "0/100/0", "0/50/50", "50/50/0", "30/30/40", "10/0/90")
+_VALUES = (0.5, 1.0, 2.0, 3.0)
+_FEATURES = ({"st_x": 1.0, "rt_y": 32.0}, {"st_x": 2.0, "rt_y": 32.0})
+_SWEEPS = st.dictionaries(
+    st.sampled_from(_LABELS), st.sampled_from(_VALUES), min_size=1
+)
+
+KEY, FEATS = _KEYS[0], _FEATURES[0]
+
+
+@st.composite
+def _merges(draw):
+    """One merge_timings call: energies on a subset of the timed labels."""
+    timings = draw(_SWEEPS)
+    labels = draw(st.lists(st.sampled_from(sorted(timings)), unique=True))
+    energies = {label: draw(st.sampled_from(_VALUES)) for label in labels}
+    key = draw(st.sampled_from(_KEYS))
+    return key, draw(st.sampled_from(_FEATURES)), timings, energies or None
+
+
+@st.composite
+def _added_records(draw):
+    """A record from outside merge_timings: best is any tied fastest label."""
+    timings = draw(_SWEEPS)
+    fastest = min(timings.values())
+    best = draw(st.sampled_from([k for k, t in timings.items() if t == fastest]))
+    return TrainingRecord(*KEY, dict(FEATS), timings, best)
+
+
+def _reference_merge(records, key, features, timings, energies):
+    """The merge as it used to be: copy, update, re-derive from the sweep."""
+    existing = records.get(key)
+    merged = dict(existing.timings) if existing is not None else {}
+    merged.update(timings)
+    merged_energy = dict(existing.energies) if existing is not None else {}
+    if energies:
+        merged_energy.update(energies)
+    records[key] = TrainingRecord.from_timings(
+        *key, features, merged, energies=merged_energy
+    )
+    return records[key]
+
+
+class TestIncrementalMerge:
+    @given(added=st.none() | _added_records(), merges=st.lists(_merges(), max_size=30))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_rederiving_the_whole_sweep(self, added, merges):
+        db = TrainingDatabase([added] if added is not None else [])
+        reference = {KEY: added} if added is not None else {}
+        for key, features, timings, energies in merges:
+            got = db.merge_timings(*key, features, timings, energies)
+            want = _reference_merge(reference, key, features, timings, energies)
+            assert db.record_for(*key) is got
+            assert list(got.timings.items()) == list(want.timings.items())
+            assert list(got.energies.items()) == list(want.energies.items())
+            assert got.best_label == want.best_label
+            assert got.features == want.features
+            assert len(db) == len(reference)
+
+    def test_merge_that_changes_nothing_returns_stored_record(self):
+        db = TrainingDatabase()
+        sweep = {"100/0/0": 2.0, "0/50/50": 1.0}
+        stored = db.merge_timings(*KEY, FEATS, sweep, {"0/50/50": 4.0})
+        again = db.merge_timings(*KEY, dict(FEATS), {"0/50/50": 1.0}, {"0/50/50": 4.0})
+        assert again is stored
+        assert db.record_for(*KEY) is stored
+        assert len(db) == 1
+
+    def test_first_merge_rederives_a_record_from_elsewhere(self):
+        # A JSON round trip sorts the sweep by label, so a tied best
+        # label need not be the one min picks; the first merge re-derives
+        # it, later ones may trust it.
+        tied = {"0/100/0": 1.0, "100/0/0": 1.0}
+        added = TrainingRecord(*KEY, dict(FEATS), tied, "100/0/0")
+        db = TrainingDatabase([added])
+        record = db.merge_timings(*KEY, FEATS, {"100/0/0": 1.0})
+        assert record is not added
+        assert record.best_label == "0/100/0"
+        assert db.merge_timings(*KEY, FEATS, {"0/100/0": 1.0}) is record
+
+    @pytest.mark.parametrize("source", ["added", "merged"])
+    def test_unswept_energies_on_existing_key_rejected(self, source):
+        db = TrainingDatabase()
+        if source == "merged":
+            db.merge_timings(*KEY, FEATS, {"100/0/0": 2.0})
+        else:
+            db.add(TrainingRecord.from_timings(*KEY, FEATS, {"100/0/0": 2.0}))
+        stored = db.record_for(*KEY)
+        with pytest.raises(ValueError, match="unswept"):
+            db.merge_timings(*KEY, FEATS, {"0/50/50": 1.0}, {"0/100/0": 3.0})
+        assert db.record_for(*KEY) is stored
+        assert stored.timings == {"100/0/0": 2.0}
+        assert stored.best_label == "100/0/0"
+        assert stored.energies == {}
+        assert len(db) == 1
+
+    def test_callers_dicts_are_never_stored(self):
+        db = TrainingDatabase()
+        feats = dict(FEATS)
+        timings, energies = {"100/0/0": 2.0}, {"100/0/0": 5.0}
+        created = db.merge_timings(*KEY, feats, timings, energies)
+        timings2, energies2 = {"0/50/50": 1.0}, {"0/50/50": 4.0}
+        updated = db.merge_timings(*KEY, feats, timings2, energies2)
+        for d in (feats, timings, energies, timings2, energies2):
+            d["0/100/0"] = 9.0
+        feats["st_x"] = timings["100/0/0"] = energies2["0/50/50"] = 0.1
+        assert created.features == updated.features == FEATS
+        assert created.timings == {"100/0/0": 2.0}
+        assert created.energies == {"100/0/0": 5.0}
+        assert updated.timings == {"100/0/0": 2.0, "0/50/50": 1.0}
+        assert updated.energies == {"100/0/0": 5.0, "0/50/50": 4.0}
+        assert updated.best_label == "0/50/50"
+        assert db.record_for(*KEY) is updated
 
 
 class TestPersistence:

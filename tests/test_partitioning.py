@@ -1,5 +1,7 @@
 """Tests for the partition space and ND-range splitting."""
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -95,6 +97,53 @@ class TestPartitioning:
 
     def test_ordering_is_stable(self):
         assert Partitioning((0, 0, 100)) < Partitioning((100, 0, 0))
+
+
+class TestDerivedAttributeMemo:
+    """``label`` and ``active_devices`` are memoized, never fields."""
+
+    @staticmethod
+    def _read(shares):
+        p = Partitioning(shares)
+        assert p.label == "/".join(map(str, shares))
+        assert p.active_devices == tuple(i for i, s in enumerate(shares) if s)
+        return p
+
+    @pytest.mark.parametrize("shares", [(50, 30, 20), (0, 100, 0), (10, 0, 90)])
+    def test_memo_does_not_leak(self, shares):
+        read, fresh = self._read(shares), Partitioning(shares)
+        assert read == fresh
+        assert hash(read) == hash(fresh)
+        assert read <= fresh and read >= fresh
+        assert not read < fresh and not read > fresh
+        assert repr(read) == repr(fresh) == f"Partitioning(shares={shares!r})"
+        assert dataclasses.asdict(read) == dataclasses.asdict(fresh)
+        assert dataclasses.asdict(read) == {"shares": shares}
+        assert dataclasses.astuple(read) == (shares,)
+        assert dataclasses.replace(read) == dataclasses.replace(fresh) == fresh
+        assert [f.name for f in dataclasses.fields(read)] == ["shares"]
+
+    def test_ordering_and_sets_ignore_the_memo(self):
+        space = partition_space(3, 10)
+        read = [self._read(p.shares) for p in reversed(space)]
+        fresh = [Partitioning(p.shares) for p in reversed(space)]
+        assert sorted(read) == sorted(fresh) == list(space)
+        assert set(read) == set(fresh)
+
+    def test_replace_recomputes_for_new_shares(self):
+        read = self._read((50, 30, 20))
+        moved = dataclasses.replace(read, shares=(0, 100, 0))
+        assert moved.label == "0/100/0"
+        assert moved.active_devices == (1,)
+        assert moved.is_single_device
+
+    def test_memo_cannot_be_assigned(self):
+        read = self._read((50, 30, 20))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            read.label = "0/100/0"
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            read.active_devices = (1,)
+        assert read.label == "50/30/20"
 
 
 class TestPartitionSpace:

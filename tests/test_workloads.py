@@ -1,9 +1,11 @@
 """Tests for the workload diversity engine (repro.workloads)."""
 
+import dataclasses
+
 import pytest
 
 from repro.benchsuite import get_benchmark
-from repro.serving import key_universe, zipf_trace
+from repro.serving import ServingRequest, key_universe, zipf_trace
 from repro.workloads import (
     WORKLOAD_FAMILIES,
     DriftEvent,
@@ -276,3 +278,17 @@ class TestZipfTraceEdgeCases:
 
     def test_zero_requests_is_empty(self):
         assert zipf_trace(_keys(), 0) == ()
+
+
+class TestServingRequest:
+    def test_slotted_request_keeps_its_value_semantics(self):
+        # A trace holds one request per arrival, so requests carry no
+        # per-object dict.
+        request = ServingRequest(request_id=7, program="vec_add", size=4096)
+        assert not hasattr(request, "__dict__")
+        tenanted = dataclasses.replace(request, tenant="gold")
+        assert tenanted == ServingRequest(7, "vec_add", 4096, "gold")
+        assert hash(tenanted) == hash(ServingRequest(7, "vec_add", 4096, "gold"))
+        assert tenanted != request and tenanted.key == request.key
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            request.size = 1
