@@ -44,6 +44,11 @@ class EngineStats:
         return self.tape_hits / total if total else 0.0
 
 
+def _median(samples: list[float]) -> float:
+    """``statistics.median``, without its sort for the usual one sample."""
+    return samples[0] if len(samples) == 1 else statistics.median(samples)
+
+
 def _replay_timeline(
     commands: "Sequence[tuple[str, float, float]]",
 ) -> tuple[float, float]:
@@ -344,10 +349,10 @@ class SweepEngine:
         assert result is not None
         return MeasuredRun(
             partitioning=partitioning,
-            median_s=statistics.median(samples),
+            median_s=_median(samples),
             samples_s=tuple(samples),
             result=result,
-            energy_j=statistics.median(energy_samples),
+            energy_j=_median(energy_samples),
             energy_samples_j=tuple(energy_samples),
         )
 

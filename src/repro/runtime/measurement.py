@@ -26,9 +26,13 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = ["MeasuredRun", "Runner", "SessionStats"]
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class MeasuredRun:
-    """Median-of-repetitions timing (and energy) for one partitioning."""
+    """Median-of-repetitions timing (and energy) for one partitioning.
+
+    One is built per measurement, so it is a slotted plain dataclass:
+    a frozen one takes several times as long to build.
+    """
 
     partitioning: Partitioning
     median_s: float
@@ -96,9 +100,11 @@ class SessionStats:
         self.executions += 1
         self.simulated_s += result.makespan_s
         self.energy_j += result.energy_j
-        for i, (busy, idle) in enumerate(result.device_spans):
+        # result.device_spans, without building its tuples per launch.
+        makespan = result.makespan_s
+        for i, busy in enumerate(result.device_busy_s):
             self.device_busy_s[i] += busy
-            self.device_idle_s[i] += idle
+            self.device_idle_s[i] += makespan - busy
 
     def utilization(self) -> tuple[float, ...]:
         """Per-device busy fraction of the serialized simulated time."""
@@ -175,7 +181,8 @@ class Runner:
     @property
     def drift_generation(self) -> tuple[int, ...]:
         """Per-device drift counters (cache-staleness fingerprint)."""
-        return tuple(d.drift_generation for d in self.devices)
+        # A list, not a generator: the engine reads this per measurement.
+        return tuple([d.drift_generation for d in self.devices])
 
     def run(
         self,

@@ -64,15 +64,6 @@ class LatencyHistogram:
         self.min_s = math.inf
         self.max_s = 0.0
 
-    @staticmethod
-    def _bucket(value: float) -> int:
-        index = int(math.log(value / MIN_TRACKED_S) / _LOG_GAMMA)
-        if index < 0:
-            return 0
-        if index >= NUM_BUCKETS:
-            return NUM_BUCKETS - 1
-        return index
-
     def record(self, value_s: float) -> None:
         """Fold one observation in; negatives are rejected loudly."""
         if value_s < 0:
@@ -85,8 +76,13 @@ class LatencyHistogram:
             self.max_s = value_s
         if value_s == 0.0:
             self.zeros += 1
-        else:
-            self._counts[self._bucket(value_s)] += 1
+            return
+        index = int(math.log(value_s / MIN_TRACKED_S) / _LOG_GAMMA)
+        if index < 0:
+            index = 0
+        elif index >= NUM_BUCKETS:
+            index = NUM_BUCKETS - 1
+        self._counts[index] += 1
 
     @property
     def mean_s(self) -> float:

@@ -100,6 +100,11 @@ class ShedDecision:
     predicted_s: float | None = None
 
 
+#: The decision of every admission that needed no estimate; shared,
+#: because the test runs once per arrival.
+_ADMIT = ShedDecision(shed=False)
+
+
 def shed_decision(
     policy: str,
     config: SLOConfig,
@@ -131,16 +136,16 @@ def shed_decision(
     if queue_depth < 0 or duplicate_depth < 0:
         raise ValueError("queue and duplicate depths must be non-negative")
     if policy == "none":
-        return ShedDecision(shed=False)
+        return _ADMIT
     target = config.target_for(tenant)
     if target is None:
-        return ShedDecision(shed=False)
+        return _ADMIT
     if policy == "priority" and (
         config.priority_for(tenant) >= config.shed_below_priority
     ):
-        return ShedDecision(shed=False)
+        return _ADMIT
     if idle:
-        return ShedDecision(shed=False)
+        return _ADMIT
     predicted = busy_wait_s + (queue_depth + duplicate_depth + 1) * est_service_s
     return ShedDecision(shed=predicted > target, predicted_s=predicted)
 

@@ -10,6 +10,7 @@ guarantee from energy totals to the full latency histograms and SLO
 counters.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -19,20 +20,25 @@ from repro.benchsuite import get_benchmark
 from repro.core import TrainingConfig, train_system
 from repro.fleet import FleetRouter
 from repro.machines import MC1, fleet_platforms
-from repro.runtime.measurement import SessionStats
+from repro.partitioning import Partitioning
+from repro.runtime.measurement import MeasuredRun, SessionStats
+from repro.runtime.scheduler import ExecutionResult
 from repro.serving import (
     DEFAULT_TENANT,
+    CompletedRequest,
     EventLoop,
     EventLoopConfig,
     LatencyHistogram,
     PartitioningService,
     QUANTILE_RELATIVE_ERROR,
     SHED_POLICIES,
+    ServedResponse,
     ServiceConfig,
     ServingRequest,
     SLOConfig,
     key_universe,
 )
+from repro.serving.histogram import MAX_TRACKED_S, MIN_TRACKED_S, NUM_BUCKETS
 from repro.workloads import (
     WORKLOAD_FAMILIES,
     WorkloadSpec,
@@ -236,6 +242,16 @@ class TestStreamingQuantileAccuracy:
         assert left.min_s == whole.min_s
         assert left.max_s == whole.max_s
 
+    def test_out_of_range_values_land_in_the_edge_buckets(self):
+        hist = LatencyHistogram()
+        for v in (MIN_TRACKED_S / 10, MIN_TRACKED_S, MAX_TRACKED_S * 10):
+            hist.record(v)
+        counts = hist.counts
+        assert len(counts) == NUM_BUCKETS
+        assert counts[0] == 2
+        assert counts[-1] == 1
+        assert sum(counts) == hist.count == 3
+
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             LatencyHistogram().record(-1e-9)
@@ -353,6 +369,55 @@ class TestStatsDictConservation:
         assert sum(t["completed"] for t in d["tenants"].values()) == (
             d["completed"]
         )
+
+
+class TestPerRequestRecords:
+    def test_loop_counters_are_the_registry_cells(self, system):
+        loop = _loop(system)
+        stats = loop.run(stream_timed_items(_spec("stationary", seed=2), KEYS))
+        assert stats.completed == stats.arrivals == stats.admitted == 80
+        for attr in ("arrivals", "admitted", "completed", "service_time_s"):
+            name = f"loop.{attr}"
+            assert stats.cell(attr) is stats.registry.counter(name)
+            assert getattr(stats, attr) == stats.registry.value(name)
+        assert stats.service_time_s > stats.execute_time_s > 0.0
+
+    def test_records_are_slotted_value_objects(self, system):
+        # One of each is built per request or per measurement, so they
+        # carry no per-object dict; equality and replace() still hold.
+        done = []
+        loop = _loop(system)
+        loop.run(
+            stream_timed_items(_spec("stationary", seed=2, num_requests=4), KEYS),
+            on_complete=done.append,
+        )
+        completed = done[0]
+        assert isinstance(completed, CompletedRequest)
+        assert isinstance(completed.response, ServedResponse)
+        service = loop.backend.services[0]
+        key = service._key(completed.request)
+        run = service.engine.measure(
+            service._requests[key], completed.response.partitioning
+        )
+        assert isinstance(run, MeasuredRun)
+        for record in (completed, completed.response, run):
+            assert not hasattr(record, "__dict__")
+            assert dataclasses.replace(record) == record
+        assert run.median_s == completed.response.measured_s
+
+    def test_session_record_splits_each_launch_into_busy_and_idle(self):
+        result = ExecutionResult(
+            partitioning=Partitioning((50, 50, 0)),
+            makespan_s=0.5,
+            device_busy_s=(0.5, 0.25, 0.0),
+        )
+        stats = SessionStats()
+        stats.record(result)
+        stats.record(result)
+        assert stats.device_busy_s == [1.0, 0.5, 0.0]
+        assert stats.device_idle_s == [2 * idle for _busy, idle in result.device_spans]
+        assert stats.executions == 2
+        assert stats.simulated_s == 1.0
 
 
 class TestSheddingPolicies:
