@@ -347,13 +347,15 @@ class SweepEngine:
             energy_samples.append(r.energy_j)
             self.runner.stats.record(r)
         assert result is not None
+        # Positional: binding keywords costs as much as building the
+        # record, once per measurement.
         return MeasuredRun(
-            partitioning=partitioning,
-            median_s=_median(samples),
-            samples_s=tuple(samples),
-            result=result,
-            energy_j=_median(energy_samples),
-            energy_samples_j=tuple(energy_samples),
+            partitioning,
+            _median(samples),
+            tuple(samples),
+            result,
+            _median(energy_samples),
+            tuple(energy_samples),
         )
 
     def time_of(

@@ -837,7 +837,9 @@ class EventLoop:
         self._admitted.value += 1
         self._retry_tokens += self.config.retry_budget
         self._seq += 1
-        pending = _Pending(seq=self._seq, request=request, arrival_s=self._clock)
+        # Per-request records take positional arguments: binding them by
+        # keyword costs as much as building the record.
+        pending = _Pending(self._seq, request, self._clock)
         self._live[pending.seq] = pending
         if self._tracer is not None:
             self._tracer.begin(pending.seq, self._clock, request)
@@ -887,12 +889,7 @@ class EventLoop:
         is_hedge: bool,
         is_spec: bool = False,
     ) -> None:
-        attempt = _Attempt(
-            pending=pending,
-            replica=replica.index,
-            is_hedge=is_hedge,
-            is_spec=is_spec,
-        )
+        attempt = _Attempt(pending, replica.index, is_hedge, is_spec)
         if self._tracer is not None:
             attempt.tid = self._tracer.enqueue(
                 pending.seq, self._clock, replica.index, is_hedge, is_spec
@@ -1089,18 +1086,18 @@ class EventLoop:
         if on_complete is not None:
             on_complete(
                 CompletedRequest(
-                    request=pending.request,
-                    replica_index=replica.index,
-                    arrival_s=pending.arrival_s,
-                    start_s=attempt.start_s,
-                    finish_s=now,
-                    queue_s=queue_s,
-                    service_s=attempt.service_s,
-                    violated=violated,
-                    attempts=pending.attempts,
-                    hedged=pending.hedged,
-                    speculated=pending.speculated,
-                    response=attempt.response,
+                    pending.request,
+                    replica.index,
+                    pending.arrival_s,
+                    attempt.start_s,
+                    now,  # finish_s
+                    queue_s,
+                    attempt.service_s,
+                    violated,
+                    pending.attempts,
+                    pending.hedged,
+                    pending.speculated,
+                    attempt.response,
                 )
             )
         if not replica.crashed:

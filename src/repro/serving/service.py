@@ -563,17 +563,19 @@ class PartitioningService:
             energies=energies,
         )
 
+        # Positional: binding ten keywords costs as much as building
+        # the record, once per request.
         return ServedResponse(
-            request=request,
-            partitioning=partitioning,
-            cache_hit=cache_hit,
-            measured_s=measured,
-            estimate_s=estimate,
-            adapted=adapted,
-            improvement_s=improvement,
-            energy_j=energy,
-            capped=capped,
-            cost=cost,
+            request,
+            partitioning,
+            cache_hit,
+            measured,
+            estimate,
+            adapted,
+            improvement,
+            energy,
+            capped,
+            cost,
         )
 
     def serve(self, trace: Sequence[ServingRequest]) -> list[ServedResponse]:
