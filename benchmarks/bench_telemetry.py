@@ -23,8 +23,11 @@ when:
 
 With ``--check-against`` the per-mode latency quantiles are compared
 to a committed baseline (simulated time is hardware-independent) and
-the run fails on a >``--max-regression`` increase; wall-clock numbers
-are reported but never compared across machines.
+the run fails on a >``--max-regression`` increase.  When the run has
+the baseline's ``quick``, ``seed`` and ``num_requests``, its trace
+export must also match the baseline's ``trace_lines`` and
+``trace_digest`` exactly.  Wall-clock numbers are reported but never
+compared across machines.
 
 Usage:
     PYTHONPATH=src python benchmarks/bench_telemetry.py [--quick]
@@ -146,9 +149,17 @@ def run_mode(
 
 
 def check_against(doc: dict, baseline_path: Path, max_regression: float) -> list[str]:
-    """Failures when a mode's latency quantile regressed vs the baseline."""
+    """Failures when a mode's latency quantile regressed vs the baseline,
+    or when the same run shape exported a different trace."""
     baseline = json.loads(baseline_path.read_text())
     failures = []
+    if all(doc[key] == baseline.get(key) for key in ("quick", "seed", "num_requests")):
+        for key in ("trace_lines", "trace_digest"):
+            if doc[key] != baseline[key]:
+                failures.append(
+                    f"trace export {key} {doc[key]} differs from "
+                    f"baseline {baseline[key]}"
+                )
     for mode, result in doc["modes"].items():
         ref = baseline["modes"].get(mode)
         if ref is None:

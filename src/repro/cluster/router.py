@@ -221,13 +221,23 @@ class ClusterRouter:
         self.pools = tuple(pools)
         self.network = network
         self.slo = slo
+        # The pools never change, so their maps are built once, here.
         #: Flat replica index of each pool's first replica.
         self._offsets: list[int] = []
-        offset = 0
-        for pool in self.pools:
-            self._offsets.append(offset)
-            offset += len(pool.replicas)
-        self._num_replicas = offset
+        pool_of: list[int] = []
+        for p, pool in enumerate(self.pools):
+            self._offsets.append(len(pool_of))
+            pool_of.extend(p for _ in pool.replicas)
+        #: Pool of each flat replica index.
+        self._pool_of = tuple(pool_of)
+        self._num_replicas = len(pool_of)
+        #: Cross-pool steal victims per pool.
+        self._victims = tuple(
+            tuple(i for i, q in enumerate(pool_of) if q != p)
+            for p in range(len(self.pools))
+        )
+        #: Home pool per tenant, filled by :meth:`home_pool` on first use.
+        self._homes: dict[str, int] = {}
         #: Memoized request payload bytes per (program, size) — building
         #: the problem arrays is the expensive part, so one instantiation
         #: prices every future handoff of that key.
@@ -290,11 +300,7 @@ class ClusterRouter:
     def pool_of(self, flat_index: int) -> int:
         if not 0 <= flat_index < self._num_replicas:
             raise IndexError(f"flat replica index {flat_index} out of range")
-        pool = 0
-        for p, base in enumerate(self._offsets):
-            if flat_index >= base:
-                pool = p
-        return pool
+        return self._pool_of[flat_index]
 
     def _split(self, flat_index: int) -> tuple[int, int]:
         pool = self.pool_of(flat_index)
@@ -305,9 +311,14 @@ class ClusterRouter:
     def home_pool(self, tenant: str) -> int:
         """The pool a tenant's data lives in: a stable, process-
         independent hash (same construction as the fleet's affinity
-        policy), so the same tenant always resolves to the same home."""
-        digest = hashlib.sha256(tenant.encode()).digest()
-        return int.from_bytes(digest[:8], "big") % len(self.pools)
+        policy), so the same tenant always resolves to the same home.
+        Hashed once per tenant: placement asks on every request."""
+        home = self._homes.get(tenant)
+        if home is None:
+            digest = hashlib.sha256(tenant.encode()).digest()
+            home = int.from_bytes(digest[:8], "big") % len(self.pools)
+            self._homes[tenant] = home
+        return home
 
     def request_bytes(self, request: "ServingRequest | GraphServingRequest") -> int:
         """Input payload bytes a cross-pool handoff of ``request`` ships.
@@ -409,10 +420,7 @@ class ClusterRouter:
         backlogged pool (straggler or crash fallout) onto idle capacity
         elsewhere.
         """
-        thief_pool = self.pool_of(thief_flat)
-        return tuple(
-            i for i in range(self._num_replicas) if self.pool_of(i) != thief_pool
-        )
+        return self._victims[self.pool_of(thief_flat)]
 
     # -- serving --------------------------------------------------------------
 

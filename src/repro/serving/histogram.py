@@ -52,7 +52,7 @@ QUANTILE_RELATIVE_ERROR = math.sqrt(GAMMA) - 1.0
 class LatencyHistogram:
     """Streaming histogram over seconds with O(1) record and O(buckets) memory."""
 
-    __slots__ = ("_counts", "zeros", "count", "sum_s", "min_s", "max_s")
+    __slots__ = ("_counts", "zeros", "count", "sum_s", "min_s", "max_s", "_cursor")
 
     def __init__(self) -> None:
         self._counts = [0] * NUM_BUCKETS
@@ -63,11 +63,20 @@ class LatencyHistogram:
         self.sum_s = 0.0
         self.min_s = math.inf
         self.max_s = 0.0
+        #: Bucket of the last :meth:`quantile` answer, where the next
+        #: walk starts.  Only a hint: any bucket index gives the same
+        #: answer, so ``record``/``merge``/``from_state`` ignore it.
+        self._cursor = 0
 
     def record(self, value_s: float) -> None:
-        """Fold one observation in; negatives are rejected loudly."""
-        if value_s < 0:
-            raise ValueError("latencies are non-negative")
+        """Fold one observation in.
+
+        Negative, NaN and infinite values are rejected with
+        ``ValueError`` before any counter moves: the quantile walk
+        relies on ``zeros + sum(counts) == count``.
+        """
+        if not 0.0 <= value_s < math.inf:
+            raise ValueError(f"latencies are finite and non-negative, got {value_s}")
         self.count += 1
         self.sum_s += value_s
         if value_s < self.min_s:
@@ -115,13 +124,23 @@ class LatencyHistogram:
         rank = max(1, math.ceil(q * self.count))
         if rank <= self.zeros:
             return 0.0
-        seen = self.zeros
-        for i, bucket_count in enumerate(self._counts):
-            seen += bucket_count
-            if seen >= rank:
-                estimate = MIN_TRACKED_S * GAMMA ** (i + 0.5)
-                return min(max(estimate, self.min_s), self.max_s)
-        return self.max_s  # pragma: no cover - counts always sum to count
+        # The answer is the unique bucket i with
+        # below < rank <= below + counts[i], where below counts the
+        # observations under bucket i.  The speculation trigger asks
+        # for the same q on every arrival, so the answer seldom moves:
+        # walk to it from the last one.
+        counts = self._counts
+        i = self._cursor
+        below = self.zeros + sum(counts[:i])
+        while below >= rank:  # down; zeros < rank stops it at i >= 0
+            i -= 1
+            below -= counts[i]
+        while below + counts[i] < rank:  # up; the counts sum to count >= rank
+            below += counts[i]
+            i += 1
+        self._cursor = i
+        estimate = MIN_TRACKED_S * GAMMA ** (i + 0.5)
+        return min(max(estimate, self.min_s), self.max_s)
 
     def quantiles(self) -> dict[str, float]:
         """The serving-dashboard trio: p50 / p95 / p99 (seconds)."""
@@ -165,7 +184,12 @@ class LatencyHistogram:
 
     @classmethod
     def from_state(cls, state: dict) -> "LatencyHistogram":
-        """Rebuild a histogram bit-for-bit from :meth:`state_dict`."""
+        """Rebuild a histogram bit-for-bit from :meth:`state_dict`.
+
+        The state comes from outside the process, so it must be
+        consistent: no negative count, and ``zeros + sum(counts)``
+        equal to ``count`` (the quantile walk relies on that sum).
+        """
         counts = state["counts"]
         if len(counts) != NUM_BUCKETS:
             raise ValueError(
@@ -175,6 +199,17 @@ class LatencyHistogram:
         hist._counts = [int(c) for c in counts]
         hist.zeros = state["zeros"]
         hist.count = state["count"]
+        if hist.zeros < 0 or hist.count < 0 or min(hist._counts) < 0:
+            raise ValueError(
+                f"state has a negative count: zeros {hist.zeros}, "
+                f"count {hist.count}, smallest bucket {min(hist._counts)}"
+            )
+        observed = hist.zeros + sum(hist._counts)
+        if observed != hist.count:
+            raise ValueError(
+                f"state has zeros + sum(counts) = {observed}, "
+                f"but count = {hist.count}"
+            )
         hist.sum_s = state["sum_s"]
         hist.min_s = math.inf if state["min_s"] is None else state["min_s"]
         hist.max_s = state["max_s"]

@@ -53,9 +53,14 @@ SPAN_KINDS = (
 LEAF_KINDS = ("queue", "predict", "execute", "network", "backoff")
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Span:
-    """One node of a request's span tree, in simulated seconds."""
+    """One node of a request's span tree, in simulated seconds.
+
+    A slotted, mutable record: a traced run keeps one per tree node, so
+    it is built positionally and kept small.  Consumers read spans and
+    must not change them.
+    """
 
     trace_id: int
     span_id: int
@@ -90,7 +95,7 @@ class Span:
         return record
 
 
-@dataclass
+@dataclass(slots=True)
 class _AttemptRecord:
     """Raw markers of one service attempt, folded into spans at resolution."""
 
@@ -140,7 +145,7 @@ class _AttemptRecord:
         return segs
 
 
-@dataclass
+@dataclass(slots=True)
 class _OpenTrace:
     """One admitted request's trace while the request is unresolved."""
 
@@ -200,9 +205,7 @@ class Tracer:
 
     def begin(self, trace_id: int, at_s: float, request) -> None:
         """An admitted request starts its trace at arrival."""
-        self._open[trace_id] = _OpenTrace(
-            trace_id=trace_id, arrival_s=at_s, attrs=_request_attrs(request)
-        )
+        self._open[trace_id] = _OpenTrace(trace_id, at_s, _request_attrs(request))
 
     def enqueue(
         self,
@@ -216,13 +219,13 @@ class Tracer:
         trace = self._open[trace_id]
         self._next_tid += 1
         record = _AttemptRecord(
-            tid=self._next_tid,
-            trace_id=trace_id,
-            index=len(trace.records),
-            replica=replica,
-            is_hedge=is_hedge,
-            is_spec=is_spec,
-            enqueue_s=at_s,
+            self._next_tid,
+            trace_id,
+            len(trace.records),
+            replica,
+            is_hedge,
+            is_spec,
+            at_s,
         )
         trace.records.append(record)
         self._records[record.tid] = record
@@ -301,15 +304,8 @@ class Tracer:
     def _span(self, trace_id, parent, name, kind, start, end, critical, attrs):
         self._next_span_id += 1
         span = Span(
-            trace_id=trace_id,
-            span_id=self._next_span_id,
-            parent_id=parent,
-            name=name,
-            kind=kind,
-            start_s=start,
-            end_s=end,
-            critical=critical,
-            attrs=attrs,
+            trace_id, self._next_span_id, parent, name, kind, start, end,
+            critical, attrs,
         )
         self.spans.append(span)
         return span

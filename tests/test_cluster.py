@@ -6,6 +6,8 @@ and the :func:`repro.serving.serve_trace` facade the whole serving
 surface now routes through.
 """
 
+import hashlib
+
 import pytest
 
 from repro.benchsuite import get_benchmark
@@ -230,6 +232,27 @@ class TestClusterRouter:
     def test_steal_candidates_are_cross_pool_only(self, quad_cluster):
         assert quad_cluster.steal_candidates(0) == (2, 3)
         assert quad_cluster.steal_candidates(3) == (0, 1)
+
+    def test_uneven_pools_map_flat_indices_and_homes(self):
+        """Flat indexing, steal victims and home pools over pools of 1
+        and 2 replicas."""
+        small, first, second = fleet_platforms(3)
+        cluster = ClusterRouter(
+            [
+                FleetRouter([_service(small)]),
+                FleetRouter([_service(first), _service(second)]),
+            ]
+        )
+        assert [cluster.pool_of(i) for i in range(3)] == [0, 1, 1]
+        with pytest.raises(IndexError):
+            cluster.pool_of(3)
+        assert cluster.steal_candidates(0) == (1, 2)
+        assert cluster.steal_candidates(1) == (0,)
+        assert cluster.steal_candidates(2) == (0,)
+        for tenant in ("premium", "batch", "default", "gold", "silver") * 2:
+            digest = hashlib.sha256(tenant.encode()).digest()
+            expected = int.from_bytes(digest[:8], "big") % 2
+            assert cluster.home_pool(tenant) == expected
 
     def test_duplicate_names_across_pools_rejected(self):
         pool = _fleet(1)

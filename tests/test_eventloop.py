@@ -15,6 +15,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.benchsuite import get_benchmark
 from repro.core import TrainingConfig, train_system
@@ -38,7 +40,12 @@ from repro.serving import (
     SLOConfig,
     key_universe,
 )
-from repro.serving.histogram import MAX_TRACKED_S, MIN_TRACKED_S, NUM_BUCKETS
+from repro.serving.histogram import (
+    GAMMA,
+    MAX_TRACKED_S,
+    MIN_TRACKED_S,
+    NUM_BUCKETS,
+)
 from repro.workloads import (
     WORKLOAD_FAMILIES,
     WorkloadSpec,
@@ -205,6 +212,53 @@ class TestDeterminismGolden:
         assert runs[0].clock_s == runs[1].clock_s
 
 
+def _scan_quantile(hist, q):
+    """Reference: the scan from bucket 0 that the quantile walk replaced."""
+    if hist.count == 0:
+        return 0.0
+    if q == 0.0:
+        return hist.min_s
+    if q == 1.0:
+        return hist.max_s
+    rank = max(1, math.ceil(q * hist.count))
+    if rank <= hist.zeros:
+        return 0.0
+    seen = hist.zeros
+    for i, bucket_count in enumerate(hist.counts):
+        seen += bucket_count
+        if seen >= rank:
+            estimate = MIN_TRACKED_S * GAMMA ** (i + 0.5)
+            return min(max(estimate, hist.min_s), hist.max_s)
+    raise AssertionError("bucket counts do not sum to count")
+
+
+#: Latencies that exercise every bucket kind: exact zeros, the tracked
+#: range, and values that clamp into either edge bucket.
+_LATENCIES = st.one_of(
+    st.just(0.0),
+    st.floats(min_value=MIN_TRACKED_S, max_value=MAX_TRACKED_S),
+    st.floats(min_value=1e-12, max_value=MIN_TRACKED_S, exclude_max=True),
+    st.floats(min_value=MAX_TRACKED_S, max_value=1e9, exclude_min=True),
+)
+
+_HISTOGRAM_OPS = st.one_of(
+    st.tuples(st.just("record"), _LATENCIES),
+    st.tuples(st.just("merge"), st.lists(_LATENCIES, max_size=8)),
+    st.tuples(st.just("restore"), st.none()),
+    st.tuples(
+        st.just("query"),
+        st.lists(
+            st.one_of(
+                st.sampled_from((0.0, 0.5, 0.95, 0.99, 1.0)),
+                st.floats(min_value=0.0, max_value=1.0),
+            ),
+            min_size=1,
+            max_size=4,
+        ),
+    ),
+)
+
+
 class TestStreamingQuantileAccuracy:
     def test_quantiles_within_documented_bound(self):
         rng = np.random.default_rng(42)
@@ -317,6 +371,54 @@ class TestStreamingQuantileAccuracy:
         assert restored.to_dict() == LatencyHistogram().to_dict()
         with pytest.raises(ValueError, match="buckets"):
             LatencyHistogram.from_state({"counts": [0, 1]})
+
+    def test_non_finite_rejected_before_any_counter_moves(self):
+        hist = LatencyHistogram()
+        for v in (0.0, 1e-3, 2e-3):
+            hist.record(v)
+        before = hist.state_dict()
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                hist.record(bad)
+            assert hist.state_dict() == before
+
+    def test_from_state_rejects_inconsistent_counts(self):
+        hist = LatencyHistogram()
+        for v in (0.0, 1e-3, 2e-3):
+            hist.record(v)
+        state = hist.state_dict()
+        with pytest.raises(ValueError, match=r"sum\(counts\) = 3, but count = 4"):
+            LatencyHistogram.from_state({**state, "count": 4})
+        # A negative bucket that keeps the sum consistent is still bad.
+        counts = list(state["counts"])
+        first = counts.index(1)
+        counts[first] += 1
+        counts[first + 1] -= 1
+        assert state["zeros"] + sum(counts) == state["count"]
+        with pytest.raises(ValueError, match="negative"):
+            LatencyHistogram.from_state({**state, "counts": counts})
+        with pytest.raises(ValueError, match="negative"):
+            LatencyHistogram.from_state({**state, "zeros": -1, "count": 1})
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(_HISTOGRAM_OPS, max_size=40))
+    def test_quantile_walk_matches_the_bucket_scan(self, ops):
+        hist = LatencyHistogram()
+        for op, arg in ops:
+            if op == "record":
+                hist.record(arg)
+            elif op == "merge":
+                other = LatencyHistogram()
+                for v in arg:
+                    other.record(v)
+                hist.merge(other)
+            elif op == "restore":
+                hist = LatencyHistogram.from_state(hist.state_dict())
+            else:
+                # Each q twice, forward then back: the walk starts from
+                # the previous answer, above, below or on the new one.
+                for q in arg + arg[::-1]:
+                    assert hist.quantile(q) == _scan_quantile(hist, q)
 
 
 class TestStatsDictConservation:

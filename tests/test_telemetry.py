@@ -34,6 +34,7 @@ from repro.telemetry import (
     CriticalPathAnalyzer,
     Gauge,
     MetricsRegistry,
+    Span,
     Telemetry,
     Tracer,
 )
@@ -377,6 +378,31 @@ class TestTracerUnits:
         assert analyzer.trace_ids() == (3,)
         assert analyzer.completed_ids() == ()
         assert analyzer.root(3).attrs["outcome"] == "retries-exhausted"
+
+    def test_trace_records_are_slotted(self):
+        tracer = Tracer()
+        tracer.begin(0, 1.0, ServingRequest(request_id=0, program="vec_add", size=64))
+        tid = tracer.enqueue(0, 1.0, replica=0)
+        open_records = [tracer._open[0], tracer._records[tid]]
+        tracer.start(tid, 1.5, predict_end_s=1.6, net_start_s=2.0,
+                     finish_s=2.25, outcome="ok")
+        tracer.complete(0, 2.25, tid)
+        assert tracer.spans
+        for record in open_records + tracer.spans:
+            assert not hasattr(record, "__dict__"), type(record).__name__
+
+    def test_positional_span_exports_the_same_record(self):
+        positional = Span(7, 3, 1, "queue", "queue", 0.5, 0.75, True, {"k": 1})
+        keyword = Span(
+            trace_id=7, span_id=3, parent_id=1, name="queue", kind="queue",
+            start_s=0.5, end_s=0.75, critical=True, attrs={"k": 1},
+        )
+        expected = {
+            "type": "span", "trace": 7, "span": 3, "parent": 1,
+            "name": "queue", "kind": "queue", "start_s": 0.5, "end_s": 0.75,
+            "critical": True, "attrs": {"k": 1},
+        }
+        assert positional.to_record() == keyword.to_record() == expected
 
     def test_events_are_sequenced(self):
         tracer = Tracer()
