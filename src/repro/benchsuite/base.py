@@ -6,7 +6,10 @@ OpenCL program:
 * the kernel (built in the IR DSL → static features, codegen),
 * per-buffer distribution overrides where the automatic analysis is
   too conservative (Insieme's annotation escape hatch),
-* a problem-size ladder and input generator,
+* a problem-size ladder and input generator: an instance declares
+  each buffer's shape and dtype, and draws its data on first read
+  (:class:`~repro.runtime.arrays.LazyArrays`), which only functional
+  execution does,
 * a NumPy *reference* (ground truth for the whole range), and
 * a *device executor* — the vectorized implementation the simulated
   devices run over arbitrary sub-ranges ``[offset, offset + count)``.
@@ -46,13 +49,21 @@ class Suite(enum.Enum):
     POLYBENCH = "polybench"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProblemInstance:
     """One concrete problem: arrays + scalars + range geometry.
 
+    Instances compare and hash by identity: a field-wise comparison
+    would compare their arrays, and so draw them first.
+
     Attributes:
         size: the nominal problem-size parameter from the ladder.
-        arrays: host arrays keyed by buffer parameter name.
+        arrays: host arrays keyed by buffer parameter name.  From
+            :meth:`Benchmark.make_instance` they are a
+            :class:`~repro.runtime.arrays.LazyArrays`: the layout is
+            known up front and the data is drawn on the first value
+            read (timing paths read only
+            :func:`~repro.runtime.arrays.buffer_layout`).
         scalars: scalar kernel arguments.
         total_items: ND-range extent (work items along the partition axis).
         granularity: chunk alignment (work-group size / row width).
@@ -77,7 +88,11 @@ class ProblemInstance:
             raise ValueError("iterations must be >= 1")
 
     def fresh_copy(self) -> "ProblemInstance":
-        """Deep-copy the arrays (for independent runs of the same input)."""
+        """Deep-copy the arrays (for independent runs of the same input).
+
+        Reads every array, so a lazy instance draws here if it has not
+        yet; the copy holds plain arrays.
+        """
         return ProblemInstance(
             size=self.size,
             arrays={k: v.copy() for k, v in self.arrays.items()},
@@ -144,7 +159,12 @@ class Benchmark(abc.ABC):
 
     @abc.abstractmethod
     def make_instance(self, size: int, seed: int = 0) -> ProblemInstance:
-        """Generate inputs for one problem size (deterministic in seed)."""
+        """Declare one problem size's inputs (deterministic in seed).
+
+        The arrays are a :class:`~repro.runtime.arrays.LazyArrays`:
+        the buffers are declared here, and the inputs are drawn from
+        :meth:`rng` on the first value read.
+        """
 
     def default_instance(self, seed: int = 0) -> ProblemInstance:
         """A mid-ladder instance (for examples and quick tests)."""

@@ -12,6 +12,7 @@ import numpy as np
 from ..compiler.splitter import BufferDistribution
 from ..inspire import FLOAT, INT, Intent, KernelBuilder, const
 from ..inspire import ast as ir
+from ..runtime.arrays import LazyArrays
 from .base import Benchmark, ProblemInstance, Suite
 
 __all__ = ["Conv2D", "Atax", "Mvt"]
@@ -69,14 +70,17 @@ class Conv2D(Benchmark):
         return (64, 128, 256, 512, 1024, 2048, 4096)
 
     def make_instance(self, size: int, seed: int = 0) -> ProblemInstance:
-        rng = self.rng(size, seed)
         w = h = size
+
+        def draw():
+            rng = self.rng(size, seed)
+            return {"img": rng.standard_normal(w * h).astype(np.float32)}
+
         return ProblemInstance(
             size=size,
-            arrays={
-                "img": rng.standard_normal(w * h).astype(np.float32),
-                "out": np.zeros(w * h, dtype=np.float32),
-            },
+            arrays=LazyArrays(
+                dict.fromkeys(("img", "out"), (w * h, np.float32)), draw
+            ),
             scalars={"w": w, "h": h},
             total_items=w * h,
             granularity=w,
@@ -147,15 +151,25 @@ class Atax(Benchmark):
         return (128, 256, 512, 1024, 2048, 4096)
 
     def make_instance(self, size: int, seed: int = 0) -> ProblemInstance:
-        rng = self.rng(size, seed)
         nrows = ncols = size
-        return ProblemInstance(
-            size=size,
-            arrays={
+
+        def draw():
+            rng = self.rng(size, seed)
+            return {
                 "A": rng.standard_normal((nrows, ncols)).astype(np.float32),
                 "tmp": rng.standard_normal(nrows).astype(np.float32),
-                "y": np.zeros(ncols, dtype=np.float32),
-            },
+            }
+
+        return ProblemInstance(
+            size=size,
+            arrays=LazyArrays(
+                {
+                    "A": ((nrows, ncols), np.float32),
+                    "tmp": (nrows, np.float32),
+                    "y": (ncols, np.float32),
+                },
+                draw,
+            ),
             scalars={"nrows": nrows, "ncols": ncols},
             total_items=ncols,
             granularity=32,
@@ -214,15 +228,26 @@ class Mvt(Benchmark):
         return (128, 256, 512, 1024, 2048, 4096)
 
     def make_instance(self, size: int, seed: int = 0) -> ProblemInstance:
-        rng = self.rng(size, seed)
         n = size
-        return ProblemInstance(
-            size=size,
-            arrays={
+
+        def draw():
+            rng = self.rng(size, seed)
+            return {
                 "A": rng.standard_normal((n, n)).astype(np.float32),
                 "y1": rng.standard_normal(n).astype(np.float32),
                 "x1": rng.standard_normal(n).astype(np.float32),
-            },
+            }
+
+        return ProblemInstance(
+            size=size,
+            arrays=LazyArrays(
+                {
+                    "A": ((n, n), np.float32),
+                    "y1": (n, np.float32),
+                    "x1": (n, np.float32),
+                },
+                draw,
+            ),
             scalars={"n": n},
             total_items=n,
             granularity=32,

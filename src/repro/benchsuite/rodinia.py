@@ -14,6 +14,7 @@ import numpy as np
 from ..compiler.splitter import BufferDistribution
 from ..inspire import FLOAT, INT, Intent, KernelBuilder, const
 from ..inspire import ast as ir
+from ..runtime.arrays import LazyArrays
 from .base import Benchmark, ProblemInstance, Suite
 
 __all__ = [
@@ -86,15 +87,20 @@ class Hotspot(Benchmark):
         return (64, 128, 256, 512, 1024, 2048)
 
     def make_instance(self, size: int, seed: int = 0) -> ProblemInstance:
-        rng = self.rng(size, seed)
         w = h = size
-        return ProblemInstance(
-            size=size,
-            arrays={
+
+        def draw():
+            rng = self.rng(size, seed)
+            return {
                 "temp": rng.uniform(40.0, 90.0, w * h).astype(np.float32),
                 "power": rng.uniform(0.0, 2.0, w * h).astype(np.float32),
-                "out": np.zeros(w * h, dtype=np.float32),
-            },
+            }
+
+        return ProblemInstance(
+            size=size,
+            arrays=LazyArrays(
+                dict.fromkeys(("temp", "power", "out"), (w * h, np.float32)), draw
+            ),
             scalars={
                 "w": w,
                 "h": h,
@@ -187,16 +193,22 @@ class KMeans(Benchmark):
         return (1 << 10, 1 << 12, 1 << 14, 1 << 16, 1 << 18, 1 << 20)
 
     def make_instance(self, size: int, seed: int = 0) -> ProblemInstance:
-        rng = self.rng(size, seed)
-        pts = rng.standard_normal((size, self.DIMS)).astype(np.float32)
-        cen = rng.standard_normal((self.K, self.DIMS)).astype(np.float32)
+        def draw():
+            rng = self.rng(size, seed)
+            pts = rng.standard_normal((size, self.DIMS)).astype(np.float32)
+            cen = rng.standard_normal((self.K, self.DIMS)).astype(np.float32)
+            return {"points": pts, "centroids": cen}
+
         return ProblemInstance(
             size=size,
-            arrays={
-                "points": pts,
-                "centroids": cen,
-                "assign": np.zeros(size, dtype=np.int32),
-            },
+            arrays=LazyArrays(
+                {
+                    "points": ((size, self.DIMS), np.float32),
+                    "centroids": ((self.K, self.DIMS), np.float32),
+                    "assign": (size, np.int32),
+                },
+                draw,
+            ),
             scalars={"n": size, "kclusters": self.K, "dims": self.DIMS},
             total_items=size,
             granularity=64,
@@ -253,14 +265,18 @@ class NearestNeighbor(Benchmark):
         return (1 << 12, 1 << 14, 1 << 16, 1 << 18, 1 << 20, 1 << 22)
 
     def make_instance(self, size: int, seed: int = 0) -> ProblemInstance:
-        rng = self.rng(size, seed)
-        return ProblemInstance(
-            size=size,
-            arrays={
+        def draw():
+            rng = self.rng(size, seed)
+            return {
                 "lat": rng.uniform(0.0, 90.0, size).astype(np.float32),
                 "lng": rng.uniform(0.0, 180.0, size).astype(np.float32),
-                "dist": np.zeros(size, dtype=np.float32),
-            },
+            }
+
+        return ProblemInstance(
+            size=size,
+            arrays=LazyArrays(
+                dict.fromkeys(("lat", "lng", "dist"), (size, np.float32)), draw
+            ),
             scalars={"n": size, "qlat": 30.0, "qlng": 90.0},
             total_items=size,
             granularity=64,
@@ -349,14 +365,17 @@ class SRAD(Benchmark):
         return (64, 128, 256, 512, 1024, 2048)
 
     def make_instance(self, size: int, seed: int = 0) -> ProblemInstance:
-        rng = self.rng(size, seed)
         w = h = size
+
+        def draw():
+            rng = self.rng(size, seed)
+            return {"img": rng.uniform(0.5, 2.0, w * h).astype(np.float32)}
+
         return ProblemInstance(
             size=size,
-            arrays={
-                "img": rng.uniform(0.5, 2.0, w * h).astype(np.float32),
-                "coef": np.zeros(w * h, dtype=np.float32),
-            },
+            arrays=LazyArrays(
+                dict.fromkeys(("img", "coef"), (w * h, np.float32)), draw
+            ),
             scalars={"w": w, "h": h, "q0": self.Q0_SQR},
             total_items=w * h,
             granularity=w,
@@ -437,14 +456,18 @@ class Pathfinder(Benchmark):
         return (1 << 12, 1 << 14, 1 << 16, 1 << 18, 1 << 20, 1 << 22)
 
     def make_instance(self, size: int, seed: int = 0) -> ProblemInstance:
-        rng = self.rng(size, seed)
-        return ProblemInstance(
-            size=size,
-            arrays={
+        def draw():
+            rng = self.rng(size, seed)
+            return {
                 "src": rng.uniform(0.0, 10.0, size).astype(np.float32),
                 "wall": rng.uniform(0.0, 10.0, size).astype(np.float32),
-                "dst": np.zeros(size, dtype=np.float32),
-            },
+            }
+
+        return ProblemInstance(
+            size=size,
+            arrays=LazyArrays(
+                dict.fromkeys(("src", "wall", "dst"), (size, np.float32)), draw
+            ),
             scalars={"n": size},
             total_items=size,
             granularity=64,
@@ -519,22 +542,34 @@ class BFS(Benchmark):
         return (1 << 10, 1 << 12, 1 << 14, 1 << 16, 1 << 18, 1 << 20)
 
     def make_instance(self, size: int, seed: int = 0) -> ProblemInstance:
-        rng = self.rng(size, seed)
         n = size
         nnz = n * self.DEGREE
-        rowptr = np.arange(0, nnz + 1, self.DEGREE, dtype=np.int32)
-        cols = rng.integers(0, n, nnz, dtype=np.int32)
-        frontier = (rng.random(n) < 0.05).astype(np.int32)
-        visited = (rng.random(n) < 0.30).astype(np.int32)
-        return ProblemInstance(
-            size=size,
-            arrays={
+
+        def draw():
+            rng = self.rng(size, seed)
+            rowptr = np.arange(0, nnz + 1, self.DEGREE, dtype=np.int32)
+            cols = rng.integers(0, n, nnz, dtype=np.int32)
+            frontier = (rng.random(n) < 0.05).astype(np.int32)
+            visited = (rng.random(n) < 0.30).astype(np.int32)
+            return {
                 "frontier": frontier,
                 "rowptr": rowptr,
                 "cols": cols,
                 "visited": visited,
-                "next_frontier": np.zeros(n, dtype=np.int32),
-            },
+            }
+
+        return ProblemInstance(
+            size=size,
+            arrays=LazyArrays(
+                {
+                    "frontier": (n, np.int32),
+                    "rowptr": (n + 1, np.int32),
+                    "cols": (nnz, np.int32),
+                    "visited": (n, np.int32),
+                    "next_frontier": (n, np.int32),
+                },
+                draw,
+            ),
             scalars={"n": n},
             total_items=n,
             granularity=32,
@@ -607,15 +642,25 @@ class Backprop(Benchmark):
         return (1 << 10, 1 << 12, 1 << 14, 1 << 16, 1 << 18, 1 << 20)
 
     def make_instance(self, size: int, seed: int = 0) -> ProblemInstance:
-        rng = self.rng(size, seed)
         nout, nin = size, self.INPUTS
-        return ProblemInstance(
-            size=size,
-            arrays={
+
+        def draw():
+            rng = self.rng(size, seed)
+            return {
                 "weights": rng.standard_normal((nout, nin)).astype(np.float32),
                 "inputs": rng.standard_normal(nin).astype(np.float32),
-                "out": np.zeros(nout, dtype=np.float32),
-            },
+            }
+
+        return ProblemInstance(
+            size=size,
+            arrays=LazyArrays(
+                {
+                    "weights": ((nout, nin), np.float32),
+                    "inputs": (nin, np.float32),
+                    "out": (nout, np.float32),
+                },
+                draw,
+            ),
             scalars={"nout": nout, "nin": nin},
             total_items=nout,
             granularity=32,

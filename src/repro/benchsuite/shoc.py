@@ -13,6 +13,7 @@ import numpy as np
 from ..compiler.splitter import BufferDistribution
 from ..inspire import FLOAT, INT, Intent, KernelBuilder, const
 from ..inspire import ast as ir
+from ..runtime.arrays import LazyArrays
 from .base import Benchmark, ProblemInstance, Suite
 
 __all__ = ["Reduction", "Triad", "SpMV", "MD", "Stencil2D"]
@@ -53,14 +54,16 @@ class Reduction(Benchmark):
         return (1 << 13, 1 << 15, 1 << 17, 1 << 19, 1 << 21, 1 << 23, 1 << 25)
 
     def make_instance(self, size: int, seed: int = 0) -> ProblemInstance:
-        rng = self.rng(size, seed)
+        def draw():
+            rng = self.rng(size, seed)
+            return {"data": rng.uniform(0.0, 1.0, size).astype(np.float32)}
+
         items = max(1, size // self.CHUNK)
         return ProblemInstance(
             size=size,
-            arrays={
-                "data": rng.uniform(0.0, 1.0, size).astype(np.float32),
-                "out": np.zeros(1, dtype=np.float64),
-            },
+            arrays=LazyArrays(
+                {"data": (size, np.float32), "out": (1, np.float64)}, draw
+            ),
             scalars={"n": size, "chunk": self.CHUNK},
             total_items=items,
             granularity=16,
@@ -104,14 +107,18 @@ class Triad(Benchmark):
         return (1 << 12, 1 << 14, 1 << 16, 1 << 18, 1 << 20, 1 << 22, 1 << 24)
 
     def make_instance(self, size: int, seed: int = 0) -> ProblemInstance:
-        rng = self.rng(size, seed)
-        return ProblemInstance(
-            size=size,
-            arrays={
+        def draw():
+            rng = self.rng(size, seed)
+            return {
                 "a": rng.standard_normal(size).astype(np.float32),
                 "b": rng.standard_normal(size).astype(np.float32),
-                "c": np.zeros(size, dtype=np.float32),
-            },
+            }
+
+        return ProblemInstance(
+            size=size,
+            arrays=LazyArrays(
+                dict.fromkeys(("a", "b", "c"), (size, np.float32)), draw
+            ),
             scalars={"s": self.SCALE, "n": size},
             total_items=size,
             granularity=64,
@@ -177,22 +184,29 @@ class SpMV(Benchmark):
         return (1 << 10, 1 << 12, 1 << 14, 1 << 16, 1 << 18, 1 << 20)
 
     def make_instance(self, size: int, seed: int = 0) -> ProblemInstance:
-        rng = self.rng(size, seed)
         nrows = size
         nnz = nrows * self.NNZ_PER_ROW
-        rowptr = np.arange(0, nnz + 1, self.NNZ_PER_ROW, dtype=np.int32)
-        cols = rng.integers(0, nrows, nnz, dtype=np.int32)
-        vals = rng.standard_normal(nnz).astype(np.float32)
-        x = rng.standard_normal(nrows).astype(np.float32)
+
+        def draw():
+            rng = self.rng(size, seed)
+            rowptr = np.arange(0, nnz + 1, self.NNZ_PER_ROW, dtype=np.int32)
+            cols = rng.integers(0, nrows, nnz, dtype=np.int32)
+            vals = rng.standard_normal(nnz).astype(np.float32)
+            x = rng.standard_normal(nrows).astype(np.float32)
+            return {"vals": vals, "cols": cols, "rowptr": rowptr, "x": x}
+
         return ProblemInstance(
             size=size,
-            arrays={
-                "vals": vals,
-                "cols": cols,
-                "rowptr": rowptr,
-                "x": x,
-                "y": np.zeros(nrows, dtype=np.float32),
-            },
+            arrays=LazyArrays(
+                {
+                    "vals": (nnz, np.float32),
+                    "cols": (nnz, np.int32),
+                    "rowptr": (nrows + 1, np.int32),
+                    "x": (nrows, np.float32),
+                    "y": (nrows, np.float32),
+                },
+                draw,
+            ),
             scalars={"nrows": nrows},
             total_items=nrows,
             granularity=32,
@@ -294,21 +308,33 @@ class MD(Benchmark):
         return (1 << 10, 1 << 12, 1 << 14, 1 << 16, 1 << 18, 1 << 20)
 
     def make_instance(self, size: int, seed: int = 0) -> ProblemInstance:
-        rng = self.rng(size, seed)
-        side = max(1.0, (size / 4.0) ** (1.0 / 3.0))
-        pos = rng.uniform(0.0, side, size=(size, 3)).astype(np.float32)
-        neigh = rng.integers(0, size, size=(size, self.NEIGHBORS), dtype=np.int32)
-        return ProblemInstance(
-            size=size,
-            arrays={
+        def draw():
+            rng = self.rng(size, seed)
+            side = max(1.0, (size / 4.0) ** (1.0 / 3.0))
+            pos = rng.uniform(0.0, side, size=(size, 3)).astype(np.float32)
+            neigh = rng.integers(0, size, size=(size, self.NEIGHBORS), dtype=np.int32)
+            return {
                 "px": pos[:, 0].copy(),
                 "py": pos[:, 1].copy(),
                 "pz": pos[:, 2].copy(),
                 "neigh": neigh,
-                "fx": np.zeros(size, dtype=np.float32),
-                "fy": np.zeros(size, dtype=np.float32),
-                "fz": np.zeros(size, dtype=np.float32),
-            },
+            }
+
+        f32 = (size, np.float32)
+        return ProblemInstance(
+            size=size,
+            arrays=LazyArrays(
+                {
+                    "px": f32,
+                    "py": f32,
+                    "pz": f32,
+                    "neigh": ((size, self.NEIGHBORS), np.int32),
+                    "fx": f32,
+                    "fy": f32,
+                    "fz": f32,
+                },
+                draw,
+            ),
             scalars={"n": size, "kneigh": self.NEIGHBORS, "cutoff2": self.CUTOFF2},
             total_items=size,
             granularity=32,
@@ -429,14 +455,17 @@ class Stencil2D(Benchmark):
         return (64, 128, 256, 512, 1024, 2048, 4096)
 
     def make_instance(self, size: int, seed: int = 0) -> ProblemInstance:
-        rng = self.rng(size, seed)
         w = h = size
+
+        def draw():
+            rng = self.rng(size, seed)
+            return {"inp": rng.standard_normal(w * h).astype(np.float32)}
+
         return ProblemInstance(
             size=size,
-            arrays={
-                "inp": rng.standard_normal(w * h).astype(np.float32),
-                "out": np.zeros(w * h, dtype=np.float32),
-            },
+            arrays=LazyArrays(
+                dict.fromkeys(("inp", "out"), (w * h, np.float32)), draw
+            ),
             scalars={"w": w, "h": h},
             total_items=w * h,
             granularity=w,  # whole rows per chunk

@@ -15,6 +15,7 @@ import numpy as np
 from ..compiler.splitter import BufferDistribution
 from ..inspire import FLOAT, INT, Intent, KernelBuilder, const
 from ..inspire import ast as ir
+from ..runtime.arrays import LazyArrays
 from .base import Benchmark, ProblemInstance, Suite
 
 __all__ = [
@@ -51,12 +52,17 @@ class VecAdd(Benchmark):
         return (1 << 12, 1 << 14, 1 << 16, 1 << 18, 1 << 20, 1 << 22, 1 << 24)
 
     def make_instance(self, size: int, seed: int = 0) -> ProblemInstance:
-        rng = self.rng(size, seed)
-        a = rng.standard_normal(size, dtype=np.float32)
-        b = rng.standard_normal(size, dtype=np.float32)
+        def draw():
+            rng = self.rng(size, seed)
+            a = rng.standard_normal(size, dtype=np.float32)
+            b = rng.standard_normal(size, dtype=np.float32)
+            return {"a": a, "b": b}
+
         return ProblemInstance(
             size=size,
-            arrays={"a": a, "b": b, "c": np.zeros(size, dtype=np.float32)},
+            arrays=LazyArrays(
+                dict.fromkeys(("a", "b", "c"), (size, np.float32)), draw
+            ),
             scalars={"n": size},
             total_items=size,
             granularity=64,
@@ -97,13 +103,16 @@ class Saxpy(Benchmark):
         return (1 << 12, 1 << 14, 1 << 16, 1 << 18, 1 << 20, 1 << 22, 1 << 24)
 
     def make_instance(self, size: int, seed: int = 0) -> ProblemInstance:
-        rng = self.rng(size, seed)
-        return ProblemInstance(
-            size=size,
-            arrays={
+        def draw():
+            rng = self.rng(size, seed)
+            return {
                 "x": rng.standard_normal(size, dtype=np.float32),
                 "y": rng.standard_normal(size, dtype=np.float32),
-            },
+            }
+
+        return ProblemInstance(
+            size=size,
+            arrays=LazyArrays(dict.fromkeys(("x", "y"), (size, np.float32)), draw),
             scalars={"alpha": self.ALPHA, "n": size},
             total_items=size,
             granularity=64,
@@ -167,15 +176,24 @@ class DotProduct(Benchmark):
         return (1 << 12, 1 << 14, 1 << 16, 1 << 18, 1 << 20, 1 << 22, 1 << 24)
 
     def make_instance(self, size: int, seed: int = 0) -> ProblemInstance:
-        rng = self.rng(size, seed)
+        def draw():
+            rng = self.rng(size, seed)
+            return {
+                "x": rng.standard_normal(size).astype(np.float32),
+                "y": rng.standard_normal(size).astype(np.float32),
+            }
+
         items = size // self.CHUNK
         return ProblemInstance(
             size=size,
-            arrays={
-                "x": rng.standard_normal(size).astype(np.float32),
-                "y": rng.standard_normal(size).astype(np.float32),
-                "out": np.zeros(1, dtype=np.float64),
-            },
+            arrays=LazyArrays(
+                {
+                    "x": (size, np.float32),
+                    "y": (size, np.float32),
+                    "out": (1, np.float64),
+                },
+                draw,
+            ),
             scalars={"n": size, "chunk": self.CHUNK},
             total_items=items,
             granularity=16,
@@ -238,15 +256,25 @@ class MatMul(Benchmark):
         return (64, 128, 256, 384, 512, 768, 1024)
 
     def make_instance(self, size: int, seed: int = 0) -> ProblemInstance:
-        rng = self.rng(size, seed)
         m = n = k = size
-        return ProblemInstance(
-            size=size,
-            arrays={
+
+        def draw():
+            rng = self.rng(size, seed)
+            return {
                 "A": rng.standard_normal((m, k)).astype(np.float32),
                 "B": rng.standard_normal((k, n)).astype(np.float32),
-                "C": np.zeros((m, n), dtype=np.float32),
-            },
+            }
+
+        return ProblemInstance(
+            size=size,
+            arrays=LazyArrays(
+                {
+                    "A": ((m, k), np.float32),
+                    "B": ((k, n), np.float32),
+                    "C": ((m, n), np.float32),
+                },
+                draw,
+            ),
             scalars={"K": k, "N": n},
             total_items=m * n,
             granularity=n,  # whole C rows per chunk
@@ -319,16 +347,22 @@ class BlackScholes(Benchmark):
         return (1 << 10, 1 << 12, 1 << 14, 1 << 16, 1 << 18, 1 << 20, 1 << 22)
 
     def make_instance(self, size: int, seed: int = 0) -> ProblemInstance:
-        rng = self.rng(size, seed)
-        return ProblemInstance(
-            size=size,
-            arrays={
+        def draw():
+            rng = self.rng(size, seed)
+            return {
                 "price": rng.uniform(5.0, 30.0, size).astype(np.float32),
                 "strike": rng.uniform(1.0, 100.0, size).astype(np.float32),
                 "years": rng.uniform(0.25, 10.0, size).astype(np.float32),
-                "call": np.zeros(size, dtype=np.float32),
-                "put": np.zeros(size, dtype=np.float32),
-            },
+            }
+
+        return ProblemInstance(
+            size=size,
+            arrays=LazyArrays(
+                dict.fromkeys(
+                    ("price", "strike", "years", "call", "put"), (size, np.float32)
+                ),
+                draw,
+            ),
             scalars={
                 "n": size,
                 "riskfree": self.RISKFREE,
@@ -425,9 +459,10 @@ class Mandelbrot(Benchmark):
 
     def make_instance(self, size: int, seed: int = 0) -> ProblemInstance:
         w = h = size
+        # No inputs: the draw is empty and the output is zero-filled.
         return ProblemInstance(
             size=size,
-            arrays={"img": np.zeros(w * h, dtype=np.int32)},
+            arrays=LazyArrays({"img": (w * h, np.int32)}, dict),
             scalars={
                 "w": w,
                 "h": h,
@@ -534,18 +569,23 @@ class NBody(Benchmark):
         return (256, 512, 1024, 2048, 4096, 8192, 16384)
 
     def make_instance(self, size: int, seed: int = 0) -> ProblemInstance:
-        rng = self.rng(size, seed)
-        return ProblemInstance(
-            size=size,
-            arrays={
+        def draw():
+            rng = self.rng(size, seed)
+            return {
                 "px": rng.standard_normal(size).astype(np.float32),
                 "py": rng.standard_normal(size).astype(np.float32),
                 "pz": rng.standard_normal(size).astype(np.float32),
                 "mass": rng.uniform(0.1, 1.0, size).astype(np.float32),
-                "ax": np.zeros(size, dtype=np.float32),
-                "ay": np.zeros(size, dtype=np.float32),
-                "az": np.zeros(size, dtype=np.float32),
-            },
+            }
+
+        return ProblemInstance(
+            size=size,
+            arrays=LazyArrays(
+                dict.fromkeys(
+                    ("px", "py", "pz", "mass", "ax", "ay", "az"), (size, np.float32)
+                ),
+                draw,
+            ),
             scalars={"n": size, "eps": self.SOFTENING},
             total_items=size,
             granularity=32,
@@ -627,13 +667,15 @@ class Histogram(Benchmark):
         return (1 << 12, 1 << 14, 1 << 16, 1 << 18, 1 << 20, 1 << 22, 1 << 24)
 
     def make_instance(self, size: int, seed: int = 0) -> ProblemInstance:
-        rng = self.rng(size, seed)
+        def draw():
+            rng = self.rng(size, seed)
+            return {"data": rng.integers(0, self.BINS, size, dtype=np.int32)}
+
         return ProblemInstance(
             size=size,
-            arrays={
-                "data": rng.integers(0, self.BINS, size, dtype=np.int32),
-                "hist": np.zeros(self.BINS, dtype=np.int32),
-            },
+            arrays=LazyArrays(
+                {"data": (size, np.int32), "hist": (self.BINS, np.int32)}, draw
+            ),
             scalars={"n": size},
             total_items=size,
             granularity=64,

@@ -1190,10 +1190,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_train = sub.add_parser("train", help="run the training campaign on a machine")
     p_train.add_argument("machine", choices=[m.name for m in ALL_MACHINES])
     p_train.add_argument("--output", default=None)
-    p_train.add_argument("--repetitions", type=int, default=1)
+    p_train.add_argument("--repetitions", type=_positive_int, default=1)
     p_train.add_argument("--noise", type=float, default=0.0)
     p_train.add_argument("--seed", type=int, default=0)
-    p_train.add_argument("--max-sizes", type=int, default=None)
+    p_train.add_argument("--max-sizes", type=_positive_int, default=None)
     p_train.add_argument("--verbose", action="store_true")
     p_train.set_defaults(fn=_cmd_train)
 
@@ -1215,7 +1215,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_esweep.add_argument("--size", type=int, default=None)
     p_esweep.add_argument(
-        "--max-sizes", type=int, default=None, help="cap the size ladder"
+        "--max-sizes", type=_positive_int, default=None, help="cap the size ladder"
     )
     p_esweep.add_argument("--step", type=int, default=10)
     p_esweep.add_argument("--seed", type=int, default=0)
@@ -1283,7 +1283,7 @@ def _model_flags(p: argparse.ArgumentParser) -> None:
     )
     p.add_argument(
         "--max-sizes",
-        type=int,
+        type=_positive_int,
         default=3,
         help="cap each program's size ladder (training and trace)",
     )

@@ -42,6 +42,7 @@ from ..benchsuite.registry import get_benchmark
 from ..core.trainer import TrainingConfig
 from ..fleet.router import FleetRouter, HealthConfig
 from ..machines.fleet import cluster_platforms
+from ..runtime.arrays import buffer_layout
 from ..serving.histogram import LatencyHistogram
 from ..serving.service import ServiceConfig
 from ..serving.slo import SLOConfig
@@ -238,9 +239,8 @@ class ClusterRouter:
         )
         #: Home pool per tenant, filled by :meth:`home_pool` on first use.
         self._homes: dict[str, int] = {}
-        #: Memoized request payload bytes per (program, size) — building
-        #: the problem arrays is the expensive part, so one instantiation
-        #: prices every future handoff of that key.
+        #: Memoized request payload bytes per (program, size), read off
+        #: one instance's declared buffer layout (nothing is drawn).
         self._bytes: dict[tuple[str, int], int] = {}
         self._meters: dict[str, _TenantMeter] = {}
         self.served = 0
@@ -338,10 +338,12 @@ class ClusterRouter:
         key = (program, size)
         nbytes = self._bytes.get(key)
         if nbytes is None:
-            bench = get_benchmark(program)
             seed = self.pools[0].replicas[0].service.config.instance_seed
-            exec_request = bench.request(bench.make_instance(size, seed=seed))
-            nbytes = sum(int(a.nbytes) for a in exec_request.arrays.values())
+            instance = get_benchmark(program).make_instance(size, seed=seed)
+            nbytes = sum(
+                elements * itemsize
+                for elements, itemsize in buffer_layout(instance.arrays).values()
+            )
             self._bytes[key] = nbytes
         return nbytes
 

@@ -28,6 +28,7 @@ from ..benchsuite.base import ProblemInstance
 from ..compiler.frontend import CompiledKernel
 from ..compiler.splitter import DistributionKind
 from ..inspire.ast import ParamIntent
+from ..runtime.arrays import buffer_layout
 
 __all__ = [
     "FEATURE_SCHEMA_VERSION",
@@ -89,12 +90,13 @@ def _transfer_volumes(
     isolates the splittable share — a strong signal for whether
     multi-GPU partitionings pay off.
     """
+    layout = buffer_layout(instance.arrays)
     h2d = 0.0
     d2h = 0.0
     h2d_split = 0.0
     for p in compiled.kernel.buffer_params:
-        arr = instance.arrays[p.name]
-        nbytes = float(np.asarray(arr).nbytes)
+        elements, itemsize = layout[p.name]
+        nbytes = float(elements * itemsize)
         dist = compiled.distribution.of(p.name)
         if p.intent in (ParamIntent.IN, ParamIntent.INOUT):
             h2d += nbytes

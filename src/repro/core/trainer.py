@@ -34,10 +34,10 @@ class TrainingConfig:
 
     Attributes:
         step_percent: partition-space discretization (paper: 10%).
-        repetitions: measurements per partitioning (median taken).
-        noise_sigma: lognormal measurement noise (0 = deterministic).
+        repetitions: measurements per partitioning (median taken), >= 1.
+        noise_sigma: lognormal measurement noise (0 = deterministic), >= 0.
         seed: base seed for inputs and noise streams.
-        max_sizes: cap on ladder sizes per benchmark (None = all).
+        max_sizes: cap on ladder sizes per benchmark, >= 1 (None = all).
         functional_check: execute + verify the first partitioning of
             each sweep functionally (catches semantic regressions during
             long campaigns at modest cost).
@@ -49,6 +49,14 @@ class TrainingConfig:
     seed: int = 0
     max_sizes: int | None = None
     functional_check: bool = False
+
+    def __post_init__(self) -> None:
+        if self.repetitions < 1:
+            raise ValueError(f"repetitions must be >= 1, got {self.repetitions}")
+        if self.noise_sigma < 0:
+            raise ValueError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
+        if self.max_sizes is not None and self.max_sizes < 1:
+            raise ValueError(f"max_sizes must be >= 1 or None, got {self.max_sizes}")
 
 
 def sweep_partitionings(

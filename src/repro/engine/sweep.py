@@ -16,6 +16,7 @@ from ..energy.meter import EnergyMeter
 from ..inspire.ast import ParamIntent
 from ..ocl.events import CommandKind
 from ..partitioning import Partitioning
+from ..runtime.arrays import buffer_layout
 from ..runtime.measurement import MeasuredRun, Runner
 from ..runtime.plan import command_duration_s, plan_device_commands
 from ..runtime.scheduler import ExecutionRequest, ExecutionResult
@@ -154,9 +155,10 @@ class SweepEngine:
                 dist = distribution.of(p.name)
                 full = dist.kind in (DistributionKind.REDUCED, DistributionKind.FULL)
                 out_specs.append((p.name, full, dist.elements_per_item))
+            layout = buffer_layout(request.arrays)
             self._meta[rid] = _RequestMeta(
-                buffer_sizes={n: int(a.size) for n, a in request.arrays.items()},
-                itemsizes={n: int(a.itemsize) for n, a in request.arrays.items()},
+                buffer_sizes={n: elements for n, (elements, _) in layout.items()},
+                itemsizes={n: itemsize for n, (_, itemsize) in layout.items()},
                 in_names=tuple(
                     p.name
                     for p in kernel.buffer_params

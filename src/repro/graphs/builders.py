@@ -41,17 +41,19 @@ STAGE_ROLES: dict[str, tuple[str, ...]] = {
 def handoff_nbytes(program: str, size: int) -> int:
     """Bytes one task hands to its consumer: its output arrays' size.
 
-    Builds one problem instance (memoized per key — universes are
-    small) and sums the bytes of every output buffer; a zero-output
+    Sums the declared bytes of every output buffer of one problem
+    instance (memoized per key; nothing is drawn); a zero-output
     kernel still hands over at least one element so edges never price
     to exactly nothing by accident.
     """
     from ..benchsuite.registry import get_benchmark
+    from ..runtime.arrays import buffer_layout
 
-    bench = get_benchmark(program)
-    instance = bench.make_instance(size, seed=0)
+    instance = get_benchmark(program).make_instance(size, seed=0)
+    layout = buffer_layout(instance.arrays)
     total = sum(
-        int(instance.arrays[name].nbytes) for name in instance.output_names
+        elements * itemsize
+        for elements, itemsize in (layout[name] for name in instance.output_names)
     )
     return max(total, 4)
 

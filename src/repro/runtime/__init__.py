@@ -1,5 +1,6 @@
 """The Insieme-like runtime system: scheduling, strategies, measurement."""
 
+from .arrays import LazyArrays, buffer_layout
 from .measurement import MeasuredRun, Runner, SessionStats
 from .plan import PlannedCommand, command_duration_s, plan_device_commands
 from .scheduler import (
@@ -18,6 +19,8 @@ from .strategies import (
 )
 
 __all__ = [
+    "LazyArrays",
+    "buffer_layout",
     "MeasuredRun",
     "Runner",
     "SessionStats",

@@ -23,6 +23,7 @@ from ..inspire.ast import ParamIntent
 from ..ocl.context import Context
 from ..ocl.events import Event
 from ..partitioning import Partitioning
+from .arrays import buffer_layout
 from .plan import command_duration_s, plan_device_commands
 
 __all__ = ["ExecutorFn", "ExecutionRequest", "ExecutionResult", "execute_partitioned"]
@@ -172,7 +173,11 @@ def execute_partitioned(
         )
     compiled = request.compiled
     kernel = compiled.kernel
-    buffer_sizes = {name: int(a.size) for name, a in request.arrays.items()}
+    # Timing reads only the layout; the arrays are read (and drawn) by
+    # the functional payload alone.
+    layout = buffer_layout(request.arrays)
+    buffer_sizes = {name: elements for name, (elements, _) in layout.items()}
+    itemsizes = {name: itemsize for name, (_, itemsize) in layout.items()}
     chunks = plan_chunks(
         request.total_items,
         partitioning,
@@ -183,14 +188,11 @@ def execute_partitioned(
 
     context.reset_timelines()
     scalar_args = {k: float(v) for k, v in request.scalars.items()}
-    itemsizes = {
-        name: int(np.asarray(a).itemsize) for name, a in request.arrays.items()
-    }
 
     # Private copies for reduction-merged outputs, one per active device.
     reduced_names = [
         name
-        for name in request.arrays
+        for name in layout
         if compiled.distribution.of(name).kind is DistributionKind.REDUCED
         and kernel.param(name).intent is not ParamIntent.IN
     ]

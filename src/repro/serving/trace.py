@@ -89,9 +89,10 @@ def key_universe(
 ) -> tuple[tuple[str, int], ...]:
     """Every (program, size) configuration the trace can request.
 
-    ``max_sizes`` caps each benchmark's ladder from the small end, which
-    bounds instance-generation cost during a replay.
+    ``max_sizes`` caps each benchmark's ladder from the small end.
     """
+    if max_sizes is not None and max_sizes < 1:
+        raise ValueError(f"max_sizes must be >= 1 or None, got {max_sizes}")
     keys: list[tuple[str, int]] = []
     for bench in benchmarks:
         sizes = bench.problem_sizes()

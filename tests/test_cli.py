@@ -18,6 +18,22 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["frobnicate"])
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["train", "mc2", "--max-sizes", "0"],
+            ["train", "mc2", "--max-sizes", "-1"],
+            ["train", "mc2", "--repetitions", "0"],
+            ["energy-sweep", "vec_add", "--max-sizes", "0"],
+            ["serve", "--max-sizes", "0"],
+            ["fleet-train", "--registry", "r", "--max-sizes", "-1"],
+        ],
+    )
+    def test_non_positive_counts_are_parse_errors(self, argv, capsys):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(argv)
+        assert "must be >= 1" in capsys.readouterr().err
+
 
 class TestListAndMachines:
     def test_list(self, capsys):

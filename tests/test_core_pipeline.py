@@ -51,6 +51,19 @@ class TestTrainer:
         for r1, r2 in zip(db1, db2):
             assert r1 == r2
 
+    @pytest.mark.parametrize(
+        "knob, value",
+        [
+            ("repetitions", 0),
+            ("noise_sigma", -0.1),
+            ("max_sizes", 0),
+            ("max_sizes", -1),
+        ],
+    )
+    def test_bad_knobs_fail_at_construction(self, knob, value):
+        with pytest.raises(ValueError, match=knob):
+            TrainingConfig(**{knob: value})
+
     def test_functional_check_mode(self):
         cfg = TrainingConfig(repetitions=1, max_sizes=1, functional_check=True)
         db = generate_training_data(MC2, SMALL_SUITE[:1], cfg)

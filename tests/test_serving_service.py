@@ -51,6 +51,9 @@ class TestTrace:
             zipf_trace(keys, 10, skew=0.0)
         with pytest.raises(ValueError):
             key_universe(())
+        for max_sizes in (0, -1):
+            with pytest.raises(ValueError, match="max_sizes"):
+                key_universe((get_benchmark("vec_add"),), max_sizes=max_sizes)
 
 
 @pytest.fixture(scope="module")
