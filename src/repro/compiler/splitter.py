@@ -103,6 +103,11 @@ class BufferDistribution:
         return cls(DistributionKind.REDUCED, reduce_op=op)
 
 
+#: The distribution of every undeclared buffer.  Frozen, so one shared
+#: instance serves every lookup.
+_UNDECLARED = BufferDistribution(DistributionKind.FULL)
+
+
 @dataclass(frozen=True)
 class KernelDistribution:
     """Per-buffer distributions for one kernel."""
@@ -111,9 +116,7 @@ class KernelDistribution:
 
     def of(self, buffer_name: str) -> BufferDistribution:
         """Distribution of a buffer (defaults to FULL when undeclared)."""
-        return self.buffers.get(
-            buffer_name, BufferDistribution(DistributionKind.FULL)
-        )
+        return self.buffers.get(buffer_name, _UNDECLARED)
 
     @property
     def has_reduced(self) -> bool:

@@ -1,9 +1,10 @@
 """The energy meter: per-device timelines → joules.
 
 The runtime scheduler and the sweep engine both produce per-device
-timelines (which commands ran, for how long); the meter prices those
-timelines against the devices' :class:`~repro.energy.power.DevicePowerModel`
-and folds in idle power over the launch makespan — race-to-idle
+timelines (which commands ran, for how long, at what dynamic watts —
+:func:`~repro.runtime.plan.price_command` prices both from the devices'
+cost and :class:`~repro.energy.power.DevicePowerModel` models); the
+meter folds in idle power over the launch makespan — race-to-idle
 accounting, where every device of the platform draws at least its idle
 watts until the slowest one finishes.  This is what makes energy a
 genuinely different objective from makespan: a partitioning that adds
@@ -16,12 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
-from ..ocl.events import CommandKind
-
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..inspire.analysis import KernelAnalysis
     from ..ocl.device import Device
-    from ..runtime.plan import PlannedCommand
 
 __all__ = ["EnergyBreakdown", "EnergyMeter"]
 
@@ -44,34 +41,10 @@ class EnergyBreakdown:
 
 
 class EnergyMeter:
-    """Prices command timelines on one device set into joules."""
+    """Turns per-device dynamic joules and a makespan into launch joules."""
 
     def __init__(self, devices: Sequence["Device"]):
         self.devices = list(devices)
-
-    def command_power_w(
-        self,
-        device: "Device",
-        command: "PlannedCommand",
-        analysis: "KernelAnalysis",
-        scalar_args: dict[str, float],
-    ) -> float:
-        """Average dynamic watts one planned command draws on a device.
-
-        The companion of :func:`~repro.runtime.plan.command_duration_s`:
-        duration × this is the command's dynamic energy, and scaling
-        the duration (measurement noise) scales the energy with it —
-        jitter stretches the draw, it does not change the wattage.
-        """
-        power = device.power_model
-        if command.kind in (CommandKind.WRITE_BUFFER, CommandKind.READ_BUFFER):
-            return power.transfer_power_w()
-        if command.kind is CommandKind.NDRANGE_KERNEL:
-            breakdown = device.cost_model.kernel_time(
-                analysis, command.items, scalar_args
-            )
-            return power.kernel_power_w(breakdown)
-        raise ValueError(f"unpriceable command kind {command.kind}")
 
     def finalize(
         self, dynamic_j: Sequence[float], makespan_s: float

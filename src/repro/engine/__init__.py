@@ -15,14 +15,18 @@ measurement-noise model the engine perturbs each cached duration at
 composition time through the *runner's own* per-device noise streams,
 in the exact order the unmemoized scheduler would have enqueued the
 commands — so memoized measurements are bit-identical to unmemoized
-ones at ``noise_sigma=0`` and statistically indistinguishable (same
-stream, same labels, same order) under noise.
+ones, at ``noise_sigma=0`` and under noise alike (same stream, same
+labels, same order).
 
 Energy rides on the same tapes: each cached command carries its
-average dynamic watts next to its duration, and compositions replay
+average dynamic watts next to its duration, both from one
+:func:`~repro.runtime.plan.price_command` call, and compositions replay
 the scheduler's timeline arithmetic so composed joules (idle power
 over the makespan included) stay bit-identical to the unmemoized
-path too — see :mod:`repro.energy`.
+path too — see :mod:`repro.energy`.  A tape prices each distinct
+command once: an iterated kernel's later steps repeat the same sync
+and launch objects, and a launch's (seconds, watts) is memoized per
+(request, device, item count) across tapes.
 """
 
 from .sweep import EngineStats, SweepEngine

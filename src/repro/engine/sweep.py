@@ -18,7 +18,7 @@ from ..ocl.events import CommandKind
 from ..partitioning import Partitioning
 from ..runtime.arrays import buffer_layout
 from ..runtime.measurement import MeasuredRun, Runner
-from ..runtime.plan import command_duration_s, plan_device_commands
+from ..runtime.plan import plan_device_commands, price_command
 from ..runtime.scheduler import ExecutionRequest, ExecutionResult
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -122,7 +122,7 @@ class SweepEngine:
         self._tapes: dict[tuple, _Tape] = {}
         self._chunks: dict[tuple, tuple[tuple[DeviceChunk, ...], bool]] = {}
         self._meta: dict[int, _RequestMeta] = {}
-        self._kernel_s: dict[tuple[int, int, int], float] = {}
+        self._kernel_prices: dict[tuple[int, int, int], tuple[float, float]] = {}
         self._pinned: dict[int, ExecutionRequest] = {}
         self._drift_generation = runner.drift_generation
         # Graph-node requests, memoized by (program, size, seed) so the
@@ -136,7 +136,7 @@ class SweepEngine:
         self._tapes.clear()
         self._chunks.clear()
         self._meta.clear()
-        self._kernel_s.clear()
+        self._kernel_prices.clear()
         self._pinned.clear()
         self._graph_requests.clear()
 
@@ -198,18 +198,6 @@ class SweepEngine:
             tuple(d2h),
         )
 
-    def _kernel_time(self, rid: int, device_index: int, items: int) -> float:
-        """Memoized noise-free kernel duration for one (device, items)."""
-        key = (rid, device_index, items)
-        hit = self._kernel_s.get(key)
-        if hit is None:
-            device = self.runner.devices[device_index]
-            hit = device.cost_model.kernel_time(
-                self._pinned[rid].compiled.analysis, items, self._meta[rid].scalar_args
-            ).total_s
-            self._kernel_s[key] = hit
-        return hit
-
     def _plan(
         self, request: ExecutionRequest, partitioning: Partitioning
     ) -> tuple[tuple[DeviceChunk, ...], bool]:
@@ -233,31 +221,36 @@ class SweepEngine:
 
     def _tape(self, rid: int, chunk: DeviceChunk, multi: bool) -> _Tape:
         meta = self._meta[rid]
-        key = (rid, chunk.device_index, self._signature(meta, chunk, multi))
+        device_index = chunk.device_index
+        key = (rid, device_index, self._signature(meta, chunk, multi))
         hit = self._tapes.get(key)
         if hit is not None:
             self.stats.tape_hits += 1
             return hit
         self.stats.tape_misses += 1
-        device = self.runner.devices[chunk.device_index]
+        device = self.runner.devices[device_index]
         request = self._pinned[rid]
         analysis = request.compiled.analysis
+        # Each distinct command is priced once: an iterated kernel's
+        # later steps repeat the same sync and launch objects, and a
+        # launch's price is shared by every tape with its item count.
+        priced: dict[int, tuple[str, float, float]] = {}
         commands: list[tuple[str, float, float]] = []
         for cmd in plan_device_commands(
             request, chunk, multi, meta.buffer_sizes, meta.itemsizes
         ):
-            if cmd.kind is CommandKind.NDRANGE_KERNEL:
-                # Launches repeat per iteration and across partitionings
-                # sharing an item count — worth a dedicated memo table.
-                duration = self._kernel_time(rid, chunk.device_index, cmd.items)
-            else:
-                duration = command_duration_s(
-                    device, cmd, analysis, meta.scalar_args
-                )
-            watts = self._meter.command_power_w(
-                device, cmd, analysis, meta.scalar_args
-            )
-            commands.append((cmd.label, duration, watts))
+            entry = priced.get(id(cmd))
+            if entry is None:
+                if cmd.kind is CommandKind.NDRANGE_KERNEL:
+                    price_key = (rid, device_index, cmd.items)
+                    price = self._kernel_prices.get(price_key)
+                    if price is None:
+                        price = price_command(device, cmd, analysis, meta.scalar_args)
+                        self._kernel_prices[price_key] = price
+                else:
+                    price = price_command(device, cmd, analysis, meta.scalar_args)
+                entry = priced[id(cmd)] = (cmd.label, *price)
+            commands.append(entry)
         tape = _Tape(tuple(commands), *_replay_timeline(commands))
         self._tapes[key] = tape
         return tape
@@ -282,7 +275,7 @@ class SweepEngine:
         if generation != self._drift_generation:
             self._results.clear()
             self._tapes.clear()
-            self._kernel_s.clear()
+            self._kernel_prices.clear()
             self._drift_generation = generation
         rid = self._request_id(request)
         result_key = (rid, partitioning.shares)

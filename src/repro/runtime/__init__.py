@@ -2,7 +2,7 @@
 
 from .arrays import LazyArrays, buffer_layout
 from .measurement import MeasuredRun, Runner, SessionStats
-from .plan import PlannedCommand, command_duration_s, plan_device_commands
+from .plan import PlannedCommand, plan_device_commands, price_command
 from .scheduler import (
     ExecutionRequest,
     ExecutionResult,
@@ -26,7 +26,7 @@ __all__ = [
     "SessionStats",
     "PlannedCommand",
     "plan_device_commands",
-    "command_duration_s",
+    "price_command",
     "ExecutionRequest",
     "ExecutionResult",
     "ExecutorFn",

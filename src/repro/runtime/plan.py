@@ -5,7 +5,8 @@ which commands a device runs, executing the functional payload, and
 advancing the simulated timeline.  This module isolates the first one:
 :func:`plan_device_commands` turns (request, chunk) into the exact
 sequence of transfer/kernel commands the device would enqueue, and
-:func:`command_duration_s` prices one command on one device.
+:func:`price_command` prices one command on one device: its noise-free
+seconds and its average dynamic watts, from one cost-model call.
 
 The split buys two things:
 
@@ -32,7 +33,7 @@ from ..ocl.events import CommandKind
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .scheduler import ExecutionRequest
 
-__all__ = ["PlannedCommand", "plan_device_commands", "command_duration_s"]
+__all__ = ["PlannedCommand", "plan_device_commands", "price_command"]
 
 
 @dataclass(frozen=True)
@@ -66,6 +67,8 @@ def plan_device_commands(
     refresh re-broadcasts between steps when more than one device is
     active), then d2h read-back of the outputs.  The plan is purely a
     function of (request, chunk, multi_device) — no timeline state.
+    Every iteration after the first repeats one sync block of the same
+    command objects, so a consumer can price each distinct object once.
     """
     compiled = request.compiled
     kernel = compiled.kernel
@@ -90,10 +93,12 @@ def plan_device_commands(
         CommandKind.NDRANGE_KERNEL, f"kernel:{kernel.name}", items=chunk.item_count
     )
     commands.append(launch)
-    for _ in range(request.iterations - 1):
-        # Multi-device iteration requires re-synchronizing shared state:
-        # halo rows of HALO-distributed inputs, and any declared refresh
-        # buffers, cross the bus every step.
+    if request.iterations > 1:
+        # Every later iteration enqueues the same sync block: with more
+        # than one device active, shared state is re-synchronized first
+        # (halo rows of HALO-distributed inputs, and any declared refresh
+        # buffers, cross the bus every step), then the launch repeats.
+        sync: list[PlannedCommand] = []
         if multi_device:
             for p in kernel.buffer_params:
                 if p.intent is ParamIntent.OUT:
@@ -102,7 +107,7 @@ def plan_device_commands(
                 if dist.kind is DistributionKind.HALO:
                     halo_elems = min(2 * dist.halo, buffer_sizes[p.name])
                     if halo_elems > 0:
-                        commands.append(
+                        sync.append(
                             PlannedCommand(
                                 CommandKind.WRITE_BUFFER,
                                 f"h2d:{p.name}",
@@ -112,14 +117,15 @@ def plan_device_commands(
                 elif p.name in request.refresh_buffers:
                     off, cnt = chunk.buffer_ranges[p.name]
                     if cnt > 0:
-                        commands.append(
+                        sync.append(
                             PlannedCommand(
                                 CommandKind.WRITE_BUFFER,
                                 f"h2d:{p.name}",
                                 nbytes=cnt * itemsizes[p.name],
                             )
                         )
-        commands.append(launch)
+        sync.append(launch)
+        commands.extend(sync * (request.iterations - 1))
 
     # 3. Device→host read-back of outputs (halo-free written range).
     for p in kernel.buffer_params:
@@ -147,18 +153,29 @@ def plan_device_commands(
     return tuple(commands)
 
 
-def command_duration_s(
+def price_command(
     device: Device,
     command: PlannedCommand,
     analysis: KernelAnalysis,
     scalar_args: dict[str, float],
-) -> float:
-    """Noise-free duration of one planned command on one device."""
-    model = device.cost_model
-    if command.kind is CommandKind.WRITE_BUFFER:
-        return model.transfer_time_s(command.nbytes, TransferDirection.HOST_TO_DEVICE)
-    if command.kind is CommandKind.READ_BUFFER:
-        return model.transfer_time_s(command.nbytes, TransferDirection.DEVICE_TO_HOST)
+) -> tuple[float, float]:
+    """Noise-free (seconds, average dynamic watts) of one command on a device.
+
+    Seconds × watts is the command's dynamic energy, and scaling the
+    seconds (measurement noise) scales the energy with it: jitter
+    stretches the draw, it does not change the wattage.  A launch's
+    seconds and watts come from the same cost breakdown.
+    """
     if command.kind is CommandKind.NDRANGE_KERNEL:
-        return model.kernel_time(analysis, command.items, scalar_args).total_s
-    raise ValueError(f"unplannable command kind {command.kind}")
+        breakdown = device.cost_model.kernel_time(analysis, command.items, scalar_args)
+        return breakdown.total_s, device.power_model.kernel_power_w(breakdown)
+    if command.kind is CommandKind.WRITE_BUFFER:
+        direction = TransferDirection.HOST_TO_DEVICE
+    elif command.kind is CommandKind.READ_BUFFER:
+        direction = TransferDirection.DEVICE_TO_HOST
+    else:
+        raise ValueError(f"unplannable command kind {command.kind}")
+    return (
+        device.cost_model.transfer_time_s(command.nbytes, direction),
+        device.power_model.transfer_power_w(),
+    )

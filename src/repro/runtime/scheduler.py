@@ -24,7 +24,7 @@ from ..ocl.context import Context
 from ..ocl.events import Event
 from ..partitioning import Partitioning
 from .arrays import buffer_layout
-from .plan import command_duration_s, plan_device_commands
+from .plan import plan_device_commands, price_command
 
 __all__ = ["ExecutorFn", "ExecutionRequest", "ExecutionResult", "execute_partitioned"]
 
@@ -232,8 +232,7 @@ def execute_partitioned(
         for cmd in plan_device_commands(
             request, chunk, active_devices > 1, buffer_sizes, itemsizes
         ):
-            duration = command_duration_s(device, cmd, compiled.analysis, scalar_args)
-            watts = meter.command_power_w(device, cmd, compiled.analysis, scalar_args)
+            duration, watts = price_command(device, cmd, compiled.analysis, scalar_args)
             event = queue.enqueue_timed(cmd.kind, cmd.label, duration)
             dynamic_j[chunk.device_index] += watts * event.duration_s
             all_events.append(event)

@@ -1,29 +1,34 @@
 """Equivalence tests for the memoized sweep engine.
 
-The engine's contract is strict: memoized sweeps are *bit-identical* to
-the unmemoized Runner path at ``noise_sigma=0``, and statistically
-unchanged under noise (the engine samples the same per-device noise
-streams in the same enqueue order, so with equal seeds the two paths
-produce the same draws).
+The engine's contract is strict: memoized measurements are
+*bit-identical* to the unmemoized Runner path, times and energies, both
+at ``noise_sigma=0`` and under noise (the engine samples the same
+per-device noise streams in the same enqueue order, so with equal seeds
+the two paths produce the same draws).
 """
+
+import hashlib
 
 import pytest
 
-from repro.benchsuite import get_benchmark
+from repro.benchsuite import all_benchmarks, get_benchmark
+from repro.core import TrainingConfig, generate_training_data
 from repro.core.trainer import sweep_partitionings
 from repro.engine import SweepEngine
 from repro.machines import MC1, MC2
+from repro.ocl.costmodel import DeviceCostModel
 from repro.partitioning import Partitioning, partition_space
 from repro.runtime import Runner
 
-#: Chunk-shape variety: streaming (SPLIT), stencil (HALO, iterated),
-#: reduction (REDUCED) and a FULL-broadcast matrix kernel.
-PROGRAMS = {
-    "vec_add": 1 << 14,
-    "stencil2d": 32,
-    "histogram": 4096,
-    "mat_mul": 64,
-}
+#: Every program of the suite; the exactness matrix runs each at its
+#: smallest rung, on both machines, with and without noise.
+PROGRAMS = sorted(b.name for b in all_benchmarks())
+
+#: sha256 over every record's full sweep (label, seconds and joules as
+#: ``float.hex``) of the 23-program mc2 campaign at two ladder sizes,
+#: seed 0.  It pins every point of every sweep; the benchmark's
+#: train-campaign fingerprint pins only each record's best label.
+CAMPAIGN_DIGEST = "1db9d897f36ef5566cb8b347bc6ee808ccaf5087d3ae20d7e7ca4f385216a90f"
 
 
 def _raw_sweep(runner, request, space, repetitions=1):
@@ -33,42 +38,85 @@ def _raw_sweep(runner, request, space, repetitions=1):
     }
 
 
-@pytest.mark.parametrize("program", sorted(PROGRAMS))
-def test_memoized_sweep_bit_identical_without_noise(program):
+def _smallest_request(program):
     bench = get_benchmark(program)
-    instance = bench.make_instance(PROGRAMS[program], seed=0)
-    request = bench.request(instance)
-    space = partition_space(MC2.num_devices, 20)
-
-    raw = _raw_sweep(Runner(MC2), request, space)
-    engine = SweepEngine(Runner(MC2))
-    memoized = engine.sweep(request, space)
-
-    assert memoized == raw  # bit-identical, not approximately equal
-    assert engine.stats.tape_hits > 0
+    return bench.request(bench.make_instance(bench.problem_sizes()[0], seed=0))
 
 
-@pytest.mark.parametrize("program", ["stencil2d", "mat_mul"])
+def _measure_matches_runner(program, machine, noise_sigma):
+    """Engine vs unmemoized Runner, sample for sample, over a step-20 space.
+
+    Returns the engine and its (seconds, joules) samples per label.
+    """
+    request = _smallest_request(program)
+    runner = Runner(machine, noise_sigma=noise_sigma, seed=11)
+    engine = SweepEngine(Runner(machine, noise_sigma=noise_sigma, seed=11))
+    samples = {}
+    for p in partition_space(machine.num_devices, 20):
+        raw = runner.run(request, p, functional=False, repetitions=2)
+        memoized = engine.measure(request, p, repetitions=2)
+        where = (machine.name, p.label)
+        assert memoized.samples_s == raw.samples_s, where
+        assert memoized.energy_samples_j == raw.energy_samples_j, where
+        samples[p.label] = (memoized.samples_s, memoized.energy_samples_j)
+    return engine, samples
+
+
+@pytest.mark.parametrize("program", PROGRAMS)
+def test_memoized_sweep_bit_identical_without_noise(program):
+    for machine in (MC1, MC2):
+        engine, _samples = _measure_matches_runner(program, machine, 0.0)
+        assert engine.stats.tape_hits > 0
+
+
+@pytest.mark.parametrize("program", PROGRAMS)
 def test_memoized_sweep_matches_under_noise(program):
     """Same seed, same noise stream: the paths agree draw for draw."""
-    bench = get_benchmark(program)
-    instance = bench.make_instance(PROGRAMS[program], seed=0)
-    request = bench.request(instance)
-    space = partition_space(MC2.num_devices, 20)
+    for machine in (MC1, MC2):
+        _engine, samples = _measure_matches_runner(program, machine, 0.3)
+        # The sweep is genuinely noisy: repetitions draw different times.
+        assert any(s[0] != s[1] for s, _joules in samples.values())
 
-    raw = _raw_sweep(
-        Runner(MC2, noise_sigma=0.3, seed=11), request, space, repetitions=3
-    )
-    memoized = SweepEngine(Runner(MC2, noise_sigma=0.3, seed=11)).sweep(
-        request, space, repetitions=3
+
+def test_sweep_prices_each_launch_shape_once(monkeypatch):
+    """An iterated kernel's sweep costs one kernel_time per (device, items).
+
+    hotspot launches 100 times per chunk; its seconds and its watts
+    come from the same cost breakdown, priced once per item count.
+    """
+    request = _smallest_request("hotspot")
+    calls = []
+    kernel_time = DeviceCostModel.kernel_time
+
+    def counting(self, analysis, items, scalar_args=None):
+        calls.append((id(self), items))
+        return kernel_time(self, analysis, items, scalar_args)
+
+    monkeypatch.setattr(DeviceCostModel, "kernel_time", counting)
+    engine = SweepEngine(Runner(MC2))
+    timings, energies = engine.sweep_with_energy(
+        request, partition_space(MC2.num_devices, 10)
     )
 
-    assert set(raw) == set(memoized)
-    for label in raw:
-        assert memoized[label] == pytest.approx(raw[label], rel=1e-12)
-    # The sweep is genuinely noisy (not degenerate-deterministic).
-    clean = _raw_sweep(Runner(MC2), request, space)
-    assert any(memoized[label] != clean[label] for label in clean)
+    assert len(timings) == len(energies) == 66
+    assert calls
+    assert len(calls) == len(set(calls))
+
+
+def test_campaign_sweeps_match_pinned_digest():
+    """Every point of a 23-program campaign, seconds and joules, is pinned."""
+    database = generate_training_data(
+        MC2, all_benchmarks(), TrainingConfig(repetitions=1, seed=0, max_sizes=2)
+    )
+    digest = hashlib.sha256()
+    for record in database:
+        digest.update(f"{record.program}@{record.size}\n".encode())
+        for label in sorted(record.timings):
+            seconds = record.timings[label].hex()
+            joules = record.energies[label].hex()
+            digest.update(f"{label} {seconds} {joules}\n".encode())
+    assert len(database) == 2 * len(PROGRAMS)
+    assert digest.hexdigest() == CAMPAIGN_DIGEST
 
 
 def test_engine_works_across_machines():

@@ -3,10 +3,20 @@
 import numpy as np
 import pytest
 
-from repro.benchsuite import get_benchmark
+from repro.benchsuite import all_benchmarks, get_benchmark
+from repro.compiler.splitter import DistributionKind, plan_chunks
+from repro.inspire.ast import ParamIntent
 from repro.machines import MC1, MC2
+from repro.ocl.events import CommandKind
 from repro.partitioning import Partitioning
-from repro.runtime import ExecutionRequest, Runner, execute_partitioned
+from repro.runtime import (
+    ExecutionRequest,
+    PlannedCommand,
+    Runner,
+    buffer_layout,
+    execute_partitioned,
+    plan_device_commands,
+)
 
 # A representative cross-section: streaming, 2D split, reduce-merge,
 # halo stencil, indirect, INOUT.
@@ -238,3 +248,108 @@ class TestRunnerMeasurement:
         runner = Runner(MC2)
         with pytest.raises(ValueError):
             runner.run(bench.request(inst), Partitioning((100, 0, 0)), repetitions=0)
+
+
+def _reference_plan(request, chunk, multi_device, buffer_sizes, itemsizes):
+    """The command planner as first written, for comparison.
+
+    It re-walks the buffer params on every iteration;
+    ``plan_device_commands`` builds the sync block once and must plan
+    exactly this sequence.
+    """
+    compiled = request.compiled
+    kernel = compiled.kernel
+    commands = []
+    for p in kernel.buffer_params:
+        if p.intent not in (ParamIntent.IN, ParamIntent.INOUT):
+            continue
+        off, cnt = chunk.buffer_ranges[p.name]
+        if cnt > 0:
+            commands.append(
+                PlannedCommand(
+                    CommandKind.WRITE_BUFFER,
+                    f"h2d:{p.name}",
+                    nbytes=cnt * itemsizes[p.name],
+                )
+            )
+    launch = PlannedCommand(
+        CommandKind.NDRANGE_KERNEL, f"kernel:{kernel.name}", items=chunk.item_count
+    )
+    commands.append(launch)
+    for _ in range(request.iterations - 1):
+        if multi_device:
+            for p in kernel.buffer_params:
+                if p.intent is ParamIntent.OUT:
+                    continue
+                dist = compiled.distribution.of(p.name)
+                if dist.kind is DistributionKind.HALO:
+                    halo_elems = min(2 * dist.halo, buffer_sizes[p.name])
+                    if halo_elems > 0:
+                        commands.append(
+                            PlannedCommand(
+                                CommandKind.WRITE_BUFFER,
+                                f"h2d:{p.name}",
+                                nbytes=halo_elems * itemsizes[p.name],
+                            )
+                        )
+                elif p.name in request.refresh_buffers:
+                    off, cnt = chunk.buffer_ranges[p.name]
+                    if cnt > 0:
+                        commands.append(
+                            PlannedCommand(
+                                CommandKind.WRITE_BUFFER,
+                                f"h2d:{p.name}",
+                                nbytes=cnt * itemsizes[p.name],
+                            )
+                        )
+        commands.append(launch)
+    for p in kernel.buffer_params:
+        if p.intent not in (ParamIntent.OUT, ParamIntent.INOUT):
+            continue
+        dist = compiled.distribution.of(p.name)
+        if dist.kind is DistributionKind.REDUCED or dist.kind is DistributionKind.FULL:
+            off, cnt = 0, buffer_sizes[p.name]
+        else:
+            epi = dist.elements_per_item
+            off = int(chunk.item_offset * epi)
+            stop = min(
+                buffer_sizes[p.name],
+                int((chunk.item_offset + chunk.item_count) * epi),
+            )
+            cnt = max(0, stop - off)
+        if cnt > 0:
+            commands.append(
+                PlannedCommand(
+                    CommandKind.READ_BUFFER,
+                    f"d2h:{p.name}",
+                    nbytes=cnt * itemsizes[p.name],
+                )
+            )
+    return tuple(commands)
+
+
+@pytest.mark.parametrize("name", sorted(b.name for b in all_benchmarks()))
+def test_plan_matches_reference_planner(name):
+    """Single- and multi-device chunks plan exactly the reference sequence."""
+    bench = get_benchmark(name)
+    request = bench.request(bench.make_instance(bench.problem_sizes()[0], seed=0))
+    layout = buffer_layout(request.arrays)
+    sizes = {buf: elements for buf, (elements, _) in layout.items()}
+    itemsizes = {buf: itemsize for buf, (_, itemsize) in layout.items()}
+    planned = 0
+    for p in PARTITIONINGS:
+        chunks = plan_chunks(
+            request.total_items,
+            p,
+            request.compiled.distribution,
+            sizes,
+            request.granularity,
+        )
+        active = [c for c in chunks if not c.is_empty]
+        multi = len(active) > 1
+        for chunk in active:
+            args = (request, chunk, multi, sizes, itemsizes)
+            where = (p.label, chunk.device_index)
+            assert plan_device_commands(*args) == _reference_plan(*args), where
+            planned += 1
+    assert planned > len(PARTITIONINGS)
