@@ -47,8 +47,8 @@ from repro.fleet import FleetRouter
 from repro.machines import fleet_platforms
 from repro.serving import (
     EventLoop,
-    EventLoopConfig,
     PartitioningService,
+    ServeOptions,
     ServiceConfig,
     SLOConfig,
     key_universe,
@@ -161,7 +161,7 @@ def run_scenario(
     rate_rps: float,
     train_programs: int,
     seed: int,
-    config: EventLoopConfig,
+    options: ServeOptions,
 ) -> dict:
     """One freshly-trained fleet, one open-loop trace, one histogram."""
     router = _build_fleet(train_programs, seed)
@@ -173,7 +173,7 @@ def run_scenario(
         arrival="poisson",
         rate_rps=rate_rps,
     )
-    loop = EventLoop.for_fleet(router, config)
+    loop = EventLoop.for_fleet(router, options)
     t0 = time.perf_counter()
     stats = loop.run(stream_timed_items(spec, keys), drift_handler=router.apply_drift)
     wall_s = time.perf_counter() - t0
@@ -267,9 +267,9 @@ def main(argv=None) -> int:
 
     scenarios = {}
 
-    def run(name: str, config: EventLoopConfig) -> dict:
+    def run(name: str, options: ServeOptions) -> dict:
         result = run_scenario(
-            name, keys, num_requests, rate_rps, train_programs, args.seed, config
+            name, keys, num_requests, rate_rps, train_programs, args.seed, options
         )
         scenarios[name] = result
         lat = result["latency"]
@@ -286,23 +286,21 @@ def main(argv=None) -> int:
     straggler = FaultSchedule(specs=straggler_schedule(horizon_s), seed=args.seed)
     run(
         "straggler-unhedged",
-        EventLoopConfig(slo=SLOConfig(target_s=slo_s), faults=straggler),
+        ServeOptions(slo=SLOConfig(target_s=slo_s), faults=straggler),
     )
     run(
         "straggler-hedged",
-        EventLoopConfig(
-            slo=SLOConfig(target_s=slo_s), faults=straggler, hedge_at=0.95
-        ),
+        ServeOptions(slo=SLOConfig(target_s=slo_s), faults=straggler, hedge_at=0.95),
     )
 
     crashes = FaultSchedule(specs=crash_schedule(horizon_s), seed=args.seed)
-    timeout = EventLoopConfig(
+    timeout = ServeOptions(
         slo=SLOConfig(target_s=slo_s), faults=crashes, timeout_factor=8.0
     )
     run("crash-failover", timeout)
     run(
         "crash-no-failover",
-        EventLoopConfig(
+        ServeOptions(
             slo=SLOConfig(target_s=slo_s),
             faults=crashes,
             timeout_factor=8.0,
@@ -311,7 +309,7 @@ def main(argv=None) -> int:
     )
 
     chaos = FaultSchedule(specs=chaos_schedule(horizon_s), seed=args.seed)
-    chaos_config = EventLoopConfig(
+    chaos_config = ServeOptions(
         slo=SLOConfig(target_s=slo_s),
         faults=chaos,
         timeout_factor=16.0,

@@ -41,8 +41,8 @@ from repro.core import TrainingConfig, train_system
 from repro.machines import MC2
 from repro.serving import (
     EventLoop,
-    EventLoopConfig,
     PartitioningService,
+    ServeOptions,
     ServiceConfig,
     SLOConfig,
     key_universe,
@@ -104,9 +104,7 @@ def run_scenario(
         rate_rps=rate_rps,
         burst_rate=4.0,
     )
-    loop = EventLoop.for_service(
-        service, EventLoopConfig(slo=SLOConfig(target_s=slo_s))
-    )
+    loop = EventLoop.for_service(service, ServeOptions(slo=SLOConfig(target_s=slo_s)))
     t0 = time.perf_counter()
     stats = loop.run(stream_timed_items(spec, keys))
     wall_s = time.perf_counter() - t0

@@ -15,8 +15,8 @@ from repro.core import TrainingConfig, train_system
 from repro.machines import MC2
 from repro.serving import (
     EventLoop,
-    EventLoopConfig,
     PartitioningService,
+    ServeOptions,
     ServiceConfig,
     ServingRequest,
     key_universe,
@@ -63,7 +63,7 @@ def test_serving_throughput(benchmark, trained_system):
 
     def replay():
         service = PartitioningService(trained_system, ServiceConfig())
-        loop = EventLoop.for_service(service, EventLoopConfig())
+        loop = EventLoop.for_service(service, ServeOptions())
         stats = loop.run(stream_timed_items(spec, keys))
         return service, stats
 

@@ -50,13 +50,13 @@ from repro.core import TrainingConfig, train_system
 from repro.machines import MC2
 from repro.serving import (
     EventLoop,
-    EventLoopConfig,
     PartitioningService,
+    ServeOptions,
     ServiceConfig,
     SLOConfig,
     key_universe,
 )
-from repro.telemetry import TELEMETRY_MODES, Telemetry
+from repro.telemetry import TELEMETRY_MODES
 from repro.workloads import WorkloadSpec, make_workload, stream_timed_items
 
 #: Target utilization of the poisson arrival process (see bench_latency).
@@ -120,17 +120,16 @@ def run_mode(
         arrival="poisson",
         rate_rps=rate_rps,
     )
-    telemetry = Telemetry.from_mode(mode)
-    config = EventLoopConfig(slo=SLOConfig(target_s=slo_s), telemetry=telemetry)
-    loop = EventLoop.for_service(service, config)
+    options = ServeOptions(slo=SLOConfig(target_s=slo_s), telemetry=mode)
+    loop = EventLoop.for_service(service, options)
     # Flush the training garbage so collector pauses triggered by a
     # previous run's allocations do not land inside this timed region.
     gc.collect()
     t0 = time.perf_counter()
     stats = loop.run(stream_timed_items(spec, keys))
     wall_s = time.perf_counter() - t0
-    if telemetry is not None:
-        telemetry.collect(service, stats=stats)
+    if loop.telemetry is not None:
+        loop.telemetry.collect(service, stats=stats)
     doc = {
         "mode": mode,
         "arrivals": stats.arrivals,
@@ -145,7 +144,7 @@ def run_mode(
             "latency_zeros": stats.latency.zeros,
         },
     }
-    return doc, telemetry
+    return doc, loop.telemetry
 
 
 def check_against(doc: dict, baseline_path: Path, max_regression: float) -> list[str]:

@@ -22,6 +22,7 @@ reproducible from, not behaviour.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 __all__ = ["NetworkSpec"]
@@ -48,10 +49,10 @@ class NetworkSpec:
     def __post_init__(self) -> None:
         if not self.bandwidth_gbs > 0:
             raise ValueError("bandwidth_gbs must be positive")
-        if self.latency_s < 0:
-            raise ValueError("latency_s must be non-negative")
-        if self.link_watts < 0:
-            raise ValueError("link_watts must be non-negative")
+        if not 0.0 <= self.latency_s < math.inf:
+            raise ValueError("latency_s must be non-negative and finite")
+        if not 0.0 <= self.link_watts < math.inf:
+            raise ValueError("link_watts must be non-negative and finite")
 
     def transfer_time_s(self, nbytes: int) -> float:
         """Seconds one directed transfer of ``nbytes`` occupies the link.

@@ -110,20 +110,18 @@ class PartitioningModel:
     #: from-scratch schedule).
     INCREMENTAL_EPOCHS = 80
 
-    def refit(
-        self, db: TrainingDatabase, incremental: bool = True
-    ) -> "PartitioningModel":
+    def refit(self, db: TrainingDatabase) -> "PartitioningModel":
         """Re-train after the database changed (online adaptation path).
 
-        ``incremental=True`` keeps the fitted feature statistics (the
-        scaler) so the feature space stays stable under a handful of new
-        records; an MLP warm-starts from its current weights for a
-        shortened schedule (a new oracle label forces a full fit — the
-        output layer changes shape).  Other classifier kinds re-fit
-        from scratch, which for them is cheap and exact.  ``False`` is
-        a full :meth:`fit`.
+        The refit keeps the fitted feature statistics (the scaler) so
+        the feature space stays stable under a handful of new records;
+        an MLP warm-starts from its current weights for a shortened
+        schedule (a new oracle label forces a full fit — the output
+        layer changes shape).  Other classifier kinds re-fit from
+        scratch, which for them is cheap and exact.  An unfitted model
+        gets a full :meth:`fit`.
         """
-        if not incremental or not self._fitted or self.feature_names_ is None:
+        if not self._fitted or self.feature_names_ is None:
             return self.fit(db)
         X, y, _groups = db.matrices(self.feature_names_, objective=self.objective)
         Xs = self.scaler.transform(X)
@@ -285,17 +283,13 @@ class PartitioningScorerModel:
         self._fitted = True
         return self
 
-    def refit(
-        self, db: TrainingDatabase, incremental: bool = True
-    ) -> "PartitioningScorerModel":
+    def refit(self, db: TrainingDatabase) -> "PartitioningScorerModel":
         """Re-train on the consistent-sweep subset of an updated database.
 
         Online records carry partial sweeps; scorers need uniform
         candidate sets, so the refit selects the dominant sweep shape
-        (``incremental`` is accepted for interface parity — scorer fits
-        are cheap enough to redo in full).
+        (scorer fits are cheap enough to redo in full).
         """
-        del incremental
         return self.fit(db.consistent_sweeps())
 
     def _scores_for(self, x_scaled: np.ndarray) -> np.ndarray:
@@ -426,15 +420,13 @@ class PartitioningPredictor:
         """Batched prediction for many launches in one model pass."""
         return self.model.predict_features_many(features)
 
-    def refit(
-        self, db: TrainingDatabase, incremental: bool = True
-    ) -> "PartitioningPredictor":
+    def refit(self, db: TrainingDatabase) -> "PartitioningPredictor":
         """Incrementally refit the underlying model on an updated database.
 
         The serving layer calls this after online measurements land in
         the database, closing the paper's one-shot train→deploy loop.
         """
-        self.model.refit(db.for_machine(self.machine_name), incremental=incremental)
+        self.model.refit(db.for_machine(self.machine_name))
         return self
 
 

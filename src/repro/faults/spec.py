@@ -66,8 +66,8 @@ class FaultSpec:
             raise ValueError(
                 f"unknown fault kind {self.kind!r}; choose from {FAULT_KINDS}"
             )
-        if self.at_s < 0:
-            raise ValueError("at_s must be non-negative")
+        if not self.at_s >= 0:
+            raise ValueError(f"at_s must be non-negative (got {self.at_s})")
         if not self.duration_s > 0:
             raise ValueError("duration_s must be positive")
         if self.kind == "straggler" and not self.magnitude > 0:

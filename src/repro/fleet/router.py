@@ -71,6 +71,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from .registry import ModelRegistry
 
 __all__ = [
+    "COOLDOWN_TICK_S",
     "ROUTING_POLICIES",
     "HealthConfig",
     "FleetReplica",
@@ -84,13 +85,18 @@ __all__ = [
 #: The pluggable placement policies.
 ROUTING_POLICIES = ("least-loaded", "affinity", "predicted", "energy")
 
+#: Simulated seconds per drain-cooldown step when the event loop feeds
+#: the router time (:meth:`FleetRouter.tick`).  Placements alone are a
+#: bad clock — on a quiet fleet a drained replica would sit out forever
+#: — so cooldown also decays one step per tick interval.
+COOLDOWN_TICK_S = 0.05
+
 
 @dataclass(frozen=True)
 class HealthConfig:
     """Knobs of the router's per-replica degradation tracking.
 
     Attributes:
-        enabled: track health and drain/re-warm degraded replicas.
         alpha: EWMA smoothing of the replica's measured/estimate ratio.
         threshold: sustained relative degradation before a drain (0.5 =
             smoothed ratio above 1.5).  Deliberately slacker than the
@@ -99,20 +105,15 @@ class HealthConfig:
             could not close costs it a drain.
         min_observations: served responses before a replica may drain.
         cooldown: placements the drained replica sits out before
-            rejoining the rotation (and before it may drain again).
-        cooldown_tick_s: simulated seconds per cooldown step when the
-            event loop feeds the router time (:meth:`FleetRouter.tick`).
-            Placements alone are a bad clock — on a quiet fleet a
-            drained replica would sit out forever — so cooldown also
-            decays one step per tick interval.  0 disables time decay.
+            rejoining the rotation (and before it may drain again); it
+            also decays one step per :data:`COOLDOWN_TICK_S` of
+            simulated time.
     """
 
-    enabled: bool = True
     alpha: float = 0.3
     threshold: float = 0.5
     min_observations: int = 8
     cooldown: int = 16
-    cooldown_tick_s: float = 0.05
 
     def __post_init__(self) -> None:
         if not 0.0 < self.alpha <= 1.0:
@@ -123,8 +124,6 @@ class HealthConfig:
             raise ValueError("min_observations must be >= 1")
         if self.cooldown < 0:
             raise ValueError("cooldown must be non-negative")
-        if self.cooldown_tick_s < 0:
-            raise ValueError("cooldown_tick_s must be non-negative")
 
 
 @dataclass
@@ -592,13 +591,12 @@ class FleetRouter:
             index = request.request_id % len(self.replicas)
             self.replicas[index].routed += 1
             return index
-        if self.health.enabled:
-            # Each routed request moves every draining replica one step
-            # closer to rejoining; tick() adds a simulated-time clock on
-            # top so a quiet fleet cannot strand a drained replica.
-            for state in self._health:
-                if state.draining > 0:
-                    state.draining -= 1
+        # Each routed request moves every draining replica one step
+        # closer to rejoining; tick() adds a simulated-time clock on top
+        # so a quiet fleet cannot strand a drained replica.
+        for state in self._health:
+            if state.draining > 0:
+                state.draining -= 1
         index = self._route_index(request)
         self.replicas[index].routed += 1
         return index
@@ -606,7 +604,7 @@ class FleetRouter:
     def tick(self, now_s: float) -> None:
         """Advance the router's simulated clock to ``now_s``.
 
-        Drain cooldowns decay one step per ``cooldown_tick_s`` of
+        Drain cooldowns decay one step per :data:`COOLDOWN_TICK_S` of
         elapsed simulated time, *in addition to* the per-placement
         decrement in :meth:`place`.  Before this, cooldown counted
         placements only, so on a quiet fleet a drained replica could
@@ -618,13 +616,11 @@ class FleetRouter:
             return
         elapsed = now_s - self._sim_clock_s
         self._sim_clock_s = now_s
-        if not self.health.enabled or self.health.cooldown_tick_s <= 0:
-            return
         self._tick_carry_s += elapsed
-        steps = int(self._tick_carry_s / self.health.cooldown_tick_s)
+        steps = int(self._tick_carry_s / COOLDOWN_TICK_S)
         if steps <= 0:
             return
-        self._tick_carry_s -= steps * self.health.cooldown_tick_s
+        self._tick_carry_s -= steps * COOLDOWN_TICK_S
         for state in self._health:
             if state.draining > 0:
                 state.draining = max(0, state.draining - steps)
@@ -642,8 +638,7 @@ class FleetRouter:
             response = replica.service.submit_graph(request)
         else:
             response = replica.service.submit(request)
-            if self.health.enabled:
-                self._observe_health(replica, response)
+            self._observe_health(replica, response)
         return FleetResponse(
             replica_index=index, replica_name=replica.name, response=response
         )

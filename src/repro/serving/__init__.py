@@ -8,15 +8,9 @@ the train→predict→execute loop with online adaptation.
 
 from .cache import CacheKey, CacheStats, PredictionCache
 from .drift import DriftDetector
-from .eventloop import (
-    QUEUE_DISCIPLINES,
-    CompletedRequest,
-    EventLoop,
-    EventLoopConfig,
-    EventLoopStats,
-)
+from .eventloop import CompletedRequest, EventLoop, EventLoopStats
 from .histogram import QUANTILE_RELATIVE_ERROR, LatencyHistogram
-from .options import ServeOptions, ServeResult, serve_trace
+from .options import QUEUE_DISCIPLINES, ServeOptions, ServeResult, serve_trace
 from .service import (
     GraphServedResponse,
     PartitioningService,
@@ -48,7 +42,6 @@ __all__ = [
     "PredictionCache",
     "CompletedRequest",
     "EventLoop",
-    "EventLoopConfig",
     "EventLoopStats",
     "QUEUE_DISCIPLINES",
     "ServeOptions",

@@ -56,10 +56,10 @@ pre-cluster traces event for event.
 Replicas serve one request at a time.  Execution time comes from the
 service's serving core (:meth:`PartitioningService.submit` at service
 *start*, so adaptation/refit state evolves in start order exactly as
-it would synchronously); predict time is a configurable simulated cost
-that distinguishes a cache hit from a model inference.  Between
-requests the replica's devices sit idle on the simulated wall clock,
-and that idle span is priced into the runner's
+it would synchronously); predict time is a fixed simulated cost,
+:data:`PREDICT_HIT_S` for a cache hit and :data:`PREDICT_MISS_S` for a
+model inference.  Between requests the replica's devices sit idle on
+the simulated wall clock, and that idle span is priced into the runner's
 :class:`~repro.runtime.measurement.SessionStats` as idle joules —
 crashed downtime is idle too: the devices draw idle watts while the
 replica is unavailable, so busy + idle still tile the loop span.
@@ -74,10 +74,11 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Iterable
 
 from ..energy.meter import EnergyMeter
-from ..faults import FaultInjector, FaultSchedule
+from ..faults import FaultInjector
 from ..telemetry import MetricsRegistry, Telemetry
 from .histogram import LatencyHistogram
-from .slo import SHED_POLICIES, SLOConfig, SLOTracker, shed_decision
+from .options import ServeOptions
+from .slo import SLOTracker, shed_decision
 from .trace import GraphServingRequest, ServingRequest
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -96,154 +97,30 @@ AnyResponse = "ServedResponse | GraphServedResponse"
 AnyRequest = (ServingRequest, GraphServingRequest)
 
 __all__ = [
-    "QUEUE_DISCIPLINES",
-    "EventLoopConfig",
+    "BACKLOG_ALPHA",
+    "INITIAL_SERVICE_S",
+    "PREDICT_HIT_S",
+    "PREDICT_MISS_S",
     "EventLoopStats",
     "CompletedRequest",
     "EventLoop",
 ]
 
-#: Per-replica queue service orders the loop supports.
-QUEUE_DISCIPLINES = ("fifo", "weighted-fair")
+#: Simulated seconds a prediction-cache hit adds to a request's latency
+#: (a dictionary lookup).
+PREDICT_HIT_S = 2e-6
 
-#: A timed item on the arrival stream: (timestamp, request-or-drift).
-TimedItem = "tuple[float, ServingRequest | DriftEvent]"
+#: Simulated seconds a cache miss adds (feature assembly + model
+#: inference); a predict-error attempt burns one such span.
+PREDICT_MISS_S = 5e-5
 
+#: EWMA smoothing of the per-replica observed service time the
+#: admission test predicts backlogs with.
+BACKLOG_ALPHA = 0.3
 
-@dataclass(frozen=True)
-class EventLoopConfig:
-    """Knobs of the event-driven serving core.
-
-    Attributes:
-        predict_hit_s: simulated seconds one prediction-cache hit adds
-            to a request's latency (a dictionary lookup).
-        predict_miss_s: simulated seconds a cache miss adds (feature
-            assembly + model inference).
-        shed_policy: one of :data:`~repro.serving.slo.SHED_POLICIES`.
-        slo: latency targets and tenant priorities; shedding policies
-            other than ``none`` need at least a default target.
-        backlog_alpha: EWMA smoothing of the per-replica observed
-            service time the admission test predicts backlogs with.
-        initial_service_s: backlog estimate before a replica has
-            served anything (only admission decisions read it).
-        meter_idle: price inter-request idle spans into the runners'
-            session stats (simulated-time energy accounting).
-        faults: seeded fault schedule to inject, or ``None`` for a
-            fault-free run (the default; identical to the pre-fault
-            loop, event for event).
-        timeout_factor: fail a request outright once its age exceeds
-            ``timeout_factor ×`` its tenant's SLO target; ``None``
-            disables timeouts.  Needs an SLO target to derive from.
-        max_retries: service attempts a request may consume *beyond*
-            its first (and beyond any hedge), each after a transient
-            failure.
-        retry_backoff_s: base backoff before retry ``n`` fires, doubling
-            each time (``retry_backoff_s × 2^(n-1)``).
-        retry_budget: retry tokens earned per admitted request; one
-            retry spends one token.  0.2 caps retry traffic at ~20% of
-            admissions, so a fault storm cannot melt into a retry storm.
-        hedge_at: latency quantile (e.g. ``0.95``) of completions so
-            far whose value triggers one hedged duplicate for any
-            request older than it; ``None`` disables hedging.
-        hedge_min_completions: completions observed before the hedge
-            trigger is trusted (an empty histogram hedges nothing).
-        failover: route arrivals and retries around crashed replicas
-            and redistribute a crashed replica's queue; ``False`` is
-            the availability baseline where work stays stranded.
-        speculate_at: latency quantile whose value triggers one
-            speculative re-execution of any request older than it;
-            ``None`` disables speculation.  Unlike a hedge (which races
-            a duplicate on the least-loaded replica anywhere), a
-            speculative copy asks the backend where to escape to — on
-            a cluster that means a *different pool* than every live
-            copy, which is what beats pool-local straggler windows.
-        speculate_min_completions: completions observed before the
-            speculation trigger is trusted.
-        work_steal: let a replica that just went idle pull the
-            tail-most queued attempt from the most backlogged replica
-            the backend names as a victim (cross-pool on a cluster);
-            off by default — stealing reorders queues, so it must be
-            opted into.
-        queue_discipline: ``"fifo"`` (arrival order per replica) or
-            ``"weighted-fair"`` (start-time fair queueing: each
-            tenant's attempts carry virtual finish tags advanced by
-            ``est_service / weight``, and the replica serves the
-            smallest tag first, so a high-priority tenant's queue
-            share tracks its weight instead of its arrival rate).
-        telemetry: the run's :class:`~repro.telemetry.Telemetry`
-            context, or ``None`` (the default) for no tracing and a
-            loop-private metrics registry.  With a context the loop's
-            stats publish into its shared registry, and in ``trace``
-            mode every request is traced span by span.
-    """
-
-    predict_hit_s: float = 2e-6
-    predict_miss_s: float = 5e-5
-    shed_policy: str = "none"
-    slo: SLOConfig = field(default_factory=SLOConfig)
-    backlog_alpha: float = 0.3
-    initial_service_s: float = 1e-3
-    meter_idle: bool = True
-    faults: FaultSchedule | None = None
-    timeout_factor: float | None = None
-    max_retries: int = 2
-    retry_backoff_s: float = 1e-3
-    retry_budget: float = 0.2
-    hedge_at: float | None = None
-    hedge_min_completions: int = 32
-    failover: bool = True
-    speculate_at: float | None = None
-    speculate_min_completions: int = 32
-    work_steal: bool = False
-    queue_discipline: str = "fifo"
-    telemetry: Telemetry | None = field(default=None, compare=False, repr=False)
-
-    def __post_init__(self) -> None:
-        if self.predict_hit_s < 0 or self.predict_miss_s < 0:
-            raise ValueError("predict costs must be non-negative")
-        if self.shed_policy not in SHED_POLICIES:
-            raise ValueError(
-                f"unknown shed policy {self.shed_policy!r}; "
-                f"choose from {SHED_POLICIES}"
-            )
-        if not 0.0 < self.backlog_alpha <= 1.0:
-            raise ValueError("backlog_alpha must be in (0, 1]")
-        if not self.initial_service_s > 0:
-            raise ValueError("initial_service_s must be positive")
-        has_target = self.slo.target_s is not None or bool(self.slo.tenant_targets)
-        if self.shed_policy != "none" and not has_target:
-            raise ValueError(
-                f"shed policy {self.shed_policy!r} needs an SLO target to shed "
-                "against (slo.target_s or tenant_targets)"
-            )
-        if self.timeout_factor is not None:
-            if not self.timeout_factor > 0:
-                raise ValueError("timeout_factor must be positive")
-            if not has_target:
-                raise ValueError(
-                    "timeout_factor derives timeouts from the SLO target "
-                    "(slo.target_s or tenant_targets); none is set"
-                )
-        if self.max_retries < 0:
-            raise ValueError("max_retries must be non-negative")
-        if self.retry_backoff_s < 0:
-            raise ValueError("retry_backoff_s must be non-negative")
-        if self.retry_budget < 0:
-            raise ValueError("retry_budget must be non-negative")
-        if self.hedge_at is not None and not 0.0 < self.hedge_at < 1.0:
-            raise ValueError("hedge_at is a quantile in (0, 1)")
-        if self.hedge_min_completions < 1:
-            raise ValueError("hedge_min_completions must be >= 1")
-        if self.speculate_at is not None and not 0.0 < self.speculate_at < 1.0:
-            raise ValueError("speculate_at is a quantile in (0, 1)")
-        if self.speculate_min_completions < 1:
-            raise ValueError("speculate_min_completions must be >= 1")
-        if self.queue_discipline not in QUEUE_DISCIPLINES:
-            raise ValueError(
-                f"unknown queue discipline {self.queue_discipline!r}; "
-                f"choose from {QUEUE_DISCIPLINES}"
-            )
-
+#: Backlog estimate before a replica has served anything (only
+#: admission decisions read it).
+INITIAL_SERVICE_S = 1e-3
 
 @dataclass(slots=True)
 class CompletedRequest:
@@ -613,27 +490,27 @@ class EventLoop:
     function of the trace and the fault schedule.
     """
 
-    def __init__(self, backend, config: EventLoopConfig = EventLoopConfig()):
+    def __init__(self, backend, options: ServeOptions = ServeOptions()):
         self.backend = backend
-        self.config = config
+        self.options = options
+        #: The run's telemetry context, built from ``options.telemetry``
+        #: (``None`` when it is ``"off"``).  The loop's stats publish
+        #: into its shared registry, and in ``trace`` mode every request
+        #: is traced span by span.
+        self.telemetry = Telemetry.from_mode(options.telemetry)
         #: Span tracer of the run's telemetry context (None = tracing
         #: off; the disabled path costs one ``is None`` test per hook).
-        self._tracer = (
-            config.telemetry.tracer if config.telemetry is not None else None
-        )
-        self.stats = EventLoopStats(
-            slo=SLOTracker(config.slo),
-            registry=(
-                config.telemetry.registry
-                if config.telemetry is not None
-                else None
-            ),
-        )
+        self._tracer = None
+        registry = None
+        if self.telemetry is not None:
+            self._tracer = self.telemetry.tracer
+            registry = self.telemetry.registry
+        self.stats = EventLoopStats(slo=SLOTracker(options.slo), registry=registry)
         self._replicas = [
             _ReplicaState(
                 index=i,
                 idle_w=EnergyMeter(s.system.runner.devices).platform_idle_w(),
-                est_service_s=config.initial_service_s,
+                est_service_s=INITIAL_SERVICE_S,
             )
             for i, s in enumerate(backend.services)
         ]
@@ -648,8 +525,8 @@ class EventLoop:
         self.stats.replica_completed = [0] * len(self._replicas)
         self.stats.replica_busy_s = [0.0] * len(self._replicas)
         self._injector = (
-            FaultInjector(config.faults, len(self._replicas))
-            if config.faults
+            FaultInjector(options.faults, len(self._replicas))
+            if options.faults
             else None
         )
         #: The typed event heap: (time, schedule seq, kind, payload).
@@ -670,21 +547,21 @@ class EventLoop:
 
     @classmethod
     def for_service(
-        cls, service: "PartitioningService", config: EventLoopConfig = EventLoopConfig()
+        cls, service: "PartitioningService", options: ServeOptions = ServeOptions()
     ) -> "EventLoop":
-        return cls(_ServiceBackend(service), config)
+        return cls(_ServiceBackend(service), options)
 
     @classmethod
     def for_fleet(
-        cls, router: "FleetRouter", config: EventLoopConfig = EventLoopConfig()
+        cls, router: "FleetRouter", options: ServeOptions = ServeOptions()
     ) -> "EventLoop":
-        return cls(_FleetBackend(router), config)
+        return cls(_FleetBackend(router), options)
 
     @classmethod
     def for_cluster(
-        cls, cluster: "ClusterRouter", config: EventLoopConfig = EventLoopConfig()
+        cls, cluster: "ClusterRouter", options: ServeOptions = ServeOptions()
     ) -> "EventLoop":
-        return cls(_ClusterBackend(cluster), config)
+        return cls(_ClusterBackend(cluster), options)
 
     # -- the loop ----------------------------------------------------------
 
@@ -696,11 +573,11 @@ class EventLoop:
     ) -> EventLoopStats:
         """Play the whole arrival stream and drain every queue.
 
-        ``arrivals`` yields ``(timestamp, payload)`` with non-decreasing
-        timestamps, or bare payloads: the closed-loop arrival process,
-        where each one arrives at the current clock and is played until
-        it resolves before the next is read.  A payload that is not a
-        request (kernel :class:`ServingRequest` or
+        ``arrivals`` yields ``(timestamp, payload)`` with finite,
+        non-decreasing timestamps, or bare payloads: the closed-loop
+        arrival process, where each one arrives at the current clock and
+        is played until it resolves before the next is read.  A payload
+        that is not a request (kernel :class:`ServingRequest` or
         :class:`GraphServingRequest`) is treated as a drift event and
         handed to ``drift_handler`` at its place on the simulated
         timeline (so requests already queued are measured on the
@@ -717,9 +594,9 @@ class EventLoop:
                 at_s, payload = self._clock, item
             else:
                 at_s, payload = item
-                if at_s < last_arrival:
+                if not last_arrival <= at_s < math.inf:
                     raise ValueError(
-                        f"arrival timestamps must be non-decreasing "
+                        f"arrival timestamps must be finite and non-decreasing "
                         f"(got {at_s} after {last_arrival})"
                     )
             last_arrival = at_s
@@ -750,8 +627,7 @@ class EventLoop:
         for seq in sorted(self._live):  # pragma: no cover - safety net
             self._fail(self._live[seq], self._clock, reason="stranded")
         self.stats.clock_s = self._clock
-        if self.config.meter_idle:
-            self._meter_trailing_idle()
+        self._meter_trailing_idle()
         return self.stats
 
     def _push(self, at_s: float, kind: str, payload) -> None:
@@ -796,7 +672,7 @@ class EventLoop:
     def _arrive(self, request: ServingRequest) -> None:
         self._arrivals.value += 1
         replica = self._replicas[self.backend.place(request)]
-        if replica.crashed and self.config.failover:
+        if replica.crashed and self.options.failover:
             # Failover placement: route around the dead replica.  The
             # router committed its decision (it has no crash knowledge);
             # the loop overrides the physical target.
@@ -812,8 +688,8 @@ class EventLoop:
                         replica=replica.index,
                     )
         decision = shed_decision(
-            self.config.shed_policy,
-            self.config.slo,
+            self.options.shed_policy,
+            self.options.slo,
             request.tenant,
             idle=not replica.busy and replica.queued_live == 0,
             busy_wait_s=(
@@ -835,7 +711,7 @@ class EventLoop:
                 )
             return
         self._admitted.value += 1
-        self._retry_tokens += self.config.retry_budget
+        self._retry_tokens += self.options.retry_budget
         self._seq += 1
         # Per-request records take positional arguments: binding them by
         # keyword costs as much as building the record.
@@ -849,33 +725,33 @@ class EventLoop:
         self._schedule_speculation(pending)
 
     def _schedule_timeout(self, pending: _Pending) -> None:
-        if self.config.timeout_factor is None:
+        if self.options.timeout_factor is None:
             return
-        target = self.config.slo.target_for(pending.request.tenant)
+        target = self.options.slo.target_for(pending.request.tenant)
         if target is None:
             return
         self._push(
-            pending.arrival_s + self.config.timeout_factor * target,
+            pending.arrival_s + self.options.timeout_factor * target,
             "timeout",
             pending,
         )
 
     def _schedule_hedge(self, pending: _Pending) -> None:
-        if self.config.hedge_at is None:
+        if self.options.hedge_at is None:
             return
-        if self.stats.completed < self.config.hedge_min_completions:
+        if self.stats.completed < self.options.hedge_min_completions:
             return
-        trigger = self.stats.latency.quantile(self.config.hedge_at)
+        trigger = self.stats.latency.quantile(self.options.hedge_at)
         if trigger <= 0.0:
             return
         self._push(pending.arrival_s + trigger, "hedge", pending)
 
     def _schedule_speculation(self, pending: _Pending) -> None:
-        if self.config.speculate_at is None:
+        if self.options.speculate_at is None:
             return
-        if self.stats.completed < self.config.speculate_min_completions:
+        if self.stats.completed < self.options.speculate_min_completions:
             return
-        trigger = self.stats.latency.quantile(self.config.speculate_at)
+        trigger = self.stats.latency.quantile(self.options.speculate_at)
         if trigger <= 0.0:
             return
         self._push(pending.arrival_s + trigger, "speculate", pending)
@@ -894,7 +770,7 @@ class EventLoop:
             attempt.tid = self._tracer.enqueue(
                 pending.seq, self._clock, replica.index, is_hedge, is_spec
             )
-        if self.config.queue_discipline == "weighted-fair":
+        if self.options.queue_discipline == "weighted-fair":
             # Start-time fair queueing: the attempt's virtual finish tag
             # is the tenant's virtual clock (never behind the real one)
             # plus the replica's estimated service span scaled down by
@@ -902,7 +778,7 @@ class EventLoop:
             # half as fast, so it wins twice the dequeues under
             # contention.
             tenant = pending.request.tenant
-            weight = 1.0 + max(0, self.config.slo.priority_for(tenant))
+            weight = 1.0 + max(0, self.options.slo.priority_for(tenant))
             vtime = max(self._tenant_vtime.get(tenant, 0.0), self._clock)
             attempt.vtag = vtime + replica.est_service_s / weight
             self._tenant_vtime[tenant] = attempt.vtag
@@ -913,7 +789,7 @@ class EventLoop:
             self._start_next(replica, self._clock)
 
     def _start_next(self, replica: _ReplicaState, now: float) -> None:
-        if self.config.queue_discipline == "weighted-fair":
+        if self.options.queue_discipline == "weighted-fair":
             best = None
             for attempt in replica.queue:
                 if attempt.cancelled:
@@ -940,7 +816,7 @@ class EventLoop:
     def _begin(self, replica: _ReplicaState, attempt: _Attempt, now: float) -> None:
         pending = attempt.pending
         request = pending.request
-        if self.config.meter_idle and now > replica.idle_since:
+        if now > replica.idle_since:
             self._record_idle(replica, now - replica.idle_since)
         attempt_no = pending.attempts
         pending.attempts += 1
@@ -955,7 +831,7 @@ class EventLoop:
             # attempt burns one cache-miss span and produces nothing.
             # The service is never consulted, so no EWMA update either.
             self.stats.predict_errors += 1
-            attempt.service_s = self.config.predict_miss_s
+            attempt.service_s = PREDICT_MISS_S
             attempt.finish_s = now + attempt.service_s
             replica.free_at = attempt.finish_s
             if self._tracer is not None:
@@ -971,11 +847,7 @@ class EventLoop:
             return
         response = self.backend.serve(replica.index, request)
         attempt.response = response
-        predict_s = (
-            self.config.predict_hit_s
-            if response.cache_hit
-            else self.config.predict_miss_s
-        )
+        predict_s = PREDICT_HIT_S if response.cache_hit else PREDICT_MISS_S
         service_s = predict_s + response.measured_s
         scale = 1.0
         if self._injector is not None:
@@ -984,9 +856,8 @@ class EventLoop:
         attempt.service_s = service_s
         attempt.finish_s = now + service_s
         replica.free_at = attempt.finish_s
-        alpha = self.config.backlog_alpha
         replica.est_service_s = (
-            alpha * service_s + (1.0 - alpha) * replica.est_service_s
+            BACKLOG_ALPHA * service_s + (1.0 - BACKLOG_ALPHA) * replica.est_service_s
         )
         self._service_time_s.value += service_s
         self._execute_time_s.value += response.measured_s
@@ -1103,7 +974,7 @@ class EventLoop:
         if not replica.crashed:
             if replica.queue:
                 self._start_next(replica, now)
-            if self.config.work_steal and not replica.busy:
+            if self.options.work_steal and not replica.busy:
                 self._try_steal(replica, now)
 
     def _on_attempt_failed(self, now: float, attempt: _Attempt) -> None:
@@ -1118,16 +989,16 @@ class EventLoop:
         if not replica.crashed:
             if replica.queue:
                 self._start_next(replica, now)
-            if self.config.work_steal and not replica.busy:
+            if self.options.work_steal and not replica.busy:
                 self._try_steal(replica, now)
         if pending.done or pending.live:
             # A sibling copy is still racing; let it decide the outcome.
             return
-        if pending.retries < self.config.max_retries and self._retry_tokens >= 1.0:
+        if pending.retries < self.options.max_retries and self._retry_tokens >= 1.0:
             self._retry_tokens -= 1.0
             pending.retries += 1
             self.stats.retries += 1
-            delay = self.config.retry_backoff_s * 2.0 ** (pending.retries - 1)
+            delay = self.options.retry_backoff_s * 2.0 ** (pending.retries - 1)
             self._retry_limbo += 1
             if self._tracer is not None:
                 self._tracer.event(
@@ -1244,7 +1115,7 @@ class EventLoop:
             self._cancel(current, now)
             pending.live.remove(current)
             if not pending.done and not pending.live:
-                if self.config.failover:
+                if self.options.failover:
                     self.stats.failovers += 1
                     fallback = self._fallback_replica(exclude={index})
                     if self._tracer is not None:
@@ -1262,7 +1133,7 @@ class EventLoop:
                     )
                 else:
                     self._fail(pending, now, reason="crashed")
-        if self.config.failover and replica.queued_live:
+        if self.options.failover and replica.queued_live:
             # Redistribute the stranded queue; without failover it
             # simply waits out the downtime (and its timeouts).
             stranded = [

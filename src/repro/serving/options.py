@@ -31,27 +31,34 @@ then reaches the backend's serving core with no further facade work.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import math
+from dataclasses import dataclass, field
 from itertools import chain
 from typing import TYPE_CHECKING, Callable, Iterable
 
 from ..faults import FaultSchedule
 from ..telemetry import TELEMETRY_MODES, Telemetry
-from .eventloop import CompletedRequest, EventLoop, EventLoopConfig, EventLoopStats
-from .slo import SLOConfig
+from .slo import SHED_POLICIES, SLOConfig
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..cluster.router import ClusterRouter
     from ..fleet.router import FleetRouter
     from ..workloads.spec import DriftEvent
+    from .eventloop import CompletedRequest, EventLoopStats
     from .service import PartitioningService
 
-__all__ = ["ServeOptions", "ServeResult", "serve_trace"]
+__all__ = ["QUEUE_DISCIPLINES", "ServeOptions", "ServeResult", "serve_trace"]
+
+#: Per-replica queue service orders the event loop supports.
+QUEUE_DISCIPLINES = ("fifo", "weighted-fair")
 
 
 @dataclass(frozen=True)
 class ServeOptions:
     """Every serve-time knob of :func:`serve_trace`, in one place.
+
+    The :class:`~repro.serving.EventLoop` runs on these options
+    directly, so a bad combination fails here, at construction.
 
     Attributes:
         arrival: ``"sequential"`` for the closed-loop process, or an
@@ -59,15 +66,49 @@ class ServeOptions:
         rate_rps: mean open-loop arrival rate; ignored by sequential.
         seed: seed of the arrival-process draws.
         slo: latency targets, tenant priorities, shedding exemptions.
-        shed_policy: one of :data:`~repro.serving.slo.SHED_POLICIES`.
-        faults: seeded fault schedule, or ``None``.
-        timeout_factor / max_retries / retry_backoff_s / retry_budget /
-            hedge_at / hedge_min_completions / failover: the event
-            loop's fault-handling knobs, verbatim
-            (:class:`~repro.serving.EventLoopConfig`).
-        speculate_at / speculate_min_completions / work_steal /
-            queue_discipline: the straggler and fairness knobs,
-            verbatim.
+        shed_policy: one of :data:`~repro.serving.slo.SHED_POLICIES`;
+            policies other than ``none`` need an SLO target.
+        faults: seeded fault schedule to inject, or ``None`` for a
+            fault-free run.
+        timeout_factor: fail a request outright once its age exceeds
+            ``timeout_factor ×`` its tenant's SLO target; ``None``
+            disables timeouts.  Needs an SLO target to derive from.
+        max_retries: service attempts a request may consume *beyond*
+            its first (and beyond any hedge), each after a transient
+            failure.
+        retry_backoff_s: base backoff before retry ``n`` fires, doubling
+            each time (``retry_backoff_s × 2^(n-1)``).
+        retry_budget: retry tokens earned per admitted request; one
+            retry spends one token.  0.2 caps retry traffic at ~20% of
+            admissions, so a fault storm cannot melt into a retry storm.
+        hedge_at: latency quantile (e.g. ``0.95``) of completions so
+            far whose value triggers one hedged duplicate for any
+            request older than it; ``None`` disables hedging.
+        hedge_min_completions: completions observed before the hedge
+            trigger is trusted (an empty histogram hedges nothing).
+        failover: route arrivals and retries around crashed replicas
+            and redistribute a crashed replica's queue; ``False`` is
+            the availability baseline where work stays stranded.
+        speculate_at: latency quantile whose value triggers one
+            speculative re-execution of any request older than it;
+            ``None`` disables speculation.  Unlike a hedge (which races
+            a duplicate on the least-loaded replica anywhere), a
+            speculative copy asks the backend where to escape to — on
+            a cluster that means a *different pool* than every live
+            copy, which is what beats pool-local straggler windows.
+        speculate_min_completions: completions observed before the
+            speculation trigger is trusted.
+        work_steal: let a replica that just went idle pull the
+            tail-most queued attempt from the most backlogged replica
+            the backend names as a victim (cross-pool on a cluster);
+            off by default — stealing reorders queues, so it must be
+            opted into.
+        queue_discipline: ``"fifo"`` (arrival order per replica) or
+            ``"weighted-fair"`` (start-time fair queueing: each
+            tenant's attempts carry virtual finish tags advanced by
+            ``est_service / weight``, and the replica serves the
+            smallest tag first, so a high-priority tenant's queue
+            share tracks its weight instead of its arrival rate).
         telemetry: ``"off"`` (default), ``"metrics"`` (a shared
             :class:`~repro.telemetry.MetricsRegistry` every layer
             publishes into, returned on the result), or ``"trace"``
@@ -102,35 +143,51 @@ class ServeOptions:
                 f"unknown arrival process {self.arrival!r}; "
                 f"choose from {ARRIVAL_PROCESSES}"
             )
-        if not self.rate_rps > 0:
-            raise ValueError("rate_rps must be positive")
+        if not 0.0 < self.rate_rps < math.inf:
+            raise ValueError("rate_rps must be positive and finite")
         if self.telemetry not in TELEMETRY_MODES:
             raise ValueError(
                 f"unknown telemetry mode {self.telemetry!r}; "
                 f"choose from {TELEMETRY_MODES}"
             )
-        # The loop knobs are validated once, eagerly, by building the
-        # loop config.
-        self.event_config()
-
-    def event_config(self) -> EventLoopConfig:
-        """The :class:`EventLoopConfig` these options denote."""
-        return EventLoopConfig(
-            shed_policy=self.shed_policy,
-            slo=self.slo,
-            faults=self.faults,
-            timeout_factor=self.timeout_factor,
-            max_retries=self.max_retries,
-            retry_backoff_s=self.retry_backoff_s,
-            retry_budget=self.retry_budget,
-            hedge_at=self.hedge_at,
-            hedge_min_completions=self.hedge_min_completions,
-            failover=self.failover,
-            speculate_at=self.speculate_at,
-            speculate_min_completions=self.speculate_min_completions,
-            work_steal=self.work_steal,
-            queue_discipline=self.queue_discipline,
-        )
+        if self.shed_policy not in SHED_POLICIES:
+            raise ValueError(
+                f"unknown shed policy {self.shed_policy!r}; "
+                f"choose from {SHED_POLICIES}"
+            )
+        has_target = self.slo.target_s is not None or bool(self.slo.tenant_targets)
+        if self.shed_policy != "none" and not has_target:
+            raise ValueError(
+                f"shed policy {self.shed_policy!r} needs an SLO target to shed "
+                "against (slo.target_s or tenant_targets)"
+            )
+        if self.timeout_factor is not None:
+            if not 0.0 < self.timeout_factor < math.inf:
+                raise ValueError("timeout_factor must be positive and finite")
+            if not has_target:
+                raise ValueError(
+                    "timeout_factor derives timeouts from the SLO target "
+                    "(slo.target_s or tenant_targets); none is set"
+                )
+        if self.max_retries < 0:
+            raise ValueError("max_retries must be non-negative")
+        if not 0.0 <= self.retry_backoff_s < math.inf:
+            raise ValueError("retry_backoff_s must be non-negative and finite")
+        if not 0.0 <= self.retry_budget < math.inf:
+            raise ValueError("retry_budget must be non-negative and finite")
+        if self.hedge_at is not None and not 0.0 < self.hedge_at < 1.0:
+            raise ValueError("hedge_at is a quantile in (0, 1)")
+        if self.hedge_min_completions < 1:
+            raise ValueError("hedge_min_completions must be >= 1")
+        if self.speculate_at is not None and not 0.0 < self.speculate_at < 1.0:
+            raise ValueError("speculate_at is a quantile in (0, 1)")
+        if self.speculate_min_completions < 1:
+            raise ValueError("speculate_min_completions must be >= 1")
+        if self.queue_discipline not in QUEUE_DISCIPLINES:
+            raise ValueError(
+                f"unknown queue discipline {self.queue_discipline!r}; "
+                f"choose from {QUEUE_DISCIPLINES}"
+            )
 
 
 @dataclass(frozen=True)
@@ -187,7 +244,6 @@ def serve_trace(
     fed automatically; a caller's ``on_complete`` chains after them.
     """
     kind = _backend_kind(backend)
-    telemetry = Telemetry.from_mode(options.telemetry)
     items = iter(trace)
     first = next(items, None)
     if first is not None:
@@ -221,15 +277,14 @@ def serve_trace(
                 cluster_observe(completed)
                 user_observe(completed)
 
-    config = options.event_config()
-    if telemetry is not None:
-        config = replace(config, telemetry=telemetry)
+    from .eventloop import EventLoop  # it imports this module for ServeOptions
+
     loop = {
         "service": EventLoop.for_service,
         "fleet": EventLoop.for_fleet,
         "cluster": EventLoop.for_cluster,
-    }[kind](backend, config)
+    }[kind](backend, options)
     stats = loop.run(stream, on_complete=observer, drift_handler=drift_handler)
-    if telemetry is not None:
-        telemetry.collect(backend, stats=stats)
-    return ServeResult(backend_kind=kind, stats=stats, telemetry=telemetry)
+    if loop.telemetry is not None:
+        loop.telemetry.collect(backend, stats=stats)
+    return ServeResult(backend_kind=kind, stats=stats, telemetry=loop.telemetry)

@@ -101,23 +101,16 @@ class ServiceConfig:
         validate_cold_keys: locally search keys the training database
             has never seen (the feedback-driven refinement path for
             out-of-distribution programs/sizes).
-        incremental_refit: pass-through to the predictor's refit.
         instance_seed: seed for generated problem instances.
         memoize: measure through the memoizing
             :class:`~repro.engine.SweepEngine` (repeated keys and local
             searches compose cached per-device timelines instead of
             re-simulating).  ``False`` is the unmemoized pre-engine
             path, kept for benchmarking the engine against it.
-        detect_drift: run the sliding-window EWMA drift detector.
-            ``False`` falls back to the single-run regression check
-            alone (and is the frozen-model baseline in the drift
-            benchmark).
-        drift_window: sliding window (in observations) the escalation
-            check looks at.
-        drift_alpha: EWMA smoothing of the per-key measured/estimate
-            ratio (1.0 = last observation only).
-        drift_threshold: sustained relative slack before a key is
-            flagged as drifted (0.3 = smoothed ratio above 1.3).
+        detect_drift: run the sliding-window EWMA drift detector (with
+            its default window, smoothing and threshold).  ``False``
+            falls back to the single-run regression check alone (and
+            is the frozen-model baseline in the drift benchmark).
         drift_min_observations: observations of a key before it may
             flag (one noisy run is not drift).
         drift_cooldown: observations a flagged key sits out before it
@@ -144,13 +137,9 @@ class ServiceConfig:
     refit_interval: int = 4
     repetitions: int = 1
     validate_cold_keys: bool = True
-    incremental_refit: bool = True
     instance_seed: int = 0
     memoize: bool = True
     detect_drift: bool = True
-    drift_window: int = 32
-    drift_alpha: float = 0.4
-    drift_threshold: float = 0.3
     drift_min_observations: int = 3
     drift_cooldown: int = 8
     drift_escalation: int = 8
@@ -173,12 +162,6 @@ class ServiceConfig:
             raise ValueError("max_adaptations_per_key must be non-negative")
         if not 1 <= self.adaptation_step <= 100:
             raise ValueError("adaptation_step must be a percentage in [1, 100]")
-        if self.drift_window < 1:
-            raise ValueError("drift_window must be >= 1")
-        if not 0.0 < self.drift_alpha <= 1.0:
-            raise ValueError("drift_alpha must be in (0, 1]")
-        if self.drift_threshold < 0:
-            raise ValueError("drift_threshold must be non-negative")
         if self.drift_min_observations < 1:
             raise ValueError("drift_min_observations must be >= 1")
         if self.drift_cooldown < 0:
@@ -329,9 +312,6 @@ class PartitioningService:
         self.engine = SweepEngine(system.runner) if config.memoize else None
         self.detector = (
             DriftDetector(
-                window=config.drift_window,
-                alpha=config.drift_alpha,
-                threshold=config.drift_threshold,
                 min_observations=config.drift_min_observations,
                 cooldown=config.drift_cooldown,
             )
@@ -934,9 +914,7 @@ class PartitioningService:
         winners survive the invalidation: a measurement beats a model
         prediction.
         """
-        self.system.predictor.refit(
-            self.system.database, incremental=self.config.incremental_refit
-        )
+        self.system.predictor.refit(self.system.database)
         self.cache.invalidate()
         for key, partitioning in self._validated.items():
             self.cache.put(key, partitioning)
@@ -989,9 +967,7 @@ class PartitioningService:
             # Refit after any database swap: a model fitted on the
             # discarded history would disagree with the rolled-back
             # records it serves against.
-            self.system.predictor.refit(
-                self.system.database, incremental=self.config.incremental_refit
-            )
+            self.system.predictor.refit(self.system.database)
         self.cache.invalidate()
         self._validated.clear()
         self._adaptations_by_key.clear()

@@ -230,6 +230,28 @@ class TestServing:
         with pytest.raises(SystemExit):
             main(["serve", "--requests", "1", "--objective", "speed"])
 
+    @pytest.mark.parametrize(
+        "flags, knob",
+        [
+            (
+                ["--retry-backoff-ms", "nan", "--faults", "error:0:10:0.5"],
+                "retry_backoff_s",
+            ),
+            (["--faults", "crash:nan:0.001::0"], "at_s"),
+            (["--retry-budget", "nan"], "retry_budget"),
+            (
+                ["--machines", "4", "--pools", "2", "--net-latency-us", "nan"],
+                "latency_s",
+            ),
+        ],
+    )
+    def test_non_finite_numbers_exit_before_serving(self, flags, knob):
+        # NaN passes an ``x < 0`` check; unchecked, it fails mid-trace
+        # in a latency histogram, switches retries off, or keeps every
+        # request in its home pool.
+        with pytest.raises(SystemExit, match=knob):
+            main(["serve", "--requests", "20", *TINY, "--arrival", "poisson", *flags])
+
 
 class TestGraphCommands:
     def test_graph_sweep_reports_cosearch_summary(self, capsys):

@@ -7,6 +7,7 @@ surface now routes through.
 """
 
 import hashlib
+import math
 
 import pytest
 
@@ -137,6 +138,12 @@ class TestNetworkSpec:
             NetworkSpec(link_watts=-1.0)
         with pytest.raises(ValueError):
             NetworkSpec().transfer_time_s(-1)
+
+    @pytest.mark.parametrize("knob", ["latency_s", "link_watts"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_specs_rejected(self, knob, value):
+        with pytest.raises(ValueError, match=f"{knob} must be non-negative and finite"):
+            NetworkSpec(**{knob: value})
 
 
 # -- tenancy helpers ----------------------------------------------------------
@@ -303,6 +310,16 @@ class TestServeOptions:
             ServeOptions(queue_discipline="lifo")
         with pytest.raises(ValueError):
             ServeOptions(speculate_at=1.5)
+
+    @pytest.mark.parametrize(
+        "knob", ["rate_rps", "timeout_factor", "retry_backoff_s", "retry_budget"]
+    )
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_numbers_rejected(self, knob, value):
+        # timeout_factor derives from an SLO target, so give it one.
+        slo = SLOConfig(target_s=0.01)
+        with pytest.raises(ValueError, match=f"{knob} must be .* and finite"):
+            ServeOptions(slo=slo, **{knob: value})
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(TypeError, match="serve_trace backends"):

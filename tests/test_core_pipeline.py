@@ -122,7 +122,7 @@ class TestPartitioningModel:
             r.machine, "online_prog", 999, dict(r.features), {str(seen): 1.0}
         )
         try:
-            model.refit(small_db, incremental=True)
+            model.refit(small_db)
             # Warm start keeps the same classifier instance (weights
             # continued, not re-initialized).
             assert model.classifier is classifier_before
@@ -141,7 +141,7 @@ class TestPartitioningModel:
             r.machine, "online_prog", 999, dict(r.features), {unseen: 1e-9}
         )
         try:
-            model.refit(small_db, incremental=True)
+            model.refit(small_db)
             assert model.classifier is not classifier_before
             assert unseen in set(map(str, model.classifier.classes_))
         finally:

@@ -187,7 +187,7 @@ class TestServiceDriftHandling:
         assert estimate > 1.5 * pre_drift_best
         assert key in service._drift_estimates
         response = service.submit(_request(99))
-        assert response.measured_s <= (1.0 + service.config.drift_threshold) * estimate
+        assert response.measured_s <= (1.0 + service.detector.threshold) * estimate
 
     def test_frozen_config_never_flags(self):
         service = self._drifting_scenario(FROZEN)

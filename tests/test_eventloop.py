@@ -29,17 +29,18 @@ from repro.serving import (
     DEFAULT_TENANT,
     CompletedRequest,
     EventLoop,
-    EventLoopConfig,
     LatencyHistogram,
     PartitioningService,
     QUANTILE_RELATIVE_ERROR,
     SHED_POLICIES,
     ServedResponse,
+    ServeOptions,
     ServiceConfig,
     ServingRequest,
     SLOConfig,
     key_universe,
 )
+from repro.serving.eventloop import PREDICT_HIT_S, PREDICT_MISS_S
 from repro.serving.histogram import (
     GAMMA,
     MAX_TRACKED_S,
@@ -73,9 +74,9 @@ def system():
     return train_system(MC1, BENCHMARKS, model_kind="knn", config=TRAIN)
 
 
-def _loop(system, memoize=True, **config_kwargs):
+def _loop(system, memoize=True, **options):
     service = PartitioningService(system, ServiceConfig(memoize=memoize))
-    return EventLoop.for_service(service, EventLoopConfig(**config_kwargs))
+    return EventLoop.for_service(service, ServeOptions(**options))
 
 
 def _spec(family, seed, num_requests=80, **kwargs):
@@ -162,7 +163,7 @@ def test_fleet_invariants_and_per_replica_fifo(system):
         for p in fleet_platforms(2)
     ]
     router = FleetRouter(services, policy="least-loaded")
-    loop = EventLoop.for_fleet(router, EventLoopConfig())
+    loop = EventLoop.for_fleet(router, ServeOptions())
     spec = _spec("flash-crowd", seed=7, rate_rps=20_000.0)
     records = []
     stats = loop.run(stream_timed_items(spec, KEYS), on_complete=records.append)
@@ -438,7 +439,7 @@ class TestStatsDictConservation:
         router = FleetRouter(services, policy="least-loaded")
         loop = EventLoop.for_fleet(
             router,
-            EventLoopConfig(
+            ServeOptions(
                 faults=FaultSchedule(
                     specs=(
                         FaultSpec(kind="straggler", at_s=0.0, duration_s=0.05,
@@ -483,6 +484,20 @@ class TestPerRequestRecords:
             assert stats.cell(attr) is stats.registry.counter(name)
             assert getattr(stats, attr) == stats.registry.value(name)
         assert stats.service_time_s > stats.execute_time_s > 0.0
+
+    def test_service_span_is_the_predict_cost_plus_execution(self, system):
+        # Fault-free, an attempt's service span is the fixed predict
+        # cost of its cache outcome plus the measured execution, exactly.
+        assert (PREDICT_HIT_S, PREDICT_MISS_S) == (2e-6, 5e-5)
+        done = []
+        _loop(system).run(
+            stream_timed_items(_spec("stationary", seed=2), KEYS),
+            on_complete=done.append,
+        )
+        assert {c.response.cache_hit for c in done} == {True, False}
+        for c in done:
+            predict_s = PREDICT_HIT_S if c.response.cache_hit else PREDICT_MISS_S
+            assert c.service_s == predict_s + c.response.measured_s
 
     def test_records_are_slotted_value_objects(self, system):
         # One of each is built per request or per measurement, so they
@@ -583,11 +598,11 @@ class TestSheddingPolicies:
 
     def test_shed_policy_requires_target(self):
         with pytest.raises(ValueError, match="target"):
-            EventLoopConfig(shed_policy="deadline")
+            ServeOptions(shed_policy="deadline")
 
     def test_unknown_policy_rejected(self):
         with pytest.raises(ValueError, match="shed policy"):
-            EventLoopConfig(shed_policy="drop-everything")
+            ServeOptions(shed_policy="drop-everything")
 
 
 class TestLoopContract:
@@ -607,6 +622,20 @@ class TestLoopContract:
         loop = _loop(system)
         with pytest.raises(ValueError, match="non-decreasing"):
             loop.run([(1.0, request), (0.5, request)])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_timestamps_rejected(self, system, bad):
+        # NaN compares false both ways, so a plain order check lets it
+        # through and it then disables the check for the next item; an
+        # infinite instant overflows the idle meter.
+        request = ServingRequest(
+            request_id=0,
+            program="vec_add",
+            size=BENCHMARKS[0].problem_sizes()[0],
+        )
+        loop = _loop(system)
+        with pytest.raises(ValueError, match=f"got {bad} after 0.5"):
+            loop.run([(0.5, request), (bad, request), (0.1, request)])
 
     def test_drift_without_handler_rejected(self, system):
         spec = _spec("stationary", seed=2, num_requests=4)
@@ -636,7 +665,7 @@ class TestSimulatedTimeEnergy:
         spec = _spec("stationary", seed=4, num_requests=20, rate_rps=50.0)
         service = PartitioningService(system, ServiceConfig())
         before = service.system.runner.stats.loop_idle_s
-        loop = EventLoop.for_service(service, EventLoopConfig())
+        loop = EventLoop.for_service(service, ServeOptions())
         stats = loop.run(stream_timed_items(spec, KEYS))
         idle = service.system.runner.stats.loop_idle_s - before
         busy = sum(stats.replica_busy_s)
@@ -654,15 +683,6 @@ class TestSimulatedTimeEnergy:
             stats.record_idle(-1.0, 10.0)
         with pytest.raises(ValueError):
             stats.record_idle(1.0, -10.0)
-
-    def test_metering_can_be_disabled(self, system):
-        spec = _spec("stationary", seed=4, num_requests=10, rate_rps=50.0)
-        service = PartitioningService(system, ServiceConfig())
-        before = service.system.runner.stats.loop_idle_s
-        loop = EventLoop.for_service(service, EventLoopConfig(meter_idle=False))
-        stats = loop.run(stream_timed_items(spec, KEYS))
-        assert service.system.runner.stats.loop_idle_s == before
-        assert stats.idle_energy_j == 0.0
 
 
 class TestArrivalProcesses:

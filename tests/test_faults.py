@@ -24,12 +24,13 @@ from repro.benchsuite import get_benchmark
 from repro.core import TrainingConfig, train_system
 from repro.faults import FAULT_KINDS, FaultInjector, FaultSchedule, FaultSpec
 from repro.fleet import FleetRouter
+from repro.fleet.router import COOLDOWN_TICK_S
 from repro.machines import MC1, fleet_platforms
 from repro.serving import (
     DEFAULT_TENANT,
     EventLoop,
-    EventLoopConfig,
     PartitioningService,
+    ServeOptions,
     ServiceConfig,
     SLOConfig,
     key_universe,
@@ -57,15 +58,15 @@ def fleet_systems():
     )
 
 
-def _loop(system, **config_kwargs):
+def _loop(system, **options):
     service = PartitioningService(system, ServiceConfig())
-    return EventLoop.for_service(service, EventLoopConfig(**config_kwargs))
+    return EventLoop.for_service(service, ServeOptions(**options))
 
 
-def _fleet_loop(fleet_systems, **config_kwargs):
+def _fleet_loop(fleet_systems, **options):
     services = [PartitioningService(s, ServiceConfig()) for s in fleet_systems]
     router = FleetRouter(services, policy="least-loaded")
-    return EventLoop.for_fleet(router, EventLoopConfig(**config_kwargs))
+    return EventLoop.for_fleet(router, ServeOptions(**options))
 
 
 def _spec(family, seed, num_requests=80, **kwargs):
@@ -119,6 +120,9 @@ class TestFaultSpec:
     def test_window_bounds_validated(self):
         with pytest.raises(ValueError, match="at_s"):
             FaultSpec(kind="crash", at_s=-1.0, duration_s=1.0)
+        # NaN passes a plain ``at_s < 0`` check.
+        with pytest.raises(ValueError, match="at_s"):
+            FaultSpec(kind="crash", at_s=math.nan, duration_s=1e-3, replica=0)
         with pytest.raises(ValueError, match="duration_s"):
             FaultSpec(kind="crash", at_s=0.0, duration_s=0.0)
         with pytest.raises(ValueError, match="replica index"):
@@ -354,14 +358,14 @@ class TestRouterCooldownTick:
         router._health[0].draining = router.health.cooldown
         # Zero placements, only simulated time: before the fix the
         # replica sat out forever waiting for traffic to count down.
-        router.tick(router.health.cooldown * router.health.cooldown_tick_s)
+        router.tick(router.health.cooldown * COOLDOWN_TICK_S)
         assert router.replica_health(0).draining_steps == 0
 
     def test_fractional_ticks_carry_over(self, fleet_systems):
         services = [PartitioningService(s, ServiceConfig()) for s in fleet_systems]
         router = FleetRouter(services, policy="least-loaded")
         router._health[0].draining = 4
-        step = router.health.cooldown_tick_s
+        step = COOLDOWN_TICK_S
         # Half a step: no decay yet, but the elapsed time is banked.
         router.tick(0.5 * step)
         assert router.replica_health(0).draining_steps == 4
