@@ -495,7 +495,11 @@ def save_model(model: "PartitioningModel", path) -> None:
 
 
 def load_model(path) -> "PartitioningModel":
-    """Load a model written by :func:`save_model`."""
+    """Load a model written by :func:`save_model`.
+
+    An ``mlp`` document is checked as one network before it loads (see
+    :meth:`MLPClassifier.check_state`); a mismatch raises ValueError.
+    """
     import json
     from pathlib import Path
 
@@ -515,9 +519,12 @@ def load_model(path) -> "PartitioningModel":
     state = doc["classifier"]
     clf = model.classifier
     if isinstance(clf, MLPClassifier):
+        clf.hidden_layers = tuple(state["hidden_layers"])
+        clf.activation = state["activation"]
         clf.classes_ = np.asarray(state["classes"])
         clf._weights = [np.asarray(w, dtype=np.float64) for w in state["weights"]]
         clf._biases = [np.asarray(b, dtype=np.float64) for b in state["biases"]]
+        clf.check_state(len(model.feature_names_))
     elif isinstance(clf, KNeighborsClassifier):
         clf._X = np.asarray(state["X"], dtype=np.float64)
         clf._y = np.asarray(state["y"])

@@ -7,9 +7,20 @@ softmax cross-entropy (classifier) or MSE (regressor) losses, Adam
 optimizer, mini-batching and early stopping — everything needed to
 train reliably on a few hundred feature vectors with ~66 classes, or
 on ~10k (features, partitioning) → time samples for the scorer model.
+
+Both networks train through one loop (:meth:`_MLP._train_loop`).  It
+packs every weight matrix and bias vector into one flat parameter
+vector (the layers become views into it), writes each step's gradients
+into a matching flat gradient vector, and applies one Adam update over
+the whole vector per step.  Adam is elementwise, so this computes the
+same float per parameter as one update per layer array would:
+``tests/test_mlp_reference.py`` holds the per-layer loops as the
+reference and requires bit-identical weights and loss curves.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -17,30 +28,240 @@ from .base import Classifier, check_Xy
 
 __all__ = ["MLPClassifier", "MLPRegressor"]
 
+#: name -> (activation, its derivative in terms of the activation).  The
+#: activation overwrites its argument, always a fresh pre-activation.
 _ACTIVATIONS = {
-    "tanh": (np.tanh, lambda a: 1.0 - a * a),
-    "relu": (lambda z: np.maximum(z, 0.0), lambda a: (a > 0.0).astype(a.dtype)),
+    "tanh": (
+        lambda z: np.tanh(z, out=z),
+        lambda a: 1.0 - a * a,
+    ),
+    "relu": (
+        lambda z: np.maximum(z, 0.0, out=z),
+        lambda a: (a > 0.0).astype(a.dtype),
+    ),
 }
+
+_BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:
-    z = z - z.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
+    """Row-wise softmax, in place."""
+    z -= np.maximum.reduce(z, axis=1, keepdims=True)
+    np.exp(z, out=z)
+    z /= np.add.reduce(z, axis=1, keepdims=True)
+    return z
 
 
-class MLPClassifier(Classifier):
+def _pack(arrays: list[np.ndarray]) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Copy ``arrays`` into one flat vector; return it and a view per array."""
+    flat = np.empty(sum(a.size for a in arrays))
+    views = []
+    offset = 0
+    for a in arrays:
+        view = flat[offset : offset + a.size].reshape(a.shape)
+        view[...] = a
+        views.append(view)
+        offset += a.size
+    return flat, views
+
+
+class _Adam:
+    """Adam over one flat parameter vector: one elementwise pass per step.
+
+    ``update`` evaluates ``m = b1*m + (1-b1)*g``, ``v = b2*v + (1-b2)*g²``
+    and ``p -= lr * (m/c1) / (sqrt(v/c2) + eps)`` with the operands of
+    every rounding in the same order as the per-array expressions, so
+    the result is bit-identical to updating each layer on its own.
+    """
+
+    def __init__(self, params: np.ndarray, learning_rate: float):
+        self.params = params
+        self.learning_rate = learning_rate
+        self.m = np.zeros_like(params)
+        self.v = np.zeros_like(params)
+        self._num = np.empty_like(params)
+        self._den = np.empty_like(params)
+        self.step = 0
+
+    def update(self, grad: np.ndarray) -> None:
+        self.step += 1
+        corr1 = 1.0 - _BETA1**self.step
+        corr2 = 1.0 - _BETA2**self.step
+        m, v, num, den = self.m, self.v, self._num, self._den
+        m *= _BETA1
+        np.multiply(grad, 1 - _BETA1, out=num)
+        m += num
+        v *= _BETA2
+        np.multiply(grad, grad, out=den)
+        den *= 1 - _BETA2
+        v += den
+        np.divide(m, corr1, out=num)
+        num *= self.learning_rate
+        np.divide(v, corr2, out=den)
+        np.sqrt(den, out=den)
+        den += _EPS
+        num /= den
+        self.params -= num
+
+
+class _MLP:
+    """Dense layers, hyperparameters and the one mini-batch Adam loop.
+
+    Subclasses define the output layer (:meth:`_output`) and turn its
+    activations into the loss gradient (:meth:`_output_delta`).
+    """
+
+    def __init__(
+        self,
+        hidden_layers: tuple[int, ...],
+        activation: str,
+        learning_rate: float,
+        epochs: int,
+        batch_size: int,
+        l2: float,
+        seed: int,
+        tol: float,
+        patience: int,
+    ):
+        if activation not in _ACTIVATIONS:
+            raise ValueError(f"unknown activation {activation!r}")
+        if any(h < 1 for h in hidden_layers):
+            raise ValueError("hidden layer sizes must be positive")
+        if epochs < 1:
+            raise ValueError(f"epochs must be >= 1, got {epochs}")
+        if batch_size < 1:
+            raise ValueError(f"batch_size must be >= 1, got {batch_size}")
+        if not (math.isfinite(learning_rate) and learning_rate > 0):
+            raise ValueError(
+                f"learning_rate must be finite and > 0, got {learning_rate}"
+            )
+        if not (math.isfinite(l2) and l2 >= 0):
+            raise ValueError(f"l2 must be finite and >= 0, got {l2}")
+        if not (math.isfinite(tol) and tol >= 0):
+            raise ValueError(f"tol must be finite and >= 0, got {tol}")
+        if patience < 1:
+            raise ValueError(f"patience must be >= 1, got {patience}")
+        self.hidden_layers = tuple(hidden_layers)
+        self.activation = activation
+        self.learning_rate = learning_rate
+        self.epochs = epochs
+        self.batch_size = batch_size
+        self.l2 = l2
+        self.seed = seed
+        self.tol = tol
+        self.patience = patience
+        self._weights: list[np.ndarray] = []
+        self._biases: list[np.ndarray] = []
+        self.loss_curve_: list[float] = []
+
+    def _init_layers(self, sizes: list[int], rng: np.random.Generator) -> None:
+        self._weights = []
+        self._biases = []
+        for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
+            # Xavier/Glorot initialization.
+            limit = np.sqrt(6.0 / (fan_in + fan_out))
+            self._weights.append(rng.uniform(-limit, limit, size=(fan_in, fan_out)))
+            self._biases.append(np.zeros(fan_out))
+
+    def _output(self, z: np.ndarray) -> np.ndarray:
+        """Output-layer activation of the pre-activations ``z`` (in place)."""
+        raise NotImplementedError
+
+    def _output_delta(
+        self, out: np.ndarray, target: np.ndarray, rows: np.ndarray
+    ) -> float:
+        """Turn ``out`` into the output delta in place; return the batch loss.
+
+        ``rows`` is ``arange(len(target))``.  The loss is the batch's
+        summed per-sample loss, before any division.
+        """
+        raise NotImplementedError
+
+    def _forward(self, X: np.ndarray) -> list[np.ndarray]:
+        """Return activations per layer; the last entry is the output."""
+        act, _ = _ACTIVATIONS[self.activation]
+        a = X
+        activations = [a]
+        last = len(self._weights) - 1
+        for i, (W, b) in enumerate(zip(self._weights, self._biases)):
+            z = a @ W
+            z += b
+            a = self._output(z) if i == last else act(z)
+            activations.append(a)
+        return activations
+
+    def _train_loop(
+        self,
+        X: np.ndarray,
+        target: np.ndarray,
+        epochs: int,
+        rng: np.random.Generator,
+    ) -> None:
+        """Mini-batched Adam with early stopping over the current weights.
+
+        The layers are repacked as views into one flat parameter vector
+        (weights first, then biases), so the L2 term and the Adam update
+        are one operation each over the whole network.
+        """
+        _, dact = _ACTIVATIONS[self.activation]
+        depth = len(self._weights)
+        params, layers = _pack([*self._weights, *self._biases])
+        self._weights, self._biases = layers[:depth], layers[depth:]
+        n_weights = sum(W.size for W in self._weights)
+        weights = params[:n_weights]
+        grad, grads = _pack([np.zeros_like(p) for p in layers])
+        grad_weights = grad[:n_weights]
+        adam = _Adam(params, self.learning_rate)
+
+        n = len(X)
+        batch = min(self.batch_size, n)
+        rows = np.arange(batch)
+        best_loss = np.inf
+        stale = 0
+        self.loss_curve_ = []
+        for _epoch in range(epochs):
+            order = rng.permutation(n)
+            X_epoch = X[order]
+            target_epoch = target[order]
+            epoch_loss = 0.0
+            for start in range(0, n, batch):
+                acts = self._forward(X_epoch[start : start + batch])
+                delta = acts[-1]
+                size = len(delta)
+                epoch_loss += self._output_delta(
+                    delta, target_epoch[start : start + batch], rows[:size]
+                )
+                for i in range(depth - 1, -1, -1):
+                    np.matmul(acts[i].T, delta, out=grads[i])
+                    np.add.reduce(delta, axis=0, out=grads[depth + i])
+                    if i > 0:
+                        delta = delta @ self._weights[i].T
+                        delta *= dact(acts[i])
+                grad_weights += self.l2 * weights
+                adam.update(grad)
+            epoch_loss /= n
+            self.loss_curve_.append(epoch_loss)
+            if epoch_loss < best_loss - self.tol:
+                best_loss = epoch_loss
+                stale = 0
+            else:
+                stale += 1
+                if stale >= self.patience:
+                    break
+
+
+class MLPClassifier(_MLP, Classifier):
     """Multi-layer perceptron with softmax output.
 
     Args:
         hidden_layers: sizes of the hidden layers.
         activation: ``"tanh"`` (paper-era default) or ``"relu"``.
-        learning_rate: Adam step size.
+        learning_rate: Adam step size (finite, > 0).
         epochs: maximum training epochs.
         batch_size: mini-batch size (clamped to the dataset).
-        l2: weight-decay coefficient.
+        l2: weight-decay coefficient (finite, >= 0).
         seed: RNG seed for init and shuffling.
-        tol: early-stopping tolerance on the epoch loss.
+        tol: early-stopping tolerance on the epoch loss (finite, >= 0).
         patience: epochs without ``tol`` improvement before stopping.
     """
 
@@ -56,55 +277,33 @@ class MLPClassifier(Classifier):
         tol: float = 1e-5,
         patience: int = 30,
     ):
-        if activation not in _ACTIVATIONS:
-            raise ValueError(f"unknown activation {activation!r}")
-        if any(h < 1 for h in hidden_layers):
-            raise ValueError("hidden layer sizes must be positive")
-        if epochs < 1 or batch_size < 1:
-            raise ValueError("epochs and batch_size must be positive")
-        self.hidden_layers = tuple(hidden_layers)
-        self.activation = activation
-        self.learning_rate = learning_rate
-        self.epochs = epochs
-        self.batch_size = batch_size
-        self.l2 = l2
-        self.seed = seed
-        self.tol = tol
-        self.patience = patience
+        super().__init__(
+            hidden_layers,
+            activation,
+            learning_rate,
+            epochs,
+            batch_size,
+            l2,
+            seed,
+            tol,
+            patience,
+        )
         self.classes_: np.ndarray | None = None
-        self._weights: list[np.ndarray] = []
-        self._biases: list[np.ndarray] = []
-        self.loss_curve_: list[float] = []
 
-    # -- forward/backward ----------------------------------------------------
+    def _output(self, z: np.ndarray) -> np.ndarray:
+        return _softmax(z)
 
-    def _forward(self, X: np.ndarray) -> list[np.ndarray]:
-        """Return activations per layer; last entry is softmax output."""
-        act, _ = _ACTIVATIONS[self.activation]
-        a = X
-        activations = [a]
-        last = len(self._weights) - 1
-        for i, (W, b) in enumerate(zip(self._weights, self._biases)):
-            z = a @ W + b
-            a = _softmax(z) if i == last else act(z)
-            activations.append(a)
-        return activations
-
-    def _backward(
-        self, activations: list[np.ndarray], y_onehot: np.ndarray
-    ) -> tuple[list[np.ndarray], list[np.ndarray]]:
-        _, dact = _ACTIVATIONS[self.activation]
-        n = len(y_onehot)
-        grads_W: list[np.ndarray] = [np.empty(0)] * len(self._weights)
-        grads_b: list[np.ndarray] = [np.empty(0)] * len(self._biases)
-        # Softmax + cross-entropy gradient.
-        delta = (activations[-1] - y_onehot) / n
-        for i in range(len(self._weights) - 1, -1, -1):
-            grads_W[i] = activations[i].T @ delta + self.l2 * self._weights[i]
-            grads_b[i] = delta.sum(axis=0)
-            if i > 0:
-                delta = (delta @ self._weights[i].T) * dact(activations[i])
-        return grads_W, grads_b
+    def _output_delta(
+        self, out: np.ndarray, target: np.ndarray, rows: np.ndarray
+    ) -> float:
+        # Cross-entropy of the softmax probabilities, then its gradient
+        # (probabilities minus the one-hot targets) over the batch size.
+        picked = out[rows, target]
+        picked += 1e-12
+        loss = -float(np.add.reduce(np.log(picked, out=picked)))
+        out[rows, target] -= 1.0
+        out /= len(target)
+        return loss
 
     # -- training ------------------------------------------------------------
 
@@ -113,17 +312,8 @@ class MLPClassifier(Classifier):
         assert y is not None
         self.classes_, y_idx = np.unique(y, return_inverse=True)
         n_classes = len(self.classes_)
-        n, d = X.shape
         rng = np.random.default_rng(self.seed)
-
-        sizes = [d, *self.hidden_layers, n_classes]
-        self._weights = []
-        self._biases = []
-        for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
-            # Xavier/Glorot initialization.
-            limit = np.sqrt(6.0 / (fan_in + fan_out))
-            self._weights.append(rng.uniform(-limit, limit, size=(fan_in, fan_out)))
-            self._biases.append(np.zeros(fan_out))
+        self._init_layers([X.shape[1], *self.hidden_layers, n_classes], rng)
 
         if n_classes == 1:
             # Degenerate single-class training set.
@@ -143,9 +333,14 @@ class MLPClassifier(Classifier):
         initialization.  The labels must all be covered by the fitted
         ``classes_`` — a genuinely new label changes the output layer
         shape, which requires a full :meth:`fit` (raises ValueError).
+        ``epochs`` (default: the constructor's) must be >= 1.
         """
         if self.classes_ is None or not self._weights:
             raise RuntimeError("classifier is not fitted")
+        if epochs is None:
+            epochs = self.epochs
+        if epochs < 1:
+            raise ValueError(f"epochs must be >= 1, got {epochs}")
         X, y = check_Xy(X, y)
         assert y is not None
         if len(self.classes_) == 1:
@@ -156,72 +351,41 @@ class MLPClassifier(Classifier):
             raise ValueError(f"labels absent from the fitted classes: {unseen}")
         y_idx = np.array([class_index[v] for v in y])
         rng = np.random.default_rng(self.seed + 1)
-        self._train_loop(X, y_idx, epochs if epochs is not None else self.epochs, rng)
+        self._train_loop(X, y_idx, epochs, rng)
         return self
 
-    def _train_loop(
-        self,
-        X: np.ndarray,
-        y_idx: np.ndarray,
-        epochs: int,
-        rng: np.random.Generator,
-    ) -> None:
-        """Mini-batched Adam with early stopping over the current weights."""
-        n = len(X)
-        n_classes = len(self.classes_)
-        onehot = np.zeros((n, n_classes))
-        onehot[np.arange(n), y_idx] = 1.0
+    def check_state(self, n_features: int) -> None:
+        """Raise ValueError unless the fitted layers form one network.
 
-        # Adam state.
-        mW = [np.zeros_like(W) for W in self._weights]
-        vW = [np.zeros_like(W) for W in self._weights]
-        mb = [np.zeros_like(b) for b in self._biases]
-        vb = [np.zeros_like(b) for b in self._biases]
-        beta1, beta2, eps = 0.9, 0.999, 1e-8
-        step = 0
-
-        batch = min(self.batch_size, n)
-        best_loss = np.inf
-        stale = 0
-        self.loss_curve_ = []
-        for _epoch in range(epochs):
-            order = rng.permutation(n)
-            epoch_loss = 0.0
-            for start in range(0, n, batch):
-                idx = order[start : start + batch]
-                acts = self._forward(X[idx])
-                probs = acts[-1]
-                epoch_loss += -float(
-                    np.sum(np.log(probs[np.arange(len(idx)), y_idx[idx]] + 1e-12))
+        The network must take ``n_features`` inputs, pass through
+        ``hidden_layers`` and end in one output per class, with a bias
+        per unit.  Model files restore these arrays directly, so this
+        is what stands between a damaged file and a model that loads
+        but fails (or silently never predicts a class) later.
+        """
+        if self.classes_ is None:
+            raise RuntimeError("classifier is not fitted")
+        if self.activation not in _ACTIVATIONS:
+            raise ValueError(f"unknown activation {self.activation!r}")
+        weights, biases = self._weights, self._biases
+        if not len(weights) == len(biases) == len(self.hidden_layers) + 1:
+            raise ValueError(
+                f"{len(weights)} weight matrices and {len(biases)} bias vectors "
+                f"for {len(self.hidden_layers)} hidden layers"
+            )
+        widths = [n_features, *self.hidden_layers, len(self.classes_)]
+        for i, (W, b) in enumerate(zip(weights, biases)):
+            expected = (widths[i], widths[i + 1])
+            if W.shape != expected:
+                raise ValueError(
+                    f"layer {i} weights have shape {W.shape}, expected {expected} "
+                    f"({n_features} features, hidden layers {self.hidden_layers}, "
+                    f"{len(self.classes_)} classes)"
                 )
-                gW, gb = self._backward(acts, onehot[idx])
-                step += 1
-                corr1 = 1.0 - beta1**step
-                corr2 = 1.0 - beta2**step
-                for i in range(len(self._weights)):
-                    mW[i] = beta1 * mW[i] + (1 - beta1) * gW[i]
-                    vW[i] = beta2 * vW[i] + (1 - beta2) * gW[i] ** 2
-                    mb[i] = beta1 * mb[i] + (1 - beta1) * gb[i]
-                    vb[i] = beta2 * vb[i] + (1 - beta2) * gb[i] ** 2
-                    self._weights[i] -= (
-                        self.learning_rate
-                        * (mW[i] / corr1)
-                        / (np.sqrt(vW[i] / corr2) + eps)
-                    )
-                    self._biases[i] -= (
-                        self.learning_rate
-                        * (mb[i] / corr1)
-                        / (np.sqrt(vb[i] / corr2) + eps)
-                    )
-            epoch_loss /= n
-            self.loss_curve_.append(epoch_loss)
-            if epoch_loss < best_loss - self.tol:
-                best_loss = epoch_loss
-                stale = 0
-            else:
-                stale += 1
-                if stale >= self.patience:
-                    break
+            if b.shape != expected[1:]:
+                raise ValueError(
+                    f"layer {i} bias has shape {b.shape}, expected {expected[1:]}"
+                )
 
     # -- inference -------------------------------------------------------------
 
@@ -244,7 +408,7 @@ class MLPClassifier(Classifier):
         return self.classes_[np.argmax(probs, axis=1)]
 
 
-class MLPRegressor:
+class MLPRegressor(_MLP):
     """Multi-layer perceptron for scalar regression (MSE loss).
 
     Used by the scorer-style partitioning model, which regresses the
@@ -252,6 +416,7 @@ class MLPRegressor:
     program features plus the candidate's shares, then picks the argmin
     over the whole partition space — sidestepping the classifier's
     inability to predict labels absent from the training set.
+    Hyperparameters are checked as for :class:`MLPClassifier`.
     """
 
     def __init__(
@@ -266,38 +431,33 @@ class MLPRegressor:
         tol: float = 1e-6,
         patience: int = 20,
     ):
-        if activation not in _ACTIVATIONS:
-            raise ValueError(f"unknown activation {activation!r}")
-        if any(h < 1 for h in hidden_layers):
-            raise ValueError("hidden layer sizes must be positive")
-        if epochs < 1 or batch_size < 1:
-            raise ValueError("epochs and batch_size must be positive")
-        self.hidden_layers = tuple(hidden_layers)
-        self.activation = activation
-        self.learning_rate = learning_rate
-        self.epochs = epochs
-        self.batch_size = batch_size
-        self.l2 = l2
-        self.seed = seed
-        self.tol = tol
-        self.patience = patience
-        self._weights: list[np.ndarray] = []
-        self._biases: list[np.ndarray] = []
+        super().__init__(
+            hidden_layers,
+            activation,
+            learning_rate,
+            epochs,
+            batch_size,
+            l2,
+            seed,
+            tol,
+            patience,
+        )
         self._y_mean = 0.0
         self._y_scale = 1.0
         self._fitted = False
-        self.loss_curve_: list[float] = []
 
-    def _forward(self, X: np.ndarray) -> list[np.ndarray]:
-        act, _ = _ACTIVATIONS[self.activation]
-        a = X
-        activations = [a]
-        last = len(self._weights) - 1
-        for i, (W, b) in enumerate(zip(self._weights, self._biases)):
-            z = a @ W + b
-            a = z if i == last else act(z)  # identity output layer
-            activations.append(a)
-        return activations
+    def _output(self, z: np.ndarray) -> np.ndarray:
+        return z  # identity output layer
+
+    def _output_delta(
+        self, out: np.ndarray, target: np.ndarray, rows: np.ndarray
+    ) -> float:
+        # Squared error, then its gradient (the error over the batch size).
+        err = out[:, 0]
+        err -= target
+        loss = float(err @ err)
+        err /= len(target)
+        return loss
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "MLPRegressor":
         X = np.asarray(X, dtype=np.float64)
@@ -306,73 +466,14 @@ class MLPRegressor:
             raise ValueError("X must be (n, d) and y must be (n,)")
         if not (np.isfinite(X).all() and np.isfinite(y).all()):
             raise ValueError("non-finite training data")
-        n, d = X.shape
         # Standardize the target for stable optimization.
         self._y_mean = float(y.mean())
         self._y_scale = float(y.std()) or 1.0
         yz = (y - self._y_mean) / self._y_scale
 
         rng = np.random.default_rng(self.seed)
-        sizes = [d, *self.hidden_layers, 1]
-        self._weights = []
-        self._biases = []
-        for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
-            limit = np.sqrt(6.0 / (fan_in + fan_out))
-            self._weights.append(rng.uniform(-limit, limit, size=(fan_in, fan_out)))
-            self._biases.append(np.zeros(fan_out))
-
-        act, dact = _ACTIVATIONS[self.activation]
-        mW = [np.zeros_like(W) for W in self._weights]
-        vW = [np.zeros_like(W) for W in self._weights]
-        mb = [np.zeros_like(b) for b in self._biases]
-        vb = [np.zeros_like(b) for b in self._biases]
-        beta1, beta2, eps = 0.9, 0.999, 1e-8
-        step = 0
-        batch = min(self.batch_size, n)
-        best_loss = np.inf
-        stale = 0
-        self.loss_curve_ = []
-        for _epoch in range(self.epochs):
-            order = rng.permutation(n)
-            epoch_loss = 0.0
-            for start in range(0, n, batch):
-                idx = order[start : start + batch]
-                acts = self._forward(X[idx])
-                pred = acts[-1][:, 0]
-                err = pred - yz[idx]
-                epoch_loss += float(err @ err)
-                delta = (err / len(idx))[:, None]
-                step += 1
-                corr1 = 1.0 - beta1**step
-                corr2 = 1.0 - beta2**step
-                for i in range(len(self._weights) - 1, -1, -1):
-                    gW = acts[i].T @ delta + self.l2 * self._weights[i]
-                    gb = delta.sum(axis=0)
-                    if i > 0:
-                        delta = (delta @ self._weights[i].T) * dact(acts[i])
-                    mW[i] = beta1 * mW[i] + (1 - beta1) * gW
-                    vW[i] = beta2 * vW[i] + (1 - beta2) * gW**2
-                    mb[i] = beta1 * mb[i] + (1 - beta1) * gb
-                    vb[i] = beta2 * vb[i] + (1 - beta2) * gb**2
-                    self._weights[i] -= (
-                        self.learning_rate
-                        * (mW[i] / corr1)
-                        / (np.sqrt(vW[i] / corr2) + eps)
-                    )
-                    self._biases[i] -= (
-                        self.learning_rate
-                        * (mb[i] / corr1)
-                        / (np.sqrt(vb[i] / corr2) + eps)
-                    )
-            epoch_loss /= n
-            self.loss_curve_.append(epoch_loss)
-            if epoch_loss < best_loss - self.tol:
-                best_loss = epoch_loss
-                stale = 0
-            else:
-                stale += 1
-                if stale >= self.patience:
-                    break
+        self._init_layers([X.shape[1], *self.hidden_layers, 1], rng)
+        self._train_loop(X, yz, self.epochs, rng)
         self._fitted = True
         return self
 

@@ -14,6 +14,7 @@ from repro.ml import (
     accuracy,
     confusion_matrix,
 )
+from repro.ml.neural import MLPRegressor
 
 
 def _blobs(n=240, classes=3, d=4, spread=0.4, seed=0):
@@ -131,6 +132,46 @@ class TestMLPSpecifics:
     def test_continue_fit_before_fit_raises(self):
         with pytest.raises(RuntimeError):
             MLPClassifier().continue_fit(np.zeros((4, 2)), np.zeros(4))
+
+    @pytest.mark.parametrize("epochs", [0, -3])
+    def test_continue_fit_rejects_non_positive_epochs(self, epochs):
+        X, y = _blobs(n=60)
+        m = MLPClassifier(epochs=5, seed=0).fit(X, y)
+        curve = list(m.loss_curve_)
+        with pytest.raises(ValueError, match="epochs"):
+            m.continue_fit(X, y, epochs=epochs)
+        assert m.loss_curve_ == curve
+
+
+#: (field, bad value) pairs both MLPs must reject at construction, not
+#: train on (a NaN or infinite step or decay makes every weight NaN).
+BAD_MLP_HYPERPARAMETERS = [
+    ("learning_rate", 0.0),
+    ("learning_rate", -0.01),
+    ("learning_rate", float("nan")),
+    ("learning_rate", float("inf")),
+    ("l2", -1e-4),
+    ("l2", float("nan")),
+    ("l2", float("inf")),
+    ("tol", -1e-5),
+    ("tol", float("nan")),
+    ("tol", float("inf")),
+    ("patience", 0),
+    ("patience", -1),
+]
+
+
+@pytest.mark.parametrize("cls", [MLPClassifier, MLPRegressor])
+@pytest.mark.parametrize("field,value", BAD_MLP_HYPERPARAMETERS)
+def test_mlp_rejects_bad_hyperparameters(cls, field, value):
+    with pytest.raises(ValueError, match=field):
+        cls(**{field: value})
+
+
+@pytest.mark.parametrize("cls", [MLPClassifier, MLPRegressor])
+def test_mlp_accepts_boundary_hyperparameters(cls):
+    m = cls(l2=0.0, tol=0.0, patience=1, epochs=1, learning_rate=1e-9)
+    assert (m.l2, m.tol, m.patience) == (0.0, 0.0, 1)
 
 
 class TestTreeSpecifics:
