@@ -66,12 +66,13 @@ def build_service(config: ServiceConfig, train_programs: int, seed: int):
 def serve_workload(service: PartitioningService, workload) -> list:
     """Play the trace, applying drift events to the service's runner."""
     responses = []
-    for events, batch in workload.segments():
-        for event in events:
+    for item in workload.items():
+        if isinstance(item, DriftEvent):
             service.system.runner.apply_drift(
-                event.scale, device_index=event.device_index
+                item.scale, device_index=item.device_index
             )
-        responses.extend(service.submit_many(list(batch)))
+        else:
+            responses.append(service.submit(item))
     return responses
 
 
@@ -109,7 +110,6 @@ def run_pair(args) -> dict:
         responses = serve_workload(service, workload)
         wall_s = time.perf_counter() - t0
         stats = service.stats
-        served = stats.requests * service.config.repetitions
         results[name] = {
             "mean_measured_s": statistics.fmean(r.measured_s for r in responses),
             "post_drift_mean_s": statistics.fmean(
@@ -119,7 +119,9 @@ def run_pair(args) -> dict:
             "drift_flags": stats.drift_flags,
             "drift_escalations": stats.drift_escalations,
             "refits": stats.refits,
-            "probe_executions": service.system.runner.stats.executions - served,
+            # Each served request is measured once; the rest are probes.
+            "probe_executions": service.system.runner.stats.executions
+            - stats.requests,
             "wall_s": wall_s,
         }
     return {

@@ -53,7 +53,8 @@ def run_fleet(fleet_size: int, trace, policy: str, train_programs: int, seed: in
     )
     train_s = time.perf_counter() - t0
     t0 = time.perf_counter()
-    router.serve(trace)
+    for request in trace:
+        router.submit(request)
     serve_wall_s = time.perf_counter() - t0
     stats = router.stats()
     return {

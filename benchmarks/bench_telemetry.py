@@ -7,14 +7,19 @@ through the event loop three times — ``telemetry="off"``,
 ``"metrics"``, and ``"trace"`` — with identical seeds, so every mode
 simulates the exact same run and only the instrumentation differs.
 
-Each mode is timed best-of-``--repeats`` wall clock.  The script fails
-when:
+The runs go in ``--repeats`` rounds of one ``off`` and one
+``metrics`` run, and the first ``TRACE_ROUNDS`` rounds add a ``trace``
+run.  The metrics-mode overhead is the median over rounds of the
+metrics/off wall ratio: the two runs of a round are neighbours in
+time, and their order alternates from round to round, so ambient
+slowdowns cancel in each ratio and one slow or lucky run cannot move
+the median.  The script fails when:
 
-* the metrics-mode wall overhead over ``off`` exceeds the bound (the
-  registry-backed stats must stay a thin view): < 3% on the full run,
-  < 10% on the CI-sized ``--quick`` run where wall noise dominates;
-* trace mode costs more than ``TRACE_BOUND``x the off-mode wall —
-  span trees are allowed to be expensive, not unbounded;
+* that overhead exceeds the bound (the registry-backed stats must stay
+  a thin view): < 3% on the full run, < 10% on the CI-sized
+  ``--quick`` run where wall noise dominates;
+* trace mode's best wall costs more than ``TRACE_BOUND``x off mode's
+  best — span trees are allowed to be expensive, not unbounded;
 * any mode perturbs the simulation: the latency-histogram bucket
   counts must be bit-identical across all three modes;
 * two trace-mode runs do not export byte-identical JSONL, or any
@@ -41,6 +46,7 @@ import argparse
 import gc
 import hashlib
 import json
+import statistics
 import sys
 import time
 from pathlib import Path
@@ -56,7 +62,6 @@ from repro.serving import (
     SLOConfig,
     key_universe,
 )
-from repro.telemetry import TELEMETRY_MODES
 from repro.workloads import WorkloadSpec, make_workload, stream_timed_items
 
 #: Target utilization of the poisson arrival process (see bench_latency).
@@ -64,6 +69,9 @@ UTILIZATION = 0.7
 
 #: Trace mode may cost at most this many times the off-mode wall.
 TRACE_BOUND = 5.0
+
+#: Rounds that also run trace mode (best-of wall, byte-identical export).
+TRACE_ROUNDS = 3
 
 
 def _train(train_programs: int, seed: int):
@@ -184,7 +192,10 @@ def main(argv=None) -> int:
         help="trace length (default: 200,000; quick: 20,000)",
     )
     parser.add_argument(
-        "--repeats", type=int, default=3, help="wall timings per mode (best-of)"
+        "--repeats",
+        type=int,
+        default=None,
+        help="rounds of off/metrics runs (default: 3; quick: 15)",
     )
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--output", default="BENCH_telemetry.json")
@@ -197,6 +208,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     num_requests = args.requests or (20_000 if args.quick else 200_000)
+    rounds = max(1, args.repeats or (15 if args.quick else 3))
     train_programs = 4 if args.quick else 8
     metrics_bound = 0.10 if args.quick else 0.03
     keys = key_universe(all_benchmarks(), max_sizes=2)
@@ -205,25 +217,32 @@ def main(argv=None) -> int:
     slo_s = 4.0 * UTILIZATION / rate_rps
     print(f"calibrated arrival rate: {rate_rps:.1f} req/s ({UTILIZATION:.0%} load)")
 
-    # Repeats are round-robined across the modes (off, metrics, trace,
-    # off, metrics, ...) so slow ambient periods — CI neighbours, page
-    # cache churn — hit every mode equally instead of biasing whichever
-    # mode happened to run during them; best-of then compares mode
-    # floors, not mode luck.
+    # Off and metrics run back to back, so slow ambient periods — CI
+    # neighbours, page cache churn — hit both alike, and they swap
+    # places every round, so neither always runs first.
     modes: dict[str, dict] = {}
-    exports: list[list[str]] = []
+    overheads: list[float] = []
+    exports: list[tuple[int, str]] = []  # (lines, sha256) per trace run
     analyzer = None
-    for _ in range(max(1, args.repeats)):
-        for mode in TELEMETRY_MODES:
+    for round_no in range(rounds):
+        order = ("off", "metrics") if round_no % 2 == 0 else ("metrics", "off")
+        if round_no < TRACE_ROUNDS:
+            order += ("trace",)
+        walls = {}
+        for mode in order:
             doc, telemetry = run_mode(
                 mode, keys, num_requests, rate_rps, slo_s, train_programs, args.seed
             )
+            walls[mode] = doc["wall_s"]
             best = modes.get(mode)
             if best is None or doc["wall_s"] < best["wall_s"]:
                 modes[mode] = doc
             if telemetry is not None and telemetry.tracing:
-                exports.append(telemetry.tracer.export_lines())
+                lines = telemetry.tracer.export_lines()
+                digest = hashlib.sha256("\n".join(lines).encode() + b"\n")
+                exports.append((len(lines), digest.hexdigest()))
                 analyzer = telemetry.analyzer()
+        overheads.append(walls["metrics"] / walls["off"] - 1.0)
     for mode, best in modes.items():
         print(
             f"{mode:>7}: wall {best['wall_s']:.3f} s "
@@ -238,9 +257,13 @@ def main(argv=None) -> int:
         if result["fingerprint"] != modes["off"]["fingerprint"]:
             failures.append(f"{mode}: telemetry perturbed the simulation")
 
-    metrics_overhead = modes["metrics"]["wall_s"] / modes["off"]["wall_s"] - 1.0
+    metrics_overhead = statistics.median(overheads)
     trace_ratio = modes["trace"]["wall_s"] / modes["off"]["wall_s"]
-    print(f"metrics overhead over off: {metrics_overhead:+.1%}")
+    print(
+        f"metrics overhead over off: {metrics_overhead:+.1%} "
+        f"(median of {rounds} rounds; "
+        f"{min(overheads):+.1%} to {max(overheads):+.1%})"
+    )
     print(f"trace wall over off:       {trace_ratio:.2f}x")
     if metrics_overhead > metrics_bound:
         failures.append(
@@ -255,14 +278,12 @@ def main(argv=None) -> int:
 
     # Replay gate: every trace-mode repeat must export byte-identical
     # JSONL — same seeds, same simulated clock, same lines.
-    byte_identical = all(lines == exports[0] for lines in exports[1:])
+    byte_identical = all(export == exports[0] for export in exports[1:])
     if not byte_identical:
         failures.append("trace-mode repeats did not export byte-identical JSONL")
-    trace_digest = hashlib.sha256(
-        "\n".join(exports[0]).encode() + b"\n"
-    ).hexdigest()
+    trace_lines, trace_digest = exports[0]
     print(
-        f"trace export: {len(exports[0])} lines over {len(exports)} runs, "
+        f"trace export: {trace_lines} lines over {len(exports)} runs, "
         f"byte-identical={byte_identical}, sha256={trace_digest[:12]}…"
     )
 
@@ -281,14 +302,15 @@ def main(argv=None) -> int:
         "seed": args.seed,
         "num_requests": num_requests,
         "train_programs": train_programs,
-        "repeats": args.repeats,
+        "repeats": rounds,
         "rate_rps": rate_rps,
         "slo_s": slo_s,
         "utilization": UTILIZATION,
         "metrics_overhead": metrics_overhead,
+        "metrics_overhead_rounds": overheads,
         "metrics_bound": metrics_bound,
         "trace_ratio": trace_ratio,
-        "trace_lines": len(exports[0]),
+        "trace_lines": trace_lines,
         "trace_digest": trace_digest,
         "byte_identical": byte_identical,
         "modes": modes,

@@ -202,13 +202,13 @@ def _build_backend(args: argparse.Namespace, train_benchmarks, slo):
     else:
         platforms = fleet_platforms(args.machines)
     registry = ModelRegistry(args.registry) if args.registry else None
-    training = TrainingConfig(
-        repetitions=1,
-        noise_sigma=args.noise,
-        seed=args.seed,
-        max_sizes=args.max_sizes,
-    )
     try:
+        training = TrainingConfig(
+            repetitions=1,
+            noise_sigma=args.noise,
+            seed=args.seed,
+            max_sizes=args.max_sizes,
+        )
         serving = ServiceConfig(
             cache_capacity=args.cache_capacity,
             regression_threshold=args.threshold,
@@ -546,8 +546,8 @@ def _print_service_summary(service, source: str, loop_stats, wall_s: float) -> N
     cache = service.cache.stats
     runner_stats = service.system.runner.stats
     serialized = loop_stats.execute_time_s
-    served_executions = stats.requests * service.config.repetitions
-    probes = runner_stats.executions - served_executions
+    # Each served request is measured once; the rest are probes.
+    probes = runner_stats.executions - stats.requests
     rows = [
         ("model source", source),
         ("objective", service.config.objective.value),
@@ -1101,7 +1101,10 @@ def _cmd_graph_sweep(args: argparse.Namespace) -> int:
     platform = machine_by_name(args.machine)
     stages = _parse_stages(args.stages)
     graph = pipeline_chain(stages, scale_bytes=args.scale_bytes)
-    runner = Runner(platform, noise_sigma=args.noise, seed=args.seed)
+    try:
+        runner = Runner(platform, noise_sigma=args.noise, seed=args.seed)
+    except ValueError as error:
+        raise SystemExit(f"--noise: {error}") from error
     engine = SweepEngine(runner)
     requests = engine.graph_requests(graph, instance_seed=args.seed)
     idle_w = EnergyMeter(runner.devices).platform_idle_w()

@@ -40,7 +40,7 @@ from typing import TYPE_CHECKING, Mapping, Sequence
 
 from ..benchsuite.registry import get_benchmark
 from ..core.trainer import TrainingConfig
-from ..fleet.router import FleetRouter, HealthConfig
+from ..fleet.router import FleetRouter
 from ..machines.fleet import cluster_platforms
 from ..runtime.arrays import buffer_layout
 from ..serving.histogram import LatencyHistogram
@@ -259,7 +259,6 @@ class ClusterRouter:
         serving: ServiceConfig = ServiceConfig(),
         policy: str = "least-loaded",
         registry: "ModelRegistry | None" = None,
-        health: HealthConfig = HealthConfig(),
         network: NetworkSpec = NetworkSpec(),
         slo: SLOConfig = SLOConfig(),
     ) -> "ClusterRouter":
@@ -280,7 +279,6 @@ class ClusterRouter:
                 serving=serving,
                 policy=policy,
                 registry=registry,
-                health=health,
             )
             for chunk in platform_pools
         ]

@@ -8,6 +8,7 @@ measurements land in the database from which the model is trained.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
@@ -35,7 +36,8 @@ class TrainingConfig:
     Attributes:
         step_percent: partition-space discretization (paper: 10%).
         repetitions: measurements per partitioning (median taken), >= 1.
-        noise_sigma: lognormal measurement noise (0 = deterministic), >= 0.
+        noise_sigma: lognormal measurement noise (0 = deterministic),
+            >= 0 and finite.
         seed: base seed for inputs and noise streams.
         max_sizes: cap on ladder sizes per benchmark, >= 1 (None = all).
         functional_check: execute + verify the first partitioning of
@@ -53,8 +55,10 @@ class TrainingConfig:
     def __post_init__(self) -> None:
         if self.repetitions < 1:
             raise ValueError(f"repetitions must be >= 1, got {self.repetitions}")
-        if self.noise_sigma < 0:
-            raise ValueError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
+        if not 0 <= self.noise_sigma < math.inf:
+            raise ValueError(
+                f"noise_sigma must be >= 0 and finite, got {self.noise_sigma}"
+            )
         if self.max_sizes is not None and self.max_sizes < 1:
             raise ValueError(f"max_sizes must be >= 1 or None, got {self.max_sizes}")
 

@@ -16,7 +16,6 @@ from .router import (
     FleetResponse,
     FleetRouter,
     FleetStats,
-    HealthConfig,
     ReplicaHealthView,
     ReplicaStats,
 )
@@ -29,7 +28,6 @@ __all__ = [
     "FleetResponse",
     "FleetRouter",
     "FleetStats",
-    "HealthConfig",
     "ReplicaHealthView",
     "ReplicaStats",
 ]

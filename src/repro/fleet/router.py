@@ -72,8 +72,11 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = [
     "COOLDOWN_TICK_S",
+    "DRAIN_COOLDOWN",
+    "DRAIN_MIN_OBSERVATIONS",
+    "DRAIN_THRESHOLD",
+    "HEALTH_ALPHA",
     "ROUTING_POLICIES",
-    "HealthConfig",
     "FleetReplica",
     "FleetResponse",
     "ReplicaHealthView",
@@ -91,39 +94,22 @@ ROUTING_POLICIES = ("least-loaded", "affinity", "predicted", "energy")
 #: — so cooldown also decays one step per tick interval.
 COOLDOWN_TICK_S = 0.05
 
+#: EWMA smoothing of a replica's measured/estimate cost ratio.
+HEALTH_ALPHA = 0.3
 
-@dataclass(frozen=True)
-class HealthConfig:
-    """Knobs of the router's per-replica degradation tracking.
+#: Sustained relative degradation before a drain (0.5 = smoothed ratio
+#: above 1.5).  Deliberately slacker than the service-level drift
+#: threshold: the replica gets to repair itself key by key first, and
+#: only a gap its own adaptation could not close costs it a drain.
+DRAIN_THRESHOLD = 0.5
 
-    Attributes:
-        alpha: EWMA smoothing of the replica's measured/estimate ratio.
-        threshold: sustained relative degradation before a drain (0.5 =
-            smoothed ratio above 1.5).  Deliberately slacker than the
-            service-level drift threshold: the replica gets to repair
-            itself key by key first, and only a gap its own adaptation
-            could not close costs it a drain.
-        min_observations: served responses before a replica may drain.
-        cooldown: placements the drained replica sits out before
-            rejoining the rotation (and before it may drain again); it
-            also decays one step per :data:`COOLDOWN_TICK_S` of
-            simulated time.
-    """
+#: Served responses before a replica may drain.
+DRAIN_MIN_OBSERVATIONS = 8
 
-    alpha: float = 0.3
-    threshold: float = 0.5
-    min_observations: int = 8
-    cooldown: int = 16
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.alpha <= 1.0:
-            raise ValueError("alpha must be in (0, 1]")
-        if self.threshold < 0:
-            raise ValueError("threshold must be non-negative")
-        if self.min_observations < 1:
-            raise ValueError("min_observations must be >= 1")
-        if self.cooldown < 0:
-            raise ValueError("cooldown must be non-negative")
+#: Placements a drained replica sits out before rejoining the rotation
+#: (and before it may drain again); it also decays one step per
+#: :data:`COOLDOWN_TICK_S` of simulated time.
+DRAIN_COOLDOWN = 16
 
 
 @dataclass
@@ -244,7 +230,6 @@ class FleetRouter:
         services: Sequence[PartitioningService],
         policy: str = "least-loaded",
         registry: "ModelRegistry | None" = None,
-        health: HealthConfig = HealthConfig(),
     ):
         if not services:
             raise ValueError("a fleet needs at least one replica")
@@ -260,7 +245,6 @@ class FleetRouter:
             )
         self.policy = policy
         self.registry = registry
-        self.health = health
         self.replicas = tuple(
             FleetReplica(index=i, service=s) for i, s in enumerate(services)
         )
@@ -297,7 +281,6 @@ class FleetRouter:
         serving: ServiceConfig = ServiceConfig(),
         policy: str = "least-loaded",
         registry: "ModelRegistry | None" = None,
-        health: HealthConfig = HealthConfig(),
     ) -> "FleetRouter":
         """Train one system per platform and wrap them in a router.
 
@@ -325,7 +308,7 @@ class FleetRouter:
             )
             for p in platforms
         ]
-        return cls(services, policy=policy, registry=registry, health=health)
+        return cls(services, policy=policy, registry=registry)
 
     # -- placement policies ------------------------------------------------
 
@@ -499,21 +482,19 @@ class FleetRouter:
             # Cap-infeasible measurements cost inf; inf/NaN would
             # poison the health EWMA permanently.
             return
-        state.ewma = (
-            self.health.alpha * ratio + (1.0 - self.health.alpha) * state.ewma
-        )
+        state.ewma = HEALTH_ALPHA * ratio + (1.0 - HEALTH_ALPHA) * state.ewma
         state.observations += 1
         if (
             state.draining == 0
-            and state.observations >= self.health.min_observations
-            and state.ewma > 1.0 + self.health.threshold
+            and state.observations >= DRAIN_MIN_OBSERVATIONS
+            and state.ewma > 1.0 + DRAIN_THRESHOLD
         ):
             self._drain(replica)
 
     def _drain(self, replica: FleetReplica) -> None:
         """Take a degraded replica out of rotation and re-warm it."""
         state = self._health[replica.index]
-        state.draining = self.health.cooldown
+        state.draining = DRAIN_COOLDOWN
         state.ewma = 1.0
         state.observations = 0
         self.rewarm_replica(replica.index)
@@ -646,11 +627,6 @@ class FleetRouter:
     def submit(self, request: "ServingRequest | GraphServingRequest") -> FleetResponse:
         """Place and serve one request; returns the placement + response."""
         return self.serve_on(self.place(request), request)
-
-    def serve(self, trace: Sequence[ServingRequest]) -> list[FleetResponse]:
-        """Route a whole trace; placement is sequential by design (the
-        least-loaded and predicted policies depend on prior placements)."""
-        return [self.submit(r) for r in trace]
 
     # -- telemetry ---------------------------------------------------------
 

@@ -9,6 +9,7 @@ the statistics of a real campaign while staying bit-reproducible.
 
 from __future__ import annotations
 
+import math
 import statistics
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Mapping
@@ -142,6 +143,12 @@ class Runner:
         noise_sigma: float = 0.0,
         seed: int = 0,
     ):
+        if not 0.0 <= noise_sigma < math.inf:
+            # Noise is gated on ``noise_sigma > 0``, so a NaN or negative
+            # sigma would silently run noise-free.
+            raise ValueError(
+                f"noise_sigma must be non-negative and finite, got {noise_sigma}"
+            )
         noise = make_lognormal_noise(noise_sigma, seed) if noise_sigma > 0 else None
         self.platform = platform
         self.devices = platform.create_devices(noise)

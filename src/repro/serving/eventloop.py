@@ -101,6 +101,7 @@ __all__ = [
     "INITIAL_SERVICE_S",
     "PREDICT_HIT_S",
     "PREDICT_MISS_S",
+    "TRIGGER_MIN_COMPLETIONS",
     "EventLoopStats",
     "CompletedRequest",
     "EventLoop",
@@ -121,6 +122,12 @@ BACKLOG_ALPHA = 0.3
 #: Backlog estimate before a replica has served anything (only
 #: admission decisions read it).
 INITIAL_SERVICE_S = 1e-3
+
+#: Completions observed before a hedge or speculation trigger is
+#: trusted: a latency quantile over a near-empty histogram would fire
+#: duplicates on noise.
+TRIGGER_MIN_COMPLETIONS = 32
+
 
 @dataclass(slots=True)
 class CompletedRequest:
@@ -721,40 +728,30 @@ class EventLoop:
             self._tracer.begin(pending.seq, self._clock, request)
         self._enqueue(pending, replica, is_hedge=False)
         self._schedule_timeout(pending)
-        self._schedule_hedge(pending)
-        self._schedule_speculation(pending)
+        self._schedule_trigger(pending, self.options.hedge_at, "hedge")
+        self._schedule_trigger(pending, self.options.speculate_at, "speculate")
 
     def _schedule_timeout(self, pending: _Pending) -> None:
         if self.options.timeout_factor is None:
             return
-        target = self.options.slo.target_for(pending.request.tenant)
-        if target is None:
-            return
+        # ServeOptions rejects a timeout_factor without an SLO target.
         self._push(
-            pending.arrival_s + self.options.timeout_factor * target,
+            pending.arrival_s + self.options.timeout_factor * self.options.slo.target_s,
             "timeout",
             pending,
         )
 
-    def _schedule_hedge(self, pending: _Pending) -> None:
-        if self.options.hedge_at is None:
+    def _schedule_trigger(
+        self, pending: _Pending, quantile: float | None, kind: str
+    ) -> None:
+        """Schedule a ``hedge`` or ``speculate`` event for ``pending``
+        at the observed latency ``quantile`` past its arrival."""
+        if quantile is None or self.stats.completed < TRIGGER_MIN_COMPLETIONS:
             return
-        if self.stats.completed < self.options.hedge_min_completions:
-            return
-        trigger = self.stats.latency.quantile(self.options.hedge_at)
+        trigger = self.stats.latency.quantile(quantile)
         if trigger <= 0.0:
             return
-        self._push(pending.arrival_s + trigger, "hedge", pending)
-
-    def _schedule_speculation(self, pending: _Pending) -> None:
-        if self.options.speculate_at is None:
-            return
-        if self.stats.completed < self.options.speculate_min_completions:
-            return
-        trigger = self.stats.latency.quantile(self.options.speculate_at)
-        if trigger <= 0.0:
-            return
-        self._push(pending.arrival_s + trigger, "speculate", pending)
+        self._push(pending.arrival_s + trigger, kind, pending)
 
     # -- queueing and service ----------------------------------------------
 

@@ -83,9 +83,10 @@ class ServeOptions:
             admissions, so a fault storm cannot melt into a retry storm.
         hedge_at: latency quantile (e.g. ``0.95``) of completions so
             far whose value triggers one hedged duplicate for any
-            request older than it; ``None`` disables hedging.
-        hedge_min_completions: completions observed before the hedge
-            trigger is trusted (an empty histogram hedges nothing).
+            request older than it; ``None`` disables hedging.  The
+            trigger waits for
+            :data:`~repro.serving.eventloop.TRIGGER_MIN_COMPLETIONS`
+            completions (an empty histogram hedges nothing).
         failover: route arrivals and retries around crashed replicas
             and redistribute a crashed replica's queue; ``False`` is
             the availability baseline where work stays stranded.
@@ -96,8 +97,7 @@ class ServeOptions:
             speculative copy asks the backend where to escape to — on
             a cluster that means a *different pool* than every live
             copy, which is what beats pool-local straggler windows.
-        speculate_min_completions: completions observed before the
-            speculation trigger is trusted.
+            Waits for the same completion count as hedging.
         work_steal: let a replica that just went idle pull the
             tail-most queued attempt from the most backlogged replica
             the backend names as a victim (cross-pool on a cluster);
@@ -127,10 +127,8 @@ class ServeOptions:
     retry_backoff_s: float = 1e-3
     retry_budget: float = 0.2
     hedge_at: float | None = None
-    hedge_min_completions: int = 32
     failover: bool = True
     speculate_at: float | None = None
-    speculate_min_completions: int = 32
     work_steal: bool = False
     queue_discipline: str = "fifo"
     telemetry: str = "off"
@@ -155,19 +153,18 @@ class ServeOptions:
                 f"unknown shed policy {self.shed_policy!r}; "
                 f"choose from {SHED_POLICIES}"
             )
-        has_target = self.slo.target_s is not None or bool(self.slo.tenant_targets)
-        if self.shed_policy != "none" and not has_target:
+        if self.shed_policy != "none" and self.slo.target_s is None:
             raise ValueError(
                 f"shed policy {self.shed_policy!r} needs an SLO target to shed "
-                "against (slo.target_s or tenant_targets)"
+                "against (slo.target_s)"
             )
         if self.timeout_factor is not None:
             if not 0.0 < self.timeout_factor < math.inf:
                 raise ValueError("timeout_factor must be positive and finite")
-            if not has_target:
+            if self.slo.target_s is None:
                 raise ValueError(
                     "timeout_factor derives timeouts from the SLO target "
-                    "(slo.target_s or tenant_targets); none is set"
+                    "(slo.target_s); none is set"
                 )
         if self.max_retries < 0:
             raise ValueError("max_retries must be non-negative")
@@ -177,12 +174,8 @@ class ServeOptions:
             raise ValueError("retry_budget must be non-negative and finite")
         if self.hedge_at is not None and not 0.0 < self.hedge_at < 1.0:
             raise ValueError("hedge_at is a quantile in (0, 1)")
-        if self.hedge_min_completions < 1:
-            raise ValueError("hedge_min_completions must be >= 1")
         if self.speculate_at is not None and not 0.0 < self.speculate_at < 1.0:
             raise ValueError("speculate_at is a quantile in (0, 1)")
-        if self.speculate_min_completions < 1:
-            raise ValueError("speculate_min_completions must be >= 1")
         if self.queue_discipline not in QUEUE_DISCIPLINES:
             raise ValueError(
                 f"unknown queue discipline {self.queue_discipline!r}; "

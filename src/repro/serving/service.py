@@ -60,6 +60,7 @@ from .drift import DriftDetector
 from .trace import GraphServingRequest, ServingRequest
 
 __all__ = [
+    "DRIFT_ESCALATION",
     "ServiceConfig",
     "ServiceStats",
     "ServedResponse",
@@ -83,21 +84,29 @@ def _trained_grid_step(database: TrainingDatabase) -> int | None:
     return step or None
 
 
+#: Drift flags inside the detector's window that escalate to
+#: platform-level drift: full cache invalidation, pinned winners
+#: dropped, model refit.  The window holds 32 observations, so a value
+#: above 32 never escalates.
+DRIFT_ESCALATION = 8
+
+
 @dataclass(frozen=True)
 class ServiceConfig:
     """Knobs of the serving loop.
+
+    The local re-search walks the :data:`~repro.partitioning.DEFAULT_STEP_PERCENT`
+    grid, and every served execution is measured once.
 
     Attributes:
         cache_capacity: LRU prediction-cache entries.
         regression_threshold: relative slack before an observed makespan
             counts as a regression (0.3 = 30% over the estimate).
-        adaptation_step: partition-space step of the local re-search.
         max_adaptations_per_key: local searches allowed per key (bounds
             probing cost on persistently noisy keys).
         refit_interval: adaptations to batch before one incremental
             model refit (each refit invalidates the prediction cache,
             so refitting per-adaptation would churn it).
-        repetitions: measurement repetitions per served execution.
         validate_cold_keys: locally search keys the training database
             has never seen (the feedback-driven refinement path for
             out-of-distribution programs/sizes).
@@ -108,16 +117,10 @@ class ServiceConfig:
             re-simulating).  ``False`` is the unmemoized pre-engine
             path, kept for benchmarking the engine against it.
         detect_drift: run the sliding-window EWMA drift detector (with
-            its default window, smoothing and threshold).  ``False``
-            falls back to the single-run regression check alone (and
-            is the frozen-model baseline in the drift benchmark).
-        drift_min_observations: observations of a key before it may
-            flag (one noisy run is not drift).
-        drift_cooldown: observations a flagged key sits out before it
-            can flag again (bounds search storms on noisy keys).
-        drift_escalation: flags inside the window that escalate to
-            platform-level drift — full cache invalidation, pinned
-            winners dropped, model refit.  0 disables escalation.
+            its own defaults) and escalate at :data:`DRIFT_ESCALATION`
+            flags.  ``False`` falls back to the single-run regression
+            check alone (and is the frozen-model baseline in the drift
+            benchmark).
         objective: what the service optimizes (makespan / energy / EDP /
             energy-capped-makespan).  Every measured run is priced in
             this objective's scalar cost: regression checks, drift
@@ -132,17 +135,12 @@ class ServiceConfig:
 
     cache_capacity: int = 512
     regression_threshold: float = 0.3
-    adaptation_step: int = DEFAULT_STEP_PERCENT
     max_adaptations_per_key: int = 1
     refit_interval: int = 4
-    repetitions: int = 1
     validate_cold_keys: bool = True
     instance_seed: int = 0
     memoize: bool = True
     detect_drift: bool = True
-    drift_min_observations: int = 3
-    drift_cooldown: int = 8
-    drift_escalation: int = 8
     objective: Objective = Objective.MAKESPAN
     power_cap_w: float | None = None
 
@@ -154,20 +152,14 @@ class ServiceConfig:
             raise ValueError(
                 "the energy-capped-makespan objective needs a power_cap_w"
             )
-        if self.regression_threshold < 0:
-            raise ValueError("regression_threshold must be non-negative")
+        if not 0 <= self.regression_threshold < math.inf:
+            # A NaN would pass a plain ``< 0`` test and then turn off
+            # every single-run regression check: ``cost > nan`` is False.
+            raise ValueError("regression_threshold must be non-negative and finite")
         if self.refit_interval < 1:
             raise ValueError("refit_interval must be >= 1")
         if self.max_adaptations_per_key < 0:
             raise ValueError("max_adaptations_per_key must be non-negative")
-        if not 1 <= self.adaptation_step <= 100:
-            raise ValueError("adaptation_step must be a percentage in [1, 100]")
-        if self.drift_min_observations < 1:
-            raise ValueError("drift_min_observations must be >= 1")
-        if self.drift_cooldown < 0:
-            raise ValueError("drift_cooldown must be non-negative")
-        if self.drift_escalation < 0:
-            raise ValueError("drift_escalation must be non-negative")
 
 
 @dataclass
@@ -266,14 +258,15 @@ class PartitioningService:
 
     def __init__(self, system: TrainedSystem, config: ServiceConfig = ServiceConfig()):
         trained_step = _trained_grid_step(system.database)
-        if trained_step is not None and config.adaptation_step % trained_step != 0:
+        if trained_step is not None and DEFAULT_STEP_PERCENT % trained_step != 0:
             # An off-grid step would let the local search pin a winner
             # outside partition_space: its label never matches a model
             # class after refit, so the adaptation could never be
             # confirmed (or corrected) by the model again.
             raise ValueError(
-                f"adaptation_step {config.adaptation_step} is off the trained "
-                f"partition grid (step {trained_step}); use a multiple of it"
+                f"the service searches a {DEFAULT_STEP_PERCENT}% grid, which is "
+                f"off the trained partition grid (step {trained_step}); train "
+                f"with a step that divides {DEFAULT_STEP_PERCENT}"
             )
         if config.power_cap_w is not None:
             idle_floor = EnergyMeter(system.runner.devices).platform_idle_w()
@@ -310,14 +303,7 @@ class PartitioningService:
         self.device_free_s = [0.0] * system.platform.num_devices
         self.stats = ServiceStats()
         self.engine = SweepEngine(system.runner) if config.memoize else None
-        self.detector = (
-            DriftDetector(
-                min_observations=config.drift_min_observations,
-                cooldown=config.drift_cooldown,
-            )
-            if config.detect_drift
-            else None
-        )
+        self.detector = DriftDetector() if config.detect_drift else None
         self._validated: dict[CacheKey, Partitioning] = {}
         self._adaptations_by_key: dict[CacheKey, int] = {}
         # Power-cap substitutions, memoized per key: the cap decision is
@@ -384,13 +370,9 @@ class PartitioningService:
     ) -> tuple[float, float]:
         """Measure one partitioning; returns (median seconds, joules)."""
         if self.engine is not None:
-            run = self.engine.measure(
-                exec_request, p, repetitions=self.config.repetitions
-            )
+            run = self.engine.measure(exec_request, p)
         else:
-            run = self.system.runner.run(
-                exec_request, p, functional=False, repetitions=self.config.repetitions
-            )
+            run = self.system.runner.run(exec_request, p, functional=False)
         return run.median_s, run.energy_j
 
     def _cost(self, time_s: float, energy_j: float) -> float:
@@ -529,10 +511,7 @@ class PartitioningService:
             # search winner goes back in the cache either way.
             self._drift_estimates[key] = min(costs.values())
             self.cache.put(key, partitioning)
-            if (
-                self.config.drift_escalation > 0
-                and self.detector.flags_in_window() >= self.config.drift_escalation
-            ):
+            if self.detector.flags_in_window() >= DRIFT_ESCALATION:
                 self._escalate()
 
         # Every measured run — adapted or not — lands in the database.
@@ -621,16 +600,10 @@ class PartitioningService:
         """Compose one graph run on the configured measurement path."""
         if self.engine is not None:
             return self.engine.measure_graph(
-                graph,
-                plan,
-                repetitions=self.config.repetitions,
-                instance_seed=self.config.instance_seed,
+                graph, plan, instance_seed=self.config.instance_seed
             )
         return self.system.runner.run_graph(
-            graph,
-            plan,
-            repetitions=self.config.repetitions,
-            instance_seed=self.config.instance_seed,
+            graph, plan, instance_seed=self.config.instance_seed
         )
 
     def _predict_plan(self, graph: TaskGraph) -> GraphPlan:
@@ -671,9 +644,9 @@ class PartitioningService:
             measure,
             runner.devices,
             EnergyMeter(runner.devices).platform_idle_w(),
-            step_percent=self.config.adaptation_step,
+            step_percent=DEFAULT_STEP_PERCENT,
         )
-        return planner.search(graph, requests, repetitions=self.config.repetitions)
+        return planner.search(graph, requests)
 
     def submit_graph(self, request: GraphServingRequest) -> GraphServedResponse:
         """Serve one task-graph request end-to-end.
@@ -821,7 +794,7 @@ class PartitioningService:
         has to run somewhere).
         """
         self._adaptations_by_key[key] = self._adaptations_by_key.get(key, 0) + 1
-        for candidate in neighborhood(predicted, self.config.adaptation_step):
+        for candidate in neighborhood(predicted, DEFAULT_STEP_PERCENT):
             t, e = self._measure(exec_request, candidate)
             timings[candidate.label] = t
             energies[candidate.label] = e
@@ -891,7 +864,7 @@ class PartitioningService:
         fallback = predicted
         fallback_power = e / t
         for candidate in partition_space(
-            predicted.num_devices, self.config.adaptation_step
+            predicted.num_devices, DEFAULT_STEP_PERCENT
         ):
             ct, ce = self._measure(exec_request, candidate)
             power = ce / ct if ct > 0 else 0.0

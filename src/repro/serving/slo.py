@@ -3,7 +3,7 @@
 An SLO is a promise about *end-to-end* latency — queueing included —
 so it only becomes meaningful on the event-driven serving path where
 requests carry arrival timestamps.  :class:`SLOConfig` names the
-targets (a default plus per-tenant overrides and priorities);
+target and the per-tenant priorities;
 :class:`SLOTracker` counts, per tenant, how often the promise was kept,
 broken, or pre-empted by admission control.
 
@@ -15,7 +15,7 @@ Shedding policies (:data:`SHED_POLICIES`):
   overshoots its SLO target is shed at arrival instead of wasting
   queue space to miss its deadline anyway.
 * ``priority`` — the same deadline test, but only tenants whose
-  priority is below ``shed_below_priority`` may be shed; premium
+  priority is below :data:`SHED_BELOW_PRIORITY` may be shed; premium
   traffic is always admitted and rides out the queue.
 
 The deadline test itself lives here as :func:`shed_decision` so the
@@ -32,6 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 __all__ = [
+    "SHED_BELOW_PRIORITY",
     "SHED_POLICIES",
     "SLOConfig",
     "ShedDecision",
@@ -43,42 +44,38 @@ __all__ = [
 #: The admission-control policies of the event loop.
 SHED_POLICIES = ("none", "deadline", "priority")
 
+#: Under the ``priority`` policy, only requests whose tenant priority
+#: is strictly below this may be shed.
+SHED_BELOW_PRIORITY = 1
+
 
 @dataclass(frozen=True)
 class SLOConfig:
-    """Latency targets and priorities, keyed by tenant.
+    """The latency target and the per-tenant priorities.
 
     Attributes:
-        target_s: default end-to-end latency target in seconds;
-            ``None`` disables SLO accounting (and all shedding).
-        tenant_targets: per-tenant overrides as (tenant, seconds)
-            pairs; a tenant listed here is judged by its own target.
+        target_s: end-to-end latency target in seconds, the same for
+            every tenant; ``None`` disables SLO accounting (and all
+            shedding).
         tenant_priorities: per-tenant priorities as (tenant, priority)
-            pairs; unlisted tenants have priority 0.
-        shed_below_priority: under the ``priority`` policy, only
-            requests with priority strictly below this may be shed.
+            pairs; unlisted tenants have priority 0.  A tenant may be
+            listed once.
     """
 
     target_s: float | None = None
-    tenant_targets: tuple[tuple[str, float], ...] = ()
     tenant_priorities: tuple[tuple[str, int], ...] = ()
-    shed_below_priority: int = 1
 
     def __post_init__(self) -> None:
         if self.target_s is not None and not self.target_s > 0:
             raise ValueError("target_s must be positive")
-        for tenant, target in self.tenant_targets:
-            if not target > 0:
-                raise ValueError(f"tenant {tenant!r} target must be positive")
-        object.__setattr__(self, "tenant_targets", tuple(self.tenant_targets))
-        object.__setattr__(self, "tenant_priorities", tuple(self.tenant_priorities))
-
-    def target_for(self, tenant: str) -> float | None:
-        """The latency target one tenant is judged by."""
-        for name, target in self.tenant_targets:
-            if name == tenant:
-                return target
-        return self.target_s
+        priorities = tuple(self.tenant_priorities)
+        tenants = [tenant for tenant, _priority in priorities]
+        for tenant in tenants:
+            if tenants.count(tenant) > 1:
+                raise ValueError(
+                    f"tenant {tenant!r} is listed twice in tenant_priorities"
+                )
+        object.__setattr__(self, "tenant_priorities", priorities)
 
     def priority_for(self, tenant: str) -> int:
         for name, priority in self.tenant_priorities:
@@ -137,12 +134,10 @@ def shed_decision(
         raise ValueError("queue and duplicate depths must be non-negative")
     if policy == "none":
         return _ADMIT
-    target = config.target_for(tenant)
+    target = config.target_s
     if target is None:
         return _ADMIT
-    if policy == "priority" and (
-        config.priority_for(tenant) >= config.shed_below_priority
-    ):
+    if policy == "priority" and config.priority_for(tenant) >= SHED_BELOW_PRIORITY:
         return _ADMIT
     if idle:
         return _ADMIT
@@ -184,7 +179,7 @@ class SLOTracker:
         """Count one served request; True when it violated its target."""
         stats = self._tenant(tenant)
         stats.completed += 1
-        target = self.config.target_for(tenant)
+        target = self.config.target_s
         violated = target is not None and latency_s > target
         if violated:
             stats.violations += 1

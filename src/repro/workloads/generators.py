@@ -48,9 +48,7 @@ class Workload:
     """A generated trace: the requests plus the drift schedule.
 
     The request stream and the platform drift events are one timeline;
-    :meth:`items` yields them interleaved in serving order, and
-    :meth:`segments` groups the requests between drift points for
-    consumers that serve in batches (``submit_many``).
+    :meth:`items` yields them interleaved in serving order.
     """
 
     spec: WorkloadSpec
@@ -73,29 +71,6 @@ class Workload:
                 yield pending.pop(0)
             yield request
         yield from pending
-
-    def segments(
-        self,
-    ) -> Iterator[tuple[tuple[DriftEvent, ...], tuple[AnyServingRequest, ...]]]:
-        """(events to apply, following request batch) pairs, in order.
-
-        The batch-serving consumers apply each segment's events and
-        then hand the whole batch to ``submit_many``; a trace with no
-        drift is one segment.  Trailing events (at or past the end of
-        the trace) arrive with an empty batch.
-        """
-        header: list[DriftEvent] = []
-        batch: list[AnyServingRequest] = []
-        for item in self.items():
-            if isinstance(item, DriftEvent):
-                if batch:
-                    yield tuple(header), tuple(batch)
-                    header, batch = [], []
-                header.append(item)
-            else:
-                batch.append(item)
-        if header or batch:
-            yield tuple(header), tuple(batch)
 
     def timed_items(
         self,

@@ -34,6 +34,7 @@ at runtime.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 __all__ = ["ARRIVAL_PROCESSES", "WORKLOAD_FAMILIES", "DriftEvent", "WorkloadSpec"]
@@ -137,8 +138,8 @@ class WorkloadSpec:
             )
         if self.num_requests < 0:
             raise ValueError("num_requests must be non-negative")
-        if self.skew <= 0:
-            raise ValueError("skew must be positive")
+        if not 0 < self.skew < math.inf:
+            raise ValueError("skew must be positive and finite")
         if self.phases < 1:
             raise ValueError("phases must be >= 1")
         if self.burst_every < 1:
@@ -149,10 +150,10 @@ class WorkloadSpec:
             raise ValueError("burst_share must be in [0, 1]")
         if self.period < 2:
             raise ValueError("period must be >= 2")
-        if self.skew_min < 0:
-            raise ValueError("skew_min must be non-negative")
-        if self.skew_max < self.skew_min:
-            raise ValueError("skew_max must be >= skew_min")
+        if not 0 <= self.skew_min < math.inf:
+            raise ValueError("skew_min must be non-negative and finite")
+        if not self.skew_min <= self.skew_max < math.inf:
+            raise ValueError("skew_max must be >= skew_min and finite")
         if self.arrival not in ARRIVAL_PROCESSES:
             raise ValueError(
                 f"unknown arrival process {self.arrival!r}; "

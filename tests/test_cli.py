@@ -243,6 +243,8 @@ class TestServing:
                 ["--machines", "4", "--pools", "2", "--net-latency-us", "nan"],
                 "latency_s",
             ),
+            (["--threshold", "nan"], "regression_threshold"),
+            (["--noise", "nan"], "noise_sigma"),
         ],
     )
     def test_non_finite_numbers_exit_before_serving(self, flags, knob):
@@ -254,6 +256,13 @@ class TestServing:
 
 
 class TestGraphCommands:
+    @pytest.mark.parametrize("sigma", ["-0.1", "nan"])
+    def test_graph_sweep_rejects_bad_noise(self, sigma):
+        # Regression: graph-sweep builds its Runner directly, and a
+        # negative or NaN sigma silently ran noise-free.
+        with pytest.raises(SystemExit, match="noise_sigma"):
+            main(["graph-sweep", "--noise", sigma])
+
     def test_graph_sweep_reports_cosearch_summary(self, capsys):
         assert main(["graph-sweep", "--step", "20", "--scale-bytes", "64"]) == 0
         out = capsys.readouterr().out

@@ -11,6 +11,7 @@ import math
 
 import pytest
 
+import repro.serving.eventloop as eventloop
 from repro.benchsuite import get_benchmark
 from repro.cluster import (
     ClusterRouter,
@@ -440,8 +441,9 @@ class TestServeTraceMatrix:
     @pytest.mark.parametrize("arrival", ["uniform", "poisson"])
     @pytest.mark.parametrize("shed_policy", ["none", "deadline"])
     def test_conservation_across_the_matrix(
-        self, matrix_backends, kind, arrival, shed_policy
+        self, matrix_backends, kind, arrival, shed_policy, monkeypatch
     ):
+        monkeypatch.setattr(eventloop, "TRIGGER_MIN_COMPLETIONS", 8)
         backend = matrix_backends[kind]
         options = ServeOptions(
             arrival=arrival,
@@ -450,7 +452,6 @@ class TestServeTraceMatrix:
             slo=SLOConfig(target_s=5e-3),
             faults=STRAGGLER_FAULTS,
             speculate_at=0.9,
-            speculate_min_completions=8,
             work_steal=(kind != "service"),
         )
         result = serve_trace(backend, _trace(40), options)
@@ -547,7 +548,9 @@ class TestClosedLoop:
 
 
 class TestClusterEventPath:
-    def test_deterministic_replay_under_cluster_faults(self):
+    def test_deterministic_replay_under_cluster_faults(self, monkeypatch):
+        monkeypatch.setattr(eventloop, "TRIGGER_MIN_COMPLETIONS", 8)
+
         def run():
             cluster = _cluster(pools=2, machines_per_pool=1)
             options = ServeOptions(
@@ -556,7 +559,6 @@ class TestClusterEventPath:
                 seed=3,
                 faults=STRAGGLER_FAULTS,
                 speculate_at=0.85,
-                speculate_min_completions=8,
                 work_steal=True,
                 queue_discipline="weighted-fair",
                 slo=SLOConfig(tenant_priorities=(("premium", 2),)),
@@ -605,7 +607,8 @@ class TestClusterEventPath:
         warmup = [(i * 1e-3, r) for i, r in enumerate(trace[:8])]
         return warmup + [(9e-3, r) for r in trace[8:]]
 
-    def test_straggler_triggers_speculative_reexecution(self):
+    def test_straggler_triggers_speculative_reexecution(self, monkeypatch):
+        monkeypatch.setattr(eventloop, "TRIGGER_MIN_COMPLETIONS", 4)
         cluster = _cluster(pools=2, machines_per_pool=1)
         # Requests queued behind the pinned replica age past the
         # speculation quantile (seeded by the warm-up completions); the
@@ -615,7 +618,6 @@ class TestClusterEventPath:
             rate_rps=1000.0,
             faults=self.STRAGGLER_PIN,
             speculate_at=0.7,
-            speculate_min_completions=4,
         )
         stats = serve_trace(cluster, self._split_burst(), options).stats
         assert _conserved(stats)

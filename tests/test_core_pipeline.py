@@ -56,6 +56,10 @@ class TestTrainer:
         [
             ("repetitions", 0),
             ("noise_sigma", -0.1),
+            # Regression: only negative sigmas were caught; a NaN one
+            # reached the Runner, whose ``> 0`` gate ran it noise-free.
+            ("noise_sigma", float("nan")),
+            ("noise_sigma", float("inf")),
             ("max_sizes", 0),
             ("max_sizes", -1),
         ],

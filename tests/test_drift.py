@@ -2,9 +2,11 @@
 
 import pytest
 
+import repro.fleet.router as fleet_router
+import repro.serving.service as service_module
 from repro.benchsuite import get_benchmark
 from repro.core import TrainingConfig, train_system
-from repro.fleet import FleetRouter, HealthConfig, ModelRegistry
+from repro.fleet import FleetRouter, ModelRegistry
 from repro.machines import MC2, fleet_platforms
 from repro.ocl.costmodel import DeviceKind, DeviceSpec
 from repro.partitioning import Partitioning
@@ -29,6 +31,9 @@ TRAIN = TrainingConfig(repetitions=1, max_sizes=2)
 FROZEN = ServiceConfig(
     detect_drift=False, max_adaptations_per_key=0, validate_cold_keys=False
 )
+
+#: Above the detector's 32-flag window: patched in, escalation never fires.
+NO_ESCALATION = 33
 
 
 def _train(platform=MC2):
@@ -166,14 +171,16 @@ class TestServiceDriftHandling:
             service.submit(_request(i))
         return service
 
-    def test_sustained_drift_flags_and_researches(self):
-        service = self._drifting_scenario(ServiceConfig(drift_escalation=0))
+    def test_sustained_drift_flags_and_researches(self, monkeypatch):
+        monkeypatch.setattr(service_module, "DRIFT_ESCALATION", NO_ESCALATION)
+        service = self._drifting_scenario(ServiceConfig())
         assert service.stats.drift_flags >= 1
         # The flag re-opened the adaptation budget and re-searched.
         assert service.system.runner.stats.executions > 25
 
-    def test_drift_rebaselines_the_estimate(self):
-        service = PartitioningService(_train(), ServiceConfig(drift_escalation=0))
+    def test_drift_rebaselines_the_estimate(self, monkeypatch):
+        monkeypatch.setattr(service_module, "DRIFT_ESCALATION", NO_ESCALATION)
+        service = PartitioningService(_train(), ServiceConfig())
         key = ("mc2", "vec_add", get_benchmark("vec_add").problem_sizes()[0])
         for i in range(5):
             service.submit(_request(i))
@@ -195,18 +202,16 @@ class TestServiceDriftHandling:
         assert service.stats.drift_flags == 0
         assert service.stats.adaptations == 0
 
-    def test_escalation_flushes_and_refits(self):
-        # Many keys drift at once → platform-level escalation.
+    def test_escalation_flushes_and_refits(self, monkeypatch):
+        # Many keys drift at once → platform-level escalation, under a
+        # touchier detector than the defaults, escalating at 3 flags.
+        monkeypatch.setattr(service_module, "DRIFT_ESCALATION", 3)
         benchmarks = tuple(
             get_benchmark(n) for n in ("vec_add", "mat_mul", "saxpy", "triad")
         )
         system = train_system(MC2, benchmarks, model_kind="knn", config=TRAIN)
-        service = PartitioningService(
-            system,
-            ServiceConfig(
-                drift_min_observations=2, drift_escalation=3, drift_cooldown=2
-            ),
-        )
+        service = PartitioningService(system, ServiceConfig())
+        service.detector = DriftDetector(min_observations=2, cooldown=2)
         keys = key_universe(benchmarks, max_sizes=2)
         trace = make_workload(
             WorkloadSpec(family="stationary", num_requests=120, skew=0.8, seed=0), keys
@@ -286,8 +291,9 @@ class TestServiceDriftHandling:
         with pytest.raises(ValueError, match="drift_handler"):
             serve_trace(service, self._drift_workload().items(), ServeOptions())
 
-    def test_rewarm_resets_online_state_but_keeps_drift_baselines(self):
-        service = self._drifting_scenario(ServiceConfig(drift_escalation=0))
+    def test_rewarm_resets_online_state_but_keeps_drift_baselines(self, monkeypatch):
+        monkeypatch.setattr(service_module, "DRIFT_ESCALATION", NO_ESCALATION)
+        service = self._drifting_scenario(ServiceConfig())
         assert len(service.cache) > 0
         baselines = dict(service._drift_estimates)
         assert baselines  # the scenario re-baselined the hot key
@@ -314,14 +320,15 @@ class TestServiceDriftHandling:
         assert service.system.database is snapshot
         assert grown is not snapshot
 
-    def test_recovery_drift_is_detected_and_rebaselined_downward(self):
+    def test_recovery_drift_is_detected_and_rebaselined_downward(self, monkeypatch):
         # Slow-down then recovery: the slow-down re-baselines the
         # estimate *up* (the database minimum is unreachable); when the
         # device recovers, only the detector's low side can pull the
         # stale-high override back down — the database's min-tracking
         # never raises, and the served label's merge path cannot lower
         # an override.
-        service = PartitioningService(_train(), ServiceConfig(drift_escalation=0))
+        monkeypatch.setattr(service_module, "DRIFT_ESCALATION", NO_ESCALATION)
+        service = PartitioningService(_train(), ServiceConfig())
         key = ("mc2", "vec_add", get_benchmark("vec_add").problem_sizes()[0])
         for i in range(5):
             service.submit(_request(i))
@@ -341,7 +348,15 @@ class TestServiceDriftHandling:
 
 
 class TestFleetDriftRepair:
-    def _fleet(self, tmp_path, service_config=FROZEN, health=None):
+    @pytest.fixture(autouse=True)
+    def _touchy_drain(self, monkeypatch):
+        # Drain sooner than the router's constants, so short traces
+        # exercise drain and re-warm.
+        monkeypatch.setattr(fleet_router, "DRAIN_MIN_OBSERVATIONS", 4)
+        monkeypatch.setattr(fleet_router, "DRAIN_THRESHOLD", 0.3)
+        monkeypatch.setattr(fleet_router, "DRAIN_COOLDOWN", 6)
+
+    def _fleet(self, tmp_path, service_config=FROZEN):
         platforms = fleet_platforms(2)
         registry = ModelRegistry(tmp_path)
         services = []
@@ -349,12 +364,7 @@ class TestFleetDriftRepair:
             system = train_system(platform, BENCHMARKS, model_kind="knn", config=TRAIN)
             registry.save(system)
             services.append(PartitioningService(system, service_config))
-        health = health or HealthConfig(
-            min_observations=4, threshold=0.3, cooldown=6
-        )
-        router = FleetRouter(
-            services, policy="least-loaded", registry=registry, health=health
-        )
+        router = FleetRouter(services, policy="least-loaded", registry=registry)
         return router, platforms
 
     def _trace(self, n=60):

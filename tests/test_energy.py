@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+import repro.serving.service as service_module
 from repro.benchsuite import get_benchmark
 from repro.core import TrainingConfig, TrainingDatabase, TrainingRecord, train_system
 from repro.energy import (
@@ -392,7 +393,7 @@ class TestEnergyAwareService:
             sum(r.energy_j for r in responses)
         )
 
-    def test_energy_objective_adapts_on_energy_regressions(self):
+    def test_energy_objective_adapts_on_energy_regressions(self, monkeypatch):
         # Throttle the GPUs: GPU-heavy splits get *slower* but their
         # joules drop with the DVFS cube, while the estimate (priced in
         # joules) tracks the energy axis — the detector and the local
@@ -400,9 +401,10 @@ class TestEnergyAwareService:
         system = train_system(
             MC2, BENCHMARKS, model_kind="knn", config=TRAIN, objective="energy"
         )
-        service = PartitioningService(
-            system, ServiceConfig(objective="energy", drift_escalation=0)
-        )
+        # Escalation off: the constant sits above the detector's
+        # 32-flag window.
+        monkeypatch.setattr(service_module, "DRIFT_ESCALATION", 33)
+        service = PartitioningService(system, ServiceConfig(objective="energy"))
         for i in range(5):
             service.submit(_request(i))
         service.system.runner.apply_drift(3.0, device_index=0)  # CPU heats up

@@ -40,6 +40,7 @@ from repro.serving import (
     SLOConfig,
     key_universe,
 )
+import repro.serving.eventloop as eventloop
 from repro.serving.eventloop import PREDICT_HIT_S, PREDICT_MISS_S
 from repro.serving.histogram import (
     GAMMA,
@@ -423,9 +424,11 @@ class TestStreamingQuantileAccuracy:
 
 
 class TestStatsDictConservation:
-    def test_to_dict_roundtrip_preserves_conservation(self, system):
+    def test_to_dict_roundtrip_preserves_conservation(self, system, monkeypatch):
         """Conservation must hold on the serialized dict form too."""
         import json
+
+        monkeypatch.setattr(eventloop, "TRIGGER_MIN_COMPLETIONS", 8)
 
         from repro.faults import FaultSchedule, FaultSpec
 
@@ -451,7 +454,6 @@ class TestStatsDictConservation:
                 ),
                 max_retries=2,
                 speculate_at=0.9,
-                speculate_min_completions=8,
                 slo=SLOConfig(target_s=0.05),
                 shed_policy="deadline",
             ),
@@ -538,6 +540,12 @@ class TestPerRequestRecords:
 
 
 class TestSheddingPolicies:
+    def test_tenant_listed_twice_rejected(self):
+        # Regression: the first entry won silently, so gold:1 then
+        # gold:5 served gold at priority 1.
+        with pytest.raises(ValueError, match="'gold' is listed twice"):
+            SLOConfig(tenant_priorities=(("gold", 1), ("silver", 0), ("gold", 5)))
+
     def test_priority_protects_premium_tenant(self, system):
         requests = [
             ServingRequest(
@@ -555,7 +563,6 @@ class TestSheddingPolicies:
             slo=SLOConfig(
                 target_s=0.002,
                 tenant_priorities=(("premium", 1),),
-                shed_below_priority=1,
             ),
         )
         stats = loop.run(zip(times, requests))

@@ -20,11 +20,12 @@ import math
 
 import pytest
 
+import repro.serving.eventloop as eventloop
 from repro.benchsuite import get_benchmark
 from repro.core import TrainingConfig, train_system
 from repro.faults import FAULT_KINDS, FaultInjector, FaultSchedule, FaultSpec
 from repro.fleet import FleetRouter
-from repro.fleet.router import COOLDOWN_TICK_S
+from repro.fleet.router import COOLDOWN_TICK_S, DRAIN_COOLDOWN
 from repro.machines import MC1, fleet_platforms
 from repro.serving import (
     DEFAULT_TENANT,
@@ -328,7 +329,6 @@ class TestShedDecisionDuplicates:
         config = SLOConfig(
             target_s=0.010,
             tenant_priorities=(("gold", 5),),
-            shed_below_priority=1,
         )
         decision = shed_decision(
             "priority",
@@ -355,10 +355,10 @@ class TestRouterCooldownTick:
     def test_quiet_fleet_cooldown_expires_on_ticks(self, fleet_systems):
         services = [PartitioningService(s, ServiceConfig()) for s in fleet_systems]
         router = FleetRouter(services, policy="least-loaded")
-        router._health[0].draining = router.health.cooldown
+        router._health[0].draining = DRAIN_COOLDOWN
         # Zero placements, only simulated time: before the fix the
         # replica sat out forever waiting for traffic to count down.
-        router.tick(router.health.cooldown * COOLDOWN_TICK_S)
+        router.tick(DRAIN_COOLDOWN * COOLDOWN_TICK_S)
         assert router.replica_health(0).draining_steps == 0
 
     def test_fractional_ticks_carry_over(self, fleet_systems):
@@ -518,7 +518,8 @@ class TestLoopUnderCrashes:
 
 
 class TestLoopUnderStragglers:
-    def test_hedging_cuts_the_straggler_tail(self, fleet_systems):
+    def test_hedging_cuts_the_straggler_tail(self, fleet_systems, monkeypatch):
+        monkeypatch.setattr(eventloop, "TRIGGER_MIN_COMPLETIONS", 8)
         spec = _spec("stationary", seed=11, num_requests=150)
         faults = FaultSchedule(
             specs=(_window("straggler", 20.0, replica=0),), seed=3
@@ -529,7 +530,6 @@ class TestLoopUnderStragglers:
                 fleet_systems,
                 faults=faults,
                 hedge_at=hedge_at,
-                hedge_min_completions=8,
             )
             records = []
             stats = loop.run(
@@ -607,7 +607,10 @@ def _chaos_schedule(seed):
 class TestChaosSweep:
     """Conservation, causality, FIFO, and replay under every schedule."""
 
-    def test_invariants_and_bit_identity(self, system, family, shed_policy):
+    def test_invariants_and_bit_identity(
+        self, system, family, shed_policy, monkeypatch
+    ):
+        monkeypatch.setattr(eventloop, "TRIGGER_MIN_COMPLETIONS", 16)
         spec = _spec(family, seed=13)
         runs = []
         for _ in range(2):
@@ -618,7 +621,6 @@ class TestChaosSweep:
                 slo=SLOConfig(target_s=0.005),
                 timeout_factor=16.0,
                 hedge_at=0.95,
-                hedge_min_completions=16,
                 max_retries=3,
                 retry_budget=1.0,
             )

@@ -112,7 +112,7 @@ class TestRouterConstruction:
 class TestRouting:
     def test_serve_places_every_request(self, duo_router):
         trace = _trace(30)
-        responses = duo_router.serve(trace)
+        responses = [duo_router.submit(r) for r in trace]
         assert len(responses) == 30
         assert sum(r.routed for r in duo_router.replicas) == 30
         assert all(
@@ -129,7 +129,7 @@ class TestRouting:
     def test_affinity_is_stable_per_key(self):
         router = _router(fleet_platforms(2), policy="affinity")
         trace = _trace(30)
-        responses = router.serve(trace)
+        responses = [router.submit(r) for r in trace]
         placement: dict[tuple[str, int], int] = {}
         for fr in responses:
             key = (fr.response.request.program, fr.response.request.size)
@@ -137,8 +137,11 @@ class TestRouting:
 
     def test_routing_is_deterministic(self):
         for policy in ROUTING_POLICIES:
-            a = _router(fleet_platforms(2), policy=policy).serve(_trace(25))
-            b = _router(fleet_platforms(2), policy=policy).serve(_trace(25))
+            runs = []
+            for _ in range(2):
+                router = _router(fleet_platforms(2), policy=policy)
+                runs.append([router.submit(r) for r in _trace(25)])
+            a, b = runs
             assert [fr.replica_index for fr in a] == [fr.replica_index for fr in b]
             assert [fr.response.partitioning for fr in a] == [
                 fr.response.partitioning for fr in b
@@ -173,7 +176,8 @@ class TestRouting:
 
     def test_predicted_probing_does_not_touch_serving_telemetry(self):
         router = _router(fleet_platforms(2), policy="predicted")
-        router.serve(_trace(10))
+        for request in _trace(10):
+            router.submit(request)
         for replica in router.replicas:
             # Only served requests hit the runner (plus adaptation
             # probes); duration estimation runs on a private runner.
@@ -199,8 +203,9 @@ class TestFleetStats:
         trace = _trace(40)
         solo = _router(fleet_platforms(1))
         duo = _router(fleet_platforms(2))
-        solo.serve(trace)
-        duo.serve(trace)
+        for request in trace:
+            solo.submit(request)
+            duo.submit(request)
         assert duo.stats().throughput_rps >= solo.stats().throughput_rps
 
     def test_idle_fleet_reports_zeros(self):

@@ -375,7 +375,7 @@ class TestNeighborhood:
         p = Partitioning((50, 50))
         assert neighborhood(p, 60) == (p,)
 
-    def test_adaptation_consumes_degenerate_frontier(self):
+    def test_adaptation_consumes_degenerate_frontier(self, monkeypatch):
         # The serving-side consumer: _adapt must still pick a winner
         # (the predicted point itself) instead of crashing on min(()).
         from repro.benchsuite import get_benchmark
@@ -388,12 +388,14 @@ class TestNeighborhood:
             (get_benchmark("vec_add"),),
             config=TrainingConfig(repetitions=1, max_sizes=1),
         )
+        # A 100% step cannot move anything off a mixed split, so the
+        # frontier degenerates; cold keys are validated, so the
+        # degenerate local search runs on the very first request.
+        import repro.serving.service as service_module
+
+        monkeypatch.setattr(service_module, "DEFAULT_STEP_PERCENT", 100)
         service = PartitioningService(
-            system,
-            # A 100% step cannot move anything off a mixed split, so the
-            # frontier degenerates; cold keys are validated, so the
-            # degenerate local search runs on the very first request.
-            ServiceConfig(adaptation_step=100, validate_cold_keys=True),
+            system, ServiceConfig(validate_cold_keys=True)
         )
         mixed = Partitioning((40, 30, 30))
         service.system.predictor.predict_features = lambda _features: mixed

@@ -224,6 +224,13 @@ class TestReducedMerge:
 
 
 class TestRunnerMeasurement:
+    @pytest.mark.parametrize("sigma", [-0.1, float("nan"), float("inf")])
+    def test_bad_noise_sigma_rejected(self, sigma):
+        # Regression: noise is gated on ``noise_sigma > 0``, so a NaN or
+        # negative sigma silently ran noise-free.
+        with pytest.raises(ValueError, match="noise_sigma"):
+            Runner(MC2, noise_sigma=sigma)
+
     def test_median_of_repetitions_with_noise(self):
         bench = get_benchmark("vec_add")
         inst = bench.make_instance(1 << 16, seed=0)

@@ -1,10 +1,12 @@
 """Tests for the PR 4 drift-machinery edges: the rewarm()/_escalate()
 interplay and peek_prediction's cache-bypass resolution order."""
 
+import repro.serving.service as service_module
 from repro.benchsuite import get_benchmark
 from repro.core import TrainingConfig, train_system
 from repro.machines import MC2
 from repro.serving import (
+    DriftDetector,
     PartitioningService,
     ServiceConfig,
     ServingRequest,
@@ -26,15 +28,18 @@ def _request(i, program="vec_add", size=None):
     return ServingRequest(request_id=i, program=program, size=size)
 
 
-def _escalated_service():
-    """A service driven through a genuine platform-level escalation."""
+def _escalated_service(monkeypatch):
+    """A service driven through a genuine platform-level escalation.
+
+    A touchier detector than the defaults (2 observations, cooldown 2)
+    escalating at 3 flags, so a 120-request trace escalates.
+    """
+    monkeypatch.setattr(service_module, "DRIFT_ESCALATION", 3)
     benchmarks = tuple(
         get_benchmark(n) for n in ("vec_add", "mat_mul", "saxpy", "triad")
     )
-    service = PartitioningService(
-        _train(benchmarks),
-        ServiceConfig(drift_min_observations=2, drift_escalation=3, drift_cooldown=2),
-    )
+    service = PartitioningService(_train(benchmarks), ServiceConfig())
+    service.detector = DriftDetector(min_observations=2, cooldown=2)
     keys = key_universe(benchmarks, max_sizes=2)
     trace = make_workload(
         WorkloadSpec(family="stationary", num_requests=120, skew=0.8, seed=0), keys
@@ -49,8 +54,8 @@ def _escalated_service():
 
 
 class TestRewarmEscalateInterplay:
-    def test_escalation_restores_adaptation_budgets(self):
-        service, trace = _escalated_service()
+    def test_escalation_restores_adaptation_budgets(self, monkeypatch):
+        service, trace = _escalated_service(monkeypatch)
         # _escalate cleared the per-key budgets wholesale: every key
         # may search again even if it had spent its budget pre-drift.
         assert service._adaptations_by_key == {} or all(
@@ -62,13 +67,13 @@ class TestRewarmEscalateInterplay:
         assert service._adaptations_by_key == {}
         assert spent_before or True  # the scenario exercised budgets
 
-    def test_escalation_resets_detector_window(self):
-        service, _trace = _escalated_service()
+    def test_escalation_resets_detector_window(self, monkeypatch):
+        service, _trace = _escalated_service(monkeypatch)
         service._escalate()
         assert service.detector.flags_in_window() == 0
 
-    def test_rewarm_after_escalation_counts_both_and_refits_again(self):
-        service, _trace = _escalated_service()
+    def test_rewarm_after_escalation_counts_both_and_refits_again(self, monkeypatch):
+        service, _trace = _escalated_service(monkeypatch)
         escalations = service.stats.drift_escalations
         refits = service.stats.refits
         service.rewarm()
@@ -98,8 +103,8 @@ class TestRewarmEscalateInterplay:
         service.rewarm()
         assert service._pending_refit == 0
 
-    def test_escalation_keeps_drift_baselines_rewarm_keeps_them_too(self):
-        service, _trace = _escalated_service()
+    def test_escalation_keeps_drift_baselines_rewarm_keeps_them_too(self, monkeypatch):
+        service, _trace = _escalated_service(monkeypatch)
         baselines = dict(service._drift_estimates)
         assert baselines  # drift re-baselined at least one key
         service._escalate()

@@ -1,5 +1,7 @@
 """Tests for the serving layer: traces, the backlog clock and the service loop."""
 
+import math
+
 import pytest
 
 from repro.benchsuite import get_benchmark
@@ -115,6 +117,13 @@ class TestBacklogClock:
 
 
 class TestPartitioningService:
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -0.1])
+    def test_bad_regression_threshold_rejected(self, value):
+        # Regression: NaN passed the ``< 0`` check and then turned off
+        # every single-run regression check (``cost > nan`` is False).
+        with pytest.raises(ValueError, match="regression_threshold"):
+            ServiceConfig(regression_threshold=value)
+
     def test_repeat_key_hits_cache(self, small_system):
         service = PartitioningService(small_system, ServiceConfig())
         size = get_benchmark("vec_add").problem_sizes()[0]
@@ -171,20 +180,28 @@ class TestPartitioningService:
         assert ("mc2", "mandelbrot", size) in service.cache
         assert service.cache.get(("mc2", "mandelbrot", size)) == response.partitioning
 
-    def test_off_grid_adaptation_step_rejected(self, small_system):
-        # Regression: an off-grid adaptation_step let _adapt pin a
-        # neighborhood() winner outside partition_space, whose label
-        # could never match a model class after a refit.
-        with pytest.raises(ValueError, match="off the trained"):
-            PartitioningService(small_system, ServiceConfig(adaptation_step=15))
-        with pytest.raises(ValueError, match="off the trained"):
-            PartitioningService(small_system, ServiceConfig(adaptation_step=7))
+    def test_off_grid_adaptation_step_rejected(self):
+        # Regression: a search step off the trained grid let _adapt pin
+        # a neighborhood() winner outside partition_space, whose label
+        # could never match a model class after a refit.  The service
+        # searches the 10% grid, which is off a 20% or 25% database.
+        for trained_step in (20, 25):
+            system = train_system(
+                MC2,
+                (get_benchmark("vec_add"),),
+                model_kind="knn",
+                config=TrainingConfig(
+                    step_percent=trained_step, repetitions=1, max_sizes=1
+                ),
+            )
+            with pytest.raises(ValueError, match="off the trained"):
+                PartitioningService(system, ServiceConfig())
 
     def test_grid_multiple_adaptation_step_accepted(self, small_system):
-        # A multiple of the trained step keeps every local-search move
-        # on the trained grid.
+        # The service's 10% search step is a multiple of the trained
+        # step, so every local-search move stays on the trained grid.
         service = PartitioningService(
-            small_system, ServiceConfig(adaptation_step=20, refit_interval=100)
+            small_system, ServiceConfig(refit_interval=100)
         )
         size = get_benchmark("mandelbrot").problem_sizes()[-1]
         service.submit(_request(0, "mandelbrot", size))
@@ -192,12 +209,6 @@ class TestPartitioningService:
         record = service.system.database.record_for("mc2", "mandelbrot", size)
         assert record is not None
         assert set(record.timings) <= grid
-
-    def test_adaptation_step_range_validated_by_config(self):
-        with pytest.raises(ValueError, match="adaptation_step"):
-            ServiceConfig(adaptation_step=0)
-        with pytest.raises(ValueError, match="adaptation_step"):
-            ServiceConfig(adaptation_step=101)
 
     def test_validated_winner_survives_eviction(self):
         # An adapted key that falls out of the LRU cache must come back

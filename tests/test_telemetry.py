@@ -11,6 +11,7 @@ import json
 
 import pytest
 
+import repro.serving.eventloop as eventloop
 from repro.benchsuite import get_benchmark
 from repro.cluster import ClusterRouter, with_tenants
 from repro.core import TrainingConfig, train_system
@@ -62,8 +63,11 @@ TRACED = ServeOptions(
     faults=FAULTS,
     max_retries=3,
     hedge_at=0.9,
-    hedge_min_completions=8,
 )
+
+#: Completions before TRACED's hedge trigger arms (the loop's constant
+#: is 32; a 50-request trace needs an earlier trigger to hedge).
+TRACED_MIN_COMPLETIONS = 8
 
 
 @pytest.fixture(scope="module")
@@ -154,8 +158,11 @@ class TestTelemetryFacade:
 class TestTracedServiceRun:
     @pytest.fixture(scope="class")
     def run(self, system):
-        result = serve_trace(_service(system), _trace(), TRACED)
-        return result
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(
+                eventloop, "TRIGGER_MIN_COMPLETIONS", TRACED_MIN_COMPLETIONS
+            )
+            return serve_trace(_service(system), _trace(), TRACED)
 
     def test_span_sum_equals_latency_for_every_completed_request(self, run):
         analyzer = run.telemetry.analyzer()
@@ -164,7 +171,10 @@ class TestTracedServiceRun:
         for tid in completed:
             analyzer.check(tid)
 
-    def test_latencies_match_completion_records(self, system):
+    def test_latencies_match_completion_records(self, system, monkeypatch):
+        monkeypatch.setattr(
+            eventloop, "TRIGGER_MIN_COMPLETIONS", TRACED_MIN_COMPLETIONS
+        )
         latencies = {}
         result = serve_trace(
             _service(system), _trace(), TRACED,
@@ -246,8 +256,9 @@ class TestTracedServiceRun:
 
 
 class TestByteIdenticalReplay:
-    def test_faulted_cluster_serve_replays_byte_identical(self):
+    def test_faulted_cluster_serve_replays_byte_identical(self, monkeypatch):
         """The acceptance gate: same seeds -> same bytes, twice."""
+        monkeypatch.setattr(eventloop, "TRIGGER_MIN_COMPLETIONS", 8)
         exports = []
         stats = []
         for _ in range(2):
@@ -262,7 +273,6 @@ class TestByteIdenticalReplay:
                 max_retries=3,
                 slo=SLOConfig(target_s=0.5),
                 speculate_at=0.9,
-                speculate_min_completions=8,
                 work_steal=True,
             )
             result = serve_trace(cluster, trace, options)

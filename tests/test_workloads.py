@@ -50,6 +50,14 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             WorkloadSpec(skew_min=2.0, skew_max=1.0)
 
+    @pytest.mark.parametrize("knob", ["skew", "skew_min", "skew_max"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_skews_rejected(self, knob, value):
+        # Regression: a NaN skew passed construction and failed later,
+        # inside numpy, with "Probabilities contain NaN".
+        with pytest.raises(ValueError, match=f"{knob} must be"):
+            WorkloadSpec(**{knob: value})
+
     def test_burst_and_rate_shape_knobs_rejected(self):
         # Regression: every burst/phase shape knob must be validated at
         # construction, not discovered as a bad array shape mid-trace.
@@ -233,22 +241,6 @@ class TestGenerators:
         assert isinstance(items[4], DriftEvent) and items[4].scale == 2.0
         assert isinstance(items[-1], DriftEvent)  # past-the-end event trails
         assert len(items) == 8
-
-    def test_segments_group_batches_between_events(self):
-        keys = _keys()
-        events = (
-            DriftEvent(at_request=2, scale=0.5),
-            DriftEvent(at_request=2, scale=0.8),
-            DriftEvent(at_request=77, scale=2.0),
-        )
-        workload = make_workload(
-            WorkloadSpec(num_requests=6, drift_events=events), keys
-        )
-        segments = list(workload.segments())
-        assert [len(batch) for _events, batch in segments] == [2, 4, 0]
-        assert len(segments[1][0]) == 2  # both events fire before request 2
-        assert segments[2][0][0].scale == 2.0
-        assert len(workload) == 6
 
 
 class TestZipfTraceEdgeCases:
