@@ -173,7 +173,7 @@ def run_scenario(
         arrival="poisson",
         rate_rps=rate_rps,
     )
-    loop = EventLoop.for_fleet(router, options)
+    loop = EventLoop(router, options)
     t0 = time.perf_counter()
     stats = loop.run(stream_timed_items(spec, keys), drift_handler=router.apply_drift)
     wall_s = time.perf_counter() - t0

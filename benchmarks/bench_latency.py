@@ -104,7 +104,7 @@ def run_scenario(
         rate_rps=rate_rps,
         burst_rate=4.0,
     )
-    loop = EventLoop.for_service(service, ServeOptions(slo=SLOConfig(target_s=slo_s)))
+    loop = EventLoop(service, ServeOptions(slo=SLOConfig(target_s=slo_s)))
     t0 = time.perf_counter()
     stats = loop.run(stream_timed_items(spec, keys))
     wall_s = time.perf_counter() - t0

@@ -63,7 +63,7 @@ def test_serving_throughput(benchmark, trained_system):
 
     def replay():
         service = PartitioningService(trained_system, ServiceConfig())
-        loop = EventLoop.for_service(service, ServeOptions())
+        loop = EventLoop(service, ServeOptions())
         stats = loop.run(stream_timed_items(spec, keys))
         return service, stats
 

@@ -111,8 +111,9 @@ def run_mode(
     Training is repeated per run (not hoisted) because serving mutates
     the trained system in place — a shared instance would make later
     modes replay a *different* simulation and break the fingerprint
-    gate.  Only the loop itself is timed, so the retrain does not
-    pollute the wall-clock comparison.
+    gate.  Only the loop's run is timed (with its one metrics collect
+    when telemetry is on), so the retrain does not pollute the
+    wall-clock comparison.
 
     Returns ``(doc, telemetry)`` — the telemetry context is kept so
     trace-mode repeats can be compared for byte-identical exports.
@@ -129,15 +130,13 @@ def run_mode(
         rate_rps=rate_rps,
     )
     options = ServeOptions(slo=SLOConfig(target_s=slo_s), telemetry=mode)
-    loop = EventLoop.for_service(service, options)
+    loop = EventLoop(service, options)
     # Flush the training garbage so collector pauses triggered by a
     # previous run's allocations do not land inside this timed region.
     gc.collect()
     t0 = time.perf_counter()
     stats = loop.run(stream_timed_items(spec, keys))
     wall_s = time.perf_counter() - t0
-    if loop.telemetry is not None:
-        loop.telemetry.collect(service, stats=stats)
     doc = {
         "mode": mode,
         "arrivals": stats.arrivals,

@@ -43,6 +43,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from contextlib import contextmanager
 from pathlib import Path
 
 from .benchsuite import all_benchmarks, get_benchmark
@@ -59,6 +60,35 @@ from .runtime import Runner, cpu_only, even_split, gpu_only, oracle_search
 from .util.tables import format_table
 
 __all__ = ["main"]
+
+
+@contextmanager
+def _exit_on_bad_value(prefix: str = ""):
+    """Exit with a one-line message, not a traceback, when the block
+    rejects a value the user gave (a ``ValueError``)."""
+    try:
+        yield
+    except ValueError as error:
+        raise SystemExit(f"{prefix}{error}") from error
+
+
+def _benchmark(name: str):
+    """The suite program ``name``; an unknown name exits with the list."""
+    try:
+        return get_benchmark(name)
+    except KeyError as error:
+        raise SystemExit(error.args[0]) from error
+
+
+def _training_config(args: argparse.Namespace, repetitions: int = 1):
+    """The ``TrainingConfig`` of the ``--noise``/``--seed``/``--max-sizes`` flags."""
+    with _exit_on_bad_value():
+        return TrainingConfig(
+            repetitions=repetitions,
+            noise_sigma=args.noise,
+            seed=args.seed,
+            max_sizes=args.max_sizes,
+        )
 
 
 def _cmd_list(_args: argparse.Namespace) -> int:
@@ -88,7 +118,7 @@ def _cmd_machines(_args: argparse.Namespace) -> int:
 
 
 def _cmd_kernel(args: argparse.Namespace) -> int:
-    bench = get_benchmark(args.program)
+    bench = _benchmark(args.program)
     compiled = bench.compiled()
     print("// ---- single-device ----")
     print(compiled.program.source)
@@ -99,11 +129,11 @@ def _cmd_kernel(args: argparse.Namespace) -> int:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    bench = get_benchmark(args.program)
+    bench = _benchmark(args.program)
     platform = machine_by_name(args.machine)
     size = args.size if args.size is not None else bench.problem_sizes()[-1]
-    instance = bench.make_instance(size, seed=args.seed)
-    request = bench.request(instance)
+    with _exit_on_bad_value(f"--size {size}: "):
+        request = bench.request(bench.make_instance(size, seed=args.seed))
     runner = Runner(platform)
     strategies = [
         ("cpu-only", cpu_only(platform)),
@@ -111,7 +141,14 @@ def _cmd_run(args: argparse.Namespace) -> int:
         ("even", even_split(platform)),
     ]
     if args.partitioning:
-        strategies.append(("custom", Partitioning.from_label(args.partitioning)))
+        with _exit_on_bad_value("--partitioning: "):
+            custom = Partitioning.from_label(args.partitioning)
+        if custom.num_devices != platform.num_devices:
+            raise SystemExit(
+                f"--partitioning: {platform.name} has {platform.num_devices} "
+                f"devices, got {custom.num_devices} shares"
+            )
+        strategies.append(("custom", custom))
     rows = []
     for label, p in strategies:
         rows.append((label, p.label, runner.time_of(request, p) * 1e3))
@@ -129,12 +166,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_train(args: argparse.Namespace) -> int:
     platform = machine_by_name(args.machine)
-    config = TrainingConfig(
-        repetitions=args.repetitions,
-        noise_sigma=args.noise,
-        seed=args.seed,
-        max_sizes=args.max_sizes,
-    )
+    config = _training_config(args, repetitions=args.repetitions)
     db = generate_training_data(
         platform,
         all_benchmarks(),
@@ -152,7 +184,11 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
     merged = TrainingDatabase()
     for path in args.databases:
-        for record in TrainingDatabase.load(path):
+        try:
+            records = TrainingDatabase.load(path)
+        except (OSError, ValueError) as error:
+            raise SystemExit(f"{path}: {error}") from error
+        for record in records:
             merged.add(record)
     print(full_report(merged, model_kind=args.model))
     return 0
@@ -202,13 +238,8 @@ def _build_backend(args: argparse.Namespace, train_benchmarks, slo):
     else:
         platforms = fleet_platforms(args.machines)
     registry = ModelRegistry(args.registry) if args.registry else None
-    try:
-        training = TrainingConfig(
-            repetitions=1,
-            noise_sigma=args.noise,
-            seed=args.seed,
-            max_sizes=args.max_sizes,
-        )
+    training = _training_config(args)
+    with _exit_on_bad_value():
         serving = ServiceConfig(
             cache_capacity=args.cache_capacity,
             regression_threshold=args.threshold,
@@ -222,8 +253,6 @@ def _build_backend(args: argparse.Namespace, train_benchmarks, slo):
             latency_s=args.net_latency_us * 1e-6,
             link_watts=args.net_watts,
         )
-    except ValueError as error:
-        raise SystemExit(str(error)) from error
     services, sources = [], []
     for platform in platforms:
         if registry is not None and registry.has(platform.name):
@@ -248,10 +277,8 @@ def _build_backend(args: argparse.Namespace, train_benchmarks, slo):
                 objective=_training_objective(args),
             )
             source = "trained"
-        try:
+        with _exit_on_bad_value():
             services.append(PartitioningService(system, serving))
-        except ValueError as error:
-            raise SystemExit(str(error)) from error
         sources.append(source)
     if args.machines is None:
         return services[0], services, sources
@@ -282,7 +309,7 @@ def _parse_drift_events(values: list[str]):
                 f"--drift {value!r}: want AT:SCALE[:MACHINE[:DEVICE]], "
                 "e.g. 100:0.5:mc2:1"
             )
-        try:
+        with _exit_on_bad_value(f"--drift {value!r}: "):
             events.append(
                 DriftEvent(
                     at_request=int(parts[0]),
@@ -291,8 +318,6 @@ def _parse_drift_events(values: list[str]):
                     device_index=int(parts[3]) if len(parts) > 3 else None,
                 )
             )
-        except ValueError as error:
-            raise SystemExit(f"--drift {value!r}: {error}") from error
     return tuple(events)
 
 
@@ -313,7 +338,7 @@ def _parse_fault_specs(values: list[str]):
                 f"--faults {value!r}: unknown kind {parts[0]!r}; "
                 f"choose from {FAULT_KINDS}"
             )
-        try:
+        with _exit_on_bad_value(f"--faults {value!r}: "):
             specs.append(
                 FaultSpec(
                     kind=parts[0],
@@ -325,8 +350,6 @@ def _parse_fault_specs(values: list[str]):
                     replica=int(parts[4]) if len(parts) > 4 and parts[4] else None,
                 )
             )
-        except ValueError as error:
-            raise SystemExit(f"--faults {value!r}: {error}") from error
     return tuple(specs)
 
 
@@ -347,22 +370,24 @@ def _workload_from_args(args: argparse.Namespace, keys, tenants):
     from .cluster import with_tenants
     from .workloads import WorkloadSpec, make_workload
 
-    spec = WorkloadSpec(
-        family=args.workload,
-        num_requests=args.requests,
-        skew=args.skew,
-        seed=args.seed,
-        phases=args.phases,
-        burst_every=args.burst_every,
-        burst_length=args.burst_length,
-        burst_share=args.burst_share,
-        period=args.period,
-        skew_min=args.skew_min,
-        skew_max=args.skew_max,
-        drift_events=_parse_drift_events(args.drift),
-        arrival=args.arrival or "sequential",
-        rate_rps=args.arrival_rate,
-    )
+    drift_events = _parse_drift_events(args.drift)
+    with _exit_on_bad_value():
+        spec = WorkloadSpec(
+            family=args.workload,
+            num_requests=args.requests,
+            skew=args.skew,
+            seed=args.seed,
+            phases=args.phases,
+            burst_every=args.burst_every,
+            burst_length=args.burst_length,
+            burst_share=args.burst_share,
+            period=args.period,
+            skew_min=args.skew_min,
+            skew_max=args.skew_max,
+            drift_events=drift_events,
+            arrival=args.arrival or "sequential",
+            rate_rps=args.arrival_rate,
+        )
     workload = make_workload(spec, keys)
     if tenants:
         workload = replace(workload, requests=with_tenants(workload.requests, tenants))
@@ -427,7 +452,7 @@ def _serve_options_from_args(args: argparse.Namespace):
         seed = args.fault_seed if args.fault_seed is not None else args.seed
         faults = FaultSchedule(specs=specs, seed=seed)
     priorities = _parse_tenant_priorities(args.tenant_priority)
-    try:
+    with _exit_on_bad_value():
         return ServeOptions(
             arrival=args.arrival or "sequential",
             telemetry=_telemetry_mode(args),
@@ -446,8 +471,6 @@ def _serve_options_from_args(args: argparse.Namespace):
             work_steal=args.work_steal,
             queue_discipline=args.queue_discipline,
         )
-    except ValueError as error:
-        raise SystemExit(str(error)) from error
 
 
 def _telemetry_mode(args: argparse.Namespace) -> str:
@@ -461,8 +484,8 @@ def _telemetry_mode(args: argparse.Namespace) -> str:
 
 
 def _finish_telemetry(args, telemetry) -> None:
-    """Report and export whatever telemetry the run produced
-    (:func:`serve_trace` already collected it): the critical-path table
+    """Report and export whatever telemetry the run produced (the
+    loop collected it at the end of its run): the critical-path table
     and the JSONL trace when tracing, then the whole registry."""
     if telemetry is None:
         return
@@ -893,7 +916,7 @@ def _drift_handler(args: argparse.Namespace, backend, workload):
     after its last request)."""
 
     def on_drift(event) -> None:
-        try:
+        with _exit_on_bad_value():
             if args.machines is not None:
                 hit = backend.apply_drift(event)
             elif event.machine in (None, args.machine):
@@ -904,8 +927,6 @@ def _drift_handler(args: argparse.Namespace, backend, workload):
             else:
                 print(f"!! drift event targets {event.machine!r}, not {args.machine}")
                 return
-        except ValueError as error:
-            raise SystemExit(str(error)) from error
         where = (
             "all devices"
             if event.device_index is None
@@ -990,14 +1011,9 @@ def _cmd_fleet_train(args: argparse.Namespace) -> int:
             f"choose from {', '.join(PERSISTABLE_MODEL_KINDS)}"
         )
     _benchmarks, train_benchmarks = _benchmark_split(args)
+    config = _training_config(args)
     platforms = fleet_platforms(args.machines)
     registry = ModelRegistry(args.registry)
-    config = TrainingConfig(
-        repetitions=1,
-        noise_sigma=args.noise,
-        seed=args.seed,
-        max_sizes=args.max_sizes,
-    )
     rows = []
     for platform in platforms:
         system = train_system(
@@ -1020,7 +1036,7 @@ def _cmd_energy_sweep(args: argparse.Namespace) -> int:
     from .engine import SweepEngine
     from .partitioning import partition_space
 
-    bench = get_benchmark(args.program)
+    bench = _benchmark(args.program)
     platforms = (
         [machine_by_name(args.machine)] if args.machine else list(ALL_MACHINES)
     )
@@ -1031,13 +1047,13 @@ def _cmd_energy_sweep(args: argparse.Namespace) -> int:
         sizes = sizes[: args.max_sizes]
     for platform in platforms:
         engine = SweepEngine(Runner(platform))
-        space = partition_space(platform.num_devices, args.step)
+        with _exit_on_bad_value("--step: "):
+            space = partition_space(platform.num_devices, args.step)
         rows = []
         for size in sizes:
-            instance = bench.make_instance(size, seed=args.seed)
-            timings, energies = engine.sweep_with_energy(
-                bench.request(instance), space
-            )
+            with _exit_on_bad_value(f"--size {size}: "):
+                request = bench.request(bench.make_instance(size, seed=args.seed))
+            timings, energies = engine.sweep_with_energy(request, space)
             engine.reset()
             t_best = best_label(timings, energies, Objective.MAKESPAN)
             e_best = best_label(timings, energies, Objective.ENERGY)
@@ -1101,16 +1117,15 @@ def _cmd_graph_sweep(args: argparse.Namespace) -> int:
     platform = machine_by_name(args.machine)
     stages = _parse_stages(args.stages)
     graph = pipeline_chain(stages, scale_bytes=args.scale_bytes)
-    try:
+    with _exit_on_bad_value("--noise: "):
         runner = Runner(platform, noise_sigma=args.noise, seed=args.seed)
-    except ValueError as error:
-        raise SystemExit(f"--noise: {error}") from error
     engine = SweepEngine(runner)
     requests = engine.graph_requests(graph, instance_seed=args.seed)
     idle_w = EnergyMeter(runner.devices).platform_idle_w()
-    planner = GraphPlanner(
-        engine.measure, runner.devices, idle_w, step_percent=args.step
-    )
+    with _exit_on_bad_value("--step: "):
+        planner = GraphPlanner(
+            engine.measure, runner.devices, idle_w, step_percent=args.step
+        )
     greedy, _ = greedy_plan(graph, requests, engine.measure, planner.space)
     greedy_run = engine.measure_graph(graph, greedy, instance_seed=args.seed)
     plan, run = planner.search(graph, requests)

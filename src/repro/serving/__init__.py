@@ -10,7 +10,7 @@ from .cache import CacheKey, CacheStats, PredictionCache
 from .drift import DriftDetector
 from .eventloop import CompletedRequest, EventLoop, EventLoopStats
 from .histogram import QUANTILE_RELATIVE_ERROR, LatencyHistogram
-from .options import QUEUE_DISCIPLINES, ServeOptions, ServeResult, serve_trace
+from .options import QUEUE_DISCIPLINES, ServeOptions, serve_trace
 from .service import (
     GraphServedResponse,
     PartitioningService,
@@ -45,7 +45,6 @@ __all__ = [
     "EventLoopStats",
     "QUEUE_DISCIPLINES",
     "ServeOptions",
-    "ServeResult",
     "serve_trace",
     "LatencyHistogram",
     "QUANTILE_RELATIVE_ERROR",

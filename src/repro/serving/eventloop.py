@@ -37,8 +37,8 @@ Every outcome is counted, so conservation tightens to
 
 and a faulted run is exactly as reproducible as a clean one.
 
-At cluster scope (:class:`~repro.cluster.ClusterRouter` behind
-``for_cluster``) the loop adds straggler-escape machinery beyond
+At cluster scope (a :class:`~repro.cluster.ClusterRouter` backend)
+the loop adds straggler-escape machinery beyond
 drain-and-rewarm: *speculative re-execution* launches a duplicate in a
 different machine pool when a request outlives a latency-quantile
 trigger (first completion wins, the loser is cancelled and retired),
@@ -71,7 +71,8 @@ import heapq
 import math
 from collections import deque
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Iterable
+from itertools import chain
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
 from ..energy.meter import EnergyMeter
 from ..faults import FaultInjector
@@ -82,14 +83,7 @@ from .slo import SLOTracker, shed_decision
 from .trace import GraphServingRequest, ServingRequest
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..cluster.router import ClusterRouter
-    from ..fleet.router import FleetRouter
     from ..workloads.spec import DriftEvent
-    from .service import GraphServedResponse, PartitioningService, ServedResponse
-
-#: What a backend's ``serve`` may return: the loop only reads
-#: ``cache_hit`` and ``measured_s``, which both response types carry.
-AnyResponse = "ServedResponse | GraphServedResponse"
 
 #: What may arrive on the request stream: a kernel launch or a whole
 #: task graph (per-graph latency = queue + predict + composed critical
@@ -402,93 +396,15 @@ class _ReplicaState:
     queued_live: int = 0
 
 
-class _ServiceBackend:
-    """One :class:`PartitioningService` behind the loop."""
-
-    def __init__(self, service: "PartitioningService"):
-        self.services = [service]
-
-    def place(self, request: "ServingRequest | GraphServingRequest") -> int:
-        return 0
-
-    def serve(
-        self, index: int, request: "ServingRequest | GraphServingRequest"
-    ) -> AnyResponse:
-        if isinstance(request, GraphServingRequest):
-            return self.services[0].submit_graph(request)
-        return self.services[0].submit(request)
-
-    def tick(self, now_s: float) -> None:
-        pass
-
-
-class _FleetBackend:
-    """A :class:`FleetRouter` behind the loop: policy placement per arrival."""
-
-    def __init__(self, router: "FleetRouter"):
-        self.router = router
-        self.services = [r.service for r in router.replicas]
-
-    def place(self, request: "ServingRequest | GraphServingRequest") -> int:
-        return self.router.place(request)
-
-    def serve(
-        self, index: int, request: "ServingRequest | GraphServingRequest"
-    ) -> AnyResponse:
-        return self.router.serve_on(index, request).response
-
-    def tick(self, now_s: float) -> None:
-        # Simulated time reaches the router so drain cooldowns decay
-        # even when no placements arrive (see FleetRouter.tick).
-        self.router.tick(now_s)
-
-
-class _ClusterBackend:
-    """A :class:`ClusterRouter` behind the loop: pools, tenants, network.
-
-    Replica indices are the cluster's *flat* indices (pool 0's replicas
-    first); the response's ``measured_s`` already carries the
-    interconnect handoff when the cluster served a request outside its
-    tenant's home pool, so network time accrues into latency with no
-    special-casing in the loop.  Beyond ``place``/``serve``/``tick``
-    the backend exports the two cluster-scope straggler hooks the loop
-    probes for: :meth:`speculative_index` (escape the pools already
-    running a copy) and :meth:`steal_candidates` (cross-pool victims).
-    """
-
-    def __init__(self, cluster: "ClusterRouter"):
-        self.cluster = cluster
-        self.services = cluster.services
-
-    def place(self, request: "ServingRequest | GraphServingRequest") -> int:
-        return self.cluster.place(request)
-
-    def serve(
-        self, index: int, request: "ServingRequest | GraphServingRequest"
-    ) -> AnyResponse:
-        return self.cluster.serve_on(index, request)
-
-    def tick(self, now_s: float) -> None:
-        self.cluster.tick(now_s)
-
-    def speculative_index(
-        self, request: "ServingRequest | GraphServingRequest", exclude: set[int]
-    ) -> int | None:
-        return self.cluster.speculative_index(request, exclude)
-
-    def steal_candidates(self, thief: int) -> tuple[int, ...]:
-        return self.cluster.steal_candidates(thief)
-
-
 class EventLoop:
     """Single-use simulated-time serving loop over one backend.
 
-    Build one per trace (:meth:`for_service` / :meth:`for_fleet` /
-    :meth:`for_cluster`), feed it a stream of ``(arrival_s, request)``
-    items — non-decreasing in time, optionally interleaved with
-    :class:`~repro.workloads.DriftEvent` payloads — or of bare payloads
-    for the closed-loop process, and read the :class:`EventLoopStats`
-    it returns.
+    Build one per trace over a :class:`PartitioningService`, a
+    :class:`~repro.fleet.FleetRouter` or a
+    :class:`~repro.cluster.ClusterRouter`, feed it a stream of
+    ``(arrival_s, request)`` items — non-decreasing in time, optionally
+    interleaved with :class:`~repro.workloads.DriftEvent` payloads — or
+    of bare payloads, and read the :class:`EventLoopStats` it returns.
 
     Everything that happens between arrivals — completions, attempt
     failures, retry firings, hedge triggers, timeouts, crashes and
@@ -498,12 +414,58 @@ class EventLoop:
     """
 
     def __init__(self, backend, options: ServeOptions = ServeOptions()):
+        from ..cluster.router import ClusterRouter
+        from ..fleet.router import FleetRouter
+        from .service import PartitioningService
+
+        # The backend's calls, bound once.  A service is one replica
+        # with no clock to hear; only a cluster escapes speculative
+        # copies to another pool, names cross-pool steal victims and
+        # meters its tenants.
+        tick = escape = victims = observe = None
+        if isinstance(backend, PartitioningService):
+            services = [backend]
+
+            def place(_request):
+                return 0
+
+            def serve(_index, request):
+                if isinstance(request, GraphServingRequest):
+                    return backend.submit_graph(request)
+                return backend.submit(request)
+
+        elif isinstance(backend, FleetRouter):
+            services = [r.service for r in backend.replicas]
+            # Simulated time reaches the router so drain cooldowns decay
+            # even when no placements arrive (see FleetRouter.tick).
+            place, tick = backend.place, backend.tick
+
+            def serve(index, request):
+                return backend.serve_on(index, request).response
+
+        elif isinstance(backend, ClusterRouter):
+            # Flat replica indices, pool 0's replicas first.  A cluster
+            # response's ``measured_s`` already carries the interconnect
+            # handoff of a request served outside its home pool.
+            services = backend.services
+            place, serve, tick = backend.place, backend.serve_on, backend.tick
+            escape, victims = backend.speculative_index, backend.steal_candidates
+            observe = backend.observe_completion
+        else:
+            raise TypeError(
+                f"serve_trace backends are PartitioningService, FleetRouter or "
+                f"ClusterRouter; got {type(backend).__name__}"
+            )
+        self._place, self._serve, self._tick = place, serve, tick
+        self._escape, self._victims, self._observe = escape, victims, observe
+        self._services = services
         self.backend = backend
         self.options = options
         #: The run's telemetry context, built from ``options.telemetry``
         #: (``None`` when it is ``"off"``).  The loop's stats publish
-        #: into its shared registry, and in ``trace`` mode every request
-        #: is traced span by span.
+        #: into its shared registry, every layer's metrics are collected
+        #: into it at the end of :meth:`run`, and in ``trace`` mode every
+        #: request is traced span by span.
         self.telemetry = Telemetry.from_mode(options.telemetry)
         #: Span tracer of the run's telemetry context (None = tracing
         #: off; the disabled path costs one ``is None`` test per hook).
@@ -519,7 +481,7 @@ class EventLoop:
                 idle_w=EnergyMeter(s.system.runner.devices).platform_idle_w(),
                 est_service_s=INITIAL_SERVICE_S,
             )
-            for i, s in enumerate(backend.services)
+            for i, s in enumerate(services)
         ]
         # Counters bumped once per request go straight to their
         # registry cells: through the stats properties a bump costs
@@ -552,24 +514,6 @@ class EventLoop:
         #: advanced by est_service/weight per enqueued attempt.
         self._tenant_vtime: dict[str, float] = {}
 
-    @classmethod
-    def for_service(
-        cls, service: "PartitioningService", options: ServeOptions = ServeOptions()
-    ) -> "EventLoop":
-        return cls(_ServiceBackend(service), options)
-
-    @classmethod
-    def for_fleet(
-        cls, router: "FleetRouter", options: ServeOptions = ServeOptions()
-    ) -> "EventLoop":
-        return cls(_FleetBackend(router), options)
-
-    @classmethod
-    def for_cluster(
-        cls, cluster: "ClusterRouter", options: ServeOptions = ServeOptions()
-    ) -> "EventLoop":
-        return cls(_ClusterBackend(cluster), options)
-
     # -- the loop ----------------------------------------------------------
 
     def run(
@@ -581,21 +525,34 @@ class EventLoop:
         """Play the whole arrival stream and drain every queue.
 
         ``arrivals`` yields ``(timestamp, payload)`` with finite,
-        non-decreasing timestamps, or bare payloads: the closed-loop
-        arrival process, where each one arrives at the current clock and
-        is played until it resolves before the next is read.  A payload
-        that is not a request (kernel :class:`ServingRequest` or
-        :class:`GraphServingRequest`) is treated as a drift event and
+        non-decreasing timestamps, or bare payloads.  Under
+        ``arrival="sequential"`` bare payloads are the closed-loop
+        process: each one arrives at the current clock and is played
+        until it resolves before the next is read.  Under an open-loop
+        ``options.arrival`` they are stamped up front (:func:`_stamped`).
+        A payload that is not a request (kernel :class:`ServingRequest`
+        or :class:`GraphServingRequest`) is treated as a drift event and
         handed to ``drift_handler`` at its place on the simulated
         timeline (so requests already queued are measured on the
         drifted hardware, exactly as a wall-clock drift would hit them).
+
+        A cluster's tenant meters hear every completion before
+        ``on_complete`` does, and with telemetry on the run ends by
+        collecting every layer's metrics into :attr:`telemetry`.
         """
         if self._ran:
             raise RuntimeError("an EventLoop is single-use; build a new one")
         self._ran = True
+        observers = tuple(f for f in (self._observe, on_complete) if f is not None)
+        items = iter(arrivals)
+        first = next(items, None)
+        if first is not None:
+            items = chain((first,), items)
+            if not isinstance(first, tuple) and self.options.arrival != "sequential":
+                items = _stamped(list(items), self.options)
         self._schedule_crashes()
         last_arrival = 0.0
-        for item in arrivals:
+        for item in items:
             closed = not isinstance(item, tuple)
             if closed:
                 at_s, payload = self._clock, item
@@ -610,7 +567,7 @@ class EventLoop:
             # Events due before this arrival happen first — the
             # simulated clock never moves backwards.
             while self._events and self._events[0][0] <= at_s:
-                self._dispatch(on_complete)
+                self._dispatch(observers)
             self._advance(at_s)
             if isinstance(payload, AnyRequest):
                 self._arrive(payload)
@@ -624,17 +581,19 @@ class EventLoop:
             if closed:
                 # The next closed-loop item arrives when this one resolves.
                 while self._events and self._live:
-                    self._dispatch(on_complete)
+                    self._dispatch(observers)
         # Drain until every admitted request is resolved.  Fault windows
         # scheduled beyond the last resolution (a recovery on an already
         # idle fleet) are dropped rather than stretching the clock.
         while self._events and self._live:
-            self._dispatch(on_complete)
+            self._dispatch(observers)
         self._events.clear()
         for seq in sorted(self._live):  # pragma: no cover - safety net
             self._fail(self._live[seq], self._clock, reason="stranded")
         self.stats.clock_s = self._clock
         self._meter_trailing_idle()
+        if self.telemetry is not None:
+            self.telemetry.collect(self.backend, stats=self.stats)
         return self.stats
 
     def _push(self, at_s: float, kind: str, payload) -> None:
@@ -644,13 +603,14 @@ class EventLoop:
     def _advance(self, at_s: float) -> None:
         if at_s > self._clock:
             self._clock = at_s
-            self.backend.tick(at_s)
+            if self._tick is not None:
+                self._tick(at_s)
 
-    def _dispatch(self, on_complete) -> None:
+    def _dispatch(self, observers) -> None:
         at_s, _eseq, kind, payload = heapq.heappop(self._events)
         self._advance(at_s)
         if kind == "complete":
-            self._on_complete(at_s, payload, on_complete)
+            self._on_complete(at_s, payload, observers)
         elif kind == "attempt-failed":
             self._on_attempt_failed(at_s, payload)
         elif kind == "retry":
@@ -678,7 +638,7 @@ class EventLoop:
 
     def _arrive(self, request: ServingRequest) -> None:
         self._arrivals.value += 1
-        replica = self._replicas[self.backend.place(request)]
+        replica = self._replicas[self._place(request)]
         if replica.crashed and self.options.failover:
             # Failover placement: route around the dead replica.  The
             # router committed its decision (it has no crash knowledge);
@@ -842,7 +802,7 @@ class EventLoop:
                 )
             self._push(attempt.finish_s, "attempt-failed", attempt)
             return
-        response = self.backend.serve(replica.index, request)
+        response = self._serve(replica.index, request)
         attempt.response = response
         predict_s = PREDICT_HIT_S if response.cache_hit else PREDICT_MISS_S
         service_s = predict_s + response.measured_s
@@ -914,7 +874,7 @@ class EventLoop:
 
     # -- event handlers ----------------------------------------------------
 
-    def _on_complete(self, now: float, attempt: _Attempt, on_complete) -> None:
+    def _on_complete(self, now: float, attempt: _Attempt, observers) -> None:
         if attempt.cancelled:
             return
         pending = attempt.pending
@@ -951,23 +911,23 @@ class EventLoop:
         if attempt.is_spec:
             self.stats.spec_wins += 1
         violated = self.stats.slo.record_completion(pending.request.tenant, latency_s)
-        if on_complete is not None:
-            on_complete(
-                CompletedRequest(
-                    pending.request,
-                    replica.index,
-                    pending.arrival_s,
-                    attempt.start_s,
-                    now,  # finish_s
-                    queue_s,
-                    attempt.service_s,
-                    violated,
-                    pending.attempts,
-                    pending.hedged,
-                    pending.speculated,
-                    attempt.response,
-                )
+        if observers:
+            completed = CompletedRequest(
+                pending.request,
+                replica.index,
+                pending.arrival_s,
+                attempt.start_s,
+                now,  # finish_s
+                queue_s,
+                attempt.service_s,
+                violated,
+                pending.attempts,
+                pending.hedged,
+                pending.speculated,
+                attempt.response,
             )
+            for observe in observers:
+                observe(completed)
         if not replica.crashed:
             if replica.queue:
                 self._start_next(replica, now)
@@ -1039,11 +999,10 @@ class EventLoop:
             return
         exclude = {a.replica for a in pending.live}
         replica = None
-        escape = getattr(self.backend, "speculative_index", None)
-        if escape is not None:
+        if self._escape is not None:
             # Cluster-aware escape: a pool not already running a copy,
             # so a pool-local straggler window cannot slow both copies.
-            index = escape(pending.request, exclude)
+            index = self._escape(pending.request, exclude)
             if index is not None and not self._replicas[index].crashed:
                 replica = self._replicas[index]
         if replica is None:
@@ -1061,16 +1020,15 @@ class EventLoop:
     def _try_steal(self, thief: _ReplicaState, now: float) -> None:
         """Pull the tail-most queued attempt of the most backlogged victim.
 
-        The backend names the eligible victims (cross-pool on a
-        cluster); without the hook any other replica qualifies.  The
+        A cluster names the eligible victims (cross-pool); on a service
+        or fleet any other replica qualifies.  The
         steal takes from the *tail* — the work that would have waited
         longest — and lazily-cancelled entries encountered there are
         simply discarded (their live accounting was settled at cancel
         time).
         """
-        victims = getattr(self.backend, "steal_candidates", None)
-        if victims is not None:
-            candidates = [self._replicas[i] for i in victims(thief.index)]
+        if self._victims is not None:
+            candidates = [self._replicas[i] for i in self._victims(thief.index)]
         else:
             candidates = [r for r in self._replicas if r.index != thief.index]
         candidates = [r for r in candidates if r.queued_live > 0]
@@ -1210,7 +1168,7 @@ class EventLoop:
 
     def _record_idle(self, replica: _ReplicaState, span_s: float) -> None:
         """Price one inter-request idle span into the replica's runner."""
-        runner = self.backend.services[replica.index].system.runner
+        runner = self._services[replica.index].system.runner
         runner.stats.record_idle(span_s, replica.idle_w)
         self.stats.idle_energy_j += span_s * replica.idle_w
         if not math.isfinite(self.stats.idle_energy_j):  # pragma: no cover
@@ -1229,3 +1187,26 @@ class EventLoop:
             if self._clock > replica.idle_since:
                 self._record_idle(replica, self._clock - replica.idle_since)
                 replica.idle_since = self._clock
+
+
+def _stamped(items: list, options: ServeOptions) -> Iterator[tuple]:
+    """Timestamp an untimed trace from the options' open-loop process.
+
+    The rule is :meth:`~repro.workloads.Workload.timed_items`'s: each
+    request takes the next arrival draw, and a drift event takes the
+    arrival instant of the request it precedes and consumes no draw, so
+    a workload served untimed under its spec's seed and rate runs
+    exactly as its ``timed_items()`` twin.
+    """
+    from ..workloads.arrivals import arrival_times
+    from ..workloads.generators import _attach_times
+    from ..workloads.spec import DriftEvent, WorkloadSpec
+
+    num = sum(not isinstance(item, DriftEvent) for item in items)
+    spec = WorkloadSpec(
+        num_requests=num,
+        seed=options.seed,
+        arrival=options.arrival,
+        rate_rps=options.rate_rps,
+    )
+    return _attach_times(items, arrival_times(spec, num))

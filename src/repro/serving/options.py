@@ -14,7 +14,8 @@ goes through this module's two names:
 * :func:`serve_trace` — one call that routes any trace through any
   backend: a :class:`~repro.serving.PartitioningService`, a
   :class:`~repro.fleet.FleetRouter`, or a
-  :class:`~repro.cluster.ClusterRouter`.
+  :class:`~repro.cluster.ClusterRouter`.  It is
+  ``EventLoop(backend, options).run(trace)`` and returns the loop.
 
 Every trace runs on the simulated-time
 :class:`~repro.serving.EventLoop`.  ``arrival="sequential"`` is its
@@ -22,8 +23,8 @@ closed-loop process (each request admitted the instant the previous
 one resolved); the open-loop processes (``uniform`` / ``poisson``)
 timestamp the trace up front.  Per-request results stream to
 ``on_complete`` (each :class:`~repro.serving.CompletedRequest` carries
-the backend's response) and the result carries the loop's
-bounded-memory stats.
+the backend's response), and the loop carries the bounded-memory
+stats and the run's telemetry.
 
 The options are built and validated once per trace; every request
 then reaches the backend's serving core with no further facade work.
@@ -33,21 +34,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import chain
 from typing import TYPE_CHECKING, Callable, Iterable
 
 from ..faults import FaultSchedule
-from ..telemetry import TELEMETRY_MODES, Telemetry
+from ..telemetry import TELEMETRY_MODES
 from .slo import SHED_POLICIES, SLOConfig
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..cluster.router import ClusterRouter
-    from ..fleet.router import FleetRouter
     from ..workloads.spec import DriftEvent
-    from .eventloop import CompletedRequest, EventLoopStats
-    from .service import PartitioningService
+    from .eventloop import CompletedRequest, EventLoop
 
-__all__ = ["QUEUE_DISCIPLINES", "ServeOptions", "ServeResult", "serve_trace"]
+__all__ = ["QUEUE_DISCIPLINES", "ServeOptions", "serve_trace"]
 
 #: Per-replica queue service orders the event loop supports.
 QUEUE_DISCIPLINES = ("fifo", "weighted-fair")
@@ -111,7 +108,7 @@ class ServeOptions:
             share tracks its weight instead of its arrival rate).
         telemetry: ``"off"`` (default), ``"metrics"`` (a shared
             :class:`~repro.telemetry.MetricsRegistry` every layer
-            publishes into, returned on the result), or ``"trace"``
+            publishes into, on the loop's ``telemetry``), or ``"trace"``
             (metrics plus request-scoped spans and the JSONL event
             log).
     """
@@ -183,38 +180,6 @@ class ServeOptions:
             )
 
 
-@dataclass(frozen=True)
-class ServeResult:
-    """What one :func:`serve_trace` call produced.
-
-    ``stats`` is the event loop's bounded-memory aggregate; per-request
-    results stream through ``on_complete`` instead.  ``telemetry`` is
-    the run's :class:`~repro.telemetry.Telemetry` context when the
-    options asked for one (``"metrics"`` / ``"trace"``), else ``None``.
-    """
-
-    backend_kind: str
-    stats: EventLoopStats
-    telemetry: Telemetry | None = None
-
-
-def _backend_kind(backend) -> str:
-    from ..cluster.router import ClusterRouter
-    from ..fleet.router import FleetRouter
-    from .service import PartitioningService
-
-    if isinstance(backend, PartitioningService):
-        return "service"
-    if isinstance(backend, FleetRouter):
-        return "fleet"
-    if isinstance(backend, ClusterRouter):
-        return "cluster"
-    raise TypeError(
-        f"serve_trace backends are PartitioningService, FleetRouter or "
-        f"ClusterRouter; got {type(backend).__name__}"
-    )
-
-
 def serve_trace(
     backend,
     trace: "Iterable",
@@ -222,7 +187,7 @@ def serve_trace(
     *,
     on_complete: Callable[[CompletedRequest], None] | None = None,
     drift_handler: "Callable[[DriftEvent], None] | None" = None,
-) -> ServeResult:
+) -> EventLoop:
     """Serve one trace on one backend under one set of options.
 
     ``trace`` is a sequence of requests (kernel or graph, optionally
@@ -233,51 +198,13 @@ def serve_trace(
     sequential trace is consumed lazily: each item is read once the
     previous one resolved.
 
-    On a cluster backend the router's per-tenant isolation meters are
-    fed automatically; a caller's ``on_complete`` chains after them.
+    Returns the :class:`~repro.serving.EventLoop` that ran the trace:
+    its ``stats`` are the bounded-memory aggregate (per-request results
+    stream through ``on_complete`` instead), and its ``telemetry`` is
+    the run's collected context when the options asked for one.
     """
-    kind = _backend_kind(backend)
-    items = iter(trace)
-    first = next(items, None)
-    if first is not None:
-        items = chain((first,), items)
-    if isinstance(first, tuple) or options.arrival == "sequential":
-        stream = items
-    else:
-        from ..workloads.arrivals import arrival_times
-        from ..workloads.spec import WorkloadSpec
-
-        items = list(items)
-        times = arrival_times(
-            WorkloadSpec(
-                num_requests=len(items),
-                seed=options.seed,
-                arrival=options.arrival,
-                rate_rps=options.rate_rps,
-            ),
-            len(items),
-        )
-        stream = zip(times, items)
-    observer = on_complete
-    if kind == "cluster":
-        cluster_observe = backend.observe_completion
-        if on_complete is None:
-            observer = cluster_observe
-        else:
-            user_observe = on_complete
-
-            def observer(completed: CompletedRequest) -> None:
-                cluster_observe(completed)
-                user_observe(completed)
-
     from .eventloop import EventLoop  # it imports this module for ServeOptions
 
-    loop = {
-        "service": EventLoop.for_service,
-        "fleet": EventLoop.for_fleet,
-        "cluster": EventLoop.for_cluster,
-    }[kind](backend, options)
-    stats = loop.run(stream, on_complete=observer, drift_handler=drift_handler)
-    if loop.telemetry is not None:
-        loop.telemetry.collect(backend, stats=stats)
-    return ServeResult(backend_kind=kind, stats=stats, telemetry=loop.telemetry)
+    loop = EventLoop(backend, options)
+    loop.run(trace, on_complete=on_complete, drift_handler=drift_handler)
+    return loop

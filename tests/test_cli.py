@@ -35,6 +35,56 @@ class TestParser:
         assert "must be >= 1" in capsys.readouterr().err
 
 
+class TestBadInput:
+    """Input errors exit with a one-line message, not a traceback."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["train", "mc2", "--noise", "nan"], "noise_sigma"),
+            (["fleet-train", "--registry", "reg", "--noise", "nan"], "noise_sigma"),
+            (["energy-sweep", "vec_add", "--step", "7"], "--step: "),
+            (["graph-sweep", "--step", "7"], "--step: "),
+            (["run", "vec_add", "--partitioning", "abc"], "--partitioning: "),
+            (["run", "vec_add", "--partitioning", "50/60/10"], "sum to 100"),
+            (["run", "vec_add", "--partitioning", "50/50"], "has 3 devices"),
+            (["run", "vec_add", "--size", "0"], "--size 0: "),
+            (["energy-sweep", "vec_add", "--size", "0"], "--size 0: "),
+            (["run", "nope"], "unknown benchmark 'nope'"),
+            (["kernel", "nope"], "unknown benchmark 'nope'"),
+            (["energy-sweep", "nope"], "unknown benchmark 'nope'"),
+            (
+                ["serve", "--skew", "0", "--train-programs", "1", "--max-sizes", "1"],
+                "skew",
+            ),
+            (["report", "missing.json"], "missing.json"),
+        ],
+        ids=[
+            "train-noise",
+            "fleet-train-noise",
+            "energy-sweep-step",
+            "graph-sweep-step",
+            "run-partitioning-label",
+            "run-partitioning-sum",
+            "run-partitioning-devices",
+            "run-size",
+            "energy-sweep-size",
+            "run-program",
+            "kernel-program",
+            "energy-sweep-program",
+            "serve-skew",
+            "report-missing-file",
+        ],
+    )
+    def test_exits_with_one_line(self, argv, message, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        text = exit_info.value.code
+        assert isinstance(text, str) and "\n" not in text
+        assert message in text
+
+
 class TestListAndMachines:
     def test_list(self, capsys):
         assert main(["list"]) == 0
@@ -59,7 +109,7 @@ class TestKernel:
         assert "clEnqueueNDRangeKernel" in out
 
     def test_unknown_program(self):
-        with pytest.raises(KeyError):
+        with pytest.raises(SystemExit, match="unknown benchmark 'nope'"):
             main(["kernel", "nope"])
 
 

@@ -26,6 +26,7 @@ from repro.graphs import pipeline_chain
 from repro.machines import cluster_platforms, fleet_platforms
 from repro.telemetry import CriticalPathAnalyzer
 from repro.serving import (
+    EventLoop,
     EventLoopStats,
     GraphServingRequest,
     PartitioningService,
@@ -36,6 +37,7 @@ from repro.serving import (
     serve_trace,
     zipf_trace,
 )
+from repro.workloads import DriftEvent, WorkloadSpec, arrival_times, make_workload
 
 BENCHMARKS = tuple(get_benchmark(n) for n in ("vec_add", "mat_mul"))
 TRAIN = TrainingConfig(repetitions=1, max_sizes=2)
@@ -454,9 +456,7 @@ class TestServeTraceMatrix:
             speculate_at=0.9,
             work_steal=(kind != "service"),
         )
-        result = serve_trace(backend, _trace(40), options)
-        stats = result.stats
-        assert result.backend_kind == kind
+        stats = serve_trace(backend, _trace(40), options).stats
         assert stats is not None and stats.arrivals == 40
         assert _conserved(stats)
         # Every speculative launch is retired exactly once.
@@ -545,6 +545,77 @@ class TestClosedLoop:
         serve_trace(cluster, _trace(20, tenants=("a", "b")))
         assert cluster.tenant_meters() == {"a": 10, "b": 10}
         assert {t.tenant for t in cluster.stats().tenants} == {"a", "b"}
+
+
+class TestOneWayToRunATrace:
+    """``EventLoop(backend, options).run`` is the whole serving path;
+    ``serve_trace`` only builds the loop, runs it and returns it."""
+
+    RATE_RPS = 2000.0
+    SEED = 4
+
+    @pytest.mark.parametrize("kind", ["service", "fleet", "cluster"])
+    @pytest.mark.parametrize("timed", [True, False], ids=["timed", "untimed"])
+    def test_loop_run_matches_serve_trace(self, kind, timed):
+        # An untimed trace is stamped from the options' poisson process.
+        options = ServeOptions(
+            arrival="poisson",
+            rate_rps=self.RATE_RPS,
+            seed=self.SEED,
+            telemetry="metrics",
+        )
+        items = _trace(40, tenants=("a", "b"))
+        if timed:
+            spec = WorkloadSpec(
+                num_requests=40,
+                seed=self.SEED,
+                arrival="poisson",
+                rate_rps=self.RATE_RPS,
+            )
+            items = list(zip(arrival_times(spec), items))
+        loop = EventLoop(_BACKENDS[kind](), options)
+        loop.run(items)
+        served = serve_trace(_BACKENDS[kind](), items, options)
+        assert loop.stats.to_dict() == served.stats.to_dict()
+        snapshot = loop.telemetry.registry.snapshot()
+        assert snapshot == served.telemetry.registry.snapshot()
+        assert any(name.startswith(f"{kind}.") for name in snapshot)
+        if kind == "cluster":
+            meters = loop.backend.tenant_meters()
+            assert meters == served.backend.tenant_meters()
+            assert sum(meters.values()) == loop.stats.completed
+
+    def test_untimed_drift_trace_runs_as_its_timed_twin(self):
+        # A drift event takes the arrival instant of the request it
+        # precedes and consumes no arrival draw, as in timed_items().
+        spec = WorkloadSpec(
+            num_requests=60,
+            seed=6,
+            arrival="poisson",
+            rate_rps=20_000.0,
+            drift_events=(
+                DriftEvent(20, 0.5, device_index=0),
+                DriftEvent(40, 2.0, device_index=0),
+            ),
+        )
+        workload = make_workload(spec, key_universe(list(BENCHMARKS), max_sizes=2))
+
+        def run(items, options):
+            service = _service()
+
+            def on_drift(event):
+                service.system.runner.apply_drift(
+                    event.scale, device_index=event.device_index
+                )
+
+            loop = serve_trace(service, items, options, drift_handler=on_drift)
+            return loop.stats.to_dict()
+
+        untimed = run(
+            workload.items(),
+            ServeOptions(arrival="poisson", rate_rps=spec.rate_rps, seed=spec.seed),
+        )
+        assert untimed == run(workload.timed_items(), ServeOptions())
 
 
 class TestClusterEventPath:

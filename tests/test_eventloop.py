@@ -77,7 +77,7 @@ def system():
 
 def _loop(system, memoize=True, **options):
     service = PartitioningService(system, ServiceConfig(memoize=memoize))
-    return EventLoop.for_service(service, ServeOptions(**options))
+    return EventLoop(service, ServeOptions(**options))
 
 
 def _spec(family, seed, num_requests=80, **kwargs):
@@ -164,7 +164,7 @@ def test_fleet_invariants_and_per_replica_fifo(system):
         for p in fleet_platforms(2)
     ]
     router = FleetRouter(services, policy="least-loaded")
-    loop = EventLoop.for_fleet(router, ServeOptions())
+    loop = EventLoop(router, ServeOptions())
     spec = _spec("flash-crowd", seed=7, rate_rps=20_000.0)
     records = []
     stats = loop.run(stream_timed_items(spec, KEYS), on_complete=records.append)
@@ -440,7 +440,7 @@ class TestStatsDictConservation:
             for p in fleet_platforms(2)
         ]
         router = FleetRouter(services, policy="least-loaded")
-        loop = EventLoop.for_fleet(
+        loop = EventLoop(
             router,
             ServeOptions(
                 faults=FaultSchedule(
@@ -513,7 +513,7 @@ class TestPerRequestRecords:
         completed = done[0]
         assert isinstance(completed, CompletedRequest)
         assert isinstance(completed.response, ServedResponse)
-        service = loop.backend.services[0]
+        service = loop.backend
         key = service._key(completed.request)
         run = service.engine.measure(
             service._requests[key], completed.response.partitioning
@@ -672,7 +672,7 @@ class TestSimulatedTimeEnergy:
         spec = _spec("stationary", seed=4, num_requests=20, rate_rps=50.0)
         service = PartitioningService(system, ServiceConfig())
         before = service.system.runner.stats.loop_idle_s
-        loop = EventLoop.for_service(service, ServeOptions())
+        loop = EventLoop(service, ServeOptions())
         stats = loop.run(stream_timed_items(spec, KEYS))
         idle = service.system.runner.stats.loop_idle_s - before
         busy = sum(stats.replica_busy_s)

@@ -61,13 +61,13 @@ def fleet_systems():
 
 def _loop(system, **options):
     service = PartitioningService(system, ServiceConfig())
-    return EventLoop.for_service(service, ServeOptions(**options))
+    return EventLoop(service, ServeOptions(**options))
 
 
 def _fleet_loop(fleet_systems, **options):
     services = [PartitioningService(s, ServiceConfig()) for s in fleet_systems]
     router = FleetRouter(services, policy="least-loaded")
-    return EventLoop.for_fleet(router, ServeOptions(**options))
+    return EventLoop(router, ServeOptions(**options))
 
 
 def _spec(family, seed, num_requests=80, **kwargs):

@@ -122,9 +122,13 @@ class TestRouting:
         # Every response carries the underlying service response.
         assert all(fr.response.measured_s >= 0 for fr in responses)
 
-    def test_least_loaded_uses_both_machines(self, duo_router):
+    def test_least_loaded_uses_both_machines(self):
         # A 30-request trace on two machines cannot sit on one replica.
-        assert all(r.routed > 0 for r in duo_router.replicas)
+        # The router is its own, so the check holds in any test order.
+        router = _router(fleet_platforms(2))
+        for request in _trace(30):
+            router.submit(request)
+        assert all(r.routed > 0 for r in router.replicas)
 
     def test_affinity_is_stable_per_key(self):
         router = _router(fleet_platforms(2), policy="affinity")

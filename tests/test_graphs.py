@@ -453,7 +453,7 @@ class TestGraphServing:
         self, served_chain
     ):
         service = _tiny_service()
-        loop = EventLoop.for_service(service)
+        loop = EventLoop(service)
         arrivals = [
             (0.0, ServingRequest(0, "vec_add", 4096)),
             (0.001, GraphServingRequest(1, served_chain)),
