@@ -7,9 +7,9 @@ Measures, inside one process and against the same simulator:
    unmemoized (``Runner.time_of`` per point, the pre-engine trainer
    loop) versus the memoizing :class:`repro.engine.SweepEngine`.
 2. **serve** — a Zipf-skewed request trace through the
-   :class:`PartitioningService`, sequential + unmemoized
-   (``ServiceConfig(memoize=False)`` + ``serve``, the pre-engine
-   serving loop) versus memoized + batched (``submit_many``).
+   :class:`PartitioningService`, sequential + unmemoized (``serve``
+   with a :class:`RunnerEngine` stand-in for the sweep engine, the
+   pre-engine serving loop) versus memoized + batched (``submit_many``).
 3. **predict** — scorer-model inference per-row
    (``predict_features`` in a loop) versus the vectorized
    ``predict_many`` single pass.
@@ -87,6 +87,19 @@ def bench_sweep(quick: bool) -> dict:
     }
 
 
+class RunnerEngine:
+    """Stands in for a service's sweep engine: every measurement is a
+    fresh unmemoized ``Runner.run``, as before the engine existed."""
+
+    def __init__(self, runner: Runner):
+        self.runner = runner
+
+    def measure(self, request, partitioning, repetitions=1):
+        return self.runner.run(
+            request, partitioning, functional=False, repetitions=repetitions
+        )
+
+
 def bench_serve(quick: bool) -> dict:
     """Zipf trace through the service: pre-engine loop vs memoized+batched."""
     num_requests = 150 if quick else 500
@@ -106,7 +119,8 @@ def bench_serve(quick: bool) -> dict:
         keys,
     ).requests
 
-    service = PartitioningService(make_system(), ServiceConfig(memoize=False))
+    service = PartitioningService(make_system(), ServiceConfig())
+    service.engine = RunnerEngine(service.system.runner)
     t0 = time.perf_counter()
     baseline = service.serve(trace)
     baseline_s = time.perf_counter() - t0

@@ -65,11 +65,20 @@ __all__ = ["main"]
 @contextmanager
 def _exit_on_bad_value(prefix: str = ""):
     """Exit with a one-line message, not a traceback, when the block
-    rejects a value the user gave (a ``ValueError``)."""
+    rejects a value the user gave (a ``ValueError``) or cannot open a
+    path they named (an ``OSError``)."""
     try:
         yield
-    except ValueError as error:
+    except (OSError, ValueError) as error:
         raise SystemExit(f"{prefix}{error}") from error
+
+
+def _check_model_kind(kind: str) -> None:
+    """Reject an unknown ``--model`` before any training or report runs."""
+    from .core.predictor import make_partitioning_model
+
+    with _exit_on_bad_value("--model: "):
+        make_partitioning_model(kind)
 
 
 def _benchmark(name: str):
@@ -182,12 +191,11 @@ def _cmd_train(args: argparse.Namespace) -> int:
 def _cmd_report(args: argparse.Namespace) -> int:
     from .experiments.report import full_report
 
+    _check_model_kind(args.model)
     merged = TrainingDatabase()
     for path in args.databases:
-        try:
+        with _exit_on_bad_value(f"{path}: "):
             records = TrainingDatabase.load(path)
-        except (OSError, ValueError) as error:
-            raise SystemExit(f"{path}: {error}") from error
         for record in records:
             merged.add(record)
     print(full_report(merged, model_kind=args.model))
@@ -217,9 +225,9 @@ def _benchmark_split(args: argparse.Namespace):
     return benchmarks, train_benchmarks
 
 
-def _build_backend(args: argparse.Namespace, train_benchmarks, slo):
-    """The backend ``--machines``/``--pools`` name, plus its services
-    and each one's model source, in flat replica order.
+def _build_backend(args: argparse.Namespace, platforms, train_benchmarks, slo):
+    """The backend ``--machines``/``--pools`` name over ``platforms``,
+    plus its services and each one's model source, in flat replica order.
 
     No ``--machines`` is one :class:`PartitioningService` on
     ``--machine``; ``--machines N`` is a :class:`FleetRouter` over
@@ -230,13 +238,8 @@ def _build_backend(args: argparse.Namespace, train_benchmarks, slo):
     """
     from .cluster import ClusterRouter, NetworkSpec
     from .fleet import FleetRouter, ModelRegistry
-    from .machines import fleet_platforms
     from .serving import PartitioningService, ServiceConfig
 
-    if args.machines is None:
-        platforms = (machine_by_name(args.machine),)
-    else:
-        platforms = fleet_platforms(args.machines)
     registry = ModelRegistry(args.registry) if args.registry else None
     training = _training_config(args)
     with _exit_on_bad_value():
@@ -244,7 +247,6 @@ def _build_backend(args: argparse.Namespace, train_benchmarks, slo):
             cache_capacity=args.cache_capacity,
             regression_threshold=args.threshold,
             instance_seed=args.seed,
-            memoize=not args.no_memoize,
             objective=args.objective,
             power_cap_w=args.power_cap,
         )
@@ -297,12 +299,19 @@ def _build_backend(args: argparse.Namespace, train_benchmarks, slo):
     return ClusterRouter(pools, network=network, slo=slo), services, sources
 
 
-def _parse_drift_events(values: list[str]):
-    """``AT:SCALE[:MACHINE[:DEVICE]]`` strings → DriftEvents."""
+def _parse_drift_events(args: argparse.Namespace, platforms):
+    """``--drift AT:SCALE[:MACHINE[:DEVICE]]`` strings → DriftEvents.
+
+    Each is checked against ``platforms`` before any training: a fleet
+    rejects an unknown machine, and every target machine must have the
+    device.  (On one machine an event for another machine is skipped
+    with a warning when it fires.)
+    """
     from .workloads import DriftEvent
 
+    names = [p.name for p in platforms]
     events = []
-    for value in values:
+    for value in args.drift:
         parts = value.split(":")
         if not 2 <= len(parts) <= 4:
             raise SystemExit(
@@ -310,14 +319,24 @@ def _parse_drift_events(values: list[str]):
                 "e.g. 100:0.5:mc2:1"
             )
         with _exit_on_bad_value(f"--drift {value!r}: "):
-            events.append(
-                DriftEvent(
-                    at_request=int(parts[0]),
-                    scale=float(parts[1]),
-                    machine=parts[2] if len(parts) > 2 and parts[2] else None,
-                    device_index=int(parts[3]) if len(parts) > 3 else None,
-                )
+            event = DriftEvent(
+                at_request=int(parts[0]),
+                scale=float(parts[1]),
+                machine=parts[2] if len(parts) > 2 and parts[2] else None,
+                device_index=int(parts[3]) if len(parts) > 3 else None,
             )
+            targets = [p for p in platforms if event.machine in (None, p.name)]
+            if not targets and args.machines is not None:
+                raise ValueError(
+                    f"unknown machine {event.machine!r}; the fleet has {names}"
+                )
+            device = event.device_index
+            for p in targets:
+                if device is not None and not 0 <= device < p.num_devices:
+                    raise ValueError(
+                        f"{p.name} has no device {device} ({p.num_devices} devices)"
+                    )
+        events.append(event)
     return tuple(events)
 
 
@@ -363,14 +382,14 @@ def _parse_tenants(args: argparse.Namespace) -> tuple[str, ...]:
     return tenants
 
 
-def _workload_from_args(args: argparse.Namespace, keys, tenants):
+def _workload_from_args(args: argparse.Namespace, keys, tenants, platforms):
     """Generate the synthetic trace the workload flags describe."""
     from dataclasses import replace
 
     from .cluster import with_tenants
     from .workloads import WorkloadSpec, make_workload
 
-    drift_events = _parse_drift_events(args.drift)
+    drift_events = _parse_drift_events(args, platforms)
     with _exit_on_bad_value():
         spec = WorkloadSpec(
             family=args.workload,
@@ -624,15 +643,14 @@ def _print_service_summary(service, source: str, loop_stats, wall_s: float) -> N
                 f"{stats.power_cap_violations} violations)",
             )
         )
-    if service.engine is not None:
-        es = service.engine.stats
-        rows.append(
-            (
-                "sweep engine",
-                f"{es.compositions} compositions, "
-                f"{es.tape_hit_rate * 100.0:.1f}% tape hits",
-            )
+    es = service.engine.stats
+    rows.append(
+        (
+            "sweep engine",
+            f"{es.compositions} compositions, "
+            f"{es.tape_hit_rate * 100.0:.1f}% tape hits",
         )
+    )
     print(format_table(["metric", "value"], rows, title="Serving summary"))
 
 
@@ -961,19 +979,31 @@ def _served_printer(services):
 
 def _cmd_serve(args: argparse.Namespace) -> int:
     """Serve one trace on the backend ``--machines``/``--pools`` name."""
+    from .machines import fleet_platforms
     from .serving import key_universe, serve_trace
 
+    # Every input is checked, and the trace built, before any training.
     options = _serve_options_from_args(args)
     tenants = _parse_tenants(args)
     benchmarks, train_benchmarks = _benchmark_split(args)
-    backend, services, sources = _build_backend(args, train_benchmarks, options.slo)
+    if args.machines is None:
+        platforms = (machine_by_name(args.machine),)
+    else:
+        platforms = fleet_platforms(args.machines)
+    _check_model_kind(args.model)
     workload = keys = None
     if args.trace is None:
         keys = key_universe(benchmarks, max_sizes=args.max_sizes)
-        workload = _workload_from_args(args, keys, tenants)
+        workload = _workload_from_args(args, keys, tenants, platforms)
         items = workload.timed_items() if args.arrival else workload.items()
     else:
+        if args.trace != "-":
+            with _exit_on_bad_value(f"--trace {args.trace}: "):
+                open(args.trace).close()  # unreadable: fail before training
         items = _read_requests(args.trace, {b.name for b in benchmarks}, tenants)
+    backend, services, sources = _build_backend(
+        args, platforms, train_benchmarks, options.slo
+    )
     _print_banner(args, len(benchmarks), len(train_benchmarks), workload, keys)
     t0 = time.perf_counter()
     # Closed-loop serving reads the next line only after the previous
@@ -1116,7 +1146,8 @@ def _cmd_graph_sweep(args: argparse.Namespace) -> int:
 
     platform = machine_by_name(args.machine)
     stages = _parse_stages(args.stages)
-    graph = pipeline_chain(stages, scale_bytes=args.scale_bytes)
+    with _exit_on_bad_value("--scale-bytes: "):
+        graph = pipeline_chain(stages, scale_bytes=args.scale_bytes)
     with _exit_on_bad_value("--noise: "):
         runner = Runner(platform, noise_sigma=args.noise, seed=args.seed)
     engine = SweepEngine(runner)
@@ -1363,11 +1394,6 @@ def _serve_parser(sub) -> None:
         type=float,
         default=0.3,
         help="relative regression slack before adaptation triggers",
-    )
-    g.add_argument(
-        "--no-memoize",
-        action="store_true",
-        help="measure without the memoizing sweep engine (A/B baseline)",
     )
     g.add_argument(
         "--objective",

@@ -326,24 +326,63 @@ class TrainingDatabase:
 
     @classmethod
     def load(cls, path: str | Path) -> "TrainingDatabase":
-        """Load a database saved by :meth:`save`."""
+        """Load a database saved by :meth:`save`.
+
+        A document of the wrong shape raises a ``ValueError``; a bad
+        record's message names its index and the field.
+        """
         doc = json.loads(Path(path).read_text())
+        if not isinstance(doc, dict):
+            raise ValueError(
+                f"the top level is a JSON {type(doc).__name__}, not an object"
+            )
         version = doc.get("schema_version")
         if version != FEATURE_SCHEMA_VERSION:
             raise ValueError(
                 f"database schema {version} != supported {FEATURE_SCHEMA_VERSION}"
             )
-        records = [
-            TrainingRecord(
-                machine=r["machine"],
-                program=r["program"],
-                size=int(r["size"]),
-                features={k: float(v) for k, v in r["features"].items()},
-                timings={k: float(v) for k, v in r["timings"].items()},
-                best_label=r["best_label"],
-                # Absent on databases saved before the energy subsystem.
-                energies={k: float(v) for k, v in r.get("energies", {}).items()},
-            )
-            for r in doc["records"]
-        ]
-        return cls(records)
+        records = doc.get("records")
+        if not isinstance(records, list):
+            raise ValueError("'records' must be a list")
+        return cls([_record_from_json(i, r) for i, r in enumerate(records)])
+
+
+#: The fields of a saved record and what each must hold.  ``energies``
+#: is absent on databases saved before the energy subsystem.
+_RECORD_FIELDS = {
+    "machine": (str, "a string"),
+    "program": (str, "a string"),
+    "size": (int, "an integer"),
+    "features": (dict, "an object of numbers"),
+    "timings": (dict, "an object of numbers"),
+    "best_label": (str, "a string"),
+    "energies": (dict, "an object of numbers"),
+}
+
+
+def _record_from_json(index: int, raw: object) -> TrainingRecord:
+    """One record of a saved database; a ``ValueError`` names the record
+    index and the field that is missing or of the wrong type."""
+    if not isinstance(raw, dict):
+        raise ValueError(
+            f"record {index} is a JSON {type(raw).__name__}, not an object"
+        )
+    fields = {}
+    for name, (kind, want) in _RECORD_FIELDS.items():
+        if name not in raw:
+            if name == "energies":
+                continue
+            raise ValueError(f"record {index} has no field {name!r}")
+        value = raw[name]
+        if not isinstance(value, kind) or (
+            kind is dict
+            and not all(isinstance(v, (int, float)) for v in value.values())
+        ):
+            raise ValueError(f"record {index}: field {name!r} must be {want}")
+        fields[name] = (
+            {k: float(v) for k, v in value.items()} if kind is dict else value
+        )
+    try:
+        return TrainingRecord(**fields)
+    except ValueError as error:
+        raise ValueError(f"record {index}: {error}") from None

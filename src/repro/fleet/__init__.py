@@ -16,7 +16,6 @@ from .router import (
     FleetResponse,
     FleetRouter,
     FleetStats,
-    ReplicaHealthView,
     ReplicaStats,
 )
 
@@ -28,6 +27,5 @@ __all__ = [
     "FleetResponse",
     "FleetRouter",
     "FleetStats",
-    "ReplicaHealthView",
     "ReplicaStats",
 ]

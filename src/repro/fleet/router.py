@@ -48,8 +48,6 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
-from ..benchsuite.registry import get_benchmark
-from ..core.features import combined_features
 from ..core.pipeline import train_system
 from ..core.trainer import TrainingConfig
 from ..energy.objectives import MODEL_OBJECTIVES, Objective
@@ -79,7 +77,6 @@ __all__ = [
     "ROUTING_POLICIES",
     "FleetReplica",
     "FleetResponse",
-    "ReplicaHealthView",
     "ReplicaStats",
     "FleetStats",
     "FleetRouter",
@@ -113,51 +110,27 @@ DRAIN_COOLDOWN = 16
 
 
 @dataclass
-class _ReplicaHealth:
-    """Router-side health state of one replica."""
-
-    ewma: float = 1.0
-    observations: int = 0
-    draining: int = 0
-
-
-@dataclass(frozen=True)
-class ReplicaHealthView:
-    """Public snapshot of one replica's health bookkeeping.
-
-    This is the documented way to read the router's drain/re-warm
-    state — consumers above the router (the cluster tier, benchmarks,
-    tests) must not reach into the private ``_health`` counters.  The
-    view is a frozen copy: mutating router state goes through
-    :meth:`FleetRouter.tick` / :meth:`FleetRouter.rewarm_replica`.
+class FleetReplica:
+    """One machine of the fleet: a service plus its routing and health state.
 
     Attributes:
-        index: the replica the snapshot describes.
-        ewma: smoothed measured/predicted cost ratio (1.0 = on spec).
-        observations: served responses folded into ``ewma`` since the
+        routed: requests placed on this replica.
+        rewarms: times the router re-warmed it.
+        health: EWMA of the measured/estimate cost ratio of what it
+            served (1.0 = on spec).
+        health_observations: responses folded into ``health`` since the
             last drain.
-        draining_steps: placements/ticks the replica still sits out;
+        draining: placements/cooldown ticks the replica still sits out;
             0 means it is in rotation.
     """
-
-    index: int
-    ewma: float
-    observations: int
-    draining_steps: int
-
-    @property
-    def draining(self) -> bool:
-        return self.draining_steps > 0
-
-
-@dataclass
-class FleetReplica:
-    """One machine of the fleet: a service plus routing counters."""
 
     index: int
     service: PartitioningService
     routed: int = 0
     rewarms: int = 0
+    health: float = 1.0
+    health_observations: int = 0
+    draining: int = 0
 
     @property
     def platform(self) -> Platform:
@@ -248,24 +221,15 @@ class FleetRouter:
         self.replicas = tuple(
             FleetReplica(index=i, service=s) for i, s in enumerate(services)
         )
-        self._health = [_ReplicaHealth() for _ in self.replicas]
         # The predicted policy estimates durations on a private noise-free
         # runner per replica, so probing machines never pollutes the
         # serving runners' telemetry or noise streams.
         self._estimators: list[SweepEngine] | None = None
-        # Request plumbing shared across replicas: the problem instance
-        # and feature dict depend only on (program, size), not machine —
-        # peeking N replicas must not build N copies of the arrays.
-        self._exec_requests: dict[tuple[str, int], ExecutionRequest] = {}
-        self._features: dict[tuple[str, int], dict[str, float]] = {}
-        # Peeked predictions, invalidated whenever the replica adapts or
-        # refits (either can change what it would answer).
-        self._peeked: list[dict[tuple[str, int], Partitioning]] = [
-            {} for _ in self.replicas
-        ]
-        self._peek_generations: list[tuple[int, int]] = [
-            (-1, -1) for _ in self.replicas
-        ]
+        # Peeked (execution request, partitioning) pairs per key, dropped
+        # whenever the replica adapts, refits or substitutes (any can
+        # change what it would answer).
+        self._peeked: list[dict[tuple[str, int], tuple]] = [{} for _ in self.replicas]
+        self._peek_generations: list[tuple[int, ...]] = [() for _ in self.replicas]
         # Simulated-time cooldown decay (see tick()): last clock value
         # seen and elapsed time not yet converted into cooldown steps.
         self._sim_clock_s = 0.0
@@ -319,9 +283,7 @@ class FleetRouter:
         draining the traffic must still land somewhere, so the full
         fleet becomes eligible again.
         """
-        up = tuple(
-            i for i in range(len(self.replicas)) if self._health[i].draining == 0
-        )
+        up = tuple(r.index for r in self.replicas if r.draining == 0)
         return up or tuple(range(len(self.replicas)))
 
     def _affinity_index(self, request: ServingRequest) -> int:
@@ -345,34 +307,17 @@ class FleetRouter:
             key=lambda i: (self.replicas[i].service.backlog_s, i),
         )
 
-    def _plumbing(
-        self, request: ServingRequest
-    ) -> tuple[ExecutionRequest, dict[str, float]]:
-        """Per-key execution request + feature dict, shared fleet-wide."""
-        key = (request.program, request.size)
-        if key not in self._exec_requests:
-            bench = get_benchmark(request.program)
-            # Seed matches what replica 0's service will instantiate, so
-            # the estimator prices exactly the arrays that get served.
-            instance = bench.make_instance(
-                request.size, seed=self.replicas[0].service.config.instance_seed
-            )
-            self._exec_requests[key] = bench.request(instance)
-            self._features[key] = combined_features(bench.compiled(instance), instance)
-        return self._exec_requests[key], self._features[key]
-
     def _peek(
-        self,
-        replica: FleetReplica,
-        request: ServingRequest,
-        features: dict[str, float],
-    ) -> Partitioning:
-        """Memoized peek_prediction, re-peeked after the replica changes.
+        self, replica: FleetReplica, request: ServingRequest
+    ) -> tuple[ExecutionRequest, Partitioning]:
+        """What the replica would run: its own execution request for the
+        key and its memoized peek_prediction, re-peeked after it changes.
 
-        An adaptation pins a validated winner and a refit swaps the
-        model; either changes what the replica would answer, so the
-        memo is keyed to the (refits, adaptations) generation and
-        dropped wholesale when it moves.
+        An adaptation pins a validated winner, a refit swaps the model
+        and a power-cap substitution replaces the answer; each changes
+        what the replica would serve, so the memo is keyed to a
+        generation of those counters and dropped wholesale when it
+        moves.
         """
         i = replica.index
         stats = replica.service.stats
@@ -381,6 +326,7 @@ class FleetRouter:
             stats.adaptations,
             stats.drift_flags,
             stats.rewarms,
+            stats.power_capped,
         )
         if self._peek_generations[i] != generation:
             self._peeked[i].clear()
@@ -389,8 +335,11 @@ class FleetRouter:
         key = (request.program, request.size)
         hit = memo.get(key)
         if hit is None:
-            hit = replica.service.peek_prediction(request, features=features)
-            memo[key] = hit
+            service = replica.service
+            hit = memo[key] = (
+                service.execution_request((replica.name, *key)),
+                service.peek_prediction(request),
+            )
         return hit
 
     def _ensure_estimators(self) -> list[SweepEngine]:
@@ -402,15 +351,12 @@ class FleetRouter:
 
     def _predicted_index(self, request: ServingRequest) -> int:
         self._ensure_estimators()
-        exec_request, features = self._plumbing(request)
         candidates = self._candidates()
         best_index, best_finish = candidates[0], float("inf")
         for index in candidates:
             replica = self.replicas[index]
-            partitioning = self._peek(replica, request, features)
-            duration = self._estimators[replica.index].time_of(
-                exec_request, partitioning
-            )
+            exec_request, partitioning = self._peek(replica, request)
+            duration = self._estimators[index].time_of(exec_request, partitioning)
             free = replica.service.device_free_s
             start = max(free[d] for d in partitioning.active_devices)
             finish = start + duration
@@ -430,14 +376,13 @@ class FleetRouter:
         policy still spreads load across twins.
         """
         self._ensure_estimators()
-        exec_request, features = self._plumbing(request)
         candidates = self._candidates()
         best_index = candidates[0]
         best_score = (float("inf"), float("inf"))
         for index in candidates:
             replica = self.replicas[index]
-            partitioning = self._peek(replica, request, features)
-            run = self._estimators[replica.index].measure(exec_request, partitioning)
+            exec_request, partitioning = self._peek(replica, request)
+            run = self._estimators[index].measure(exec_request, partitioning)
             free = replica.service.device_free_s
             start = max(free[d] for d in partitioning.active_devices)
             score = (run.energy_j, start + run.median_s)
@@ -467,7 +412,6 @@ class FleetRouter:
         promises, and the per-key detector already refreshes the fast
         replica's decisions in place.
         """
-        state = self._health[replica.index]
         estimate = response.estimate_s
         if estimate is None or estimate <= 0:
             return
@@ -482,21 +426,20 @@ class FleetRouter:
             # Cap-infeasible measurements cost inf; inf/NaN would
             # poison the health EWMA permanently.
             return
-        state.ewma = HEALTH_ALPHA * ratio + (1.0 - HEALTH_ALPHA) * state.ewma
-        state.observations += 1
+        replica.health = HEALTH_ALPHA * ratio + (1.0 - HEALTH_ALPHA) * replica.health
+        replica.health_observations += 1
         if (
-            state.draining == 0
-            and state.observations >= DRAIN_MIN_OBSERVATIONS
-            and state.ewma > 1.0 + DRAIN_THRESHOLD
+            replica.draining == 0
+            and replica.health_observations >= DRAIN_MIN_OBSERVATIONS
+            and replica.health > 1.0 + DRAIN_THRESHOLD
         ):
             self._drain(replica)
 
     def _drain(self, replica: FleetReplica) -> None:
         """Take a degraded replica out of rotation and re-warm it."""
-        state = self._health[replica.index]
-        state.draining = DRAIN_COOLDOWN
-        state.ewma = 1.0
-        state.observations = 0
+        replica.draining = DRAIN_COOLDOWN
+        replica.health = 1.0
+        replica.health_observations = 0
         self.rewarm_replica(replica.index)
 
     def rewarm_replica(self, index: int) -> None:
@@ -575,9 +518,9 @@ class FleetRouter:
         # Each routed request moves every draining replica one step
         # closer to rejoining; tick() adds a simulated-time clock on top
         # so a quiet fleet cannot strand a drained replica.
-        for state in self._health:
-            if state.draining > 0:
-                state.draining -= 1
+        for replica in self.replicas:
+            if replica.draining > 0:
+                replica.draining -= 1
         index = self._route_index(request)
         self.replicas[index].routed += 1
         return index
@@ -602,9 +545,9 @@ class FleetRouter:
         if steps <= 0:
             return
         self._tick_carry_s -= steps * COOLDOWN_TICK_S
-        for state in self._health:
-            if state.draining > 0:
-                state.draining = max(0, state.draining - steps)
+        for replica in self.replicas:
+            if replica.draining > 0:
+                replica.draining = max(0, replica.draining - steps)
 
     def serve_on(
         self, index: int, request: "ServingRequest | GraphServingRequest"
@@ -630,29 +573,12 @@ class FleetRouter:
 
     # -- telemetry ---------------------------------------------------------
 
-    def replica_health(self, index: int) -> ReplicaHealthView:
-        """A frozen snapshot of one replica's health bookkeeping.
-
-        The supported read path for everything the router tracks per
-        replica — drain countdown and degradation EWMA — so layers
-        above (the cluster router, benchmarks, tests) never couple to
-        the private counters.
-        """
-        state = self._health[index]
-        return ReplicaHealthView(
-            index=index,
-            ewma=state.ewma,
-            observations=state.observations,
-            draining_steps=state.draining,
-        )
-
     def stats(self) -> FleetStats:
         """Per-replica counters and cross-fleet throughput, right now."""
         per = []
         for r in self.replicas:
             backlog = r.service.backlog_s
             stats = r.service.stats
-            health = self._health[r.index]
             per.append(
                 ReplicaStats(
                     name=r.name,
@@ -664,8 +590,8 @@ class FleetRouter:
                     makespan_s=backlog,
                     drift_flags=stats.drift_flags,
                     rewarms=r.rewarms,
-                    health=health.ewma,
-                    draining=health.draining > 0,
+                    health=r.health,
+                    draining=r.draining > 0,
                     energy_j=stats.energy_j,
                     # Average draw over the replica's backlog span;
                     # zero-span replicas report 0 W, not inf.

@@ -16,6 +16,7 @@ consecutive keys so any universe yields *some* pipeline.
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 from typing import Sequence
 
@@ -69,8 +70,8 @@ def pipeline_chain(
     shipping batched tensors between stages move more than one
     kernel-output's worth of data per dependency.
     """
-    if scale_bytes <= 0:
-        raise ValueError("scale_bytes must be positive")
+    if not 0 < scale_bytes < math.inf:
+        raise ValueError("scale_bytes must be positive and finite")
     per_edge = [
         int(handoff_nbytes(program, size) * scale_bytes)
         for program, size in stages[:-1]
@@ -91,8 +92,8 @@ def diamond_graph(
     branches with disjoint device placements overlap, branches piled
     onto the same devices serialize.
     """
-    if scale_bytes <= 0:
-        raise ValueError("scale_bytes must be positive")
+    if not 0 < scale_bytes < math.inf:
+        raise ValueError("scale_bytes must be positive and finite")
     if not branches:
         raise ValueError("a diamond needs at least one branch")
     from .graph import TaskEdge, TaskNode

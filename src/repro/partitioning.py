@@ -100,7 +100,14 @@ class Partitioning:
     @classmethod
     def from_label(cls, label: str) -> "Partitioning":
         """Parse the :attr:`label` form back into a Partitioning."""
-        return cls(tuple(int(p) for p in label.split("/")))
+        try:
+            shares = tuple(int(p) for p in label.split("/"))
+        except ValueError:
+            raise ValueError(
+                f"label {label!r} is not integer percentages in the a/b/c form "
+                "(e.g. 50/30/20)"
+            ) from None
+        return cls(shares)
 
     def __str__(self) -> str:
         return self.label

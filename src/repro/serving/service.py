@@ -32,7 +32,6 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from ..benchsuite.base import Benchmark
 from ..benchsuite.registry import get_benchmark
 from ..core.database import TrainingDatabase
 from ..core.pipeline import TrainedSystem
@@ -45,7 +44,7 @@ from ..energy.objectives import (
     objective_cost,
 )
 from ..engine import SweepEngine
-from ..graphs.compose import GraphRun, node_requests
+from ..graphs.compose import GraphRun
 from ..graphs.graph import TaskGraph
 from ..graphs.planner import GraphPlan, GraphPlanner
 from ..partitioning import (
@@ -111,11 +110,6 @@ class ServiceConfig:
             has never seen (the feedback-driven refinement path for
             out-of-distribution programs/sizes).
         instance_seed: seed for generated problem instances.
-        memoize: measure through the memoizing
-            :class:`~repro.engine.SweepEngine` (repeated keys and local
-            searches compose cached per-device timelines instead of
-            re-simulating).  ``False`` is the unmemoized pre-engine
-            path, kept for benchmarking the engine against it.
         detect_drift: run the sliding-window EWMA drift detector (with
             its own defaults) and escalate at :data:`DRIFT_ESCALATION`
             flags.  ``False`` falls back to the single-run regression
@@ -139,7 +133,6 @@ class ServiceConfig:
     refit_interval: int = 4
     validate_cold_keys: bool = True
     instance_seed: int = 0
-    memoize: bool = True
     detect_drift: bool = True
     objective: Objective = Objective.MAKESPAN
     power_cap_w: float | None = None
@@ -302,7 +295,9 @@ class PartitioningService:
         #: cluster placement read it (see :attr:`backlog_s`).
         self.device_free_s = [0.0] * system.platform.num_devices
         self.stats = ServiceStats()
-        self.engine = SweepEngine(system.runner) if config.memoize else None
+        # Every measurement composes from the engine's cached per-device
+        # timelines: repeated keys and local searches never re-simulate.
+        self.engine = SweepEngine(system.runner)
         self.detector = DriftDetector() if config.detect_drift else None
         self._validated: dict[CacheKey, Partitioning] = {}
         self._adaptations_by_key: dict[CacheKey, int] = {}
@@ -340,12 +335,21 @@ class PartitioningService:
     def _key(self, request: ServingRequest) -> CacheKey:
         return (self.machine, request.program, request.size)
 
-    def _execution_request(self, bench: Benchmark, key: CacheKey) -> ExecutionRequest:
-        if key not in self._requests:
+    def execution_request(self, key: CacheKey) -> ExecutionRequest:
+        """The execution request one ``(machine, program, size)`` key serves.
+
+        Built once per key, with its feature dict beside it, and reused by
+        every later request, peek and local search on this key.  The fleet
+        prices placements on it too, so a replica is priced on exactly the
+        request it would serve.
+        """
+        request = self._requests.get(key)
+        if request is None:
+            bench = get_benchmark(key[1])
             instance = bench.make_instance(key[2], seed=self.config.instance_seed)
-            self._requests[key] = bench.request(instance)
+            request = self._requests[key] = bench.request(instance)
             self._features[key] = self.system.predictor.features_for(bench, instance)
-        return self._requests[key]
+        return request
 
     def _estimate(self, key: CacheKey) -> float | None:
         """Best achievable objective cost for a key, from the database.
@@ -369,10 +373,7 @@ class PartitioningService:
         self, exec_request: ExecutionRequest, p: Partitioning
     ) -> tuple[float, float]:
         """Measure one partitioning; returns (median seconds, joules)."""
-        if self.engine is not None:
-            run = self.engine.measure(exec_request, p)
-        else:
-            run = self.system.runner.run(exec_request, p, functional=False)
+        run = self.engine.measure(exec_request, p)
         return run.median_s, run.energy_j
 
     def _cost(self, time_s: float, energy_j: float) -> float:
@@ -384,31 +385,28 @@ class PartitioningService:
             power_cap_w=self.config.power_cap_w,
         )
 
-    def peek_prediction(
-        self,
-        request: ServingRequest,
-        features: dict[str, float] | None = None,
-    ) -> Partitioning:
+    def peek_prediction(self, request: ServingRequest) -> Partitioning:
         """The partitioning this service would answer with, right now.
 
-        Resolution order matches :meth:`submit` — cache, then locally
-        validated winners, then the model — but nothing is served: no
-        cache accounting, no dispatch, no database write.  The fleet
-        router uses this to ask every replica's model where a request
-        would run before placing it; it passes ``features`` (which are
-        machine-independent) so N replicas don't each build the
-        problem instance just to answer a peek.
+        Resolution order matches :meth:`submit` — a memoized power-cap
+        substitute, then the cache, then locally validated winners, then
+        the model — but nothing is served: no cache accounting, no
+        dispatch, no database write.  The fleet router uses this to ask
+        every replica's model where a request would run before placing
+        it.
         """
         key = self._key(request)
-        cached = self.cache.peek(key)
-        if cached is None:
-            cached = self._validated.get(key)
-        if cached is not None:
-            return cached
-        if features is None:
-            self._execution_request(get_benchmark(request.program), key)
-            features = self._features[key]
-        return self.system.predictor.predict_features(features)
+        # A key's substitute replaces whatever the cache or model says
+        # (see _enforce_cap), so it is what the replica will run.
+        answer = self._capped.get(key)
+        if answer is None:
+            answer = self.cache.peek(key)
+        if answer is None:
+            answer = self._validated.get(key)
+        if answer is None:
+            self.execution_request(key)
+            answer = self.system.predictor.predict_features(self._features[key])
+        return answer
 
     # -- the serving loop -------------------------------------------------
     #
@@ -428,13 +426,13 @@ class PartitioningService:
     ) -> ServedResponse:
         """Serve one request; ``prefetched`` is a batch-predicted answer
         for this request's key (used only when the key is cold)."""
-        bench = get_benchmark(request.program)
         key = self._key(request)
+        # First, so an unknown program fails before any counter moves.
+        exec_request = self.execution_request(key)
         self.stats.requests += 1
 
         cached = self.cache.get(key)
         cache_hit = cached is not None
-        exec_request = self._execution_request(bench, key)
         if cached is None:
             # A locally-validated winner outranks the model: it was
             # measured, the prediction wasn't.  This also restores
@@ -581,7 +579,7 @@ class PartitioningService:
             seen.add(key)
             # Builds (and memoizes) the instance plumbing so the feature
             # dict exists; repeated keys reuse it during dispatch.
-            self._execution_request(get_benchmark(request.program), key)
+            self.execution_request(key)
             cold_keys.append(key)
         if not cold_keys:
             return {}
@@ -596,16 +594,6 @@ class PartitioningService:
         """Graph-level prediction-cache key: same shape, graph identity."""
         return (self.machine, graph.signature_label, graph.total_size)
 
-    def _graph_measure(self, graph: TaskGraph, plan: GraphPlan) -> GraphRun:
-        """Compose one graph run on the configured measurement path."""
-        if self.engine is not None:
-            return self.engine.measure_graph(
-                graph, plan, instance_seed=self.config.instance_seed
-            )
-        return self.system.runner.run_graph(
-            graph, plan, instance_seed=self.config.instance_seed
-        )
-
     def _predict_plan(self, graph: TaskGraph) -> GraphPlan:
         """Per-task model predictions — the plan before any co-search.
 
@@ -618,7 +606,7 @@ class PartitioningService:
         assignments: dict[str, Partitioning] = {}
         for node in graph.nodes:
             node_key = (self.machine, node.program, node.size)
-            self._execution_request(get_benchmark(node.program), node_key)
+            self.execution_request(node_key)
             assignments[node.name] = self.system.predictor.predict_features(
                 self._features[node_key]
             )
@@ -626,27 +614,17 @@ class PartitioningService:
 
     def _graph_search(self, graph: TaskGraph) -> tuple[GraphPlan, GraphRun]:
         """Co-search placement × per-task partitioning for one graph."""
-        runner = self.system.runner
-        if self.engine is not None:
-            measure = self.engine.measure
-            requests = self.engine.graph_requests(
-                graph, instance_seed=self.config.instance_seed
-            )
-        else:
-
-            def measure(request, partitioning, repetitions=1):
-                return runner.run(
-                    request, partitioning, functional=False, repetitions=repetitions
-                )
-
-            requests = node_requests(graph, seed=self.config.instance_seed)
+        devices = self.system.runner.devices
         planner = GraphPlanner(
-            measure,
-            runner.devices,
-            EnergyMeter(runner.devices).platform_idle_w(),
+            self.engine.measure,
+            devices,
+            EnergyMeter(devices).platform_idle_w(),
             step_percent=DEFAULT_STEP_PERCENT,
         )
-        return planner.search(graph, requests)
+        return planner.search(
+            graph,
+            self.engine.graph_requests(graph, instance_seed=self.config.instance_seed),
+        )
 
     def submit_graph(self, request: GraphServingRequest) -> GraphServedResponse:
         """Serve one task-graph request end-to-end.
@@ -681,7 +659,9 @@ class PartitioningService:
         assert isinstance(cached, GraphPlan)
         plan = cached
 
-        run = self._graph_measure(graph, plan)
+        run = self.engine.measure_graph(
+            graph, plan, instance_seed=self.config.instance_seed
+        )
         measured = run.median_s
         energy = run.energy_j
         cost = self._cost(measured, energy)
@@ -744,7 +724,7 @@ class PartitioningService:
         for name, node_run in run.node_runs.items():
             node = graph.node(name)
             node_key = (self.machine, node.program, node.size)
-            self._execution_request(get_benchmark(node.program), node_key)
+            self.execution_request(node_key)
             self.system.database.merge_timings(
                 *node_key,
                 features=self._features[node_key],

@@ -35,8 +35,20 @@ class TestParser:
         assert "must be >= 1" in capsys.readouterr().err
 
 
+#: Malformed files the bad-input cases name, written into the test's cwd.
+BAD_FILES = {
+    "no-program.json": '{"schema_version": 1, "records": [{"machine": "mc2"}]}',
+    "list.json": "[1, 2]",
+    "empty.json": '{"schema_version": 1, "records": []}',
+}
+
+#: Enough flags that a serve case which fails to stop early trains fast.
+SMALL = ["--train-programs", "1", "--max-sizes", "1"]
+
+
 class TestBadInput:
-    """Input errors exit with a one-line message, not a traceback."""
+    """Input errors exit with a one-line message, not a traceback, and
+    before anything is printed (for ``serve``: before the banner)."""
 
     @pytest.mark.parametrize(
         "argv, message",
@@ -45,7 +57,11 @@ class TestBadInput:
             (["fleet-train", "--registry", "reg", "--noise", "nan"], "noise_sigma"),
             (["energy-sweep", "vec_add", "--step", "7"], "--step: "),
             (["graph-sweep", "--step", "7"], "--step: "),
-            (["run", "vec_add", "--partitioning", "abc"], "--partitioning: "),
+            (
+                ["run", "vec_add", "--partitioning", "abc"],
+                "--partitioning: label 'abc' is not integer percentages "
+                "in the a/b/c form",
+            ),
             (["run", "vec_add", "--partitioning", "50/60/10"], "sum to 100"),
             (["run", "vec_add", "--partitioning", "50/50"], "has 3 devices"),
             (["run", "vec_add", "--size", "0"], "--size 0: "),
@@ -53,11 +69,19 @@ class TestBadInput:
             (["run", "nope"], "unknown benchmark 'nope'"),
             (["kernel", "nope"], "unknown benchmark 'nope'"),
             (["energy-sweep", "nope"], "unknown benchmark 'nope'"),
-            (
-                ["serve", "--skew", "0", "--train-programs", "1", "--max-sizes", "1"],
-                "skew",
-            ),
+            (["serve", "--skew", "0", *SMALL], "skew"),
             (["report", "missing.json"], "missing.json"),
+            (["report", "no-program.json"], "record 0 has no field 'program'"),
+            (["report", "list.json"], "list.json: the top level is a JSON list"),
+            (["report", "empty.json", "--model", "bogus"], "unknown model kind"),
+            (["serve", "--model", "bogus", *SMALL], "--model: unknown model kind"),
+            (["serve", "--trace", "missing.txt", *SMALL], "--trace missing.txt: "),
+            (["graph-sweep", "--scale-bytes", "-1"], "--scale-bytes: "),
+            (["serve", "--drift", "2:0.5:mc2:7", *SMALL], "mc2 has no device 7"),
+            (
+                ["serve", "--machines", "2", "--drift", "2:0.5:nosuch", *SMALL],
+                "unknown machine 'nosuch'",
+            ),
         ],
         ids=[
             "train-noise",
@@ -74,15 +98,26 @@ class TestBadInput:
             "energy-sweep-program",
             "serve-skew",
             "report-missing-file",
+            "report-record-field",
+            "report-top-level",
+            "report-model",
+            "serve-model",
+            "serve-trace-file",
+            "graph-sweep-scale-bytes",
+            "serve-drift-device",
+            "serve-drift-machine",
         ],
     )
-    def test_exits_with_one_line(self, argv, message, tmp_path, monkeypatch):
+    def test_exits_with_one_line(self, argv, message, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
+        for name, text in BAD_FILES.items():
+            (tmp_path / name).write_text(text)
         with pytest.raises(SystemExit) as exit_info:
             main(argv)
         text = exit_info.value.code
         assert isinstance(text, str) and "\n" not in text
         assert message in text
+        assert capsys.readouterr().out == ""
 
 
 class TestListAndMachines:

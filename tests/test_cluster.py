@@ -284,20 +284,16 @@ class TestClusterRouter:
         assert cluster.network_s == pytest.approx(response.network_s)
 
 
-# -- the public replica-health accessor ---------------------------------------
+# -- replica health ------------------------------------------------------------
 
 
-class TestReplicaHealthAccessor:
-    def test_snapshot_of_fresh_replica(self):
-        router = _fleet(1)
-        view = router.replica_health(0)
-        assert view.index == 0
-        assert view.draining_steps == 0 and not view.draining
-        assert view.observations == 0
-
-    def test_out_of_range_rejected(self):
-        with pytest.raises(IndexError):
-            _fleet(1).replica_health(5)
+class TestReplicaHealth:
+    def test_fresh_replica_is_healthy_and_in_rotation(self):
+        replica = _fleet(1).replicas[0]
+        assert replica.index == 0
+        assert replica.health == 1.0
+        assert replica.draining == 0
+        assert replica.health_observations == 0
 
 
 # -- the unified serving facade ----------------------------------------------
@@ -411,10 +407,10 @@ class TestFleetCountsGraphRequests:
 
     def test_graph_placement_leaves_drain_cooldowns_alone(self):
         router = _fleet(2)
-        router._health[0].draining = 4
+        router.replicas[0].draining = 4
         chain = pipeline_chain([("vec_add", 4096)])
         assert router.place(GraphServingRequest(2, chain)) == 0
-        assert router.replica_health(0).draining_steps == 4
+        assert router.replicas[0].draining == 4
 
 
 # -- the backend x arrival x shedding matrix ----------------------------------

@@ -109,5 +109,5 @@ def test_walk_sees_the_known_creation_sites():
     # would pass the two checks above vacuously.
     set_in, _ = walk()
     assert {"src", "tests"} <= set_in[("ServeOptions", "arrival")]
-    assert "benchmarks" in set_in[("ServiceConfig", "memoize")]
+    assert "benchmarks" in set_in[("ServiceConfig", "detect_drift")]
     assert "src" in set_in[("SLOConfig", "tenant_priorities")]

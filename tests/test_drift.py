@@ -428,18 +428,18 @@ class TestFleetDriftRepair:
 
     def test_draining_replica_is_excluded_until_cooldown(self, tmp_path):
         router, _platforms = self._fleet(tmp_path)
-        router._health[0].draining = 3
+        router.replicas[0].draining = 3
         placements = [router.submit(r).replica_index for r in self._trace(3)]
         # Two requests route around the draining replica; the drain
         # clock then runs out and the third rejoins it (least-loaded
         # prefers the idle machine).
         assert placements == [1, 1, 0]
-        assert router.replica_health(0).draining_steps == 0
+        assert router.replicas[0].draining == 0
 
     def test_all_draining_falls_back_to_whole_fleet(self, tmp_path):
         router, _platforms = self._fleet(tmp_path)
-        for state in router._health:
-            state.draining = 10
+        for replica in router.replicas:
+            replica.draining = 10
         response = router.submit(self._trace(1)[0])
         assert response.replica_index in (0, 1)
 

@@ -6,7 +6,7 @@ import math
 import pytest
 
 import repro.serving.service as service_module
-from repro.benchsuite import get_benchmark
+from repro.benchsuite import all_benchmarks, get_benchmark
 from repro.core import TrainingConfig, TrainingDatabase, TrainingRecord, train_system
 from repro.energy import (
     DVFS_EXPONENT,
@@ -564,3 +564,39 @@ class TestFleetEnergy:
             assert (
                 replica.service.system.predictor.objective is Objective.MAKESPAN
             )
+
+    def test_capped_fleet_peeks_the_substitute_each_replica_serves(self):
+        # Regression: a key's power-cap substitute replaces the cached or
+        # model answer when the replica serves, but peek_prediction (and
+        # so the energy policy's pricing) still answered the cache or the
+        # model: on this trace 4 of the 10 keys holding one disagreed.
+        programs = all_benchmarks()[:6]
+        router = FleetRouter.build(
+            fleet_platforms(2),
+            programs,
+            training=TRAIN,
+            serving=ServiceConfig(power_cap_w=140.0),
+            policy="energy",
+        )
+        keys = key_universe(programs, max_sizes=2)
+        for request in zipf_trace(keys, 60, skew=1.0, seed=1):
+            router.submit(request)
+        # What each replica serves per key once a substitute is memoized.
+        serves = {
+            (replica.index, program, size): partitioning
+            for replica in router.replicas
+            for (_, program, size), partitioning in replica.service._capped.items()
+        }
+        assert sum(r.service.stats.power_capped for r in router.replicas) > 0
+        peeked = {
+            (i, p, n): router.replicas[i].service.peek_prediction(
+                ServingRequest(0, p, n)
+            )
+            for i, p, n in serves
+        }
+        assert peeked == serves
+        placed = {
+            (i, p, n): router._peek(router.replicas[i], ServingRequest(0, p, n))[1]
+            for i, p, n in serves
+        }
+        assert placed == serves

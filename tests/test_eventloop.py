@@ -7,7 +7,8 @@ request faster than its service time, preserve FIFO order within a
 replica queue, and keep the simulated clock monotone.  The determinism
 golden test extends the repo's memoized-vs-unmemoized bit-identity
 guarantee from energy totals to the full latency histograms and SLO
-counters.
+counters: a service measuring through its sweep engine against one
+whose engine is a stand-in that runs every measurement on the Runner.
 """
 
 import dataclasses
@@ -75,8 +76,23 @@ def system():
     return train_system(MC1, BENCHMARKS, model_kind="knn", config=TRAIN)
 
 
-def _loop(system, memoize=True, **options):
-    service = PartitioningService(system, ServiceConfig(memoize=memoize))
+class _RunnerEngine:
+    """Stands in for a service's sweep engine: every measurement is a
+    fresh unmemoized ``Runner.run``, the reference path."""
+
+    def __init__(self, runner):
+        self.runner = runner
+
+    def measure(self, request, partitioning, repetitions=1):
+        return self.runner.run(
+            request, partitioning, functional=False, repetitions=repetitions
+        )
+
+
+def _loop(system, runner_backed=False, **options):
+    service = PartitioningService(system, ServiceConfig())
+    if runner_backed:
+        service.engine = _RunnerEngine(system.runner)
     return EventLoop(service, ServeOptions(**options))
 
 
@@ -182,8 +198,8 @@ class TestDeterminismGolden:
         spec = _spec("phase-shift", seed=5)
         slo = SLOConfig(target_s=0.001)
         results = []
-        for memoize in (True, False):
-            loop = _loop(system, memoize=memoize, slo=slo)
+        for runner_backed in (False, True):
+            loop = _loop(system, runner_backed=runner_backed, slo=slo)
             results.append(loop.run(stream_timed_items(spec, KEYS)))
         a, b = results
         # Histograms are integer counters over identical latencies:
@@ -516,7 +532,7 @@ class TestPerRequestRecords:
         service = loop.backend
         key = service._key(completed.request)
         run = service.engine.measure(
-            service._requests[key], completed.response.partitioning
+            service.execution_request(key), completed.response.partitioning
         )
         assert isinstance(run, MeasuredRun)
         for record in (completed, completed.response, run):

@@ -355,36 +355,36 @@ class TestRouterCooldownTick:
     def test_quiet_fleet_cooldown_expires_on_ticks(self, fleet_systems):
         services = [PartitioningService(s, ServiceConfig()) for s in fleet_systems]
         router = FleetRouter(services, policy="least-loaded")
-        router._health[0].draining = DRAIN_COOLDOWN
+        router.replicas[0].draining = DRAIN_COOLDOWN
         # Zero placements, only simulated time: before the fix the
         # replica sat out forever waiting for traffic to count down.
         router.tick(DRAIN_COOLDOWN * COOLDOWN_TICK_S)
-        assert router.replica_health(0).draining_steps == 0
+        assert router.replicas[0].draining == 0
 
     def test_fractional_ticks_carry_over(self, fleet_systems):
         services = [PartitioningService(s, ServiceConfig()) for s in fleet_systems]
         router = FleetRouter(services, policy="least-loaded")
-        router._health[0].draining = 4
+        router.replicas[0].draining = 4
         step = COOLDOWN_TICK_S
         # Half a step: no decay yet, but the elapsed time is banked.
         router.tick(0.5 * step)
-        assert router.replica_health(0).draining_steps == 4
+        assert router.replicas[0].draining == 4
         # The other half completes one step.
         router.tick(1.0 * step)
-        assert router.replica_health(0).draining_steps == 3
+        assert router.replicas[0].draining == 3
         # Many tiny ticks decay exactly like one big tick.
         clock = 1.0 * step
         for _ in range(30):
             clock += 0.1 * step
             router.tick(clock)
-        assert router.replica_health(0).draining_steps == 0
+        assert router.replicas[0].draining == 0
 
     def test_clock_never_runs_backwards(self, fleet_systems):
         services = [PartitioningService(s, ServiceConfig()) for s in fleet_systems]
         router = FleetRouter(services, policy="least-loaded")
-        router._health[0].draining = 2
+        router.replicas[0].draining = 2
         router.tick(10.0)
-        assert router.replica_health(0).draining_steps == 0
+        assert router.replicas[0].draining == 0
         before = router._sim_clock_s
         router.tick(5.0)  # stale timestamp: ignored
         assert router._sim_clock_s == before

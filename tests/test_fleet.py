@@ -172,11 +172,12 @@ class TestRouting:
         fr = router.submit(req)  # cold key: the serving replica adapts
         assert fr.response.adapted
         replica = router.replicas[fr.replica_index]
-        _, features = router._plumbing(req)
-        assert router._peek(replica, req, features) == replica.service.peek_prediction(
-            req
-        )
-        assert router._peek(replica, req, features) == fr.response.partitioning
+        exec_request, peeked = router._peek(replica, req)
+        assert peeked == replica.service.peek_prediction(req)
+        assert peeked == fr.response.partitioning
+        # Placement prices the replica's own request for the key.
+        key = (replica.name, req.program, req.size)
+        assert exec_request is replica.service.execution_request(key)
 
     def test_predicted_probing_does_not_touch_serving_telemetry(self):
         router = _router(fleet_platforms(2), policy="predicted")

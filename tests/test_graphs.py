@@ -19,7 +19,8 @@ from repro.graphs import (
     handoff_nbytes,
     pipeline_chain,
 )
-from repro.machines import MC1, MC2
+from repro.graphs.compose import node_requests
+from repro.machines import MC2
 from repro.partitioning import Partitioning, partition_space
 from repro.runtime import Runner
 from repro.serving import (
@@ -389,13 +390,32 @@ class TestPlanner:
         assert stats.standalone_points == len(space)
 
 
-def _tiny_service(**config_kwargs):
+def _tiny_service():
     system = train_system(
         MC2,
         tuple(get_benchmark(n) for n in ("vec_add", "mat_mul", "reduction")),
         config=TrainingConfig(repetitions=1, max_sizes=2),
     )
-    return PartitioningService(system, ServiceConfig(**config_kwargs))
+    return PartitioningService(system, ServiceConfig())
+
+
+class _RunnerEngine:
+    """Stands in for a service's sweep engine: every kernel and graph
+    measurement runs unmemoized on the Runner, the reference path."""
+
+    def __init__(self, runner):
+        self.runner = runner
+
+    def measure(self, request, partitioning, repetitions=1):
+        return self.runner.run(
+            request, partitioning, functional=False, repetitions=repetitions
+        )
+
+    def measure_graph(self, graph, plan, instance_seed=0):
+        return self.runner.run_graph(graph, plan, instance_seed=instance_seed)
+
+    def graph_requests(self, graph, instance_seed=0):
+        return node_requests(graph, seed=instance_seed)
 
 
 @pytest.fixture(scope="module")
@@ -443,10 +463,12 @@ class TestGraphServing:
 
     def test_unmemoized_service_matches_memoized_bits(self, served_chain):
         responses = {}
-        for memoize in (True, False):
-            service = _tiny_service(memoize=memoize)
+        for runner_backed in (False, True):
+            service = _tiny_service()
+            if runner_backed:
+                service.engine = _RunnerEngine(service.system.runner)
             r = service.submit_graph(GraphServingRequest(0, served_chain))
-            responses[memoize] = (r.measured_s, r.energy_j, r.plan)
+            responses[runner_backed] = (r.measured_s, r.energy_j, r.plan)
         assert responses[True] == responses[False]
 
     def test_eventloop_serves_mixed_kernel_and_graph_traffic(

@@ -166,20 +166,6 @@ class TestPeekPrediction:
         peeked = service.peek_prediction(ServingRequest(2, "mandelbrot", size))
         assert peeked == adapted.partitioning
 
-    def test_peek_with_features_skips_instance_plumbing(self):
-        # The fleet passes machine-independent features so N replicas
-        # don't each build the problem arrays just to answer a peek.
-        service = PartitioningService(_train(), ServiceConfig())
-        bench = get_benchmark("saxpy")
-        size = bench.problem_sizes()[0]
-        instance = bench.make_instance(size, seed=0)
-        features = service.system.predictor.features_for(bench, instance)
-        request = ServingRequest(0, "saxpy", size)
-        prediction = service.peek_prediction(request, features=features)
-        key = ("mc2", "saxpy", size)
-        assert key not in service._requests  # no arrays were built
-        assert prediction == service.system.predictor.predict_features(features)
-
     def test_peek_without_features_builds_and_memoizes_plumbing(self):
         service = PartitioningService(_train(), ServiceConfig())
         bench = get_benchmark("saxpy")

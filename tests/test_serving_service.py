@@ -337,15 +337,6 @@ class TestSubmitMany:
         assert [r.partitioning for r in r_bat] == [r.partitioning for r in r_seq]
         assert batched.stats == sequential.stats
 
-    def test_unmemoized_config_still_serves(self):
-        service = PartitioningService(
-            self._fresh_system(), ServiceConfig(memoize=False)
-        )
-        assert service.engine is None
-        responses = service.submit_many(self._trace(10))
-        assert len(responses) == 10
-        assert service.system.runner.stats.executions >= 10
-
 
 class TestRunnerSessionStats:
     def test_stats_accumulate_and_reset(self, small_system):
