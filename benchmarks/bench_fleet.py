@@ -69,17 +69,17 @@ def run_fleet(fleet_size: int, trace, policy: str, train_programs: int, seed: in
         "serve_wall_s": serve_wall_s,
         "replicas": [
             {
-                "name": r.name,
-                "routed": r.routed,
-                "cache_hit_rate": r.cache_hit_rate,
-                "makespan_s": r.makespan_s,
+                "name": replica.name,
+                "routed": replica.routed,
+                "cache_hit_rate": replica.service.cache.stats.hit_rate,
+                "makespan_s": replica.service.backlog_s,
                 # Busy share of each device over the replica's serialized
                 # served time (runner session stats).
                 "utilization": list(
                     replica.service.system.runner.stats.utilization()
                 ),
             }
-            for r, replica in zip(stats.replicas, router.replicas)
+            for replica in router.replicas
         ],
     }
 

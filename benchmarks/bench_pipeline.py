@@ -37,7 +37,13 @@ from pathlib import Path
 
 from repro.energy import EnergyMeter
 from repro.engine import SweepEngine
-from repro.graphs import GraphPlanner, diamond_graph, greedy_plan, pipeline_chain
+from repro.graphs import (
+    GraphPlanner,
+    diamond_graph,
+    greedy_plan,
+    node_requests,
+    pipeline_chain,
+)
 from repro.machines import MC1, MC2
 from repro.runtime import Runner
 
@@ -86,23 +92,25 @@ def shapes(quick: bool):
 def run_case(name, graph, platform, seed: int) -> dict:
     runner = Runner(platform, seed=seed)
     engine = SweepEngine(runner)
-    requests = engine.graph_requests(graph, instance_seed=seed)
+    requests = node_requests(graph, seed=seed)
     idle_w = EnergyMeter(runner.devices).platform_idle_w()
     planner = GraphPlanner(engine.measure, runner.devices, idle_w)
 
     greedy, _ = greedy_plan(graph, requests, engine.measure, planner.space)
-    greedy_run = engine.measure_graph(graph, greedy, instance_seed=seed)
+    greedy_run = engine.measure_graph(graph, greedy, requests)
     t0 = time.perf_counter()
     plan, run = planner.search(graph, requests)
     search_wall_s = time.perf_counter() - t0
 
     # Determinism gate 1: the memoized path reproduces itself exactly.
-    rerun = engine.measure_graph(graph, plan, instance_seed=seed)
+    rerun = engine.measure_graph(graph, plan, requests)
     memo_identical = (
         rerun.median_s == run.median_s and rerun.energy_j == run.energy_j
     )
     # Determinism gate 2: the unmemoized path lands on the same bits.
-    raw = Runner(platform, seed=seed).run_graph(graph, plan, instance_seed=seed)
+    raw = Runner(platform, seed=seed).run_graph(
+        graph, plan, node_requests(graph, seed=seed)
+    )
     paths_identical = (
         raw.median_s == run.median_s and raw.energy_j == run.energy_j
     )

@@ -20,7 +20,7 @@ exists to show.
 
 from repro import MC2, Runner, SweepEngine
 from repro.energy import EnergyMeter
-from repro.graphs import GraphPlanner, greedy_plan, pipeline_chain
+from repro.graphs import GraphPlanner, greedy_plan, node_requests, pipeline_chain
 
 
 def main() -> None:
@@ -30,12 +30,12 @@ def main() -> None:
     )
     runner = Runner(MC2)
     engine = SweepEngine(runner)
-    requests = engine.graph_requests(graph)
+    requests = node_requests(graph)
     idle_w = EnergyMeter(runner.devices).platform_idle_w()
     planner = GraphPlanner(engine.measure, runner.devices, idle_w)
 
     greedy, _ = greedy_plan(graph, requests, engine.measure, planner.space)
-    greedy_run = engine.measure_graph(graph, greedy)
+    greedy_run = engine.measure_graph(graph, greedy, requests)
     plan, run = planner.search(graph, requests)
 
     print(f"{graph.name} on {MC2.name} ({len(graph.nodes)} stages)")

@@ -189,7 +189,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    from .experiments.report import full_report
+    from .experiments.report import check_database, full_report
 
     _check_model_kind(args.model)
     merged = TrainingDatabase()
@@ -198,20 +198,10 @@ def _cmd_report(args: argparse.Namespace) -> int:
             records = TrainingDatabase.load(path)
         for record in records:
             merged.add(record)
+    with _exit_on_bad_value():
+        check_database(merged)
     print(full_report(merged, model_kind=args.model))
     return 0
-
-
-def _training_objective(args: argparse.Namespace):
-    """The objective the predictor trains on for a serving command.
-
-    ``energy-capped-makespan`` is a serve-time constraint (the cap is
-    enforced per request), so its models train on plain makespan.
-    """
-    from .energy import MODEL_OBJECTIVES, Objective, coerce_objective
-
-    objective = coerce_objective(args.objective)
-    return objective if objective in MODEL_OBJECTIVES else Objective.MAKESPAN
 
 
 def _benchmark_split(args: argparse.Namespace):
@@ -237,6 +227,7 @@ def _build_backend(args: argparse.Namespace, platforms, train_benchmarks, slo):
     similar registered machine (``--warm-start``), else trains.
     """
     from .cluster import ClusterRouter, NetworkSpec
+    from .energy import training_objective
     from .fleet import FleetRouter, ModelRegistry
     from .serving import PartitioningService, ServiceConfig
 
@@ -255,6 +246,7 @@ def _build_backend(args: argparse.Namespace, platforms, train_benchmarks, slo):
             latency_s=args.net_latency_us * 1e-6,
             link_watts=args.net_watts,
         )
+    objective = training_objective(serving.objective)
     services, sources = [], []
     for platform in platforms:
         if registry is not None and registry.has(platform.name):
@@ -268,6 +260,7 @@ def _build_backend(args: argparse.Namespace, platforms, train_benchmarks, slo):
                 noise_sigma=args.noise,
                 seed=args.seed,
                 donor=donor,
+                objective=objective,
             )
             source = f"warm({donor})"
         else:
@@ -276,7 +269,7 @@ def _build_backend(args: argparse.Namespace, platforms, train_benchmarks, slo):
                 train_benchmarks,
                 model_kind=args.model,
                 config=training,
-                objective=_training_objective(args),
+                objective=objective,
             )
             source = "trained"
         with _exit_on_bad_value():
@@ -740,27 +733,33 @@ def _print_latency_summary(loop_stats) -> None:
 
 def _print_fleet_summary(router, sources, wall_s: float) -> None:
     stats = router.stats()
-    rows = [
-        (
-            r.name,
-            source,
-            f"{r.routed}",
-            f"{r.cache_hit_rate * 100.0:.0f}%",
-            f"{r.adaptations}",
-            f"{r.refits}",
-            f"{r.drift_flags}",
-            f"{r.rewarms}" + (" (draining)" if r.draining else ""),
-            f"{r.health:.2f}",
-            f"{r.makespan_s * 1e3:.3f}",
-            f"{r.energy_j:.3f}",
-            f"{r.avg_power_w:.0f}",
-            " ".join(
-                f"{u * 100.0:.0f}%"
-                for u in replica.service.system.runner.stats.utilization()
-            ),
+    rows = []
+    for replica, source in zip(router.replicas, sources):
+        service = replica.service
+        backlog = service.backlog_s
+        energy = service.stats.energy_j
+        rows.append(
+            (
+                replica.name,
+                source,
+                f"{replica.routed}",
+                f"{service.cache.stats.hit_rate * 100.0:.0f}%",
+                f"{service.stats.adaptations}",
+                f"{service.stats.refits}",
+                f"{service.stats.drift_flags}",
+                f"{replica.rewarms}" + (" (draining)" if replica.draining else ""),
+                f"{replica.health:.2f}",
+                f"{backlog * 1e3:.3f}",
+                f"{energy:.3f}",
+                # Average draw over the replica's backlog span; a
+                # zero-span replica reports 0 W, not inf.
+                f"{energy / backlog if backlog > 0 else 0.0:.0f}",
+                " ".join(
+                    f"{u * 100.0:.0f}%"
+                    for u in service.system.runner.stats.utilization()
+                ),
+            )
         )
-        for r, replica, source in zip(stats.replicas, router.replicas, sources)
-    ]
     print(
         format_table(
             [
@@ -805,6 +804,7 @@ def _print_cluster_summary(cluster, sources, wall_s: float) -> None:
     """Pool table, network toll and per-tenant isolation report."""
     stats = cluster.stats()
     width = len(cluster.pools[0].replicas)
+    pool_stats = [pool.stats() for pool in cluster.pools]
     rows = [
         (
             f"pool {p}",
@@ -815,7 +815,7 @@ def _print_cluster_summary(cluster, sources, wall_s: float) -> None:
             f"{ps.energy_j:.3f}",
             f"{ps.rewarms}",
         )
-        for p, ps in enumerate(stats.pools)
+        for p, ps in enumerate(pool_stats)
     ]
     print(
         format_table(
@@ -965,7 +965,7 @@ def _served_printer(services):
 
     def print_served(completed) -> None:
         r = completed.response
-        while hasattr(r, "response"):  # a cluster answer wraps the pool's
+        if hasattr(r, "response"):  # a cluster answer wraps the service's
             r = r.response
         flags = ("hit" if r.cache_hit else "miss") + ("+adapted" if r.adapted else "")
         where = f" on {names[completed.replica_index]}" if len(names) > 1 else ""
@@ -1142,7 +1142,7 @@ def _parse_stages(value: str) -> list[tuple[str, int]]:
 def _cmd_graph_sweep(args: argparse.Namespace) -> int:
     from .energy import EnergyMeter
     from .engine import SweepEngine
-    from .graphs import GraphPlanner, greedy_plan, pipeline_chain
+    from .graphs import GraphPlanner, greedy_plan, node_requests, pipeline_chain
 
     platform = machine_by_name(args.machine)
     stages = _parse_stages(args.stages)
@@ -1151,14 +1151,14 @@ def _cmd_graph_sweep(args: argparse.Namespace) -> int:
     with _exit_on_bad_value("--noise: "):
         runner = Runner(platform, noise_sigma=args.noise, seed=args.seed)
     engine = SweepEngine(runner)
-    requests = engine.graph_requests(graph, instance_seed=args.seed)
+    requests = node_requests(graph, seed=args.seed)
     idle_w = EnergyMeter(runner.devices).platform_idle_w()
     with _exit_on_bad_value("--step: "):
         planner = GraphPlanner(
             engine.measure, runner.devices, idle_w, step_percent=args.step
         )
     greedy, _ = greedy_plan(graph, requests, engine.measure, planner.space)
-    greedy_run = engine.measure_graph(graph, greedy, instance_seed=args.seed)
+    greedy_run = engine.measure_graph(graph, greedy, requests)
     plan, run = planner.search(graph, requests)
     greedy_labels = greedy.labels()
     labels = plan.labels()
@@ -1293,7 +1293,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_gsweep.add_argument("--noise", type=float, default=0.0)
     p_gsweep.add_argument("--seed", type=int, default=0)
     p_gsweep.set_defaults(fn=_cmd_graph_sweep)
-
 
     _serve_parser(sub)
 

@@ -17,7 +17,6 @@ from .router import (
     ClusterRouter,
     ClusterStats,
     TenantStats,
-    tenant_weight,
     with_tenants,
 )
 
@@ -27,6 +26,5 @@ __all__ = [
     "ClusterRouter",
     "ClusterStats",
     "TenantStats",
-    "tenant_weight",
     "with_tenants",
 ]

@@ -50,9 +50,8 @@ from ..serving.trace import GraphServingRequest, ServingRequest
 from .network import NetworkSpec
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..fleet.registry import ModelRegistry
-    from ..fleet.router import FleetResponse, FleetStats
     from ..serving.eventloop import CompletedRequest
+    from ..serving.service import GraphServedResponse, ServedResponse
     from ..workloads.spec import DriftEvent
 
 __all__ = [
@@ -60,19 +59,8 @@ __all__ = [
     "ClusterRouter",
     "ClusterStats",
     "TenantStats",
-    "tenant_weight",
     "with_tenants",
 ]
-
-
-def tenant_weight(slo: SLOConfig, tenant: str) -> float:
-    """A tenant's capacity weight: 1 plus its non-negative priority.
-
-    The same mapping the weighted-fair queue discipline uses, so the
-    fairness gap reported by :meth:`ClusterRouter.stats` measures the
-    realized shares against exactly the target the scheduler aims at.
-    """
-    return 1.0 + max(0, slo.priority_for(tenant))
 
 
 def with_tenants(
@@ -107,7 +95,8 @@ class ClusterResponse:
     replica_name: str
     network_s: float
     network_j: float
-    response: "FleetResponse"
+    #: What the replica's service returned.
+    response: "ServedResponse | GraphServedResponse"
 
     @property
     def cross_pool(self) -> bool:
@@ -115,11 +104,11 @@ class ClusterResponse:
 
     @property
     def cache_hit(self) -> bool:
-        return self.response.response.cache_hit
+        return self.response.cache_hit
 
     @property
     def measured_s(self) -> float:
-        return self.response.response.measured_s + self.network_s
+        return self.response.measured_s + self.network_s
 
 
 @dataclass(frozen=True)
@@ -146,19 +135,18 @@ class TenantStats:
 
 @dataclass(frozen=True)
 class ClusterStats:
-    """Cross-cluster telemetry: pool stats, network toll, isolation."""
+    """Cross-cluster telemetry: pool count, network toll, isolation.
 
-    pools: tuple["FleetStats", ...]
+    Each pool's own numbers come from its :meth:`FleetRouter.stats`.
+    """
+
+    pools: int
     served: int
     local: int
     cross_pool: int
     network_s: float
     network_j: float
     tenants: tuple[TenantStats, ...]
-
-    @property
-    def num_pools(self) -> int:
-        return len(self.pools)
 
     @property
     def fairness_gap(self) -> float:
@@ -172,7 +160,7 @@ class ClusterStats:
 
     def to_dict(self) -> dict:
         return {
-            "pools": self.num_pools,
+            "pools": self.pools,
             "served": self.served,
             "local": self.local,
             "cross_pool": self.cross_pool,
@@ -257,8 +245,6 @@ class ClusterRouter:
         model_kind: str = "knn",
         training: TrainingConfig = TrainingConfig(repetitions=1),
         serving: ServiceConfig = ServiceConfig(),
-        policy: str = "least-loaded",
-        registry: "ModelRegistry | None" = None,
         network: NetworkSpec = NetworkSpec(),
         slo: SLOConfig = SLOConfig(),
     ) -> "ClusterRouter":
@@ -267,7 +253,8 @@ class ClusterRouter:
         Pool p gets the p-th chunk of the deterministic
         :func:`~repro.machines.cluster_platforms` derivation, so the
         same shape always trains the same cluster and a P-pool cluster
-        is a prefix of every wider one.
+        is a prefix of every wider one.  Every pool routes
+        ``least-loaded``.
         """
         platform_pools = cluster_platforms(pools, machines_per_pool)
         routers = [
@@ -277,8 +264,6 @@ class ClusterRouter:
                 model_kind=model_kind,
                 training=training,
                 serving=serving,
-                policy=policy,
-                registry=registry,
             )
             for chunk in platform_pools
         ]
@@ -446,15 +431,15 @@ class ClusterRouter:
             self.cross_pool += 1
             self.network_s += net_s
             self.network_j += net_j
-        fleet_response = self.pools[pool_index].serve_on(local, request)
+        pool = self.pools[pool_index]
         return ClusterResponse(
             pool_index=pool_index,
             home_pool=home,
             replica_index=flat_index,
-            replica_name=fleet_response.replica_name,
+            replica_name=pool.replicas[local].name,
             network_s=net_s,
             network_j=net_j,
-            response=fleet_response,
+            response=pool.serve_on(local, request),
         )
 
     def submit(
@@ -502,7 +487,7 @@ class ClusterRouter:
         """Pool stats, network toll and per-tenant isolation, right now."""
         total_busy = sum(m.busy_s for m in self._meters.values())
         observed = sorted(self._meters)
-        weights = {t: tenant_weight(self.slo, t) for t in observed}
+        weights = {t: self.slo.weight_for(t) for t in observed}
         weight_sum = sum(weights.values())
         tenants = tuple(
             TenantStats(
@@ -520,7 +505,7 @@ class ClusterRouter:
             for t in observed
         )
         return ClusterStats(
-            pools=tuple(pool.stats() for pool in self.pools),
+            pools=len(self.pools),
             served=self.served,
             local=self.served - self.cross_pool,
             cross_pool=self.cross_pool,

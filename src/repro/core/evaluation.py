@@ -18,7 +18,13 @@ from ..runtime.strategies import cpu_only, gpu_only
 from .database import TrainingDatabase, TrainingRecord
 from .predictor import make_partitioning_model
 
-__all__ = ["SizeResult", "ProgramResult", "MachineEvaluation", "evaluate_lopo"]
+__all__ = [
+    "SizeResult",
+    "ProgramResult",
+    "MachineEvaluation",
+    "check_lopo",
+    "evaluate_lopo",
+]
 
 
 @dataclass(frozen=True)
@@ -144,6 +150,34 @@ def _size_result(
     )
 
 
+def check_lopo(platform: Platform, db: TrainingDatabase) -> None:
+    """Raise a ``ValueError`` naming the machine unless its records
+    ``db`` can be evaluated leave-one-program-out.
+
+    They must cover two programs, so every fold trains on another one,
+    and sweep the same points, the cpu-only and gpu-only baselines
+    among them: every size is scored against those two runs and looked
+    up at whatever partitioning the model predicts.
+    """
+    programs = db.programs()
+    if len(programs) < 2:
+        raise ValueError(
+            f"machine {platform.name!r} has records for {len(programs)} "
+            "program(s); leave-one-program-out needs at least 2"
+        )
+    baselines = (("cpu-only", cpu_only(platform)), ("gpu-only", gpu_only(platform)))
+    first = db.records[0]
+    for record in db:
+        where = f"machine {platform.name!r}: record {record.program}@{record.size}"
+        for kind, baseline in baselines:
+            if baseline.label not in record.timings:
+                raise ValueError(f"{where} lacks the {kind} point {baseline.label}")
+        if record.timings.keys() != first.timings.keys():
+            raise ValueError(
+                f"{where} sweeps other points than {first.program}@{first.size}"
+            )
+
+
 def evaluate_lopo(
     platform: Platform,
     db: TrainingDatabase,
@@ -154,6 +188,7 @@ def evaluate_lopo(
     machine_db = db.for_machine(platform.name)
     if len(machine_db) == 0:
         raise ValueError(f"no records for machine {platform.name!r}")
+    check_lopo(platform, machine_db)
     cpu_label = cpu_only(platform).label
     gpu_label = gpu_only(platform).label
     results: list[ProgramResult] = []

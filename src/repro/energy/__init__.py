@@ -28,6 +28,7 @@ from .objectives import (
     coerce_objective,
     objective_cost,
     pareto_front,
+    training_objective,
 )
 from .power import DVFS_EXPONENT, DevicePowerModel, PowerSpec
 
@@ -40,6 +41,7 @@ __all__ = [
     "coerce_objective",
     "objective_cost",
     "pareto_front",
+    "training_objective",
     "DVFS_EXPONENT",
     "DevicePowerModel",
     "PowerSpec",

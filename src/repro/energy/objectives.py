@@ -31,6 +31,7 @@ __all__ = [
     "Objective",
     "MODEL_OBJECTIVES",
     "coerce_objective",
+    "training_objective",
     "objective_cost",
     "cap_feasible",
     "best_label",
@@ -62,6 +63,17 @@ def coerce_objective(value: "Objective | str") -> Objective:
     except ValueError:
         names = ", ".join(o.value for o in Objective)
         raise ValueError(f"unknown objective {value!r}; choose from {names}") from None
+
+
+def training_objective(objective: "Objective | str") -> Objective:
+    """The objective a model serving under ``objective`` trains on.
+
+    A :data:`MODEL_OBJECTIVES` member trains on itself; a serve-time
+    constraint (``energy-capped-makespan``) trains on makespan and the
+    cap is enforced per request by the service.
+    """
+    objective = coerce_objective(objective)
+    return objective if objective in MODEL_OBJECTIVES else Objective.MAKESPAN
 
 
 def cap_feasible(time_s: float, energy_j: float, power_cap_w: float) -> bool:

@@ -104,6 +104,8 @@ class SweepEngine:
     records every composed measurement into the runner's
     :class:`~repro.runtime.measurement.SessionStats`, so serving
     telemetry cannot tell memoized and unmemoized executions apart.
+    :meth:`price` composes the same tapes noise-free and records
+    nothing: placement prices a machine on the engine that serves it.
 
     Cache keys pin the :class:`ExecutionRequest` objects they reference
     (``id()`` stability); callers measuring many distinct requests
@@ -125,10 +127,6 @@ class SweepEngine:
         self._kernel_prices: dict[tuple[int, int, int], tuple[float, float]] = {}
         self._pinned: dict[int, ExecutionRequest] = {}
         self._drift_generation = runner.drift_generation
-        # Graph-node requests, memoized by (program, size, seed) so the
-        # same pipeline stage composes from the same cached tapes across
-        # graphs and calls (tape keys pin request identity).
-        self._graph_requests: dict[tuple[str, int, int], ExecutionRequest] = {}
 
     def reset(self) -> None:
         """Drop all cached tapes and plans (between campaigns)."""
@@ -138,7 +136,6 @@ class SweepEngine:
         self._meta.clear()
         self._kernel_prices.clear()
         self._pinned.clear()
-        self._graph_requests.clear()
 
     # -- memoized planning -------------------------------------------------
 
@@ -258,9 +255,14 @@ class SweepEngine:
     # -- composition -------------------------------------------------------
 
     def _compose(
-        self, request: ExecutionRequest, partitioning: Partitioning
+        self, request: ExecutionRequest, partitioning: Partitioning, noisy: bool
     ) -> ExecutionResult:
-        """One simulated execution, composed from cached chunk tapes."""
+        """One simulated execution, composed from cached chunk tapes.
+
+        ``noisy=False`` skips the devices' noise streams: the result is
+        the noise-free execution, which the result memo serves even on
+        a noisy engine.
+        """
         if partitioning.num_devices != len(self.runner.devices):
             raise ValueError(
                 f"partitioning has {partitioning.num_devices} shares but the "
@@ -279,7 +281,8 @@ class SweepEngine:
             self._drift_generation = generation
         rid = self._request_id(request)
         result_key = (rid, partitioning.shares)
-        if self._deterministic:
+        memoize = self._deterministic or not noisy
+        if memoize:
             cached = self._results.get(result_key)
             if cached is not None:
                 return cached
@@ -290,7 +293,7 @@ class SweepEngine:
             if chunk.is_empty:
                 continue
             tape = self._tape(rid, chunk, multi)
-            noise = self.runner.devices[chunk.device_index].noise
+            noise = self.runner.devices[chunk.device_index].noise if noisy else None
             if noise is None:
                 busy[chunk.device_index] = tape.total_s
                 dynamic_j[chunk.device_index] = tape.dynamic_j
@@ -316,7 +319,7 @@ class SweepEngine:
             energy_j=energy.total_j,
             idle_j=energy.idle_j,
         )
-        if self._deterministic:
+        if memoize:
             self._results[result_key] = result
         return result
 
@@ -335,7 +338,7 @@ class SweepEngine:
         energy_samples: list[float] = []
         result: ExecutionResult | None = None
         for _ in range(repetitions):
-            r = self._compose(request, partitioning)
+            r = self._compose(request, partitioning, True)
             if result is None:
                 result = r
             samples.append(r.makespan_s)
@@ -352,6 +355,17 @@ class SweepEngine:
             _median(energy_samples),
             tuple(energy_samples),
         )
+
+    def price(
+        self, request: ExecutionRequest, partitioning: Partitioning
+    ) -> ExecutionResult:
+        """The noise-free execution of one partitioning, from cached tapes.
+
+        What placement prices a request at: it draws no noise and
+        records nothing in the runner's session stats, so pricing never
+        moves the serving noise streams or telemetry.
+        """
+        return self._compose(request, partitioning, False)
 
     def time_of(
         self,
@@ -373,28 +387,17 @@ class SweepEngine:
             p.label: self.time_of(request, p, repetitions=repetitions) for p in space
         }
 
-    def graph_requests(
-        self, graph: "TaskGraph", instance_seed: int = 0
-    ) -> dict[str, ExecutionRequest]:
-        """Per-task execution requests, memoized for tape-cache identity.
-
-        The planner composes many trial plans over the same graph; by
-        resolving node requests through the engine's memo, every trial
-        hits the same cached tapes :meth:`measure_graph` uses.
-        """
-        from ..graphs.compose import node_requests
-
-        return node_requests(graph, seed=instance_seed, shared=self._graph_requests)
-
     def measure_graph(
         self,
         graph: "TaskGraph",
         plan: "GraphPlan | Mapping[str, Partitioning]",
+        requests: "Mapping[str, ExecutionRequest]",
         repetitions: int = 1,
-        instance_seed: int = 0,
     ) -> "GraphRun":
         """Compose one task-graph execution from memoized per-task tapes.
 
+        ``requests`` maps each task to its execution request (tapes key
+        on request identity, so reuse one map across measurements).
         Per-task measurements route through :meth:`measure` — the same
         cached tapes, the same noise sampling at composition time — and
         the inter-task transfers are inserted at composition time by
@@ -405,14 +408,11 @@ class SweepEngine:
         single-node graph reproduces :meth:`measure` exactly, time and
         energy.
         """
-        from ..graphs.compose import compose_graph, node_requests
+        from ..graphs.compose import compose_graph
         from ..graphs.planner import GraphPlan
 
         if isinstance(plan, GraphPlan):
             plan = plan.as_dict()
-        requests = node_requests(
-            graph, seed=instance_seed, shared=self._graph_requests
-        )
         return compose_graph(
             graph,
             plan,

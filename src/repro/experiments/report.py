@@ -7,13 +7,26 @@ diffing — the output is deterministic given a training database.
 from __future__ import annotations
 
 from ..core.database import TrainingDatabase
+from ..core.evaluation import check_lopo
 from ..machines.configs import machine_by_name
 from .figure1 import render_figure1, run_figure1
 from .model_accuracy import compare_models, render_model_comparison
 from .size_sensitivity import analyze_size_sensitivity, render_size_sensitivity
 from .suite_table import render_suite_table
 
-__all__ = ["full_report"]
+__all__ = ["check_database", "full_report"]
+
+
+def check_database(db: TrainingDatabase) -> None:
+    """Raise a ``ValueError`` naming the first problem :func:`full_report`
+    would hit: a machine :func:`machine_by_name` does not know, or one
+    whose records :func:`~repro.core.evaluation.check_lopo` rejects."""
+    for name in db.machines():
+        try:
+            platform = machine_by_name(name)
+        except KeyError as error:
+            raise ValueError(error.args[0]) from None
+        check_lopo(platform, db.for_machine(name))
 
 
 def full_report(

@@ -13,10 +13,8 @@ from .registry import ModelRegistry, spec_fingerprint
 from .router import (
     ROUTING_POLICIES,
     FleetReplica,
-    FleetResponse,
     FleetRouter,
     FleetStats,
-    ReplicaStats,
 )
 
 __all__ = [
@@ -24,8 +22,6 @@ __all__ = [
     "spec_fingerprint",
     "ROUTING_POLICIES",
     "FleetReplica",
-    "FleetResponse",
     "FleetRouter",
     "FleetStats",
-    "ReplicaStats",
 ]

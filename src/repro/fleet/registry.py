@@ -36,6 +36,7 @@ from ..core.predictor import (
     make_partitioning_model,
     save_model,
 )
+from ..energy.objectives import Objective
 from ..ocl.platform import Platform
 from ..runtime.measurement import Runner
 
@@ -181,6 +182,7 @@ class ModelRegistry:
         noise_sigma: float = 0.0,
         seed: int = 0,
         donor: str | None = None,
+        objective: "Objective | str" = Objective.MAKESPAN,
     ) -> TrainedSystem:
         """Seed a cold machine from the most spec-similar registered one.
 
@@ -190,7 +192,8 @@ class ModelRegistry:
         returned system is immediately servable — online adaptation
         corrects the donor's biases from live traffic.  Callers that
         already ranked the registry (to report the choice) pass the
-        ``donor`` explicitly and skip a second fingerprint scan.
+        ``donor`` explicitly and skip a second fingerprint scan.  The
+        model trains on ``objective``, as in :func:`~repro.core.train_system`.
         """
         if donor is None:
             donor = self.most_similar(platform)
@@ -204,7 +207,9 @@ class ModelRegistry:
         database = TrainingDatabase(
             replace(r, machine=platform.name) for r in donor_db
         )
-        model = make_partitioning_model(model_kind, seed=seed).fit(database)
+        model = make_partitioning_model(
+            model_kind, seed=seed, objective=objective
+        ).fit(database)
         predictor = PartitioningPredictor(model, platform.name)
         runner = Runner(platform, noise_sigma=noise_sigma, seed=seed + 1)
         return TrainedSystem(platform, predictor, database, runner)

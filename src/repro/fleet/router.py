@@ -50,11 +50,9 @@ from typing import TYPE_CHECKING, Sequence
 
 from ..core.pipeline import train_system
 from ..core.trainer import TrainingConfig
-from ..energy.objectives import MODEL_OBJECTIVES, Objective
-from ..engine import SweepEngine
+from ..energy.objectives import training_objective
 from ..ocl.platform import Platform
 from ..partitioning import Partitioning
-from ..runtime.measurement import Runner
 from ..runtime.scheduler import ExecutionRequest
 from ..serving.service import (
     GraphServedResponse,
@@ -76,8 +74,6 @@ __all__ = [
     "HEALTH_ALPHA",
     "ROUTING_POLICIES",
     "FleetReplica",
-    "FleetResponse",
-    "ReplicaStats",
     "FleetStats",
     "FleetRouter",
 ]
@@ -142,44 +138,16 @@ class FleetReplica:
 
 
 @dataclass(frozen=True)
-class FleetResponse:
-    """A served request (kernel or graph) plus where the router placed it."""
-
-    replica_index: int
-    replica_name: str
-    response: "ServedResponse | GraphServedResponse"
-
-
-@dataclass(frozen=True)
-class ReplicaStats:
-    """One replica's slice of the fleet telemetry."""
-
-    name: str
-    routed: int
-    requests: int
-    adaptations: int
-    refits: int
-    cache_hit_rate: float
-    #: The replica's backlog clock (:attr:`PartitioningService.backlog_s`).
-    makespan_s: float
-    drift_flags: int = 0
-    rewarms: int = 0
-    health: float = 1.0
-    draining: bool = False
-    energy_j: float = 0.0
-    avg_power_w: float = 0.0
-
-
-@dataclass(frozen=True)
 class FleetStats:
     """Cross-fleet telemetry of one routing session.
 
     Replicas run concurrently, so the fleet makespan is the *maximum*
     over the replicas' backlog clocks and fleet throughput is total
     requests over that span (0.0 when no simulated time elapsed).
+    Per-replica numbers live on :attr:`FleetRouter.replicas` and each
+    replica's service.
     """
 
-    replicas: tuple[ReplicaStats, ...]
     requests: int
     makespan_s: float
     throughput_rps: float
@@ -189,10 +157,6 @@ class FleetStats:
     rewarms: int = 0
     energy_j: float = 0.0
     avg_power_w: float = 0.0
-
-    @property
-    def num_replicas(self) -> int:
-        return len(self.replicas)
 
 
 class FleetRouter:
@@ -221,10 +185,6 @@ class FleetRouter:
         self.replicas = tuple(
             FleetReplica(index=i, service=s) for i, s in enumerate(services)
         )
-        # The predicted policy estimates durations on a private noise-free
-        # runner per replica, so probing machines never pollutes the
-        # serving runners' telemetry or noise streams.
-        self._estimators: list[SweepEngine] | None = None
         # Peeked (execution request, partitioning) pairs per key, dropped
         # whenever the replica adapts, refits or substitutes (any can
         # change what it would answer).
@@ -244,21 +204,15 @@ class FleetRouter:
         training: TrainingConfig = TrainingConfig(repetitions=1),
         serving: ServiceConfig = ServiceConfig(),
         policy: str = "least-loaded",
-        registry: "ModelRegistry | None" = None,
     ) -> "FleetRouter":
         """Train one system per platform and wrap them in a router.
 
-        Each replica's model trains under the serving config's
-        objective, so an energy-objective fleet predicts energy-optimal
-        partitionings end to end.  (``energy-capped-makespan`` is a
-        serve-time constraint — its models train on makespan and the
-        cap is enforced per request by each service.)
+        Each replica's model trains on the serving objective's
+        :func:`~repro.energy.training_objective`, so an
+        energy-objective fleet predicts energy-optimal partitionings
+        end to end.
         """
-        objective = (
-            serving.objective
-            if serving.objective in MODEL_OBJECTIVES
-            else Objective.MAKESPAN
-        )
+        objective = training_objective(serving.objective)
         services = [
             PartitioningService(
                 train_system(
@@ -272,7 +226,7 @@ class FleetRouter:
             )
             for p in platforms
         ]
-        return cls(services, policy=policy, registry=registry)
+        return cls(services, policy=policy)
 
     # -- placement policies ------------------------------------------------
 
@@ -342,21 +296,16 @@ class FleetRouter:
             )
         return hit
 
-    def _ensure_estimators(self) -> list[SweepEngine]:
-        if self._estimators is None:
-            self._estimators = [
-                SweepEngine(Runner(r.platform)) for r in self.replicas
-            ]
-        return self._estimators
-
     def _predicted_index(self, request: ServingRequest) -> int:
-        self._ensure_estimators()
+        """The replica predicted to finish first, priced on its own serving
+        engine (:meth:`~repro.engine.SweepEngine.price`), drift included."""
         candidates = self._candidates()
         best_index, best_finish = candidates[0], float("inf")
         for index in candidates:
             replica = self.replicas[index]
             exec_request, partitioning = self._peek(replica, request)
-            duration = self._estimators[index].time_of(exec_request, partitioning)
+            engine = replica.service.engine
+            duration = engine.price(exec_request, partitioning).makespan_s
             free = replica.service.device_free_s
             start = max(free[d] for d in partitioning.active_devices)
             finish = start + duration
@@ -375,17 +324,16 @@ class FleetRouter:
         identically — break by predicted finish time so the energy
         policy still spreads load across twins.
         """
-        self._ensure_estimators()
         candidates = self._candidates()
         best_index = candidates[0]
         best_score = (float("inf"), float("inf"))
         for index in candidates:
             replica = self.replicas[index]
             exec_request, partitioning = self._peek(replica, request)
-            run = self._estimators[index].measure(exec_request, partitioning)
+            run = replica.service.engine.price(exec_request, partitioning)
             free = replica.service.device_free_s
             start = max(free[d] for d in partitioning.active_devices)
-            score = (run.energy_j, start + run.median_s)
+            score = (run.energy_j, start + run.makespan_s)
             if score < best_score:
                 best_index, best_score = replica.index, score
         return best_index
@@ -464,18 +412,10 @@ class FleetRouter:
         """Apply one platform drift event; returns the machines hit.
 
         Matches replicas by machine name (``event.machine is None``
-        drifts the whole fleet) and rescales both the serving runner
-        and the predicted policy's private estimator runner, so
-        placement prices the post-drift hardware the requests will
-        actually run on.  Estimators are created on the spot when the
-        predicted policy has not routed yet — a drift event before the
-        first placement must not be lost on them.
+        drifts the whole fleet) and rescales each hit replica's serving
+        runner; placement prices on the same runner's engine, so it
+        sees the post-drift hardware too.
         """
-        estimators = (
-            self._ensure_estimators()
-            if self.policy in ("predicted", "energy")
-            else None
-        )
         hit = []
         for replica in self.replicas:
             if event.machine is not None and replica.name != event.machine:
@@ -483,10 +423,6 @@ class FleetRouter:
             replica.service.system.runner.apply_drift(
                 event.scale, device_index=event.device_index
             )
-            if estimators is not None:
-                estimators[replica.index].runner.apply_drift(
-                    event.scale, device_index=event.device_index
-                )
             hit.append(replica.name)
         if not hit:
             raise ValueError(
@@ -551,66 +487,44 @@ class FleetRouter:
 
     def serve_on(
         self, index: int, request: "ServingRequest | GraphServingRequest"
-    ) -> FleetResponse:
-        """Serve one already-placed request on the chosen replica.
+    ) -> "ServedResponse | GraphServedResponse":
+        """Serve one already-placed request on the chosen replica and
+        return what its service returned.
 
         Kernel responses feed the replica's health tracking; graph
         responses do not (health compares kernel-level estimates).
         """
         replica = self.replicas[index]
         if isinstance(request, GraphServingRequest):
-            response = replica.service.submit_graph(request)
-        else:
-            response = replica.service.submit(request)
-            self._observe_health(replica, response)
-        return FleetResponse(
-            replica_index=index, replica_name=replica.name, response=response
-        )
+            return replica.service.submit_graph(request)
+        response = replica.service.submit(request)
+        self._observe_health(replica, response)
+        return response
 
-    def submit(self, request: "ServingRequest | GraphServingRequest") -> FleetResponse:
-        """Place and serve one request; returns the placement + response."""
+    def submit(
+        self, request: "ServingRequest | GraphServingRequest"
+    ) -> "ServedResponse | GraphServedResponse":
+        """Place and serve one request; returns the service's response
+        (:meth:`place` then :meth:`serve_on` when the placement matters)."""
         return self.serve_on(self.place(request), request)
 
     # -- telemetry ---------------------------------------------------------
 
     def stats(self) -> FleetStats:
-        """Per-replica counters and cross-fleet throughput, right now."""
-        per = []
-        for r in self.replicas:
-            backlog = r.service.backlog_s
-            stats = r.service.stats
-            per.append(
-                ReplicaStats(
-                    name=r.name,
-                    routed=r.routed,
-                    requests=stats.requests,
-                    adaptations=stats.adaptations,
-                    refits=stats.refits,
-                    cache_hit_rate=r.service.cache.stats.hit_rate,
-                    makespan_s=backlog,
-                    drift_flags=stats.drift_flags,
-                    rewarms=r.rewarms,
-                    health=r.health,
-                    draining=r.draining > 0,
-                    energy_j=stats.energy_j,
-                    # Average draw over the replica's backlog span;
-                    # zero-span replicas report 0 W, not inf.
-                    avg_power_w=stats.energy_j / backlog if backlog > 0 else 0.0,
-                )
-            )
-        requests = sum(p.routed for p in per)
-        makespan = max((p.makespan_s for p in per), default=0.0)
+        """Cross-fleet counters and throughput, right now."""
+        replicas = self.replicas
+        requests = sum(r.routed for r in replicas)
+        makespan = max((r.service.backlog_s for r in replicas), default=0.0)
         throughput = requests / makespan if makespan > 0 else 0.0
-        energy = sum(p.energy_j for p in per)
+        energy = sum(r.service.stats.energy_j for r in replicas)
         return FleetStats(
-            replicas=tuple(per),
             requests=requests,
             makespan_s=makespan,
             throughput_rps=throughput,
-            adaptations=sum(p.adaptations for p in per),
-            refits=sum(p.refits for p in per),
-            drift_flags=sum(p.drift_flags for p in per),
-            rewarms=sum(p.rewarms for p in per),
+            adaptations=sum(r.service.stats.adaptations for r in replicas),
+            refits=sum(r.service.stats.refits for r in replicas),
+            drift_flags=sum(r.service.stats.drift_flags for r in replicas),
+            rewarms=sum(r.rewarms for r in replicas),
             energy_j=energy,
             # Fleet draw averaged over the concurrent span (replicas
             # run side by side, so joules sum but seconds do not).
@@ -635,10 +549,12 @@ class FleetRouter:
         registry.gauge(f"{prefix}.rewarms").set(stats.rewarms)
         registry.gauge(f"{prefix}.energy_j").set(stats.energy_j)
         registry.gauge(f"{prefix}.avg_power_w").set(stats.avg_power_w)
-        for snap, replica in zip(stats.replicas, self.replicas):
-            base = f"{prefix}.replica.{snap.name}"
-            registry.gauge(f"{base}.routed").set(snap.routed)
-            registry.gauge(f"{base}.cache_hit_rate").set(snap.cache_hit_rate)
-            registry.gauge(f"{base}.health").set(snap.health)
-            registry.gauge(f"{base}.draining").set(int(snap.draining))
+        for replica in self.replicas:
+            base = f"{prefix}.replica.{replica.name}"
+            registry.gauge(f"{base}.routed").set(replica.routed)
+            registry.gauge(f"{base}.cache_hit_rate").set(
+                replica.service.cache.stats.hit_rate
+            )
+            registry.gauge(f"{base}.health").set(replica.health)
+            registry.gauge(f"{base}.draining").set(int(replica.draining > 0))
             replica.service.publish_metrics(registry, prefix=f"{base}.service")

@@ -14,7 +14,9 @@ of dependent launches* be scheduled and split, together".  It holds:
 
 The engine and runner gained graph-shaped entry points
 (:meth:`~repro.engine.SweepEngine.measure_graph`,
-:meth:`~repro.runtime.measurement.Runner.run_graph`) that route through
+:meth:`~repro.runtime.measurement.Runner.run_graph`, each over a task →
+request map from :func:`~repro.graphs.compose.node_requests` or a
+service's per-key memo) that route through
 :func:`~repro.graphs.compose.compose_graph`, so a single-node graph is
 bit-identical — time and energy, memoized and not — to the
 single-kernel path it refactors.
@@ -27,7 +29,8 @@ from .builders import (
     handoff_nbytes,
     pipeline_chain,
 )
-from .compose import EdgeTransfer, GraphRun, TaskSchedule, compose_graph, edge_transfer
+from .compose import EdgeTransfer, GraphRun, TaskSchedule, compose_graph
+from .compose import edge_transfer, node_requests
 from .graph import TaskEdge, TaskGraph, TaskNode
 from .planner import GraphPlan, GraphPlanner, PlannerStats, greedy_plan
 
@@ -40,6 +43,7 @@ __all__ = [
     "GraphRun",
     "compose_graph",
     "edge_transfer",
+    "node_requests",
     "GraphPlan",
     "GraphPlanner",
     "PlannerStats",

@@ -131,25 +131,21 @@ class GraphRun:
         raise KeyError(f"no plan entry for task {node!r}")
 
 
-def node_requests(
-    graph: TaskGraph,
-    seed: int = 0,
-    shared: "dict[tuple[str, int, int], ExecutionRequest] | None" = None,
-) -> "dict[str, ExecutionRequest]":
+def node_requests(graph: TaskGraph, seed: int = 0) -> "dict[str, ExecutionRequest]":
     """One execution request per task, shared across same-key tasks.
 
     Nodes with the same ``(program, size)`` receive the *same* request
     object — the sweep engine memoizes tapes by request identity, so
-    sharing turns repeated pipeline stages into cache hits.  Passing a
-    ``shared`` memo (the engine does) extends that identity across
-    graphs and calls.
+    sharing turns repeated pipeline stages into cache hits.  Reusing the
+    returned map across measurements of the graph extends that identity
+    across calls.
     """
     from ..benchsuite.registry import get_benchmark
 
-    memo = shared if shared is not None else {}
+    memo: "dict[tuple[str, int], ExecutionRequest]" = {}
     out: "dict[str, ExecutionRequest]" = {}
     for node in graph.nodes:
-        key = (node.program, node.size, seed)
+        key = (node.program, node.size)
         request = memo.get(key)
         if request is None:
             bench = get_benchmark(node.program)

@@ -241,12 +241,14 @@ class Runner:
         self,
         graph: "TaskGraph",
         plan: "GraphPlan | Mapping[str, Partitioning]",
+        requests: "Mapping[str, ExecutionRequest]",
         repetitions: int = 1,
-        instance_seed: int = 0,
     ) -> "GraphRun":
         """Execute one task graph unmemoized (the reference graph path).
 
-        Each task runs through :meth:`run` (timing-only) in topological
+        ``requests`` maps each task to its execution request, as
+        :func:`~repro.graphs.compose.node_requests` builds it.  Each
+        task runs through :meth:`run` (timing-only) in topological
         order — the same order, and therefore the same per-device noise
         draws, as the memoized
         :meth:`~repro.engine.SweepEngine.measure_graph` — and the
@@ -256,12 +258,11 @@ class Runner:
         time and energy.
         """
         from ..energy.meter import EnergyMeter
-        from ..graphs.compose import compose_graph, node_requests
+        from ..graphs.compose import compose_graph
         from ..graphs.planner import GraphPlan
 
         if isinstance(plan, GraphPlan):
             plan = plan.as_dict()
-        requests = node_requests(graph, seed=instance_seed)
 
         def measure(
             request: ExecutionRequest,

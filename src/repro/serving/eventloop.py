@@ -438,11 +438,7 @@ class EventLoop:
             services = [r.service for r in backend.replicas]
             # Simulated time reaches the router so drain cooldowns decay
             # even when no placements arrive (see FleetRouter.tick).
-            place, tick = backend.place, backend.tick
-
-            def serve(index, request):
-                return backend.serve_on(index, request).response
-
+            place, serve, tick = backend.place, backend.serve_on, backend.tick
         elif isinstance(backend, ClusterRouter):
             # Flat replica indices, pool 0's replicas first.  A cluster
             # response's ``measured_s`` already carries the interconnect
@@ -735,7 +731,7 @@ class EventLoop:
             # half as fast, so it wins twice the dequeues under
             # contention.
             tenant = pending.request.tenant
-            weight = 1.0 + max(0, self.options.slo.priority_for(tenant))
+            weight = self.options.slo.weight_for(tenant)
             vtime = max(self._tenant_vtime.get(tenant, 0.0), self._clock)
             attempt.vtag = vtime + replica.est_service_s / weight
             self._tenant_vtime[tenant] = attempt.vtag

@@ -612,7 +612,9 @@ class PartitioningService:
             )
         return GraphPlan.from_dict(assignments)
 
-    def _graph_search(self, graph: TaskGraph) -> tuple[GraphPlan, GraphRun]:
+    def _graph_search(
+        self, graph: TaskGraph, requests: dict[str, ExecutionRequest]
+    ) -> tuple[GraphPlan, GraphRun]:
         """Co-search placement × per-task partitioning for one graph."""
         devices = self.system.runner.devices
         planner = GraphPlanner(
@@ -621,10 +623,7 @@ class PartitioningService:
             EnergyMeter(devices).platform_idle_w(),
             step_percent=DEFAULT_STEP_PERCENT,
         )
-        return planner.search(
-            graph,
-            self.engine.graph_requests(graph, instance_seed=self.config.instance_seed),
-        )
+        return planner.search(graph, requests)
 
     def submit_graph(self, request: GraphServingRequest) -> GraphServedResponse:
         """Serve one task-graph request end-to-end.
@@ -659,9 +658,13 @@ class PartitioningService:
         assert isinstance(cached, GraphPlan)
         plan = cached
 
-        run = self.engine.measure_graph(
-            graph, plan, instance_seed=self.config.instance_seed
-        )
+        # Each stage runs on its key's memoized request, so it composes
+        # from the same cached tapes as kernel requests on that key.
+        requests = {
+            node.name: self.execution_request((self.machine, node.program, node.size))
+            for node in graph.nodes
+        }
+        run = self.engine.measure_graph(graph, plan, requests)
         measured = run.median_s
         energy = run.energy_j
         cost = self._cost(measured, energy)
@@ -698,7 +701,7 @@ class PartitioningService:
             if cold:
                 self.stats.cold_validations += 1
             self.stats.graph_cosearches += 1
-            searched_plan, searched_run = self._graph_search(graph)
+            searched_plan, searched_run = self._graph_search(graph, requests)
             searched_cost = self._cost(searched_run.median_s, searched_run.energy_j)
             best_cost = min(best_cost, searched_cost)
             if searched_plan != plan and searched_cost < cost:
@@ -724,7 +727,6 @@ class PartitioningService:
         for name, node_run in run.node_runs.items():
             node = graph.node(name)
             node_key = (self.machine, node.program, node.size)
-            self.execution_request(node_key)
             self.system.database.merge_timings(
                 *node_key,
                 features=self._features[node_key],

@@ -83,6 +83,15 @@ class SLOConfig:
                 return priority
         return 0
 
+    def weight_for(self, tenant: str) -> float:
+        """A tenant's capacity weight: 1 plus its non-negative priority.
+
+        The weighted-fair queue discipline divides a tenant's virtual
+        time by it, and the cluster's fairness gap measures realized
+        shares against the same weights.
+        """
+        return 1.0 + max(0, self.priority_for(tenant))
+
 
 @dataclass(frozen=True)
 class ShedDecision:

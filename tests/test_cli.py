@@ -35,11 +35,35 @@ class TestParser:
         assert "must be >= 1" in capsys.readouterr().err
 
 
+def _database(*records) -> str:
+    """A database file holding one cpu-only-swept record per
+    ``(machine, program)`` pair."""
+    return json.dumps(
+        {
+            "schema_version": 1,
+            "records": [
+                {
+                    "machine": machine,
+                    "program": program,
+                    "size": 4096,
+                    "features": {},
+                    "timings": {"100/0/0": 1.0},
+                    "best_label": "100/0/0",
+                }
+                for machine, program in records
+            ],
+        }
+    )
+
+
 #: Malformed files the bad-input cases name, written into the test's cwd.
 BAD_FILES = {
     "no-program.json": '{"schema_version": 1, "records": [{"machine": "mc2"}]}',
     "list.json": "[1, 2]",
     "empty.json": '{"schema_version": 1, "records": []}',
+    "one-program.json": _database(("mc2", "vec_add")),
+    "unknown-machine.json": _database(("mcX", "vec_add")),
+    "cpu-only.json": _database(("mc2", "vec_add"), ("mc2", "mat_mul")),
 }
 
 #: Enough flags that a serve case which fails to stop early trains fast.
@@ -74,6 +98,15 @@ class TestBadInput:
             (["report", "no-program.json"], "record 0 has no field 'program'"),
             (["report", "list.json"], "list.json: the top level is a JSON list"),
             (["report", "empty.json", "--model", "bogus"], "unknown model kind"),
+            (
+                ["report", "one-program.json"],
+                "machine 'mc2' has records for 1 program(s)",
+            ),
+            (["report", "unknown-machine.json"], "unknown machine 'mcX'"),
+            (
+                ["report", "cpu-only.json"],
+                "record vec_add@4096 lacks the gpu-only point 0/100/0",
+            ),
             (["serve", "--model", "bogus", *SMALL], "--model: unknown model kind"),
             (["serve", "--trace", "missing.txt", *SMALL], "--trace missing.txt: "),
             (["graph-sweep", "--scale-bytes", "-1"], "--scale-bytes: "),
@@ -101,6 +134,9 @@ class TestBadInput:
             "report-record-field",
             "report-top-level",
             "report-model",
+            "report-one-program",
+            "report-machine",
+            "report-baseline",
             "serve-model",
             "serve-trace-file",
             "graph-sweep-scale-bytes",
@@ -454,6 +490,42 @@ class TestFleet:
         out = capsys.readouterr().out
         assert out.count("registry") >= 2  # two replicas loaded
         assert "warm(" in out  # the third was warm-started
+
+    @pytest.mark.parametrize(
+        "flags, trained_on",
+        [
+            (["--objective", "energy"], "energy"),
+            (
+                ["--objective", "energy-capped-makespan", "--power-cap", "1000"],
+                "makespan",
+            ),
+        ],
+    )
+    def test_warm_start_trains_on_the_serving_objective(
+        self, flags, trained_on, tmp_path
+    ):
+        # Regression: a warm-started machine always fitted a makespan
+        # model, while a machine the CLI trains fitted the serving
+        # objective's training objective.
+        from repro.benchsuite import all_benchmarks
+        from repro.cli import _build_backend
+        from repro.machines import fleet_platforms
+        from repro.serving import SLOConfig
+
+        registry = str(tmp_path / "registry")
+        small = ["--train-programs", "3", "--max-sizes", "1", "--model", "knn"]
+        assert main(
+            ["fleet-train", "--registry", registry, "--machines", "2", *small]
+        ) == 0
+        args = build_parser().parse_args(
+            ["serve", "--machines", "3", "--registry", registry, "--warm-start",
+             *small, *flags]
+        )
+        _router, services, sources = _build_backend(
+            args, fleet_platforms(3), all_benchmarks()[:3], SLOConfig()
+        )
+        assert sources[2].startswith("warm(")
+        assert services[2].system.predictor.objective.value == trained_on
 
 
 class TestTelemetryCommands:

@@ -384,32 +384,32 @@ class TestFleetDriftRepair:
         with pytest.raises(ValueError, match="unknown machine"):
             router.apply_drift(DriftEvent(at_request=0, scale=0.5, machine="nope"))
 
-    def test_drift_before_first_predicted_placement_reaches_estimators(
-        self, tmp_path
-    ):
+    def test_drift_before_first_predicted_placement_reaches_placement(self):
         # Regression: a drift event firing before the predicted policy
-        # ever routed was lost on the lazily-created estimator runners,
-        # so placement priced pre-drift hardware for the whole trace.
+        # ever routed was once lost on placement's lazily-created private
+        # runners, so placement priced pre-drift hardware for the whole
+        # trace.  Placement now prices on each replica's serving engine.
         platforms = fleet_platforms(2)
-        services = [
-            PartitioningService(
-                train_system(p, BENCHMARKS, model_kind="knn", config=TRAIN), FROZEN
-            )
-            for p in platforms
-        ]
-        router = FleetRouter(services, policy="predicted")
+
+        def predicted_fleet():
+            services = [PartitioningService(_train(p), FROZEN) for p in platforms]
+            return FleetRouter(services, policy="predicted")
+
+        request = _request(0, "mat_mul")
+        assert predicted_fleet().place(request) == 1  # mc2 finishes first
+        router = predicted_fleet()
         router.apply_drift(
-            DriftEvent(at_request=0, scale=0.25, machine=platforms[0].name)
+            DriftEvent(at_request=0, scale=0.25, machine=platforms[1].name)
         )
-        router.submit(self._trace(1)[0])
-        serving_scales = [
-            d.throughput_scale
-            for d in router.replicas[0].service.system.runner.devices
-        ]
-        estimator_scales = [
-            d.throughput_scale for d in router._estimators[0].runner.devices
-        ]
-        assert estimator_scales == serving_scales == [0.25] * 3
+        # The throttled mc2 now finishes later than the idle mc1.
+        assert router.place(request) == 0
+        replica = router.replicas[1]
+        exec_request, partitioning = router._peek(replica, request)
+        reference = Runner(platforms[1])
+        reference.apply_drift(0.25)
+        expected = SweepEngine(reference).measure(exec_request, partitioning)
+        price = replica.service.engine.price(exec_request, partitioning)
+        assert price.makespan_s == expected.median_s
 
     def test_degraded_replica_drains_and_rewarms(self, tmp_path):
         router, platforms = self._fleet(tmp_path)
@@ -421,15 +421,17 @@ class TestFleetDriftRepair:
         )
         for r in trace[30:]:
             router.submit(r)
-        stats = router.stats()
-        assert stats.rewarms >= 1
-        assert stats.replicas[0].rewarms >= 1
-        assert stats.replicas[1].rewarms == 0  # the healthy replica is untouched
+        assert router.stats().rewarms >= 1
+        assert router.replicas[0].rewarms >= 1
+        assert router.replicas[1].rewarms == 0  # the healthy replica is untouched
 
     def test_draining_replica_is_excluded_until_cooldown(self, tmp_path):
         router, _platforms = self._fleet(tmp_path)
         router.replicas[0].draining = 3
-        placements = [router.submit(r).replica_index for r in self._trace(3)]
+        placements = []
+        for request in self._trace(3):
+            placements.append(router.place(request))
+            router.serve_on(placements[-1], request)
         # Two requests route around the draining replica; the drain
         # clock then runs out and the third rejoins it (least-loaded
         # prefers the idle machine).
@@ -440,8 +442,10 @@ class TestFleetDriftRepair:
         router, _platforms = self._fleet(tmp_path)
         for replica in router.replicas:
             replica.draining = 10
-        response = router.submit(self._trace(1)[0])
-        assert response.replica_index in (0, 1)
+        request = self._trace(1)[0]
+        index = router.place(request)
+        router.serve_on(index, request)
+        assert index in (0, 1)
 
     def test_rewarm_from_registry_rolls_back_database(self, tmp_path):
         router, _platforms = self._fleet(tmp_path)

@@ -523,10 +523,9 @@ class TestFleetEnergy:
     def test_energy_policy_places_on_the_frugal_replica(self):
         router = self._router()
         responses = [router.submit(_request(i)) for i in range(6)]
-        placed = {r.replica_index for r in responses}
-        # Deterministic placement; every response carries energy.
-        assert placed
-        assert all(r.response.energy_j > 0 for r in responses)
+        # Every request is placed; every response carries energy.
+        assert sum(r.routed for r in router.replicas) == 6
+        assert all(r.energy_j > 0 for r in responses)
 
     def test_fleet_stats_report_power_telemetry(self):
         router = self._router()
@@ -536,18 +535,24 @@ class TestFleetEnergy:
         assert stats.energy_j > 0
         assert stats.avg_power_w > 0
         assert stats.energy_j == pytest.approx(
-            sum(r.energy_j for r in stats.replicas)
+            sum(r.service.stats.energy_j for r in router.replicas)
         )
-        served = [r for r in stats.replicas if r.routed > 0]
-        assert all(r.avg_power_w > 0 for r in served)
+        served = [r.service for r in router.replicas if r.routed > 0]
+        assert all(s.stats.energy_j / s.backlog_s > 0 for s in served)
 
     def test_energy_policy_is_deterministic(self):
         a = self._router()
         b = self._router()
         trace = [_request(i) for i in range(8)]
-        placements_a = [a.submit(r).replica_index for r in trace]
-        placements_b = [b.submit(r).replica_index for r in trace]
-        assert placements_a == placements_b
+
+        def placements(router):
+            indices = []
+            for request in trace:
+                indices.append(router.place(request))
+                router.serve_on(indices[-1], request)
+            return indices
+
+        assert placements(a) == placements(b)
 
     def test_capped_fleet_objective_trains_makespan_models(self):
         router = FleetRouter.build(

@@ -7,6 +7,7 @@ per-device noise streams in the same enqueue order, so with equal seeds
 the two paths produce the same draws).
 """
 
+import dataclasses
 import hashlib
 
 import pytest
@@ -156,6 +157,34 @@ def test_repeated_measurements_hit_the_result_cache():
     assert engine.stats.tape_misses == misses  # fully served from caches
     # Every composition still counts as an execution in the telemetry.
     assert engine.runner.stats.executions == 2
+
+
+def test_price_is_noise_free_and_leaves_the_runner_untouched():
+    """``price`` composes a noisy engine's tapes without the noise."""
+    request = _smallest_request("mat_mul")
+    p = Partitioning((40, 30, 30))
+    engine = SweepEngine(Runner(MC2, noise_sigma=0.05, seed=3))
+    twin = SweepEngine(Runner(MC2, noise_sigma=0.05, seed=3))
+    session = dataclasses.asdict(engine.runner.stats)
+
+    price = engine.price(request, p)
+    engine.price(request, Partitioning((0, 50, 50)))
+    # Nothing recorded, and no draw taken: the twin, which never
+    # priced, measures the same samples.
+    assert dataclasses.asdict(engine.runner.stats) == session
+    run, twin_run = engine.measure(request, p, 3), twin.measure(request, p, 3)
+    assert run.samples_s == twin_run.samples_s
+    assert run.energy_samples_j == twin_run.energy_samples_j
+    assert run.result != price  # the measurement was noisy
+    # The noise-free engine's measurement, bit for bit.
+    assert price == SweepEngine(Runner(MC2)).measure(request, p).result
+    # And it follows the runner's drift.
+    engine.runner.apply_drift(0.5, device_index=1)
+    reference = Runner(MC2)
+    reference.apply_drift(0.5, device_index=1)
+    drifted = engine.price(request, p)
+    assert drifted == SweepEngine(reference).measure(request, p).result
+    assert drifted.makespan_s > price.makespan_s
 
 
 def test_measure_validates_arguments():

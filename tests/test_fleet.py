@@ -31,6 +31,12 @@ def _router(platforms, policy="least-loaded", **service_kwargs):
     return FleetRouter(services, policy=policy)
 
 
+def _place_and_serve(router, request):
+    """(replica index, the service's response) of one routed request."""
+    index = router.place(request)
+    return index, router.serve_on(index, request)
+
+
 def _trace(n=40, seed=5):
     keys = key_universe(
         [get_benchmark(p) for p in ("vec_add", "mat_mul", "saxpy", "mandelbrot")],
@@ -115,12 +121,9 @@ class TestRouting:
         responses = [duo_router.submit(r) for r in trace]
         assert len(responses) == 30
         assert sum(r.routed for r in duo_router.replicas) == 30
-        assert all(
-            fr.replica_name == duo_router.replicas[fr.replica_index].name
-            for fr in responses
-        )
-        # Every response carries the underlying service response.
-        assert all(fr.response.measured_s >= 0 for fr in responses)
+        # Each response is the serving replica's own.
+        assert [r.request for r in responses] == list(trace)
+        assert all(r.measured_s >= 0 for r in responses)
 
     def test_least_loaded_uses_both_machines(self):
         # A 30-request trace on two machines cannot sit on one replica.
@@ -132,24 +135,23 @@ class TestRouting:
 
     def test_affinity_is_stable_per_key(self):
         router = _router(fleet_platforms(2), policy="affinity")
-        trace = _trace(30)
-        responses = [router.submit(r) for r in trace]
         placement: dict[tuple[str, int], int] = {}
-        for fr in responses:
-            key = (fr.response.request.program, fr.response.request.size)
-            assert placement.setdefault(key, fr.replica_index) == fr.replica_index
+        for request in _trace(30):
+            index, _response = _place_and_serve(router, request)
+            key = (request.program, request.size)
+            assert placement.setdefault(key, index) == index
 
     def test_routing_is_deterministic(self):
         for policy in ROUTING_POLICIES:
             runs = []
             for _ in range(2):
                 router = _router(fleet_platforms(2), policy=policy)
-                runs.append([router.submit(r) for r in _trace(25)])
-            a, b = runs
-            assert [fr.replica_index for fr in a] == [fr.replica_index for fr in b]
-            assert [fr.response.partitioning for fr in a] == [
-                fr.response.partitioning for fr in b
-            ]
+                run = []
+                for request in _trace(25):
+                    index, response = _place_and_serve(router, request)
+                    run.append((index, response.partitioning))
+                runs.append(run)
+            assert runs[0] == runs[1]
 
     def test_predicted_policy_prefers_idle_machine(self):
         # With one replica's devices all busy far into the future, the
@@ -159,8 +161,8 @@ class TestRouting:
         for d in range(len(free)):
             free[d] = 1e6
         size = get_benchmark("vec_add").problem_sizes()[0]
-        fr = router.submit(ServingRequest(request_id=0, program="vec_add", size=size))
-        assert fr.replica_index == 1
+        request = ServingRequest(request_id=0, program="vec_add", size=size)
+        assert router.place(request) == 1
 
     def test_predicted_peek_tracks_adaptations(self):
         # Regression: the router memoized peeked predictions per refit
@@ -169,12 +171,12 @@ class TestRouting:
         router = _router(fleet_platforms(2), policy="predicted")
         size = get_benchmark("mandelbrot").problem_sizes()[-1]
         req = ServingRequest(request_id=0, program="mandelbrot", size=size)
-        fr = router.submit(req)  # cold key: the serving replica adapts
-        assert fr.response.adapted
-        replica = router.replicas[fr.replica_index]
+        index, response = _place_and_serve(router, req)
+        assert response.adapted  # cold key: the serving replica adapts
+        replica = router.replicas[index]
         exec_request, peeked = router._peek(replica, req)
         assert peeked == replica.service.peek_prediction(req)
-        assert peeked == fr.response.partitioning
+        assert peeked == response.partitioning
         # Placement prices the replica's own request for the key.
         key = (replica.name, req.program, req.size)
         assert exec_request is replica.service.execution_request(key)
@@ -185,7 +187,7 @@ class TestRouting:
             router.submit(request)
         for replica in router.replicas:
             # Only served requests hit the runner (plus adaptation
-            # probes); duration estimation runs on a private runner.
+            # probes); placement prices record nothing.
             stats = replica.service.system.runner.stats
             served = replica.service.stats.requests
             probes = stats.executions - served
@@ -198,11 +200,10 @@ class TestRouting:
 class TestFleetStats:
     def test_fleet_makespan_is_max_over_replicas(self, duo_router):
         stats = duo_router.stats()
-        assert stats.makespan_s == pytest.approx(
-            max(r.makespan_s for r in stats.replicas)
+        assert stats.makespan_s == max(
+            r.service.backlog_s for r in duo_router.replicas
         )
-        assert stats.requests == sum(r.routed for r in stats.replicas)
-        assert stats.num_replicas == 2
+        assert stats.requests == sum(r.routed for r in duo_router.replicas)
 
     def test_throughput_scales_with_fleet_size(self):
         trace = _trace(40)
@@ -222,8 +223,9 @@ class TestFleetStats:
 
     def test_adaptations_aggregate_across_replicas(self, duo_router):
         stats = duo_router.stats()
-        assert stats.adaptations == sum(r.adaptations for r in stats.replicas)
-        assert stats.refits == sum(r.refits for r in stats.replicas)
+        services = [r.service for r in duo_router.replicas]
+        assert stats.adaptations == sum(s.stats.adaptations for s in services)
+        assert stats.refits == sum(s.stats.refits for s in services)
 
 
 class TestModelRegistry:

@@ -96,7 +96,7 @@ class TestGraphGolden:
         self, machine, memoize
     ):
         from repro.engine import SweepEngine
-        from repro.graphs import TaskGraph
+        from repro.graphs import TaskGraph, node_requests
         from repro.partitioning import Partitioning
 
         bench = get_benchmark("mat_mul")
@@ -110,10 +110,10 @@ class TestGraphGolden:
         if memoize:
             run = SweepEngine(
                 Runner(machine, noise_sigma=0.02, seed=7)
-            ).measure_graph(graph, {"t0": p}, repetitions=3)
+            ).measure_graph(graph, {"t0": p}, node_requests(graph), repetitions=3)
         else:
             run = Runner(machine, noise_sigma=0.02, seed=7).run_graph(
-                graph, {"t0": p}, repetitions=3
+                graph, {"t0": p}, node_requests(graph), repetitions=3
             )
 
         # Bit-identical, both objectives — the refactor's hard gate.

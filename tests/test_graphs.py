@@ -143,7 +143,7 @@ class TestTopology:
         assert set(graph.predecessors("sink")) == {"b0", "b1"}
         engine = _engine()
         even = {n.name: Partitioning((34, 33, 33)) for n in graph.nodes}
-        run = engine.measure_graph(graph, even)
+        run = engine.measure_graph(graph, even, node_requests(graph))
         finishes = {s.node: s.finish_s for s in run.schedule}
         starts = {s.node: s.start_s for s in run.schedule}
         assert starts["sink"] >= max(finishes["b0"], finishes["b1"])
@@ -253,7 +253,9 @@ class TestSingleNodeEquivalence:
         p = Partitioning((40, 30, 30))
 
         e_graph = _engine(noise_sigma=noise_sigma, seed=7)
-        run = e_graph.measure_graph(graph, {"t0": p}, repetitions=3)
+        run = e_graph.measure_graph(
+            graph, {"t0": p}, node_requests(graph), repetitions=3
+        )
 
         e_kernel = _engine(noise_sigma=noise_sigma, seed=7)
         request = bench.request(bench.make_instance(160, seed=0))
@@ -268,10 +270,10 @@ class TestSingleNodeEquivalence:
         graph = TaskGraph.single("reduction", 65536)
         p = Partitioning((60, 20, 20))
         run_engine = _engine(noise_sigma=0.01, seed=3).measure_graph(
-            graph, {"t0": p}, repetitions=2
+            graph, {"t0": p}, node_requests(graph), repetitions=2
         )
         run_raw = Runner(MC2, noise_sigma=0.01, seed=3).run_graph(
-            graph, {"t0": p}, repetitions=2
+            graph, {"t0": p}, node_requests(graph), repetitions=2
         )
         assert run_raw.median_s == run_engine.median_s
         assert run_raw.energy_j == run_engine.energy_j
@@ -283,12 +285,17 @@ class TestSingleNodeEquivalence:
         # with the same seed reproduce the same numbers.
         graph = _chain()
         plan = {n.name: Partitioning((34, 33, 33)) for n in graph.nodes}
+        requests = node_requests(graph)
         engine = _engine()
-        a = engine.measure_graph(graph, plan)
-        b = engine.measure_graph(graph, plan)
+        a = engine.measure_graph(graph, plan, requests)
+        b = engine.measure_graph(graph, plan, requests)
         assert (a.median_s, a.energy_j) == (b.median_s, b.energy_j)
-        noisy_a = _engine(noise_sigma=0.02, seed=11).measure_graph(graph, plan)
-        noisy_b = _engine(noise_sigma=0.02, seed=11).measure_graph(graph, plan)
+        noisy_a = _engine(noise_sigma=0.02, seed=11).measure_graph(
+            graph, plan, requests
+        )
+        noisy_b = _engine(noise_sigma=0.02, seed=11).measure_graph(
+            graph, plan, node_requests(graph)
+        )
         assert (noisy_a.median_s, noisy_a.energy_j) == (
             noisy_b.median_s,
             noisy_b.energy_j,
@@ -301,7 +308,7 @@ class TestComposition:
         graph = _chain()
         cpu, gpu = Partitioning((100, 0, 0)), Partitioning((0, 100, 0))
         run = engine.measure_graph(
-            graph, {"t0": cpu, "t1": gpu, "t2": cpu}
+            graph, {"t0": cpu, "t1": gpu, "t2": cpu}, node_requests(graph)
         )
         assert run.transfer_s > 0.0
         assert len(run.transfers) == 2
@@ -318,7 +325,9 @@ class TestComposition:
         engine = _engine()
         graph = _chain()
         with pytest.raises(ValueError, match="plan misses task"):
-            engine.measure_graph(graph, {"t0": Partitioning((100, 0, 0))})
+            engine.measure_graph(
+                graph, {"t0": Partitioning((100, 0, 0))}, node_requests(graph)
+            )
 
     def test_graph_energy_includes_transfers_and_stalls(self):
         engine = _engine()
@@ -328,7 +337,7 @@ class TestComposition:
             "t1": Partitioning((0, 100, 0)),
             "t2": Partitioning((0, 0, 100)),
         }
-        run = engine.measure_graph(graph, plan)
+        run = engine.measure_graph(graph, plan, node_requests(graph))
         node_j = sum(r.energy_j for r in run.node_runs.values())
         assert run.transfer_j > 0.0
         assert run.stall_j >= 0.0
@@ -341,12 +350,12 @@ class TestPlanner:
     def test_cosearch_never_worse_and_strictly_beats_greedy_here(self):
         engine = _engine()
         graph = _chain()
-        requests = engine.graph_requests(graph)
+        requests = node_requests(graph)
         planner = _planner(engine)
         greedy, _ = greedy_plan(
             graph, requests, engine.measure, planner.space
         )
-        greedy_run = engine.measure_graph(graph, greedy)
+        greedy_run = engine.measure_graph(graph, greedy, requests)
         plan, run = planner.search(graph, requests)
         assert run.median_s < greedy_run.median_s
         assert planner.stats.evaluated > 0
@@ -359,7 +368,7 @@ class TestPlanner:
             engine = _engine()
             planner = _planner(engine)
             graph = _chain()
-            plan, run = planner.search(graph, engine.graph_requests(graph))
+            plan, run = planner.search(graph, node_requests(graph))
             runs.append((plan, run.median_s, run.energy_j))
         assert runs[0] == runs[1]
 
@@ -383,7 +392,7 @@ class TestPlanner:
 
         stats = PlannerStats()
         greedy_plan(
-            graph, engine.graph_requests(graph), engine.measure, space,
+            graph, node_requests(graph), engine.measure, space,
             stats=stats,
         )
         # Three nodes, one (program, size): one sweep, not three.
@@ -411,11 +420,8 @@ class _RunnerEngine:
             request, partitioning, functional=False, repetitions=repetitions
         )
 
-    def measure_graph(self, graph, plan, instance_seed=0):
-        return self.runner.run_graph(graph, plan, instance_seed=instance_seed)
-
-    def graph_requests(self, graph, instance_seed=0):
-        return node_requests(graph, seed=instance_seed)
+    def measure_graph(self, graph, plan, requests):
+        return self.runner.run_graph(graph, plan, requests)
 
 
 @pytest.fixture(scope="module")
