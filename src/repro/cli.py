@@ -250,7 +250,15 @@ def _build_backend(args: argparse.Namespace, platforms, train_benchmarks, slo):
     services, sources = [], []
     for platform in platforms:
         if registry is not None and registry.has(platform.name):
-            system = registry.load(platform, noise_sigma=args.noise, seed=args.seed)
+            # A model saved for another objective is refit here, which
+            # fails on a database recorded without energy sweeps.
+            with _exit_on_bad_value(f"--registry {platform.name}: "):
+                system = registry.load(
+                    platform,
+                    noise_sigma=args.noise,
+                    seed=args.seed,
+                    objective=objective,
+                )
             source = "registry"
         elif registry is not None and args.warm_start and registry.machines():
             donor = registry.most_similar(platform)

@@ -37,6 +37,8 @@ __all__ = [
     "KernelDistribution",
     "derive_distributions",
     "DeviceChunk",
+    "buffer_range",
+    "device_chunk",
     "plan_chunks",
 ]
 
@@ -203,12 +205,19 @@ class DeviceChunk:
         return self.item_count == 0
 
 
-def _buffer_range(
+def buffer_range(
     dist: BufferDistribution,
     buffer_elems: int,
     item_offset: int,
     item_count: int,
 ) -> tuple[int, int]:
+    """(element offset, element count) of one buffer a non-empty item range touches.
+
+    FULL and REDUCED buffers are needed whole; a SPLIT buffer's range is
+    the items' elements, and a HALO buffer's adds ``halo`` elements per
+    side, clipped to the buffer.  A device's host→device transfer of an
+    input moves exactly this range.
+    """
     if dist.kind is DistributionKind.FULL or dist.kind is DistributionKind.REDUCED:
         return (0, buffer_elems)
     epi = dist.elements_per_item
@@ -222,6 +231,27 @@ def _buffer_range(
     if stop < start:
         stop = start
     return (start, stop - start)
+
+
+def device_chunk(
+    device_index: int,
+    item_offset: int,
+    item_count: int,
+    distribution: KernelDistribution,
+    buffer_sizes: Mapping[str, int],
+) -> DeviceChunk:
+    """One device's chunk: its item range and every buffer's element range.
+
+    An empty item range touches no buffer: every range is ``(0, 0)``.
+    """
+    if item_count == 0:
+        ranges = {name: (0, 0) for name in buffer_sizes}
+    else:
+        ranges = {
+            name: buffer_range(distribution.of(name), elems, item_offset, item_count)
+            for name, elems in buffer_sizes.items()
+        }
+    return DeviceChunk(device_index, item_offset, item_count, ranges)
 
 
 def plan_chunks(
@@ -238,14 +268,7 @@ def plan_chunks(
     to the runtime scheduler's transfer/launch planning.
     """
     ranges = split_items(total_items, partitioning, granularity)
-    chunks: list[DeviceChunk] = []
-    for dev_index, (offset, count) in enumerate(ranges):
-        buffer_ranges: dict[str, tuple[int, int]] = {}
-        for name, elems in buffer_sizes.items():
-            dist = distribution.of(name)
-            if count == 0:
-                buffer_ranges[name] = (0, 0)
-            else:
-                buffer_ranges[name] = _buffer_range(dist, elems, offset, count)
-        chunks.append(DeviceChunk(dev_index, offset, count, buffer_ranges))
-    return tuple(chunks)
+    return tuple(
+        device_chunk(dev_index, offset, count, distribution, buffer_sizes)
+        for dev_index, (offset, count) in enumerate(ranges)
+    )

@@ -52,22 +52,20 @@ class EnergyMeter:
         """Total joules given per-device dynamic energy and the makespan.
 
         Every device — active in the launch or not — pays idle watts
-        over the full makespan; its dynamic energy rides on top.
+        over the full makespan; its dynamic energy rides on top.  The
+        sweep engine finalizes every composed point, so each device's
+        idle watts are read once and no generator is built.
         """
         if len(dynamic_j) != len(self.devices):
             raise ValueError(
                 f"got dynamic energy for {len(dynamic_j)} devices, "
                 f"meter covers {len(self.devices)}"
             )
-        per_device = tuple(
-            dyn + device.power_model.idle_w * makespan_s
-            for dyn, device in zip(dynamic_j, self.devices)
-        )
-        idle = sum(d.power_model.idle_w for d in self.devices) * makespan_s
+        idle_w = [device.power_model.idle_w for device in self.devices]
         return EnergyBreakdown(
-            device_energy_j=per_device,
-            dynamic_j=float(sum(dynamic_j)),
-            idle_j=idle,
+            tuple([dyn + w * makespan_s for dyn, w in zip(dynamic_j, idle_w)]),
+            float(sum(dynamic_j)),
+            sum(idle_w) * makespan_s,
         )
 
     def platform_idle_w(self) -> float:

@@ -10,6 +10,16 @@ composes makespans from the cached tapes, turning a sweep from
 O(points × devices) full simulations into O(unique chunks per device)
 plannings plus cheap compositions.
 
+Tape keys come from item ranges: a device's ``(offset, count)`` in
+:func:`~repro.partitioning.split_items` and a per-request buffer table
+give its item count and the element counts it transfers and reads back,
+through the same range rules the scheduler plans with.  The device's
+chunk and command plan are built only on a tape miss; nothing else is
+memoized about planning.  A sweep is one pass over the partition space:
+the drift check and the request lookup run once per call, and every
+point is composed and recorded directly by the core that
+:meth:`SweepEngine.measure` and :meth:`SweepEngine.price` share.
+
 Noise fidelity: tapes are cached noise-free; when the runner carries a
 measurement-noise model the engine perturbs each cached duration at
 composition time through the *runner's own* per-device noise streams,
@@ -25,8 +35,8 @@ the scheduler's timeline arithmetic so composed joules (idle power
 over the makespan included) stay bit-identical to the unmemoized
 path too — see :mod:`repro.energy`.  A tape prices each distinct
 command once: an iterated kernel's later steps repeat the same sync
-and launch objects, and a launch's (seconds, watts) is memoized per
-(request, device, item count) across tapes.
+and launch objects, and a command's (seconds, watts) is memoized per
+(request, device, command shape) across tapes.
 """
 
 from .sweep import EngineStats, SweepEngine

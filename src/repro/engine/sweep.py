@@ -11,14 +11,13 @@ import statistics
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
-from ..compiler.splitter import DeviceChunk, DistributionKind, plan_chunks
+from ..compiler.splitter import BufferDistribution, buffer_range, device_chunk
 from ..energy.meter import EnergyMeter
 from ..inspire.ast import ParamIntent
-from ..ocl.events import CommandKind
-from ..partitioning import Partitioning
+from ..partitioning import Partitioning, split_items
 from ..runtime.arrays import buffer_layout
 from ..runtime.measurement import MeasuredRun, Runner
-from ..runtime.plan import plan_device_commands, price_command
+from ..runtime.plan import plan_device_commands, price_command, readback_count
 from ..runtime.scheduler import ExecutionRequest, ExecutionResult
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -36,8 +35,6 @@ class EngineStats:
     compositions: int = 0
     tape_hits: int = 0
     tape_misses: int = 0
-    plan_hits: int = 0
-    plan_misses: int = 0
 
     @property
     def tape_hit_rate(self) -> float:
@@ -85,16 +82,45 @@ class _Tape:
     dynamic_j: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _RequestMeta:
-    """Per-request constants the signature/tape computations reuse."""
+    """One request's constants, read once and reused by every point.
 
+    Hashed and compared by identity: it stands for its request in every
+    cache key, and holding the request keeps that identity stable.
+    """
+
+    request: ExecutionRequest
     buffer_sizes: dict[str, int]
     itemsizes: dict[str, int]
-    in_names: tuple[str, ...]  # IN/INOUT buffer params, declaration order
-    #: OUT/INOUT buffer params as (name, full_range, elements_per_item)
-    out_specs: tuple[tuple[str, bool, float], ...]
+    #: (distribution, elements) of each IN/INOUT buffer param, in
+    #: declaration order: the inputs a chunk transfers host → device.
+    in_specs: tuple[tuple[BufferDistribution, int], ...]
+    #: (distribution, elements) of each OUT/INOUT buffer param, in
+    #: declaration order: the outputs a chunk reads back.
+    out_specs: tuple[tuple[BufferDistribution, int], ...]
     scalar_args: dict[str, float]
+
+    @classmethod
+    def of(cls, request: ExecutionRequest) -> "_RequestMeta":
+        distribution = request.compiled.distribution
+        layout = buffer_layout(request.arrays)
+        sizes = {name: elements for name, (elements, _) in layout.items()}
+        inputs, outputs = [], []
+        for p in request.compiled.kernel.buffer_params:
+            spec = (distribution.of(p.name), sizes[p.name])
+            if p.intent in (ParamIntent.IN, ParamIntent.INOUT):
+                inputs.append(spec)
+            if p.intent in (ParamIntent.OUT, ParamIntent.INOUT):
+                outputs.append(spec)
+        return cls(
+            request,
+            sizes,
+            {name: itemsize for name, (_, itemsize) in layout.items()},
+            tuple(inputs),
+            tuple(outputs),
+            {k: float(v) for k, v in request.scalars.items()},
+        )
 
 
 class SweepEngine:
@@ -122,181 +148,136 @@ class SweepEngine:
         self._deterministic = all(d.noise is None for d in runner.devices)
         self._results: dict[tuple, ExecutionResult] = {}
         self._tapes: dict[tuple, _Tape] = {}
-        self._chunks: dict[tuple, tuple[tuple[DeviceChunk, ...], bool]] = {}
-        self._meta: dict[int, _RequestMeta] = {}
-        self._kernel_prices: dict[tuple[int, int, int], tuple[float, float]] = {}
-        self._pinned: dict[int, ExecutionRequest] = {}
+        self._requests: dict[int, _RequestMeta] = {}
+        self._prices: dict[tuple, tuple[float, float]] = {}
         self._drift_generation = runner.drift_generation
 
     def reset(self) -> None:
-        """Drop all cached tapes and plans (between campaigns)."""
+        """Drop all cached tapes, results and request tables (between campaigns)."""
         self._results.clear()
         self._tapes.clear()
-        self._chunks.clear()
-        self._meta.clear()
-        self._kernel_prices.clear()
-        self._pinned.clear()
+        self._requests.clear()
+        self._prices.clear()
 
-    # -- memoized planning -------------------------------------------------
+    def _lookup(self, request: ExecutionRequest) -> _RequestMeta:
+        """The request's table, once per call, after the drift check.
 
-    def _request_id(self, request: ExecutionRequest) -> int:
-        rid = id(request)
-        if rid not in self._pinned:
-            self._pinned[rid] = request
-            kernel = request.compiled.kernel
-            distribution = request.compiled.distribution
-            out_specs = []
-            for p in kernel.buffer_params:
-                if p.intent not in (ParamIntent.OUT, ParamIntent.INOUT):
-                    continue
-                dist = distribution.of(p.name)
-                full = dist.kind in (DistributionKind.REDUCED, DistributionKind.FULL)
-                out_specs.append((p.name, full, dist.elements_per_item))
-            layout = buffer_layout(request.arrays)
-            self._meta[rid] = _RequestMeta(
-                buffer_sizes={n: elements for n, (elements, _) in layout.items()},
-                itemsizes={n: itemsize for n, (_, itemsize) in layout.items()},
-                in_names=tuple(
-                    p.name
-                    for p in kernel.buffer_params
-                    if p.intent in (ParamIntent.IN, ParamIntent.INOUT)
-                ),
-                out_specs=tuple(out_specs),
-                scalar_args={k: float(v) for k, v in request.scalars.items()},
-            )
-        return rid
-
-    def _signature(self, meta: _RequestMeta, chunk: DeviceChunk, multi: bool) -> tuple:
-        """What a chunk's durations actually depend on: sizes, not offsets.
-
-        Two chunks on the same device produce identical tapes whenever
-        their kernel item counts and per-buffer transfer counts match —
-        the offsets only matter through halo/epilogue clipping, which
-        the counts already capture.  Keying tapes by this signature
-        instead of (offset, count) roughly halves the unique-tape count
-        on a 3-device grid sweep (interior chunks of equal size share).
+        Platform drift rescales device cost models; every cached
+        duration (tape, command price, finished result) is priced on
+        the pre-drift hardware and is dropped.  Request tables are
+        duration-free and survive.
         """
-        ranges = chunk.buffer_ranges
-        d2h = []
-        for name, full, epi in meta.out_specs:
-            if full:
-                d2h.append(meta.buffer_sizes[name])
-            else:
-                off = int(chunk.item_offset * epi)
-                stop = min(
-                    meta.buffer_sizes[name],
-                    int((chunk.item_offset + chunk.item_count) * epi),
-                )
-                d2h.append(max(0, stop - off))
-        return (
-            chunk.item_count,
-            multi,
-            tuple(ranges[name][1] for name in meta.in_names),
-            tuple(d2h),
-        )
-
-    def _plan(
-        self, request: ExecutionRequest, partitioning: Partitioning
-    ) -> tuple[tuple[DeviceChunk, ...], bool]:
-        rid = self._request_id(request)
-        key = (rid, partitioning.shares)
-        hit = self._chunks.get(key)
-        if hit is not None:
-            self.stats.plan_hits += 1
-            return hit
-        self.stats.plan_misses += 1
-        chunks = plan_chunks(
-            request.total_items,
-            partitioning,
-            request.compiled.distribution,
-            self._meta[rid].buffer_sizes,
-            request.granularity,
-        )
-        multi = sum(1 for c in chunks if not c.is_empty) > 1
-        self._chunks[key] = (chunks, multi)
-        return chunks, multi
-
-    def _tape(self, rid: int, chunk: DeviceChunk, multi: bool) -> _Tape:
-        meta = self._meta[rid]
-        device_index = chunk.device_index
-        key = (rid, device_index, self._signature(meta, chunk, multi))
-        hit = self._tapes.get(key)
-        if hit is not None:
-            self.stats.tape_hits += 1
-            return hit
-        self.stats.tape_misses += 1
-        device = self.runner.devices[device_index]
-        request = self._pinned[rid]
-        analysis = request.compiled.analysis
-        # Each distinct command is priced once: an iterated kernel's
-        # later steps repeat the same sync and launch objects, and a
-        # launch's price is shared by every tape with its item count.
-        priced: dict[int, tuple[str, float, float]] = {}
-        commands: list[tuple[str, float, float]] = []
-        for cmd in plan_device_commands(
-            request, chunk, multi, meta.buffer_sizes, meta.itemsizes
-        ):
-            entry = priced.get(id(cmd))
-            if entry is None:
-                if cmd.kind is CommandKind.NDRANGE_KERNEL:
-                    price_key = (rid, device_index, cmd.items)
-                    price = self._kernel_prices.get(price_key)
-                    if price is None:
-                        price = price_command(device, cmd, analysis, meta.scalar_args)
-                        self._kernel_prices[price_key] = price
-                else:
-                    price = price_command(device, cmd, analysis, meta.scalar_args)
-                entry = priced[id(cmd)] = (cmd.label, *price)
-            commands.append(entry)
-        tape = _Tape(tuple(commands), *_replay_timeline(commands))
-        self._tapes[key] = tape
-        return tape
-
-    # -- composition -------------------------------------------------------
-
-    def _compose(
-        self, request: ExecutionRequest, partitioning: Partitioning, noisy: bool
-    ) -> ExecutionResult:
-        """One simulated execution, composed from cached chunk tapes.
-
-        ``noisy=False`` skips the devices' noise streams: the result is
-        the noise-free execution, which the result memo serves even on
-        a noisy engine.
-        """
-        if partitioning.num_devices != len(self.runner.devices):
-            raise ValueError(
-                f"partitioning has {partitioning.num_devices} shares but the "
-                f"runner has {len(self.runner.devices)} devices"
-            )
-        self.stats.compositions += 1
-        # Platform drift rescales device cost models; every cached
-        # duration (tape, kernel time, finished result) is priced on the
-        # pre-drift hardware and must be dropped.  Plans and request
-        # metadata are duration-free and survive.
         generation = self.runner.drift_generation
         if generation != self._drift_generation:
             self._results.clear()
             self._tapes.clear()
-            self._kernel_prices.clear()
+            self._prices.clear()
             self._drift_generation = generation
-        rid = self._request_id(request)
-        result_key = (rid, partitioning.shares)
+        rid = id(request)
+        if rid not in self._requests:
+            self._requests[rid] = _RequestMeta.of(request)
+        return self._requests[rid]
+
+    # -- tapes -------------------------------------------------------------
+
+    def _record_tape(
+        self,
+        meta: _RequestMeta,
+        device_index: int,
+        offset: int,
+        count: int,
+        multi: bool,
+    ) -> _Tape:
+        """Plan and price one device's chunk: the tape-miss path."""
+        request = meta.request
+        chunk = device_chunk(
+            device_index,
+            offset,
+            count,
+            request.compiled.distribution,
+            meta.buffer_sizes,
+        )
+        plan = plan_device_commands(
+            request, chunk, multi, meta.buffer_sizes, meta.itemsizes
+        )
+        device = self.runner.devices[device_index]
+        analysis = request.compiled.analysis
+        # Each distinct command object is priced once: an iterated
+        # kernel's later steps repeat the same sync and launch objects.
+        # A price is shared by every tape of the request whose device
+        # runs the same launch or moves the same bytes (the label names
+        # the direction).  The tape then maps every command to its entry.
+        prices = self._prices
+        priced: dict[int, tuple[str, float, float]] = {}
+        for key, cmd in dict(zip(map(id, plan), plan)).items():
+            price_key = (meta, device_index, cmd.label, cmd.nbytes, cmd.items)
+            price = prices.get(price_key)
+            if price is None:
+                price = price_command(device, cmd, analysis, meta.scalar_args)
+                prices[price_key] = price
+            priced[key] = (cmd.label, *price)
+        commands = tuple(map(priced.__getitem__, map(id, plan)))
+        return _Tape(commands, *_replay_timeline(commands))
+
+    # -- composition -------------------------------------------------------
+
+    def _compose(
+        self, meta: _RequestMeta, partitioning: Partitioning, noisy: bool
+    ) -> ExecutionResult:
+        """One simulated execution, composed from cached chunk tapes.
+
+        Every measurement, price and sweep point goes through here.
+        ``noisy=False`` skips the devices' noise streams: the result is
+        the noise-free execution, which the result memo serves even on
+        a noisy engine.
+
+        A device's tape is keyed by what its durations depend on: its
+        item count, whether other devices are active, and the element
+        counts it moves — each input's transfer range and each output's
+        read-back.  Offsets matter only through halo and edge clipping,
+        which the counts already capture, so interior chunks of equal
+        size share a tape.  The counts come straight from the device's
+        ``(offset, count)`` in :func:`~repro.partitioning.split_items`;
+        its :class:`~repro.compiler.splitter.DeviceChunk` and command
+        plan are built only on a tape miss.
+        """
+        devices = self.runner.devices
+        if partitioning.num_devices != len(devices):
+            raise ValueError(
+                f"partitioning has {partitioning.num_devices} shares but the "
+                f"runner has {len(devices)} devices"
+            )
+        self.stats.compositions += 1
+        result_key = (meta, partitioning.shares)
         memoize = self._deterministic or not noisy
         if memoize:
             cached = self._results.get(result_key)
             if cached is not None:
                 return cached
-        chunks, multi = self._plan(request, partitioning)
-        busy = [0.0] * len(self.runner.devices)
-        dynamic_j = [0.0] * len(self.runner.devices)
-        for chunk in chunks:
-            if chunk.is_empty:
-                continue
-            tape = self._tape(rid, chunk, multi)
-            noise = self.runner.devices[chunk.device_index].noise if noisy else None
+        request = meta.request
+        ranges = split_items(request.total_items, partitioning, request.granularity)
+        active = [
+            (i, offset, count) for i, (offset, count) in enumerate(ranges) if count
+        ]
+        multi = len(active) > 1
+        busy = [0.0] * len(devices)
+        dynamic_j = [0.0] * len(devices)
+        in_specs, out_specs = meta.in_specs, meta.out_specs
+        for device_index, offset, count in active:
+            inputs = tuple([buffer_range(d, n, offset, count)[1] for d, n in in_specs])
+            outputs = tuple([readback_count(d, n, offset, count) for d, n in out_specs])
+            key = (meta, device_index, count, multi, inputs, outputs)
+            tape = self._tapes.get(key)
+            if tape is None:
+                self.stats.tape_misses += 1
+                tape = self._record_tape(meta, device_index, offset, count, multi)
+                self._tapes[key] = tape
+            else:
+                self.stats.tape_hits += 1
+            noise = devices[device_index].noise if noisy else None
             if noise is None:
-                busy[chunk.device_index] = tape.total_s
-                dynamic_j[chunk.device_index] = tape.dynamic_j
+                busy[device_index] = tape.total_s
+                dynamic_j[device_index] = tape.dynamic_j
             else:
                 # Sample the noise stream command by command, in enqueue
                 # order — the same draws the unmemoized path would make.
@@ -307,17 +288,19 @@ class SweepEngine:
                         for label, duration, watts in tape.commands
                     ]
                 )
-                busy[chunk.device_index] = total
-                dynamic_j[chunk.device_index] = joules
+                busy[device_index] = total
+                dynamic_j[device_index] = joules
         makespan = max(busy)
         energy = self._meter.finalize(dynamic_j, makespan)
+        # Positional: binding keywords costs as much as building the
+        # record, once per composed point.
         result = ExecutionResult(
-            partitioning=partitioning,
-            makespan_s=makespan,
-            device_busy_s=tuple(busy),
-            device_energy_j=energy.device_energy_j,
-            energy_j=energy.total_j,
-            idle_j=energy.idle_j,
+            partitioning,
+            makespan,
+            tuple(busy),
+            energy.device_energy_j,
+            energy.total_j,
+            energy.idle_j,
         )
         if memoize:
             self._results[result_key] = result
@@ -334,11 +317,12 @@ class SweepEngine:
         """Median-of-repetitions timing, composed from cached tapes."""
         if repetitions < 1:
             raise ValueError("repetitions must be >= 1")
+        meta = self._lookup(request)
         samples: list[float] = []
         energy_samples: list[float] = []
         result: ExecutionResult | None = None
         for _ in range(repetitions):
-            r = self._compose(request, partitioning, True)
+            r = self._compose(meta, partitioning, True)
             if result is None:
                 result = r
             samples.append(r.makespan_s)
@@ -365,7 +349,7 @@ class SweepEngine:
         records nothing in the runner's session stats, so pricing never
         moves the serving noise streams or telemetry.
         """
-        return self._compose(request, partitioning, False)
+        return self._compose(self._lookup(request), partitioning, False)
 
     def time_of(
         self,
@@ -383,9 +367,7 @@ class SweepEngine:
         repetitions: int = 1,
     ) -> dict[str, float]:
         """Measure every partitioning; returns label → median seconds."""
-        return {
-            p.label: self.time_of(request, p, repetitions=repetitions) for p in space
-        }
+        return self.sweep_with_energy(request, space, repetitions)[0]
 
     def measure_graph(
         self,
@@ -431,13 +413,28 @@ class SweepEngine:
     ) -> tuple[dict[str, float], dict[str, float]]:
         """Measure every partitioning; returns (label → seconds, label → joules).
 
+        One pass over the space: the drift check and the request lookup
+        run once, then every point is composed and recorded directly,
+        repetition by repetition, exactly as :meth:`measure` would —
+        the same noise draws in the same order, the same session stats.
         One composed measurement yields both numbers, so an energy-aware
         sweep costs exactly what a timing sweep does.
         """
+        if repetitions < 1:
+            raise ValueError("repetitions must be >= 1")
+        meta = self._lookup(request)
+        compose = self._compose
+        record = self.runner.stats.record
         timings: dict[str, float] = {}
         energies: dict[str, float] = {}
         for p in space:
-            run = self.measure(request, p, repetitions=repetitions)
-            timings[p.label] = run.median_s
-            energies[p.label] = run.energy_j
+            samples: list[float] = []
+            energy_samples: list[float] = []
+            for _ in range(repetitions):
+                r = compose(meta, p, True)
+                samples.append(r.makespan_s)
+                energy_samples.append(r.energy_j)
+                record(r)
+            timings[p.label] = _median(samples)
+            energies[p.label] = _median(energy_samples)
         return timings, energies

@@ -36,7 +36,7 @@ from ..core.predictor import (
     make_partitioning_model,
     save_model,
 )
-from ..energy.objectives import Objective
+from ..energy.objectives import Objective, coerce_objective
 from ..ocl.platform import Platform
 from ..runtime.measurement import Runner
 
@@ -131,14 +131,18 @@ class ModelRegistry:
         return meta
 
     def load_snapshot(
-        self, platform: Platform
+        self,
+        platform: Platform,
+        objective: "Objective | str" = Objective.MAKESPAN,
     ) -> tuple[PartitioningPredictor, TrainingDatabase]:
         """The registered predictor + database, without a runner.
 
         The fleet re-warm path rolls a live replica's model and
         database back to this snapshot while keeping the replica's own
         (possibly drifted) runner — building a throwaway runner per
-        re-warm would be waste.
+        re-warm would be waste.  The predictor serves ``objective``: a
+        model saved for another objective is refit on the saved
+        database, with the saved model's kind and seed.
         """
         if not self.has(platform.name):
             raise LookupError(
@@ -148,13 +152,25 @@ class ModelRegistry:
         directory = self._dir(platform.name)
         model = load_model(directory / "model.json")
         database = TrainingDatabase.load(directory / "database.json")
+        objective = coerce_objective(objective)
+        if model.objective is not objective:
+            model = make_partitioning_model(
+                model.kind, seed=model.seed, objective=objective
+            ).fit(database)
         return PartitioningPredictor(model, platform.name), database
 
     def load(
-        self, platform: Platform, noise_sigma: float = 0.0, seed: int = 0
+        self,
+        platform: Platform,
+        noise_sigma: float = 0.0,
+        seed: int = 0,
+        objective: "Objective | str" = Objective.MAKESPAN,
     ) -> TrainedSystem:
-        """Rebuild a deployable system for a registered machine."""
-        predictor, database = self.load_snapshot(platform)
+        """Rebuild a deployable system for a registered machine.
+
+        The model serves ``objective``, as in :meth:`load_snapshot`.
+        """
+        predictor, database = self.load_snapshot(platform, objective)
         runner = Runner(platform, noise_sigma=noise_sigma, seed=seed + 1)
         return TrainedSystem(platform, predictor, database, runner)
 

@@ -395,14 +395,17 @@ class FleetRouter:
 
         With a registered snapshot the replica's model *and* database
         roll back to the last known-good state (online observations
-        made on the pre-drift hardware are discarded wholesale);
-        without one the model refits on everything observed so far.
+        made on the pre-drift hardware are discarded wholesale), and
+        the model serves the replica's training objective; without one
+        the model refits on everything observed so far.
         Either way the replica's serving state restarts cold — see
         :meth:`PartitioningService.rewarm`.
         """
         replica = self.replicas[index]
         if self.registry is not None and self.registry.has(replica.name):
-            predictor, database = self.registry.load_snapshot(replica.platform)
+            predictor, database = self.registry.load_snapshot(
+                replica.platform, training_objective(replica.service.config.objective)
+            )
             replica.service.rewarm(predictor=predictor, database=database)
         else:
             replica.service.rewarm()

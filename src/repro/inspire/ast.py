@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 from .types import INT, BufferType, ScalarType, Type, VectorType
@@ -427,11 +428,13 @@ class Kernel:
                 return p
         raise KeyError(f"kernel {self.name!r} has no parameter {name!r}")
 
-    @property
+    # Cached in the instance dict, outside the fields: command planning
+    # reads them for every chunk it plans.
+    @cached_property
     def buffer_params(self) -> tuple[KernelParam, ...]:
         return tuple(p for p in self.params if p.is_buffer)
 
-    @property
+    @cached_property
     def scalar_params(self) -> tuple[KernelParam, ...]:
         return tuple(p for p in self.params if not p.is_buffer)
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Mapping
 
-from ..compiler.splitter import DeviceChunk, DistributionKind
+from ..compiler.splitter import BufferDistribution, DeviceChunk, DistributionKind
 from ..inspire.analysis import KernelAnalysis
 from ..inspire.ast import ParamIntent
 from ..ocl.costmodel import TransferDirection
@@ -33,7 +33,7 @@ from ..ocl.events import CommandKind
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .scheduler import ExecutionRequest
 
-__all__ = ["PlannedCommand", "plan_device_commands", "price_command"]
+__all__ = ["PlannedCommand", "plan_device_commands", "price_command", "readback_count"]
 
 
 @dataclass(frozen=True)
@@ -51,6 +51,26 @@ class PlannedCommand:
     label: str
     nbytes: int = 0
     items: int = 0
+
+
+def readback_count(
+    dist: BufferDistribution,
+    buffer_elems: int,
+    item_offset: int,
+    item_count: int,
+) -> int:
+    """Elements of one output a device reads back after its launches.
+
+    REDUCED and FULL outputs come back whole; a SPLIT or HALO output
+    returns the elements its items own, halo excluded, clipped to the
+    buffer.
+    """
+    if dist.kind is DistributionKind.REDUCED or dist.kind is DistributionKind.FULL:
+        return buffer_elems
+    epi = dist.elements_per_item
+    start = int(item_offset * epi)
+    stop = min(buffer_elems, int((item_offset + item_count) * epi))
+    return max(0, stop - start)
 
 
 def plan_device_commands(
@@ -131,17 +151,12 @@ def plan_device_commands(
     for p in kernel.buffer_params:
         if p.intent not in (ParamIntent.OUT, ParamIntent.INOUT):
             continue
-        dist = compiled.distribution.of(p.name)
-        if dist.kind is DistributionKind.REDUCED or dist.kind is DistributionKind.FULL:
-            off, cnt = 0, buffer_sizes[p.name]
-        else:
-            epi = dist.elements_per_item
-            off = int(chunk.item_offset * epi)
-            stop = min(
-                buffer_sizes[p.name],
-                int((chunk.item_offset + chunk.item_count) * epi),
-            )
-            cnt = max(0, stop - off)
+        cnt = readback_count(
+            compiled.distribution.of(p.name),
+            buffer_sizes[p.name],
+            chunk.item_offset,
+            chunk.item_count,
+        )
         if cnt > 0:
             commands.append(
                 PlannedCommand(

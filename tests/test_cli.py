@@ -506,7 +506,8 @@ class TestFleet:
     ):
         # Regression: a warm-started machine always fitted a makespan
         # model, while a machine the CLI trains fitted the serving
-        # objective's training objective.
+        # objective's training objective.  Machines loaded from the
+        # registry served the makespan model they were saved with.
         from repro.benchsuite import all_benchmarks
         from repro.cli import _build_backend
         from repro.machines import fleet_platforms
@@ -524,8 +525,39 @@ class TestFleet:
         _router, services, sources = _build_backend(
             args, fleet_platforms(3), all_benchmarks()[:3], SLOConfig()
         )
+        assert sources == ["registry", "registry", sources[2]]
         assert sources[2].startswith("warm(")
-        assert services[2].system.predictor.objective.value == trained_on
+        for service in services:
+            assert service.system.predictor.objective.value == trained_on
+
+
+    def test_registry_without_energy_sweeps_exits_with_one_line(
+        self, tmp_path, capsys
+    ):
+        # A registered makespan model is refit for an energy objective;
+        # a database saved without energy sweeps cannot be, and the
+        # serve exits naming the machine instead of a traceback.
+        registry = tmp_path / "registry"
+        small = ["--train-programs", "2", "--max-sizes", "1", "--model", "knn"]
+        assert main(
+            ["fleet-train", "--registry", str(registry), "--machines", "1", *small]
+        ) == 0
+        database = registry / "mc1-r0" / "database.json"
+        doc = json.loads(database.read_text())
+        for record in doc["records"]:
+            del record["energies"]
+        database.write_text(json.dumps(doc))
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exit_info:
+            main(
+                ["serve", "--machines", "1", "--registry", str(registry),
+                 "--objective", "energy", "--requests", "5", *small]
+            )
+        text = exit_info.value.code
+        assert isinstance(text, str) and "\n" not in text
+        assert text.startswith("--registry mc1-r0: ")
+        assert "needs energy" in text
+        assert capsys.readouterr().out == ""
 
 
 class TestTelemetryCommands:

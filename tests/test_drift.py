@@ -6,6 +6,8 @@ import repro.fleet.router as fleet_router
 import repro.serving.service as service_module
 from repro.benchsuite import get_benchmark
 from repro.core import TrainingConfig, train_system
+from repro.core.predictor import make_partitioning_model
+from repro.energy import Objective
 from repro.fleet import FleetRouter, ModelRegistry
 from repro.machines import MC2, fleet_platforms
 from repro.ocl.costmodel import DeviceKind, DeviceSpec
@@ -446,6 +448,29 @@ class TestFleetDriftRepair:
         index = router.place(request)
         router.serve_on(index, request)
         assert index in (0, 1)
+
+    def test_rewarm_from_a_makespan_registry_serves_the_fleets_objective(
+        self, tmp_path
+    ):
+        # Regression: the registry rollback restored the makespan model
+        # saved at training time on a fleet serving the energy objective.
+        energy = ServiceConfig(
+            detect_drift=False,
+            max_adaptations_per_key=0,
+            validate_cold_keys=False,
+            objective="energy",
+        )
+        router, platforms = self._fleet(tmp_path, energy)
+        saved, database = router.registry.load_snapshot(platforms[0])
+        assert saved.objective is Objective.MAKESPAN
+        router.rewarm_replica(0)
+        predictor = router.replicas[0].service.system.predictor
+        assert predictor.objective is Objective.ENERGY
+        # Refit on the saved database, with the saved model's kind and seed.
+        refit = make_partitioning_model(
+            saved.model.kind, seed=saved.model.seed, objective=Objective.ENERGY
+        ).fit(database)
+        assert predictor.model.predict_many(database) == refit.predict_many(database)
 
     def test_rewarm_from_registry_rolls_back_database(self, tmp_path):
         router, _platforms = self._fleet(tmp_path)

@@ -26,10 +26,23 @@ from repro.runtime import Runner
 PROGRAMS = sorted(b.name for b in all_benchmarks())
 
 #: sha256 over every record's full sweep (label, seconds and joules as
-#: ``float.hex``) of the 23-program mc2 campaign at two ladder sizes,
-#: seed 0.  It pins every point of every sweep; the benchmark's
-#: train-campaign fingerprint pins only each record's best label.
-CAMPAIGN_DIGEST = "1db9d897f36ef5566cb8b347bc6ee808ccaf5087d3ae20d7e7ca4f385216a90f"
+#: ``float.hex``) of a 23-program mc2 campaign, per training config.
+#: Each pins every point of every sweep; the benchmark's train-campaign
+#: fingerprint pins only each record's best label.  The first is the
+#: noise-free campaign at two ladder sizes; the second drives noise and
+#: a repeated measurement through every point of the coarser grid.
+CAMPAIGN_DIGESTS = [
+    (
+        TrainingConfig(repetitions=1, seed=0, max_sizes=2),
+        "1db9d897f36ef5566cb8b347bc6ee808ccaf5087d3ae20d7e7ca4f385216a90f",
+    ),
+    (
+        TrainingConfig(
+            step_percent=20, repetitions=2, noise_sigma=0.05, seed=0, max_sizes=1
+        ),
+        "74dcb0d0372ac9b71a4d125262b18f8b96df489b2fb3b0e750c643aaa72cb8d9",
+    ),
+]
 
 
 def _raw_sweep(runner, request, space, repetitions=1):
@@ -104,11 +117,12 @@ def test_sweep_prices_each_launch_shape_once(monkeypatch):
     assert len(calls) == len(set(calls))
 
 
-def test_campaign_sweeps_match_pinned_digest():
+@pytest.mark.parametrize(
+    "config, expected", CAMPAIGN_DIGESTS, ids=["noise-free", "noisy-repeated"]
+)
+def test_campaign_sweeps_match_pinned_digest(config, expected):
     """Every point of a 23-program campaign, seconds and joules, is pinned."""
-    database = generate_training_data(
-        MC2, all_benchmarks(), TrainingConfig(repetitions=1, seed=0, max_sizes=2)
-    )
+    database = generate_training_data(MC2, all_benchmarks(), config)
     digest = hashlib.sha256()
     for record in database:
         digest.update(f"{record.program}@{record.size}\n".encode())
@@ -116,8 +130,8 @@ def test_campaign_sweeps_match_pinned_digest():
             seconds = record.timings[label].hex()
             joules = record.energies[label].hex()
             digest.update(f"{label} {seconds} {joules}\n".encode())
-    assert len(database) == 2 * len(PROGRAMS)
-    assert digest.hexdigest() == CAMPAIGN_DIGEST
+    assert len(database) == config.max_sizes * len(PROGRAMS)
+    assert digest.hexdigest() == expected
 
 
 def test_engine_works_across_machines():
@@ -195,6 +209,50 @@ def test_measure_validates_arguments():
         engine.measure(request, Partitioning((100, 0)), repetitions=1)
     with pytest.raises(ValueError):
         engine.measure(request, Partitioning((100, 0, 0)), repetitions=0)
+    for sweep in (engine.sweep, engine.sweep_with_energy):
+        with pytest.raises(ValueError, match="2 shares"):
+            sweep(request, [Partitioning((100, 0, 0)), Partitioning((100, 0))])
+        with pytest.raises(ValueError, match="repetitions"):
+            sweep(request, [Partitioning((100, 0, 0))], repetitions=0)
+        # Repetitions are checked before the space is read.
+        with pytest.raises(ValueError, match="repetitions"):
+            sweep(request, [], repetitions=0)
+
+
+def test_sweep_after_drift_matches_a_fresh_engine():
+    """A sweep on a drifted runner drops the pre-drift tapes and results."""
+    request = _smallest_request("stencil2d")
+    space = partition_space(MC2.num_devices, 10)
+    runner = Runner(MC2)
+    engine = SweepEngine(runner)
+    before = engine.sweep_with_energy(request, space)
+    runner.apply_drift(0.5, device_index=1)
+    drifted = Runner(MC2)
+    drifted.apply_drift(0.5, device_index=1)
+
+    after = engine.sweep_with_energy(request, space)
+    assert after == SweepEngine(drifted).sweep_with_energy(request, space)
+    assert after != before
+
+
+def test_noisy_sweep_matches_a_measure_loop():
+    """A sweep draws, records and medians exactly as a per-point loop.
+
+    Point by point, then repetition by repetition, then device by
+    device: the noise streams are consumed in the same order.
+    """
+    request = _smallest_request("hotspot")
+    space = partition_space(MC2.num_devices, 20)
+    engine = SweepEngine(Runner(MC2, noise_sigma=0.3, seed=5))
+    twin = SweepEngine(Runner(MC2, noise_sigma=0.3, seed=5))
+
+    timings, energies = engine.sweep_with_energy(request, space, repetitions=2)
+    runs = {p.label: twin.measure(request, p, repetitions=2) for p in space}
+    assert timings == {label: run.median_s for label, run in runs.items()}
+    assert energies == {label: run.energy_j for label, run in runs.items()}
+    session = dataclasses.asdict(engine.runner.stats)
+    assert session == dataclasses.asdict(twin.runner.stats)
+    assert session["executions"] == 2 * len(space)
 
 
 def test_reset_clears_caches_but_keeps_correctness():
