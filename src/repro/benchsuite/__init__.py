@@ -6,7 +6,6 @@ from .registry import (
     all_benchmarks,
     benchmark_names,
     get_benchmark,
-    suite_of,
 )
 
 __all__ = [
@@ -17,5 +16,4 @@ __all__ = [
     "all_benchmarks",
     "benchmark_names",
     "get_benchmark",
-    "suite_of",
 ]

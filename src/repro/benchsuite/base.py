@@ -166,11 +166,6 @@ class Benchmark(abc.ABC):
         :meth:`rng` on the first value read.
         """
 
-    def default_instance(self, seed: int = 0) -> ProblemInstance:
-        """A mid-ladder instance (for examples and quick tests)."""
-        sizes = self.problem_sizes()
-        return self.make_instance(sizes[len(sizes) // 2], seed)
-
     def rng(self, size: int, seed: int) -> np.random.Generator:
         """Derived RNG, unique per (benchmark, size, seed)."""
         return rng_for("bench", self.name, size, base_seed=seed)

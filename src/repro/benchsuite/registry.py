@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from .base import Benchmark, Suite
+from .base import Benchmark
 from .polybench import Atax, Conv2D, Mvt
 from .rodinia import BFS, Backprop, Hotspot, KMeans, NearestNeighbor, Pathfinder, SRAD
 from .shoc import MD, Reduction, SpMV, Stencil2D, Triad
@@ -22,7 +22,6 @@ __all__ = [
     "all_benchmarks",
     "get_benchmark",
     "benchmark_names",
-    "suite_of",
 ]
 
 #: All 23 programs, grouped by origin suite as in the paper's §3.
@@ -81,8 +80,3 @@ def get_benchmark(name: str) -> Benchmark:
                 f"unknown benchmark {name!r}; known: {', '.join(benchmark_names())}"
             )
     return _INSTANCES[name]
-
-
-def suite_of(name: str) -> Suite:
-    """Origin suite of a benchmark."""
-    return get_benchmark(name).suite

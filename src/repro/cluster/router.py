@@ -36,7 +36,7 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from ..benchsuite.registry import get_benchmark
 from ..core.trainer import TrainingConfig
@@ -513,10 +513,6 @@ class ClusterRouter:
             network_j=self.network_j,
             tenants=tenants,
         )
-
-    def tenant_meters(self) -> Mapping[str, int]:
-        """Completed counts per tenant (cheap debugging/test hook)."""
-        return {t: m.completed for t, m in sorted(self._meters.items())}
 
     def publish_metrics(self, registry, prefix: str = "cluster") -> None:
         """Publish cluster aggregates, per-tenant isolation, and pools.

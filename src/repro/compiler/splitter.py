@@ -120,10 +120,6 @@ class KernelDistribution:
         """Distribution of a buffer (defaults to FULL when undeclared)."""
         return self.buffers.get(buffer_name, _UNDECLARED)
 
-    @property
-    def has_reduced(self) -> bool:
-        return any(d.kind is DistributionKind.REDUCED for d in self.buffers.values())
-
 
 def derive_distributions(analysis: KernelAnalysis) -> KernelDistribution:
     """Infer buffer distributions from index expressions.

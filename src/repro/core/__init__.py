@@ -10,7 +10,7 @@ from .features import (
     runtime_feature_dict,
     static_feature_dict,
 )
-from .pipeline import TrainedSystem, deploy_and_run, train_system
+from .pipeline import TrainedSystem, train_system
 from .predictor import (
     MODEL_KINDS,
     PERSISTABLE_MODEL_KINDS,
@@ -42,7 +42,6 @@ __all__ = [
     "runtime_feature_dict",
     "static_feature_dict",
     "TrainedSystem",
-    "deploy_and_run",
     "train_system",
     "MODEL_KINDS",
     "PERSISTABLE_MODEL_KINDS",

@@ -19,7 +19,6 @@ from ..energy.objectives import (
     Objective,
     best_label as objective_best_label,
     objective_cost,
-    pareto_front,
 )
 from ..partitioning import Partitioning
 from .features import FEATURE_SCHEMA_VERSION, feature_vector
@@ -70,10 +69,6 @@ class TrainingRecord:
         """Measured time of one partitioning from the sweep."""
         return self.timings[partitioning.label]
 
-    def energy_of(self, partitioning: Partitioning) -> float:
-        """Measured joules of one partitioning from the sweep."""
-        return self.energies[partitioning.label]
-
     def best_label_for(
         self, objective: Objective, power_cap_w: float | None = None
     ) -> str:
@@ -100,10 +95,6 @@ class TrainingRecord:
             self.energies.get(label, 0.0),
             power_cap_w=power_cap_w,
         )
-
-    def pareto_labels(self) -> tuple[str, ...]:
-        """The (makespan, energy) Pareto front of this sweep."""
-        return pareto_front(self.timings, self.energies)
 
     @classmethod
     def from_timings(

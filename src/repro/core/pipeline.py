@@ -1,7 +1,8 @@
 """End-to-end convenience pipeline: train on a machine, deploy.
 
 Binds the training phase (§2), the prediction model (§2.1) and the
-runtime together into the two calls a user of the framework needs.
+runtime together: :func:`train_system` runs the offline phase, and the
+:class:`TrainedSystem` it returns predicts and runs each launch.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from .database import TrainingDatabase
 from .predictor import PartitioningPredictor, make_partitioning_model
 from .trainer import TrainingConfig, generate_training_data
 
-__all__ = ["TrainedSystem", "train_system", "deploy_and_run"]
+__all__ = ["TrainedSystem", "train_system"]
 
 
 @dataclass
@@ -75,19 +76,3 @@ def train_system(
     predictor = PartitioningPredictor(model, platform.name)
     runner = Runner(platform, noise_sigma=config.noise_sigma, seed=config.seed + 1)
     return TrainedSystem(platform, predictor, db, runner)
-
-
-def deploy_and_run(
-    system: TrainedSystem,
-    bench: Benchmark,
-    size: int,
-    seed: int = 0,
-    verify: bool = True,
-) -> tuple[Partitioning, float]:
-    """Deployment phase for one launch; returns (partitioning, seconds)."""
-    instance = bench.make_instance(size, seed=seed)
-    expected = bench.reference(instance) if verify else None
-    p, run = system.run(bench, instance)
-    if verify:
-        bench.verify(instance, atol=1e-2, rtol=1e-2, expected=expected)
-    return p, run.median_s

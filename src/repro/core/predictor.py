@@ -292,10 +292,6 @@ class PartitioningScorerModel:
         """
         return self.fit(db.consistent_sweeps())
 
-    def _scores_for(self, x_scaled: np.ndarray) -> np.ndarray:
-        """Relative-cost score per candidate label for one launch."""
-        return self._scores_matrix(x_scaled[None, :])[0]
-
     def _scores_matrix(self, X_scaled: np.ndarray) -> np.ndarray:
         """Relative-cost scores, all rows in one pass: (n, candidates).
 

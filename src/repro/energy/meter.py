@@ -35,10 +35,6 @@ class EnergyBreakdown:
     def total_j(self) -> float:
         return self.dynamic_j + self.idle_j
 
-    def average_power_w(self, makespan_s: float) -> float:
-        """Platform draw averaged over the launch (0 for a zero span)."""
-        return self.total_j / makespan_s if makespan_s > 0 else 0.0
-
 
 class EnergyMeter:
     """Turns per-device dynamic joules and a makespan into launch joules."""

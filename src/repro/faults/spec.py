@@ -118,11 +118,6 @@ class FaultSchedule:
     def __bool__(self) -> bool:
         return bool(self.specs)
 
-    def for_kind(self, kind: str) -> tuple[FaultSpec, ...]:
-        if kind not in FAULT_KINDS:
-            raise ValueError(f"unknown fault kind {kind!r}")
-        return tuple(s for s in self.specs if s.kind == kind)
-
     @property
     def horizon_s(self) -> float:
         """Instant the last window closes (0.0 for an empty schedule)."""

@@ -116,14 +116,6 @@ class TaskGraph:
     # -- construction helpers ----------------------------------------------
 
     @classmethod
-    def single(cls, program: str, size: int, name: str | None = None) -> "TaskGraph":
-        """The degenerate one-node graph: exactly one kernel launch."""
-        return cls(
-            nodes=(TaskNode(name="t0", program=program, size=size),),
-            name=name or f"{program}@{size}",
-        )
-
-    @classmethod
     def chain(
         cls,
         stages: "list[tuple[str, int]] | tuple[tuple[str, int], ...]",
@@ -209,12 +201,6 @@ class TaskGraph:
 
     def out_edges(self, name: str) -> tuple[TaskEdge, ...]:
         return tuple(e for e in self.edges if e.src == name)
-
-    def predecessors(self, name: str) -> tuple[str, ...]:
-        return tuple(e.src for e in self.in_edges(name))
-
-    def successors(self, name: str) -> tuple[str, ...]:
-        return tuple(e.dst for e in self.out_edges(name))
 
     # -- identity -----------------------------------------------------------
 

@@ -53,7 +53,7 @@ from .types import (
     promote,
 )
 from .validate import ValidationError, validate_kernel
-from .visitors import count_nodes, rewrite_expr, rewrite_kernel, walk, walk_exprs
+from .visitors import rewrite_expr, rewrite_kernel, walk
 
 __all__ = [
     "AccessPattern",
@@ -95,10 +95,8 @@ __all__ = [
     "validate_kernel",
     "ValidationError",
     "walk",
-    "walk_exprs",
     "rewrite_expr",
     "rewrite_kernel",
-    "count_nodes",
     "BOOL",
     "INT",
     "UINT",

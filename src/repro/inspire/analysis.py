@@ -437,13 +437,6 @@ class KernelAnalysis:
         cache[key] = counts
         return counts.scaled(1.0)
 
-    @property
-    def worst_access_pattern(self) -> AccessPattern:
-        worst = AccessPattern.BROADCAST
-        for p in self.access_patterns.values():
-            worst = _worst(worst, p)
-        return worst
-
     def pattern_of(self, buffer_name: str) -> AccessPattern:
         """Access pattern of one buffer (COALESCED if never accessed)."""
         return self.access_patterns.get(buffer_name, AccessPattern.COALESCED)
@@ -543,12 +536,6 @@ def _count_expr(expr: ir.Expr, weight: float, divergent: bool, out: OpCounts) ->
             out.divergent_ops += weight
         return
     raise TypeError(f"unknown expression {type(expr).__name__}")
-
-
-def _cond_depends_on_gid(expr: ir.Expr) -> bool:
-    from .visitors import walk
-
-    return any(isinstance(n, ir.WorkItemQuery) for n in walk(expr))
 
 
 def _is_affine_guard_operand(

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Sequence
 
-from .types import INT, BufferType, ScalarType, Type, VectorType
+from .types import INT, BufferType, Type
 
 __all__ = [
     "Node",
@@ -440,7 +440,3 @@ class Kernel:
 
     def children(self) -> Sequence[Node]:
         return (self.body,)
-
-
-def _expr_types_ok(ty: Type) -> bool:
-    return isinstance(ty, (ScalarType, VectorType, BufferType))

@@ -12,7 +12,6 @@ they can be used freely as dict keys and in dataclass fields.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import ClassVar
 
 import numpy as np
 
@@ -65,11 +64,6 @@ class ScalarType(Type):
     floating: bool
     rank: int
 
-    _REGISTRY: ClassVar[dict[str, "ScalarType"]] = {}
-
-    def __post_init__(self) -> None:
-        ScalarType._REGISTRY[self.name] = self
-
     def sizeof(self) -> int:
         return self.bytes
 
@@ -80,11 +74,6 @@ class ScalarType(Type):
     @property
     def dtype(self) -> np.dtype:
         return np.dtype(self.dtype_name)
-
-    @classmethod
-    def by_name(cls, name: str) -> "ScalarType":
-        """Look up a scalar type by its OpenCL spelling."""
-        return cls._REGISTRY[name]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"ScalarType({self.name})"

@@ -7,51 +7,21 @@ only requires updating ``children()`` on the node itself.
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, TypeVar
+from typing import Callable, Iterator
 
 from . import ast as ir
 
 __all__ = [
     "walk",
-    "walk_exprs",
-    "walk_stmts",
     "rewrite_expr",
     "rewrite_kernel",
-    "count_nodes",
 ]
-
-N = TypeVar("N", bound=ir.Node)
-
 
 def walk(node: ir.Node) -> Iterator[ir.Node]:
     """Yield ``node`` and all descendants in pre-order."""
     yield node
     for child in node.children():
         yield from walk(child)
-
-
-def walk_kernel(kernel: ir.Kernel) -> Iterator[ir.Node]:
-    """Yield every node in a kernel body."""
-    yield from walk(kernel.body)
-
-
-def walk_exprs(node: ir.Node) -> Iterator[ir.Expr]:
-    """Yield all expression nodes under ``node`` (inclusive)."""
-    for n in walk(node):
-        if isinstance(n, ir.Expr):
-            yield n
-
-
-def walk_stmts(node: ir.Node) -> Iterator[ir.Stmt]:
-    """Yield all statement nodes under ``node`` (inclusive)."""
-    for n in walk(node):
-        if isinstance(n, ir.Stmt):
-            yield n
-
-
-def count_nodes(node: ir.Node) -> int:
-    """Total node count (a crude kernel-complexity feature)."""
-    return sum(1 for _ in walk(node))
 
 
 ExprRewriter = Callable[[ir.Expr], ir.Expr | None]

@@ -4,30 +4,22 @@ from .base import (
     Classifier,
     MajorityClassifier,
     accuracy,
-    confusion_matrix,
     majority_class,
 )
-from .crossval import KFold, LeaveOneGroupOut, cross_val_score
 from .forest import RandomForestClassifier
 from .knn import KNeighborsClassifier
 from .neural import MLPClassifier
-from .scaling import MinMaxScaler, StandardScaler, log1p_counts
+from .scaling import StandardScaler
 from .tree import DecisionTreeClassifier
 
 __all__ = [
     "Classifier",
     "MajorityClassifier",
     "accuracy",
-    "confusion_matrix",
     "majority_class",
-    "KFold",
-    "LeaveOneGroupOut",
-    "cross_val_score",
     "RandomForestClassifier",
     "KNeighborsClassifier",
     "MLPClassifier",
-    "MinMaxScaler",
     "StandardScaler",
-    "log1p_counts",
     "DecisionTreeClassifier",
 ]

@@ -14,7 +14,6 @@ import numpy as np
 __all__ = [
     "Classifier",
     "accuracy",
-    "confusion_matrix",
     "check_Xy",
     "majority_class",
     "MajorityClassifier",
@@ -67,19 +66,6 @@ def accuracy(y_true: np.ndarray, y_pred: np.ndarray) -> float:
     if y_true.size == 0:
         raise ValueError("empty label arrays")
     return float(np.mean(y_true == y_pred))
-
-
-def confusion_matrix(
-    y_true: np.ndarray, y_pred: np.ndarray, num_classes: int | None = None
-) -> np.ndarray:
-    """Counts[i, j] = samples with true class i predicted as class j."""
-    y_true = np.asarray(y_true, dtype=np.int64)
-    y_pred = np.asarray(y_pred, dtype=np.int64)
-    if num_classes is None:
-        num_classes = int(max(y_true.max(), y_pred.max())) + 1
-    m = np.zeros((num_classes, num_classes), dtype=np.int64)
-    np.add.at(m, (y_true, y_pred), 1)
-    return m
 
 
 def majority_class(y: np.ndarray):

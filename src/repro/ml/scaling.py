@@ -2,8 +2,8 @@
 
 Program features span many orders of magnitude (2 branches vs 2²⁴ work
 items), so both the MLP and kNN require normalization.  The trainer
-applies a log transform to count-like features *before* scaling; these
-classes handle the affine part.
+applies a log transform to count-like features *before* scaling; the
+scaler handles the affine part.
 """
 
 from __future__ import annotations
@@ -12,15 +12,7 @@ import numpy as np
 
 from .base import check_Xy
 
-__all__ = ["StandardScaler", "MinMaxScaler", "log1p_counts"]
-
-
-def log1p_counts(X: np.ndarray) -> np.ndarray:
-    """``log(1 + x)`` for non-negative magnitude features (stabilizer)."""
-    X = np.asarray(X, dtype=np.float64)
-    if (X < 0).any():
-        raise ValueError("log1p_counts expects non-negative features")
-    return np.log1p(X)
+__all__ = ["StandardScaler"]
 
 
 class StandardScaler:
@@ -47,40 +39,6 @@ class StandardScaler:
                 f"expected {self.mean_.shape[0]} features, got {X.shape[1]}"
             )
         return (X - self.mean_) / self.scale_
-
-    def fit_transform(self, X: np.ndarray) -> np.ndarray:
-        return self.fit(X).transform(X)
-
-    def inverse_transform(self, X: np.ndarray) -> np.ndarray:
-        if self.mean_ is None or self.scale_ is None:
-            raise RuntimeError("scaler is not fitted")
-        return np.asarray(X, dtype=np.float64) * self.scale_ + self.mean_
-
-
-class MinMaxScaler:
-    """Scales features to [0, 1] over the training range."""
-
-    def __init__(self) -> None:
-        self.min_: np.ndarray | None = None
-        self.range_: np.ndarray | None = None
-
-    def fit(self, X: np.ndarray) -> "MinMaxScaler":
-        X, _ = check_Xy(X)
-        self.min_ = X.min(axis=0)
-        rng = X.max(axis=0) - self.min_
-        rng[rng == 0.0] = 1.0
-        self.range_ = rng
-        return self
-
-    def transform(self, X: np.ndarray) -> np.ndarray:
-        if self.min_ is None or self.range_ is None:
-            raise RuntimeError("scaler is not fitted")
-        X, _ = check_Xy(X)
-        if X.shape[1] != self.min_.shape[0]:
-            raise ValueError(
-                f"expected {self.min_.shape[0]} features, got {X.shape[1]}"
-            )
-        return (X - self.min_) / self.range_
 
     def fit_transform(self, X: np.ndarray) -> np.ndarray:
         return self.fit(X).transform(X)

@@ -3,10 +3,10 @@
 Replaces the real OpenCL stack of the paper's testbeds with functional
 NumPy execution plus an analytic timing model (see DESIGN.md §2 for the
 substitution argument).  The public surface mirrors the OpenCL host API
-shape: platforms → devices → context → queues → buffers → events.
+shape: platforms → devices → context → queues → events.  The runtime
+replays planned, pre-priced commands on the queues.
 """
 
-from .buffers import Buffer, BufferSlice
 from .context import Context
 from .costmodel import (
     DeviceCostModel,
@@ -19,11 +19,9 @@ from .costmodel import (
 from .device import Device, NoiseModel
 from .events import CommandKind, Event
 from .platform import Platform, make_lognormal_noise
-from .queue import CommandQueue, KernelLaunch
+from .queue import CommandQueue
 
 __all__ = [
-    "Buffer",
-    "BufferSlice",
     "Context",
     "DeviceCostModel",
     "DeviceKind",
@@ -38,5 +36,4 @@ __all__ = [
     "Platform",
     "make_lognormal_noise",
     "CommandQueue",
-    "KernelLaunch",
 ]

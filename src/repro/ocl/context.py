@@ -1,10 +1,7 @@
-"""Contexts tie devices, buffers and queues together (``cl_context``)."""
+"""Contexts tie devices and queues together (``cl_context``)."""
 
 from __future__ import annotations
 
-import numpy as np
-
-from .buffers import Buffer
 from .device import Device
 from .queue import CommandQueue
 
@@ -15,18 +12,14 @@ class Context:
     """A simulated OpenCL context over a set of devices.
 
     The context is the unit the multi-device runtime works with: it owns
-    one command queue per device and hands out buffers backed by host
-    arrays.
+    one command queue per device.
     """
 
     def __init__(self, devices: list[Device]):
         if not devices:
             raise ValueError("a context needs at least one device")
-        names = [d.name for d in devices]
         self.devices = list(devices)
         self.queues = [CommandQueue(d) for d in devices]
-        self._buffers: list[Buffer] = []
-        self._names = names
 
     @property
     def num_devices(self) -> int:
@@ -39,18 +32,10 @@ class Context:
                 return q
         raise KeyError(f"device {device.name!r} not in this context")
 
-    def create_buffer(self, name: str, host: np.ndarray) -> Buffer:
-        """Create a buffer wrapping (not copying) a host array."""
-        buf = Buffer(name, host)
-        self._buffers.append(buf)
-        return buf
-
     def reset_timelines(self) -> None:
-        """Rewind all device clocks and drop recorded events."""
+        """Rewind all device clocks."""
         for d in self.devices:
             d.reset_clock()
-        for q in self.queues:
-            q.reset()
 
     def makespan_s(self) -> float:
         """Wall-clock of the slowest device since the last reset."""

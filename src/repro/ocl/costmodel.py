@@ -277,14 +277,6 @@ class DeviceCostModel:
             bw *= 0.9
         return nbytes / bw + spec.pcie_latency_us * 1e-6
 
-    # -- convenience -------------------------------------------------------------
-
-    def single_item_ops(
-        self, analysis: KernelAnalysis, scalar_args: dict[str, float] | None = None
-    ) -> float:
-        """Weighted per-item op count (used as a runtime feature)."""
-        return self.weighted_ops(analysis.op_counts(scalar_args))
-
 
 def geometric_mean(values: list[float]) -> float:
     """Geometric mean, tolerant of empty input."""

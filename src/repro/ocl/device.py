@@ -64,14 +64,6 @@ class Device:
         return self.spec.kind
 
     @property
-    def is_cpu(self) -> bool:
-        return self.spec.kind is DeviceKind.CPU
-
-    @property
-    def is_gpu(self) -> bool:
-        return self.spec.kind is DeviceKind.GPU
-
-    @property
     def clock_s(self) -> float:
         """Current position of this device's timeline."""
         return self._clock_s

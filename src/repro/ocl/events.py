@@ -21,7 +21,6 @@ class CommandKind(enum.Enum):
     WRITE_BUFFER = "write_buffer"
     READ_BUFFER = "read_buffer"
     NDRANGE_KERNEL = "ndrange_kernel"
-    MARKER = "marker"
 
 
 @dataclass(frozen=True)

@@ -1,52 +1,17 @@
 """In-order command queues, mirroring ``cl_command_queue``.
 
 A queue serializes commands on its device's timeline and returns
-profiling :class:`~repro.ocl.events.Event` objects.  Kernel launches
-carry both the *functional* payload (a NumPy callback that computes the
-sub-range's outputs) and the *timing* payload (the kernel analysis fed
-to the device cost model) — separating semantics from performance the
-same way a real runtime separates results from profiling counters.
+profiling :class:`~repro.ocl.events.Event` objects.  The runtime plans
+and prices each device's commands (``runtime/plan.py``) and replays
+them here, so the queue only advances the timeline.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable
-
-from ..inspire.analysis import KernelAnalysis
-from .buffers import BufferSlice
-from .costmodel import TransferDirection
 from .device import Device
 from .events import CommandKind, Event
 
-__all__ = ["KernelLaunch", "CommandQueue"]
-
-
-@dataclass(frozen=True)
-class KernelLaunch:
-    """One device's share of a (possibly partitioned) kernel execution.
-
-    Attributes:
-        kernel_name: for event labels.
-        analysis: static analysis of the kernel (timing input).
-        items: number of work items this device executes.
-        scalar_args: scalar kernel arguments (problem size etc.), used to
-            evaluate size-dependent loop trip counts exactly.
-        functional: optional callback that computes this sub-range's
-            outputs on the host arrays; None for timing-only runs
-            (training sweeps measure thousands of partitionings and skip
-            redundant recomputation, as results are partition-invariant).
-    """
-
-    kernel_name: str
-    analysis: KernelAnalysis
-    items: int
-    scalar_args: dict[str, float] = field(default_factory=dict)
-    functional: Callable[[], None] | None = None
-
-    def __post_init__(self) -> None:
-        if self.items < 0:
-            raise ValueError("items must be non-negative")
+__all__ = ["CommandQueue"]
 
 
 class CommandQueue:
@@ -54,70 +19,12 @@ class CommandQueue:
 
     def __init__(self, device: Device):
         self.device = device
-        self.events: list[Event] = []
-
-    def _record(self, kind: CommandKind, label: str, duration_s: float) -> Event:
-        start, end = self.device.occupy(duration_s, label)
-        ev = Event(kind, label, self.device.name, start, end)
-        self.events.append(ev)
-        return ev
-
-    # -- transfers ---------------------------------------------------------
-
-    def enqueue_write(self, slice_: BufferSlice) -> Event:
-        """Copy a host sub-range to the device (h2d)."""
-        t = self.device.cost_model.transfer_time_s(
-            slice_.nbytes, TransferDirection.HOST_TO_DEVICE
-        )
-        return self._record(
-            CommandKind.WRITE_BUFFER, f"h2d:{slice_.buffer.name}", t
-        )
-
-    def enqueue_read(self, slice_: BufferSlice) -> Event:
-        """Copy a device sub-range back to the host (d2h)."""
-        t = self.device.cost_model.transfer_time_s(
-            slice_.nbytes, TransferDirection.DEVICE_TO_HOST
-        )
-        return self._record(
-            CommandKind.READ_BUFFER, f"d2h:{slice_.buffer.name}", t
-        )
-
-    # -- kernels -----------------------------------------------------------
-
-    def enqueue_kernel(self, launch: KernelLaunch) -> Event:
-        """Execute a kernel launch: run the functional payload (if any)
-        and advance the device timeline by the modeled duration."""
-        if launch.functional is not None and launch.items > 0:
-            launch.functional()
-        breakdown = self.device.cost_model.kernel_time(
-            launch.analysis, launch.items, launch.scalar_args
-        )
-        return self._record(
-            CommandKind.NDRANGE_KERNEL,
-            f"kernel:{launch.kernel_name}",
-            breakdown.total_s,
-        )
 
     def enqueue_timed(self, kind: CommandKind, label: str, duration_s: float) -> Event:
         """Enqueue a pre-priced command (the planner's replay path).
 
         The duration must be the *noise-free* modeled time; the device's
-        noise model is applied here exactly as for the other enqueues,
-        so a replayed plan produces the same timeline as the equivalent
-        sequence of ``enqueue_write``/``enqueue_kernel`` calls.
+        noise model is applied here, as the device occupies its timeline.
         """
-        return self._record(kind, label, duration_s)
-
-    def enqueue_marker(self, label: str = "marker") -> Event:
-        """A zero-duration marker event (for timeline bookkeeping)."""
-        return self._record(CommandKind.MARKER, label, 0.0)
-
-    # -- synchronization -----------------------------------------------------
-
-    def finish(self) -> float:
-        """Block until all commands complete; returns the device clock."""
-        return self.device.clock_s
-
-    def reset(self) -> None:
-        """Clear recorded events (between measurements)."""
-        self.events.clear()
+        start, end = self.device.occupy(duration_s, label)
+        return Event(kind, label, self.device.name, start, end)

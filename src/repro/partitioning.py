@@ -84,10 +84,6 @@ class Partitioning:
         """Indices of devices with a non-zero share."""
         return tuple(i for i, s in enumerate(self.shares) if s > 0)
 
-    @property
-    def is_single_device(self) -> bool:
-        return len(self.active_devices) == 1
-
     def fraction(self, device_index: int) -> float:
         """Share of device ``device_index`` as a fraction in [0, 1]."""
         return self.shares[device_index] / 100.0

@@ -11,7 +11,6 @@ from .scheduler import (
 )
 from .strategies import (
     StrategyFn,
-    all_gpus,
     cpu_only,
     even_split,
     gpu_only,
@@ -34,7 +33,6 @@ __all__ = [
     "StrategyFn",
     "cpu_only",
     "gpu_only",
-    "all_gpus",
     "even_split",
     "oracle_search",
 ]

@@ -46,11 +46,6 @@ class MeasuredRun:
     def repetitions(self) -> int:
         return len(self.samples_s)
 
-    @property
-    def average_power_w(self) -> float:
-        """Median platform draw over the launch (0 for a zero span)."""
-        return self.energy_j / self.median_s if self.median_s > 0 else 0.0
-
 
 @dataclass
 class SessionStats:
@@ -67,66 +62,21 @@ class SessionStats:
 
     executions: int = 0
     simulated_s: float = 0.0
-    energy_j: float = 0.0
     device_busy_s: list[float] = field(default_factory=list)
-    device_idle_s: list[float] = field(default_factory=list)
-    #: Inter-request idle accumulated by an event loop, on the *loop's*
-    #: simulated clock — gaps where the whole machine sat waiting for
-    #: the next arrival, distinct from the per-launch device_idle_s
-    #: imbalance inside a partitioned execution.
-    loop_idle_s: float = 0.0
-    loop_idle_j: float = 0.0
-
-    def record_idle(self, span_s: float, idle_w: float) -> None:
-        """Price one event-loop idle span at the platform's idle draw.
-
-        This is how energy accounting follows simulated time: the
-        execution records capture busy joules, and the serving loop
-        calls this for every gap between a completion and the next
-        service start, so total session energy covers the whole
-        simulated wall clock rather than just launch makespans.
-        """
-        if span_s < 0:
-            raise ValueError("idle span must be non-negative")
-        if idle_w < 0:
-            raise ValueError("idle power must be non-negative")
-        self.loop_idle_s += span_s
-        self.loop_idle_j += span_s * idle_w
-        self.energy_j += span_s * idle_w
 
     def record(self, result: ExecutionResult) -> None:
         if not self.device_busy_s:
             self.device_busy_s = [0.0] * len(result.device_busy_s)
-            self.device_idle_s = [0.0] * len(result.device_busy_s)
         self.executions += 1
         self.simulated_s += result.makespan_s
-        self.energy_j += result.energy_j
-        # result.device_spans, without building its tuples per launch.
-        makespan = result.makespan_s
         for i, busy in enumerate(result.device_busy_s):
             self.device_busy_s[i] += busy
-            self.device_idle_s[i] += makespan - busy
 
     def utilization(self) -> tuple[float, ...]:
         """Per-device busy fraction of the serialized simulated time."""
         if self.simulated_s <= 0.0:
             return tuple(0.0 for _ in self.device_busy_s)
         return tuple(t / self.simulated_s for t in self.device_busy_s)
-
-    def idle_fractions(self) -> tuple[float, ...]:
-        """Per-device idle fraction of the serialized simulated time.
-
-        Complements :meth:`utilization` from the accumulated idle
-        spans; busy + idle sums to the serialized makespan per device,
-        so the two fractions sum to 1 wherever anything ran.
-        """
-        if self.simulated_s <= 0.0:
-            return tuple(0.0 for _ in self.device_idle_s)
-        return tuple(t / self.simulated_s for t in self.device_idle_s)
-
-    def average_power_w(self) -> float:
-        """Platform draw averaged over the serialized simulated time."""
-        return self.energy_j / self.simulated_s if self.simulated_s > 0 else 0.0
 
 
 class Runner:
@@ -154,12 +104,6 @@ class Runner:
         self.devices = platform.create_devices(noise)
         self.context = Context(self.devices)
         self.stats = SessionStats()
-
-    def reset_stats(self) -> SessionStats:
-        """Start a fresh accounting session; returns the closed stats."""
-        closed = self.stats
-        self.stats = SessionStats()
-        return closed
 
     def apply_drift(self, scale: float, device_index: int | None = None) -> None:
         """Rescale device throughput mid-session (platform drift).

@@ -108,31 +108,6 @@ class ExecutionResult:
     idle_j: float = 0.0
     events: tuple[Event, ...] = field(repr=False, default=())
 
-    @property
-    def active_device_count(self) -> int:
-        return sum(1 for t in self.device_busy_s if t > 0)
-
-    @property
-    def device_idle_s(self) -> tuple[float, ...]:
-        """Per-device idle seconds: makespan minus that device's busy time."""
-        return tuple(self.makespan_s - t for t in self.device_busy_s)
-
-    @property
-    def device_spans(self) -> tuple[tuple[float, float], ...]:
-        """Per-device (busy_s, idle_s) spans over the launch makespan.
-
-        Energy accounting reads these (idle watts apply to the idle
-        span), and utilization telemetry rolls them up standalone.
-        """
-        return tuple(
-            (t, self.makespan_s - t) for t in self.device_busy_s
-        )
-
-    @property
-    def average_power_w(self) -> float:
-        """Platform draw averaged over the launch (0 for a zero span)."""
-        return self.energy_j / self.makespan_s if self.makespan_s > 0 else 0.0
-
 
 _REDUCE_IDENTITY = {
     "sum": lambda dtype: np.zeros(1, dtype=dtype)[0],

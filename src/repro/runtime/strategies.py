@@ -11,13 +11,12 @@ from __future__ import annotations
 from typing import Callable, Sequence
 
 from ..ocl.platform import Platform
-from ..partitioning import DEFAULT_STEP_PERCENT, Partitioning, partition_space
+from ..partitioning import Partitioning, partition_space
 
 __all__ = [
     "cpu_only",
     "gpu_only",
     "even_split",
-    "all_gpus",
     "oracle_search",
     "StrategyFn",
 ]
@@ -44,19 +43,6 @@ def gpu_only(platform: Platform) -> Partitioning:
     if not gpus:
         raise ValueError(f"platform {platform.name} has no GPU device")
     return Partitioning.single_device(gpus[0], platform.num_devices)
-
-
-def all_gpus(platform: Platform) -> Partitioning:
-    """Work spread evenly over the GPUs only (no CPU share)."""
-    gpus = platform.gpu_indices
-    if not gpus:
-        raise ValueError(f"platform {platform.name} has no GPU device")
-    shares = [0] * platform.num_devices
-    per = 100 // len(gpus) // DEFAULT_STEP_PERCENT * DEFAULT_STEP_PERCENT
-    for g in gpus:
-        shares[g] = per
-    shares[gpus[0]] += 100 - sum(shares)
-    return Partitioning(tuple(shares))
 
 
 def even_split(platform: Platform) -> Partitioning:

@@ -129,11 +129,6 @@ class DriftDetector:
         registry.gauge(f"{prefix}.flags_in_window").set(self.flags_in_window())
         registry.gauge(f"{prefix}.tracked_keys").set(len(self._keys))
 
-    def ratio_of(self, key: object) -> float | None:
-        """Current smoothed ratio for a key (telemetry), if tracked."""
-        state = self._keys.get(key)
-        return state.ewma if state is not None else None
-
     def reset(self, key: object | None = None) -> None:
         """Forget one key's state — or everything, after an escalation."""
         if key is not None:

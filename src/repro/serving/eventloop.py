@@ -59,8 +59,8 @@ service's serving core (:meth:`PartitioningService.submit` at service
 it would synchronously); predict time is a fixed simulated cost,
 :data:`PREDICT_HIT_S` for a cache hit and :data:`PREDICT_MISS_S` for a
 model inference.  Between requests the replica's devices sit idle on
-the simulated wall clock, and that idle span is priced into the runner's
-:class:`~repro.runtime.measurement.SessionStats` as idle joules —
+the simulated wall clock, and that idle span is priced into
+:attr:`EventLoopStats.idle_energy_j` at the platform's idle watts —
 crashed downtime is idle too: the devices draw idle watts while the
 replica is unavailable, so busy + idle still tile the loop span.
 """
@@ -454,7 +454,6 @@ class EventLoop:
             )
         self._place, self._serve, self._tick = place, serve, tick
         self._escape, self._victims, self._observe = escape, victims, observe
-        self._services = services
         self.backend = backend
         self.options = options
         #: The run's telemetry context, built from ``options.telemetry``
@@ -1163,9 +1162,9 @@ class EventLoop:
     # -- simulated-time energy accounting ----------------------------------
 
     def _record_idle(self, replica: _ReplicaState, span_s: float) -> None:
-        """Price one inter-request idle span into the replica's runner."""
-        runner = self._services[replica.index].system.runner
-        runner.stats.record_idle(span_s, replica.idle_w)
+        """Price one inter-request idle span at the platform's idle draw."""
+        if span_s < 0:
+            raise ValueError("idle span must be non-negative")
         self.stats.idle_energy_j += span_s * replica.idle_w
         if not math.isfinite(self.stats.idle_energy_j):  # pragma: no cover
             raise AssertionError("idle energy overflowed")
@@ -1176,8 +1175,8 @@ class EventLoop:
         After the drain each replica has been idle since its last
         completion (crashed downtime included); accounting that tail
         makes busy + idle equal the loop span per replica, so
-        utilization and average power over the *simulated wall clock*
-        come out of the session stats.
+        :attr:`EventLoopStats.idle_energy_j` covers the whole
+        *simulated wall clock*.
         """
         for replica in self._replicas:
             if self._clock > replica.idle_since:

@@ -65,7 +65,7 @@ class LatencyHistogram:
         self.max_s = 0.0
         #: Bucket of the last :meth:`quantile` answer, where the next
         #: walk starts.  Only a hint: any bucket index gives the same
-        #: answer, so ``record``/``merge``/``from_state`` ignore it.
+        #: answer, so ``record`` and ``merge`` ignore it.
         self._cursor = 0
 
     def record(self, value_s: float) -> None:
@@ -169,48 +169,3 @@ class LatencyHistogram:
             "max_s": self.max_s,
             **{k + "_s": v for k, v in self.quantiles().items()},
         }
-
-    def state_dict(self) -> dict:
-        """The full exact state, JSON-safe (``min_s`` is ``None`` when
-        empty — ``inf`` does not survive strict JSON)."""
-        return {
-            "counts": list(self._counts),
-            "zeros": self.zeros,
-            "count": self.count,
-            "sum_s": self.sum_s,
-            "min_s": self.min_s if self.count else None,
-            "max_s": self.max_s,
-        }
-
-    @classmethod
-    def from_state(cls, state: dict) -> "LatencyHistogram":
-        """Rebuild a histogram bit-for-bit from :meth:`state_dict`.
-
-        The state comes from outside the process, so it must be
-        consistent: no negative count, and ``zeros + sum(counts)``
-        equal to ``count`` (the quantile walk relies on that sum).
-        """
-        counts = state["counts"]
-        if len(counts) != NUM_BUCKETS:
-            raise ValueError(
-                f"state has {len(counts)} buckets, expected {NUM_BUCKETS}"
-            )
-        hist = cls()
-        hist._counts = [int(c) for c in counts]
-        hist.zeros = state["zeros"]
-        hist.count = state["count"]
-        if hist.zeros < 0 or hist.count < 0 or min(hist._counts) < 0:
-            raise ValueError(
-                f"state has a negative count: zeros {hist.zeros}, "
-                f"count {hist.count}, smallest bucket {min(hist._counts)}"
-            )
-        observed = hist.zeros + sum(hist._counts)
-        if observed != hist.count:
-            raise ValueError(
-                f"state has zeros + sum(counts) = {observed}, "
-                f"but count = {hist.count}"
-            )
-        hist.sum_s = state["sum_s"]
-        hist.min_s = math.inf if state["min_s"] is None else state["min_s"]
-        hist.max_s = state["max_s"]
-        return hist

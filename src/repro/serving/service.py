@@ -162,7 +162,7 @@ class ServiceStats:
     ``improvement_s`` is measured in the configured objective's units
     (seconds under makespan, joules under energy, J·s under EDP).
     ``energy_j`` totals the joules of every *served* run (adaptation
-    probes are visible in the runner's session stats instead).
+    probes show only as extra executions in the runner's session stats).
     """
 
     requests: int = 0

@@ -36,9 +36,6 @@ class Counter:
         self.name = name
         self.value = 0
 
-    def inc(self, amount=1) -> None:
-        self.value += amount
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Counter({self.name}={self.value})"
 

@@ -85,7 +85,7 @@ class TestScorerModel:
         space = partition_space(3, 10)
         assert len(seen) < len(space)  # precondition: unseen labels exist
         # Scores are defined for every candidate, seen or not.
-        scores = model._scores_for(model._X[0])
+        scores = model._scores_matrix(model._X[0][None, :])[0]
         assert len(scores) == len(space)
 
     def test_factory_dispatch(self):

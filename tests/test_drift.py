@@ -129,7 +129,6 @@ class TestDriftDetector:
             assert not detector.observe("k", 1.0, 1.0)
         # One 2x run barely moves the smoothed ratio.
         assert not detector.observe("k", 2.0, 1.0)
-        assert detector.ratio_of("k") < 1.4
 
     def test_cooldown_suppresses_flag_storms(self):
         detector = DriftDetector(
@@ -147,7 +146,6 @@ class TestDriftDetector:
         assert detector.flags_in_window() == 3
         detector.reset()
         assert detector.flags_in_window() == 0
-        assert detector.ratio_of("a") is None
 
     def test_zero_estimate_ignored(self):
         detector = DriftDetector(min_observations=1)

@@ -107,7 +107,6 @@ class TestEnergyMeter:
             breakdown.dynamic_j + breakdown.idle_j
         )
         assert sum(breakdown.device_energy_j) == pytest.approx(breakdown.total_j)
-        assert breakdown.average_power_w(makespan) >= meter.platform_idle_w()
 
     def test_finalize_rejects_wrong_device_count(self):
         meter = EnergyMeter(Runner(MC2).devices)
@@ -128,10 +127,8 @@ class TestExecutionEnergy:
         assert run.energy_j == result.energy_j
         assert len(result.device_energy_j) == 3
         assert result.idle_j > 0
-        # busy + idle spans cover the makespan on every device.
-        for busy, idle in result.device_spans:
-            assert busy + idle == pytest.approx(result.makespan_s)
-        assert result.average_power_w > 0
+        # Every device's busy span fits inside the makespan.
+        assert all(0.0 <= busy <= result.makespan_s for busy in result.device_busy_s)
 
     def test_single_device_run_still_pays_platform_idle(self):
         # Race-to-idle accounting: the CPU-only run's joules include
@@ -162,19 +159,6 @@ class TestExecutionEnergy:
         assert engine.measure(request, p).energy_j == raw.run(
             request, p, functional=False
         ).energy_j
-
-    def test_session_stats_accumulate_energy_and_idle(self):
-        runner = Runner(MC2)
-        bench = get_benchmark("vec_add")
-        inst = bench.make_instance(bench.problem_sizes()[0], seed=0)
-        runner.run(bench.request(inst), Partitioning((100, 0, 0)), functional=False)
-        stats = runner.stats
-        assert stats.energy_j > 0
-        assert stats.average_power_w() > 0
-        util = stats.utilization()
-        idle = stats.idle_fractions()
-        for u, i in zip(util, idle):
-            assert u + i == pytest.approx(1.0)
 
     def test_drift_changes_energy_not_just_time(self):
         bench = get_benchmark("mat_mul")
@@ -265,8 +249,6 @@ class TestTrainingRecordEnergies:
         assert r.best_label_for(Objective.MAKESPAN) == "100/0/0"
         assert r.best_label_for(Objective.ENERGY) == "0/100/0"
         assert r.best_cost_for(Objective.ENERGY) == 4.0
-        assert r.pareto_labels() == ("100/0/0", "0/100/0")
-        assert r.energy_of(Partitioning((0, 100, 0))) == 4.0
 
     def test_stray_energy_labels_rejected(self):
         with pytest.raises(ValueError, match="unswept"):
@@ -449,8 +431,8 @@ class TestEnergyAwareService:
         detector = DriftDetector(min_observations=1)
         assert detector.observe("k", math.inf, math.inf) is False
         assert detector.observe("k", 1.0, math.inf) is False
-        ratio = detector.ratio_of("k")
-        assert ratio is None or math.isfinite(ratio)
+        state = detector._keys.get("k")
+        assert state is None or math.isfinite(state.ewma)
 
         system = train_system(MC2, BENCHMARKS, model_kind="knn", config=TRAIN)
         floor = EnergyMeter(system.runner.devices).platform_idle_w()
@@ -464,8 +446,8 @@ class TestEnergyAwareService:
         service.submit_many(list(zipf_trace(keys, 30, seed=3)))
         assert math.isfinite(service.stats.improvement_s)
         for key in keys:
-            ratio = service.detector.ratio_of(("mc2",) + key)
-            assert ratio is None or math.isfinite(ratio)
+            state = service.detector._keys.get(("mc2",) + key)
+            assert state is None or math.isfinite(state.ewma)
 
     def test_legacy_database_rejected_for_energy_objectives(self):
         # A database recorded before the energy subsystem must fail at

@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 
 from repro.benchsuite import get_benchmark
 from repro.core import TrainingConfig, train_system
+from repro.energy.meter import EnergyMeter
 from repro.fleet import FleetRouter
 from repro.machines import MC1, fleet_platforms
 from repro.partitioning import Partitioning
@@ -262,7 +263,6 @@ _LATENCIES = st.one_of(
 _HISTOGRAM_OPS = st.one_of(
     st.tuples(st.just("record"), _LATENCIES),
     st.tuples(st.just("merge"), st.lists(_LATENCIES, max_size=8)),
-    st.tuples(st.just("restore"), st.none()),
     st.tuples(
         st.just("query"),
         st.lists(
@@ -375,48 +375,19 @@ class TestStreamingQuantileAccuracy:
         left.merge(right)
         assert left.counts == whole.counts
         assert left.to_dict() == whole.to_dict()
-        restored = LatencyHistogram.from_state(left.state_dict())
-        assert restored.counts == whole.counts
-        assert restored.to_dict() == whole.to_dict()
-        assert restored.min_s == whole.min_s
-        assert restored.max_s == whole.max_s
-
-    def test_state_dict_roundtrips_empty(self):
-        restored = LatencyHistogram.from_state(
-            LatencyHistogram().state_dict()
-        )
-        assert restored.count == 0
-        assert restored.to_dict() == LatencyHistogram().to_dict()
-        with pytest.raises(ValueError, match="buckets"):
-            LatencyHistogram.from_state({"counts": [0, 1]})
+        assert left.min_s == whole.min_s
+        assert left.max_s == whole.max_s
 
     def test_non_finite_rejected_before_any_counter_moves(self):
         hist = LatencyHistogram()
         for v in (0.0, 1e-3, 2e-3):
             hist.record(v)
-        before = hist.state_dict()
+        fields = ("zeros", "counts", "count", "sum_s", "min_s", "max_s")
+        before = [getattr(hist, f) for f in fields]
         for bad in (math.nan, math.inf, -math.inf):
             with pytest.raises(ValueError, match="finite"):
                 hist.record(bad)
-            assert hist.state_dict() == before
-
-    def test_from_state_rejects_inconsistent_counts(self):
-        hist = LatencyHistogram()
-        for v in (0.0, 1e-3, 2e-3):
-            hist.record(v)
-        state = hist.state_dict()
-        with pytest.raises(ValueError, match=r"sum\(counts\) = 3, but count = 4"):
-            LatencyHistogram.from_state({**state, "count": 4})
-        # A negative bucket that keeps the sum consistent is still bad.
-        counts = list(state["counts"])
-        first = counts.index(1)
-        counts[first] += 1
-        counts[first + 1] -= 1
-        assert state["zeros"] + sum(counts) == state["count"]
-        with pytest.raises(ValueError, match="negative"):
-            LatencyHistogram.from_state({**state, "counts": counts})
-        with pytest.raises(ValueError, match="negative"):
-            LatencyHistogram.from_state({**state, "zeros": -1, "count": 1})
+            assert [getattr(hist, f) for f in fields] == before
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(_HISTOGRAM_OPS, max_size=40))
@@ -430,8 +401,6 @@ class TestStreamingQuantileAccuracy:
                 for v in arg:
                     other.record(v)
                 hist.merge(other)
-            elif op == "restore":
-                hist = LatencyHistogram.from_state(hist.state_dict())
             else:
                 # Each q twice, forward then back: the walk starts from
                 # the previous answer, above, below or on the new one.
@@ -550,7 +519,8 @@ class TestPerRequestRecords:
         stats.record(result)
         stats.record(result)
         assert stats.device_busy_s == [1.0, 0.5, 0.0]
-        assert stats.device_idle_s == [2 * idle for _busy, idle in result.device_spans]
+        # Busy share of the serialized time; each device idles the rest.
+        assert stats.utilization() == (1.0, 0.5, 0.0)
         assert stats.executions == 2
         assert stats.simulated_s == 1.0
 
@@ -683,29 +653,26 @@ class TestLoopContract:
 
 class TestSimulatedTimeEnergy:
     def test_idle_spans_follow_simulated_time(self, system):
-        # A sparse arrival stream is almost all idle: the runner's
-        # session must price (clock - busy) seconds of loop idle.
+        # A sparse arrival stream is almost all idle: the loop must
+        # price (clock - busy) seconds at the platform's idle draw.
         spec = _spec("stationary", seed=4, num_requests=20, rate_rps=50.0)
         service = PartitioningService(system, ServiceConfig())
-        before = service.system.runner.stats.loop_idle_s
         loop = EventLoop(service, ServeOptions())
         stats = loop.run(stream_timed_items(spec, KEYS))
-        idle = service.system.runner.stats.loop_idle_s - before
-        busy = sum(stats.replica_busy_s)
-        assert idle == pytest.approx(stats.clock_s - busy)
+        idle_w = EnergyMeter(service.system.runner.devices).platform_idle_w()
+        idle_s = stats.clock_s - sum(stats.replica_busy_s)
+        assert stats.idle_energy_j == pytest.approx(idle_s * idle_w)
         assert stats.idle_energy_j > 0.0
         assert math.isfinite(stats.idle_energy_j)
 
-    def test_record_idle_accumulates_and_validates(self):
-        stats = SessionStats()
-        stats.record_idle(2.0, 10.0)
-        assert stats.loop_idle_s == 2.0
-        assert stats.loop_idle_j == 20.0
-        assert stats.energy_j == 20.0
-        with pytest.raises(ValueError):
-            stats.record_idle(-1.0, 10.0)
-        with pytest.raises(ValueError):
-            stats.record_idle(1.0, -10.0)
+    def test_record_idle_accumulates_and_validates(self, system):
+        loop = _loop(system)
+        replica = loop._replicas[0]
+        loop._record_idle(replica, 2.0)
+        loop._record_idle(replica, 1.0)
+        assert loop.stats.idle_energy_j == pytest.approx(3.0 * replica.idle_w)
+        with pytest.raises(ValueError, match="non-negative"):
+            loop._record_idle(replica, -1.0)
 
 
 class TestArrivalProcesses:

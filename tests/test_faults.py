@@ -158,8 +158,6 @@ class TestFaultSchedule:
         slow = FaultSpec(kind="straggler", at_s=0.0, duration_s=1.0, magnitude=2.0)
         schedule = FaultSchedule(specs=(crash, slow))
         assert schedule
-        assert schedule.for_kind("crash") == (crash,)
-        assert schedule.for_kind("straggler") == (slow,)
 
     def test_horizon_covers_latest_window(self):
         schedule = FaultSchedule(

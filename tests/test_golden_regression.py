@@ -96,7 +96,7 @@ class TestGraphGolden:
         self, machine, memoize
     ):
         from repro.engine import SweepEngine
-        from repro.graphs import TaskGraph, node_requests
+        from repro.graphs import TaskGraph, TaskNode, node_requests
         from repro.partitioning import Partitioning
 
         bench = get_benchmark("mat_mul")
@@ -106,7 +106,7 @@ class TestGraphGolden:
             Runner(machine, noise_sigma=0.02, seed=7)
         ).measure(request, p, repetitions=3)
 
-        graph = TaskGraph.single("mat_mul", 160)
+        graph = TaskGraph(nodes=(TaskNode("t0", "mat_mul", 160),))
         if memoize:
             run = SweepEngine(
                 Runner(machine, noise_sigma=0.02, seed=7)

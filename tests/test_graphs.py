@@ -140,7 +140,7 @@ class TestTopology:
             ("mat_mul", 160),
             scale_bytes=64.0,
         )
-        assert set(graph.predecessors("sink")) == {"b0", "b1"}
+        assert {e.src for e in graph.in_edges("sink")} == {"b0", "b1"}
         engine = _engine()
         even = {n.name: Partitioning((34, 33, 33)) for n in graph.nodes}
         run = engine.measure_graph(graph, even, node_requests(graph))
@@ -249,7 +249,7 @@ class TestSingleNodeEquivalence:
     @pytest.mark.parametrize("noise_sigma", [0.0, 0.02])
     def test_engine_graph_path_matches_single_kernel(self, noise_sigma):
         bench = get_benchmark("mat_mul")
-        graph = TaskGraph.single("mat_mul", 160)
+        graph = TaskGraph(nodes=(TaskNode("t0", "mat_mul", 160),))
         p = Partitioning((40, 30, 30))
 
         e_graph = _engine(noise_sigma=noise_sigma, seed=7)
@@ -267,7 +267,7 @@ class TestSingleNodeEquivalence:
         assert run.critical_path == ("t0",)
 
     def test_unmemoized_runner_path_matches_engine_path(self):
-        graph = TaskGraph.single("reduction", 65536)
+        graph = TaskGraph(nodes=(TaskNode("t0", "reduction", 65536),))
         p = Partitioning((60, 20, 20))
         run_engine = _engine(noise_sigma=0.01, seed=3).measure_graph(
             graph, {"t0": p}, node_requests(graph), repetitions=2

@@ -159,7 +159,6 @@ class TestAccessPatterns:
         b.store(c, gid, b.load(a, b.load(idx, gid)) + b.load(a, gid))
         an = analyze_kernel(b.finish())
         assert an.access_patterns["a"] is AccessPattern.INDIRECT
-        assert an.worst_access_pattern is AccessPattern.INDIRECT
 
     def test_classify_index_directly(self):
         from repro.inspire import ast as ir

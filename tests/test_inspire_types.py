@@ -11,7 +11,6 @@ from repro.inspire.types import (
     LONG,
     UINT,
     BufferType,
-    ScalarType,
     VectorType,
     is_floating,
     is_integer,
@@ -35,11 +34,6 @@ class TestScalarTypes:
     def test_cl_names(self):
         assert FLOAT.cl_name == "float"
         assert LONG.cl_name == "long"
-
-    def test_lookup_by_name(self):
-        assert ScalarType.by_name("float") is FLOAT
-        with pytest.raises(KeyError):
-            ScalarType.by_name("half")
 
     def test_floating_predicates(self):
         assert is_floating(FLOAT) and is_floating(DOUBLE)

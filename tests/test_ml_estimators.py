@@ -2,8 +2,6 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.ml import (
     DecisionTreeClassifier,
@@ -12,7 +10,6 @@ from repro.ml import (
     MLPClassifier,
     RandomForestClassifier,
     accuracy,
-    confusion_matrix,
 )
 from repro.ml.neural import MLPRegressor
 
@@ -257,20 +254,8 @@ class TestMetrics:
         with pytest.raises(ValueError):
             accuracy(np.array([]), np.array([]))
 
-    def test_confusion_matrix(self):
-        m = confusion_matrix(np.array([0, 1, 1]), np.array([0, 1, 0]), num_classes=2)
-        assert m.tolist() == [[1, 0], [1, 1]]
-
     def test_majority_baseline(self):
         X = np.zeros((5, 2))
         y = np.array([3, 3, 3, 1, 1])
         m = MajorityClassifier().fit(X, y)
         assert set(m.predict(X)) == {3}
-
-    @given(st.lists(st.integers(min_value=0, max_value=4), min_size=1, max_size=50))
-    @settings(max_examples=50, deadline=None)
-    def test_property_confusion_diagonal_is_accuracy(self, labels):
-        y = np.array(labels)
-        m = confusion_matrix(y, y, num_classes=5)
-        assert m.trace() == len(y)
-        assert np.all(m - np.diag(np.diag(m)) == 0)

@@ -35,7 +35,6 @@ class TestPartitioning:
     def test_single_device(self):
         p = Partitioning.single_device(1, 3)
         assert p.shares == (0, 100, 0)
-        assert p.is_single_device
         assert p.active_devices == (1,)
 
     def test_single_device_out_of_range(self):
@@ -135,7 +134,6 @@ class TestDerivedAttributeMemo:
         moved = dataclasses.replace(read, shares=(0, 100, 0))
         assert moved.label == "0/100/0"
         assert moved.active_devices == (1,)
-        assert moved.is_single_device
 
     def test_memo_cannot_be_assigned(self):
         read = self._read((50, 30, 20))

@@ -4,7 +4,7 @@ import pytest
 
 from repro.machines import MC1, MC2
 from repro.partitioning import Partitioning
-from repro.runtime import all_gpus, cpu_only, even_split, gpu_only, oracle_search
+from repro.runtime import cpu_only, even_split, gpu_only, oracle_search
 
 
 class TestDefaults:
@@ -15,9 +15,6 @@ class TestDefaults:
     def test_gpu_only_uses_single_gpu(self):
         # A single-device OpenCL program uses one GPU even with two present.
         assert gpu_only(MC1).shares == (0, 100, 0)
-
-    def test_all_gpus(self):
-        assert all_gpus(MC1).shares == (0, 50, 50)
 
     def test_even_split(self):
         p = even_split(MC1)
