@@ -1,4 +1,4 @@
-"""Design-choice ablations called out in DESIGN.md §6.
+"""Ablations of two design choices the paper fixes.
 
 * Partition-space step: the paper fixes 10%; coarser grids shrink the
   search/training cost but give up oracle headroom.

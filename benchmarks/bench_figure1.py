@@ -30,7 +30,7 @@ def test_figure1(benchmark, machine, dbs):
     _RESULTS[machine.name] = result
     ev = result.evaluation
 
-    # Paper-shape assertions (§5 of DESIGN.md).
+    # Paper-shape assertions (paper §5).
     assert ev.geomean_speedup_vs_cpu > 1.0, "ML must beat CPU-only on average"
     assert ev.geomean_speedup_vs_gpu > 1.0, "ML must beat GPU-only on average"
     assert ev.geomean_oracle_efficiency > 0.75

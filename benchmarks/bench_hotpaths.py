@@ -72,7 +72,7 @@ def bench_sweep(quick: bool) -> dict:
     runner = Runner(MC2)
     engine = SweepEngine(runner)
     t0 = time.perf_counter()
-    memoized = [engine.sweep(req, space) for req in requests]
+    memoized = [engine.sweep_with_energy(req, space)[0] for req in requests]
     memoized_s = time.perf_counter() - t0
 
     if baseline != memoized:

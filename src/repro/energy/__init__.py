@@ -20,7 +20,7 @@ loop, fleet routing, the CLI — consumes these three modules rather
 than reinventing watts.
 """
 
-from .meter import EnergyBreakdown, EnergyMeter
+from .meter import EnergyMeter
 from .objectives import (
     MODEL_OBJECTIVES,
     Objective,
@@ -33,7 +33,6 @@ from .objectives import (
 from .power import DVFS_EXPONENT, DevicePowerModel, PowerSpec
 
 __all__ = [
-    "EnergyBreakdown",
     "EnergyMeter",
     "MODEL_OBJECTIVES",
     "Objective",

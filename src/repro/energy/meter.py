@@ -14,26 +14,12 @@ device's dynamic draw exceeds the idle time it saved everywhere else.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..ocl.device import Device
 
-__all__ = ["EnergyBreakdown", "EnergyMeter"]
-
-
-@dataclass(frozen=True)
-class EnergyBreakdown:
-    """Joules of one partitioned launch, idle power included."""
-
-    device_energy_j: tuple[float, ...]
-    dynamic_j: float
-    idle_j: float
-
-    @property
-    def total_j(self) -> float:
-        return self.dynamic_j + self.idle_j
+__all__ = ["EnergyMeter"]
 
 
 class EnergyMeter:
@@ -42,10 +28,8 @@ class EnergyMeter:
     def __init__(self, devices: Sequence["Device"]):
         self.devices = list(devices)
 
-    def finalize(
-        self, dynamic_j: Sequence[float], makespan_s: float
-    ) -> EnergyBreakdown:
-        """Total joules given per-device dynamic energy and the makespan.
+    def finalize(self, dynamic_j: Sequence[float], makespan_s: float) -> float:
+        """Launch joules given per-device dynamic energy and the makespan.
 
         Every device — active in the launch or not — pays idle watts
         over the full makespan; its dynamic energy rides on top.  The
@@ -58,11 +42,7 @@ class EnergyMeter:
                 f"meter covers {len(self.devices)}"
             )
         idle_w = [device.power_model.idle_w for device in self.devices]
-        return EnergyBreakdown(
-            tuple([dyn + w * makespan_s for dyn, w in zip(dynamic_j, idle_w)]),
-            float(sum(dynamic_j)),
-            sum(idle_w) * makespan_s,
-        )
+        return float(sum(dynamic_j)) + sum(idle_w) * makespan_s
 
     def platform_idle_w(self) -> float:
         """Floor on average power: every device's idle draw, summed."""

@@ -21,22 +21,22 @@ point is composed and recorded directly by the core that
 :meth:`SweepEngine.measure` and :meth:`SweepEngine.price` share.
 
 Noise fidelity: tapes are cached noise-free; when the runner carries a
-measurement-noise model the engine perturbs each cached duration at
-composition time through the *runner's own* per-device noise streams,
-in the exact order the unmemoized scheduler would have enqueued the
-commands — so memoized measurements are bit-identical to unmemoized
-ones, at ``noise_sigma=0`` and under noise alike (same stream, same
-labels, same order).
+measurement-noise model the engine replays each cached tape through the
+scheduler's own :func:`~repro.runtime.plan.replay`, which perturbs each
+duration through the runner's per-device noise streams in the order the
+scheduler enqueues the commands — so memoized measurements are
+bit-identical to unmemoized ones, at ``noise_sigma=0`` and under noise
+alike (same stream, same labels, same order).
 
 Energy rides on the same tapes: each cached command carries its
 average dynamic watts next to its duration, both from one
-:func:`~repro.runtime.plan.price_command` call, and compositions replay
-the scheduler's timeline arithmetic so composed joules (idle power
-over the makespan included) stay bit-identical to the unmemoized
-path too — see :mod:`repro.energy`.  A tape prices each distinct
-command once: an iterated kernel's later steps repeat the same sync
-and launch objects, and a command's (seconds, watts) is memoized per
-(request, device, command shape) across tapes.
+:func:`~repro.runtime.plan.price_command` call, and ``replay`` turns
+them into joules exactly as the scheduler does, so composed joules
+(idle power over the makespan included) stay bit-identical to the
+unmemoized path too — see :mod:`repro.energy`.  A tape prices each
+distinct command once: an iterated kernel's later steps repeat the same
+sync and launch objects, and a command's (seconds, watts) is memoized
+per (request, device, command shape) across tapes.
 """
 
 from .sweep import EngineStats, SweepEngine

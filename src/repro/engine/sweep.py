@@ -17,7 +17,7 @@ from ..inspire.ast import ParamIntent
 from ..partitioning import Partitioning, split_items
 from ..runtime.arrays import buffer_layout
 from ..runtime.measurement import MeasuredRun, Runner
-from ..runtime.plan import plan_device_commands, price_command, readback_count
+from ..runtime.plan import plan_device_commands, price_command, readback_count, replay
 from ..runtime.scheduler import ExecutionRequest, ExecutionResult
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -47,34 +47,13 @@ def _median(samples: list[float]) -> float:
     return samples[0] if len(samples) == 1 else statistics.median(samples)
 
 
-def _replay_timeline(
-    commands: "Sequence[tuple[str, float, float]]",
-) -> tuple[float, float]:
-    """(busy seconds, dynamic joules) of one command sequence.
-
-    Joules are priced as watts × event duration, where the event
-    duration is read back off the advancing clock exactly as the
-    scheduler reads ``end_s - start_s`` from its profiling events —
-    the float round-trip included, so composed energies stay
-    bit-identical to the unmemoized path.
-    """
-    clock = 0.0
-    joules = 0.0
-    for _label, duration, watts in commands:
-        start = clock
-        clock = start + duration
-        joules += watts * (clock - start)
-    return clock, joules
-
-
 @dataclass(frozen=True)
 class _Tape:
     """Noise-free timeline of one device chunk.
 
     Each command carries its average dynamic watts next to its
-    duration, so compositions price energy from the same tape: joules
-    are watts × (possibly noise-perturbed) duration, command by
-    command, exactly as the unmemoized scheduler accumulates them.
+    duration, so compositions price energy from the same tape through
+    the scheduler's own :func:`~repro.runtime.plan.replay`.
     """
 
     commands: tuple[tuple[str, float, float], ...]  # (label, duration_s, watts)
@@ -217,7 +196,7 @@ class SweepEngine:
                 prices[price_key] = price
             priced[key] = (cmd.label, *price)
         commands = tuple(map(priced.__getitem__, map(id, plan)))
-        return _Tape(commands, *_replay_timeline(commands))
+        return _Tape(commands, *replay(commands))
 
     # -- composition -------------------------------------------------------
 
@@ -279,28 +258,19 @@ class SweepEngine:
                 busy[device_index] = tape.total_s
                 dynamic_j[device_index] = tape.dynamic_j
             else:
-                # Sample the noise stream command by command, in enqueue
-                # order — the same draws the unmemoized path would make.
-                # Jitter stretches each command's draw with its duration.
-                total, joules = _replay_timeline(
-                    [
-                        (label, noise(duration, label), watts)
-                        for label, duration, watts in tape.commands
-                    ]
+                # The scheduler's replay, so the noise stream is sampled
+                # command by command in the same enqueue order.
+                busy[device_index], dynamic_j[device_index] = replay(
+                    tape.commands, noise
                 )
-                busy[device_index] = total
-                dynamic_j[device_index] = joules
         makespan = max(busy)
-        energy = self._meter.finalize(dynamic_j, makespan)
         # Positional: binding keywords costs as much as building the
         # record, once per composed point.
         result = ExecutionResult(
             partitioning,
             makespan,
             tuple(busy),
-            energy.device_energy_j,
-            energy.total_j,
-            energy.idle_j,
+            self._meter.finalize(dynamic_j, makespan),
         )
         if memoize:
             self._results[result_key] = result
@@ -350,24 +320,6 @@ class SweepEngine:
         moves the serving noise streams or telemetry.
         """
         return self._compose(self._lookup(request), partitioning, False)
-
-    def time_of(
-        self,
-        request: ExecutionRequest,
-        partitioning: Partitioning,
-        repetitions: int = 1,
-    ) -> float:
-        """Timing-only convenience, mirroring :meth:`Runner.time_of`."""
-        return self.measure(request, partitioning, repetitions=repetitions).median_s
-
-    def sweep(
-        self,
-        request: ExecutionRequest,
-        space: Sequence[Partitioning] | Iterable[Partitioning],
-        repetitions: int = 1,
-    ) -> dict[str, float]:
-        """Measure every partitioning; returns label → median seconds."""
-        return self.sweep_with_energy(request, space, repetitions)[0]
 
     def measure_graph(
         self,

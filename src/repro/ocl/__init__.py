@@ -1,13 +1,13 @@
 """Simulated OpenCL substrate.
 
 Replaces the real OpenCL stack of the paper's testbeds with functional
-NumPy execution plus an analytic timing model (see DESIGN.md §2 for the
-substitution argument).  The public surface mirrors the OpenCL host API
-shape: platforms → devices → context → queues → events.  The runtime
-replays planned, pre-priced commands on the queues.
+NumPy execution plus an analytic timing model (docs/ARCHITECTURE.md,
+`ocl/`, argues the substitution).  A platform creates its devices; each
+device is a cost model, a power model and an optional noise hook.  The
+runtime plans, prices and replays each device's commands
+(``runtime/plan.py``); no host-API objects stand in between.
 """
 
-from .context import Context
 from .costmodel import (
     DeviceCostModel,
     DeviceKind,
@@ -17,12 +17,9 @@ from .costmodel import (
     geometric_mean,
 )
 from .device import Device, NoiseModel
-from .events import CommandKind, Event
 from .platform import Platform, make_lognormal_noise
-from .queue import CommandQueue
 
 __all__ = [
-    "Context",
     "DeviceCostModel",
     "DeviceKind",
     "DeviceSpec",
@@ -31,9 +28,6 @@ __all__ = [
     "geometric_mean",
     "Device",
     "NoiseModel",
-    "CommandKind",
-    "Event",
     "Platform",
     "make_lognormal_noise",
-    "CommandQueue",
 ]

@@ -1,6 +1,6 @@
 """Analytic device performance model.
 
-This is the substitution for real OpenCL hardware (see DESIGN.md §2):
+This is the substitution for real OpenCL hardware (docs/ARCHITECTURE.md, `ocl/`):
 each simulated device owns a :class:`DeviceSpec` describing its
 first-order performance characteristics, and :class:`DeviceCostModel`
 turns (kernel analysis, launch size, scalar arguments) into a simulated

@@ -1,10 +1,9 @@
-"""A simulated OpenCL device with its own timeline.
+"""A simulated OpenCL device: a cost model, a power model and a noise hook.
 
-Each device advances a private clock as commands execute on it; the
-multi-device runtime launches work on several devices "concurrently" by
-enqueueing on each and taking the maximum of their completion times —
-the same makespan a real host program observes after ``clFinish`` on
-every queue.
+The device keeps no clock.  The runtime replays each device's commands
+on a timeline of its own (:func:`~repro.runtime.plan.replay`) and takes
+the maximum of the devices' busy seconds — the same makespan a real
+host program observes after ``clFinish`` on every queue.
 """
 
 from __future__ import annotations
@@ -23,17 +22,14 @@ class Device:
     """One simulated OpenCL device.
 
     Attributes:
-        index: device index within its platform (stable identifier).
         spec: the performance description.
         cost_model: analytic timing model derived from the spec.
     """
 
-    def __init__(self, index: int, spec: DeviceSpec, noise: NoiseModel | None = None):
-        self.index = index
+    def __init__(self, spec: DeviceSpec, noise: NoiseModel | None = None):
         self.spec = spec
         self.cost_model = DeviceCostModel(spec)
         self.noise = noise
-        self._clock_s = 0.0
         self.throughput_scale = 1.0
         self.drift_generation = 0
         self._power_model = None
@@ -63,15 +59,6 @@ class Device:
     def kind(self) -> DeviceKind:
         return self.spec.kind
 
-    @property
-    def clock_s(self) -> float:
-        """Current position of this device's timeline."""
-        return self._clock_s
-
-    def reset_clock(self, to_s: float = 0.0) -> None:
-        """Rewind the timeline (between independent measurements)."""
-        self._clock_s = to_s
-
     def apply_drift(self, scale: float) -> None:
         """Rescale this device's effective throughput mid-campaign.
 
@@ -91,22 +78,3 @@ class Device:
         self.drift_generation += 1
         # Watts drift with the clock (DVFS cube law); rebuild lazily.
         self._power_model = None
-
-    def occupy(self, duration_s: float, label: str) -> tuple[float, float]:
-        """Advance the timeline by ``duration_s``; returns (start, end).
-
-        The optional noise model perturbs the duration, emulating real
-        measurement jitter; it must never produce a negative time.
-        """
-        if duration_s < 0:
-            raise ValueError("duration must be non-negative")
-        if self.noise is not None:
-            duration_s = self.noise(duration_s, label)
-            if duration_s < 0:
-                raise ValueError("noise model produced a negative duration")
-        start = self._clock_s
-        self._clock_s = start + duration_s
-        return start, self._clock_s
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Device({self.index}, {self.spec.name!r})"

@@ -71,5 +71,5 @@ class Platform:
         )
 
     def create_devices(self, noise: NoiseModel | None = None) -> list[Device]:
-        """Instantiate Device objects with fresh timelines."""
-        return [Device(i, spec, noise) for i, spec in enumerate(self.device_specs)]
+        """Instantiate fresh Device objects, one per spec."""
+        return [Device(spec, noise) for spec in self.device_specs]

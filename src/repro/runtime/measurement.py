@@ -14,7 +14,6 @@ import statistics
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Mapping
 
-from ..ocl.context import Context
 from ..ocl.platform import Platform, make_lognormal_noise
 from ..partitioning import Partitioning
 from .scheduler import ExecutionRequest, ExecutionResult, execute_partitioned
@@ -102,7 +101,6 @@ class Runner:
         noise = make_lognormal_noise(noise_sigma, seed) if noise_sigma > 0 else None
         self.platform = platform
         self.devices = platform.create_devices(noise)
-        self.context = Context(self.devices)
         self.stats = SessionStats()
 
     def apply_drift(self, scale: float, device_index: int | None = None) -> None:
@@ -150,7 +148,7 @@ class Runner:
         result: ExecutionResult | None = None
         for rep in range(repetitions):
             r = execute_partitioned(
-                self.context,
+                self.devices,
                 request,
                 partitioning,
                 functional=functional and rep == 0,

@@ -1,39 +1,52 @@
-"""Per-device command planning: the timing skeleton of one execution.
+"""Per-device command planning and replay: the timeline of one execution.
 
-``execute_partitioned`` used to interleave three concerns — planning
-which commands a device runs, executing the functional payload, and
-advancing the simulated timeline.  This module isolates the first one:
 :func:`plan_device_commands` turns (request, chunk) into the exact
-sequence of transfer/kernel commands the device would enqueue, and
+sequence of transfer/kernel commands the device would enqueue,
 :func:`price_command` prices one command on one device: its noise-free
-seconds and its average dynamic watts, from one cost-model call.
+seconds and its average dynamic watts, from one cost-model call, and
+:func:`replay` runs one device's priced commands back to back: its busy
+seconds and dynamic joules, the device's noise drawn per command.
 
-The split buys two things:
-
-* the scheduler replays a plan through the command queues (identical
-  timelines, one source of truth for the command sequence), and
-* the :mod:`repro.engine` sweep engine caches plans' noise-free
-  durations per (request, device, chunk) and composes makespans without
-  re-simulating — the training sweep's 66 points repeat the same
-  per-device chunks heavily.
+Both timing paths run on these three functions: the scheduler plans,
+prices and replays every active chunk, and the :mod:`repro.engine`
+sweep engine caches each chunk's priced commands per (request, device,
+chunk shape) and replays the cached tape — the training sweep's 66
+points repeat the same per-device chunks heavily.  Transfers count in
+every timeline: the paper (citing Gregg & Hazelwood) holds that CPU/GPU
+comparisons mean nothing without them.
 """
 
 from __future__ import annotations
 
+import enum
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Mapping
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 from ..compiler.splitter import BufferDistribution, DeviceChunk, DistributionKind
 from ..inspire.analysis import KernelAnalysis
 from ..inspire.ast import ParamIntent
 from ..ocl.costmodel import TransferDirection
-from ..ocl.device import Device
-from ..ocl.events import CommandKind
+from ..ocl.device import Device, NoiseModel
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .scheduler import ExecutionRequest
 
-__all__ = ["PlannedCommand", "plan_device_commands", "price_command", "readback_count"]
+__all__ = [
+    "CommandKind",
+    "PlannedCommand",
+    "plan_device_commands",
+    "price_command",
+    "readback_count",
+    "replay",
+]
+
+
+class CommandKind(enum.Enum):
+    """What a planned command does on its device."""
+
+    WRITE_BUFFER = "write_buffer"
+    READ_BUFFER = "read_buffer"
+    NDRANGE_KERNEL = "ndrange_kernel"
 
 
 @dataclass(frozen=True)
@@ -42,7 +55,7 @@ class PlannedCommand:
 
     Attributes:
         kind: transfer direction or kernel launch.
-        label: event label (doubles as the noise-stream key).
+        label: command label (doubles as the noise-stream key).
         nbytes: payload size for transfers.
         items: work items for kernel launches.
     """
@@ -82,10 +95,10 @@ def plan_device_commands(
 ) -> tuple[PlannedCommand, ...]:
     """The exact command sequence one device enqueues for its chunk.
 
-    Mirrors the runtime scheduler's enqueue order: h2d transfers for the
-    inputs the chunk reads, the kernel launch (iterated, with halo /
-    refresh re-broadcasts between steps when more than one device is
-    active), then d2h read-back of the outputs.  The plan is purely a
+    In the order the device runs them: h2d transfers for the inputs the
+    chunk reads, the kernel launch (iterated, with halo / refresh
+    re-broadcasts between steps when more than one device is active),
+    then d2h read-back of the outputs.  The plan is purely a
     function of (request, chunk, multi_device) — no timeline state.
     Every iteration after the first repeats one sync block of the same
     command objects, so a consumer can price each distinct object once.
@@ -194,3 +207,30 @@ def price_command(
         device.cost_model.transfer_time_s(command.nbytes, direction),
         device.power_model.transfer_power_w(),
     )
+
+
+def replay(
+    commands: Sequence[tuple[str, float, float]],
+    noise: NoiseModel | None = None,
+) -> tuple[float, float]:
+    """(busy seconds, dynamic joules) of one device's commands.
+
+    ``commands`` are ``(label, noise-free seconds, watts)`` in enqueue
+    order; each runs when the previous one ends.  ``noise``, the
+    device's noise hook, perturbs each duration as the command runs, so
+    the draws follow enqueue order.  Joules are watts × the duration
+    read back off the advancing clock (``clock - start``, not the raw
+    duration: the pinned energy digests depend on that rounding).  A
+    negative duration, noisy or not, is an error.
+    """
+    clock = 0.0
+    joules = 0.0
+    for label, duration, watts in commands:
+        if noise is not None:
+            duration = noise(duration, label)
+        if duration < 0:
+            raise ValueError(f"command {label!r} has a negative duration {duration}")
+        start = clock
+        clock = start + duration
+        joules += watts * (clock - start)
+    return clock, joules

@@ -11,8 +11,8 @@ the paper's measurement methodology.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Mapping
+from dataclasses import dataclass
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -20,11 +20,10 @@ from ..compiler.frontend import CompiledKernel
 from ..compiler.splitter import DistributionKind, plan_chunks
 from ..energy.meter import EnergyMeter
 from ..inspire.ast import ParamIntent
-from ..ocl.context import Context
-from ..ocl.events import Event
+from ..ocl.device import Device
 from ..partitioning import Partitioning
 from .arrays import buffer_layout
-from .plan import plan_device_commands, price_command
+from .plan import plan_device_commands, price_command, replay
 
 __all__ = ["ExecutorFn", "ExecutionRequest", "ExecutionResult", "execute_partitioned"]
 
@@ -93,20 +92,13 @@ class ExecutionResult:
         partitioning: the split that ran.
         makespan_s: wall-clock of the slowest device, transfers included.
         device_busy_s: per-device active seconds.
-        device_energy_j: per-device joules (dynamic + that device's idle
-            share over the makespan); empty when energy was not metered.
         energy_j: platform joules of the launch, idle power included.
-        idle_j: the idle-power portion of :attr:`energy_j`.
-        events: profiling events (scheduler path only).
     """
 
     partitioning: Partitioning
     makespan_s: float
     device_busy_s: tuple[float, ...]
-    device_energy_j: tuple[float, ...] = ()
     energy_j: float = 0.0
-    idle_j: float = 0.0
-    events: tuple[Event, ...] = field(repr=False, default=())
 
 
 _REDUCE_IDENTITY = {
@@ -129,22 +121,22 @@ _REDUCE_MERGE = {
 
 
 def execute_partitioned(
-    context: Context,
+    devices: Sequence[Device],
     request: ExecutionRequest,
     partitioning: Partitioning,
     functional: bool = True,
 ) -> ExecutionResult:
-    """Run a kernel split across the context's devices.
+    """Run a kernel split across ``devices``.
 
     With ``functional=False`` only the timing side runs — the training
     sweep measures dozens of partitionings per problem size and the
     functional result is partition-invariant, so recomputing it would
     only burn host time (the simulated clock is unaffected).
     """
-    if partitioning.num_devices != context.num_devices:
+    if partitioning.num_devices != len(devices):
         raise ValueError(
             f"partitioning has {partitioning.num_devices} shares but the "
-            f"context has {context.num_devices} devices"
+            f"platform has {len(devices)} devices"
         )
     compiled = request.compiled
     kernel = compiled.kernel
@@ -160,8 +152,6 @@ def execute_partitioned(
         buffer_sizes,
         request.granularity,
     )
-
-    context.reset_timelines()
     scalar_args = {k: float(v) for k, v in request.scalars.items()}
 
     # Private copies for reduction-merged outputs, one per active device.
@@ -174,14 +164,12 @@ def execute_partitioned(
     private_copies: dict[int, dict[str, np.ndarray]] = {}
 
     active_devices = sum(1 for c in chunks if not c.is_empty)
-    all_events: list[Event] = []
-    meter = EnergyMeter(context.devices)
-    dynamic_j = [0.0] * context.num_devices
+    busy = [0.0] * len(devices)
+    dynamic_j = [0.0] * len(devices)
     for chunk in chunks:
         if chunk.is_empty:
             continue
-        device = context.devices[chunk.device_index]
-        queue = context.queue_for(device)
+        device = devices[chunk.device_index]
 
         # Functional payload: compute this sub-range's outputs once,
         # independent of the (iterated) timing commands below.
@@ -200,17 +188,17 @@ def execute_partitioned(
                 device_arrays, request.scalars, chunk.item_offset, chunk.item_count
             )
 
-        # Timing: replay the planned command sequence on the queue.
-        # Energy rides on the same events: watts are noise-free model
-        # outputs, the (possibly noise-perturbed) event duration sets
-        # how long the device draws them.
-        for cmd in plan_device_commands(
-            request, chunk, active_devices > 1, buffer_sizes, itemsizes
-        ):
-            duration, watts = price_command(device, cmd, compiled.analysis, scalar_args)
-            event = queue.enqueue_timed(cmd.kind, cmd.label, duration)
-            dynamic_j[chunk.device_index] += watts * event.duration_s
-            all_events.append(event)
+        # Timing: price the planned command sequence, then replay it on
+        # the device's timeline, where its noise stretches each command.
+        commands = [
+            (cmd.label, *price_command(device, cmd, compiled.analysis, scalar_args))
+            for cmd in plan_device_commands(
+                request, chunk, active_devices > 1, buffer_sizes, itemsizes
+            )
+        ]
+        busy[chunk.device_index], dynamic_j[chunk.device_index] = replay(
+            commands, device.noise
+        )
 
     # 4. Merge reduction outputs into the host arrays.
     if functional and private_copies:
@@ -221,15 +209,10 @@ def execute_partitioned(
             for copies in private_copies.values():
                 merge(host, copies[name])
 
-    busy = tuple(d.clock_s for d in context.devices)
-    makespan = context.makespan_s()
-    energy = meter.finalize(dynamic_j, makespan)
+    makespan = max(busy)
     return ExecutionResult(
         partitioning=partitioning,
         makespan_s=makespan,
-        device_busy_s=busy,
-        device_energy_j=energy.device_energy_j,
-        energy_j=energy.total_j,
-        idle_j=energy.idle_j,
-        events=tuple(all_events),
+        device_busy_s=tuple(busy),
+        energy_j=EnergyMeter(devices).finalize(dynamic_j, makespan),
     )

@@ -115,7 +115,7 @@ class TestInstanceGeometry:
             assert inst.iterations >= 1
 
     def test_iterative_benchmarks_declared(self):
-        # The iterative applications of the suite (§ DESIGN.md).
+        # The iterative applications of the suite.
         iterative = {
             b.name
             for b in all_benchmarks()

@@ -107,9 +107,9 @@ class TestDeviceDrift:
         p = Partitioning((40, 30, 30))
         runner = Runner(MC2)
         engine = SweepEngine(runner)
-        engine.time_of(request, p)  # warm the tape caches
+        engine.measure(request, p)  # warm the tape caches
         runner.apply_drift(0.4, device_index=0)
-        memoized = engine.time_of(request, p)
+        memoized = engine.measure(request, p).median_s
         fresh = Runner(MC2)
         fresh.apply_drift(0.4, device_index=0)
         assert memoized == fresh.time_of(request, p)

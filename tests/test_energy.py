@@ -98,15 +98,8 @@ class TestEnergyMeter:
         runner = Runner(MC2)
         meter = EnergyMeter(runner.devices)
         makespan = 2.0
-        breakdown = meter.finalize([1.0, 0.0, 0.0], makespan)
-        assert breakdown.dynamic_j == pytest.approx(1.0)
-        assert breakdown.idle_j == pytest.approx(
-            meter.platform_idle_w() * makespan
-        )
-        assert breakdown.total_j == pytest.approx(
-            breakdown.dynamic_j + breakdown.idle_j
-        )
-        assert sum(breakdown.device_energy_j) == pytest.approx(breakdown.total_j)
+        joules = meter.finalize([1.0, 0.5, 0.0], makespan)
+        assert joules == pytest.approx(1.5 + meter.platform_idle_w() * makespan)
 
     def test_finalize_rejects_wrong_device_count(self):
         meter = EnergyMeter(Runner(MC2).devices)
@@ -125,8 +118,6 @@ class TestExecutionEnergy:
         result = run.result
         assert result.energy_j > 0
         assert run.energy_j == result.energy_j
-        assert len(result.device_energy_j) == 3
-        assert result.idle_j > 0
         # Every device's busy span fits inside the makespan.
         assert all(0.0 <= busy <= result.makespan_s for busy in result.device_busy_s)
 
@@ -147,7 +138,6 @@ class TestExecutionEnergy:
             expected = raw.run(request, p, functional=False)
             composed = engine.measure(request, p)
             assert composed.energy_j == expected.energy_j
-            assert composed.result.device_energy_j == expected.result.device_energy_j
 
     def test_engine_energy_matches_runner_under_noise(self):
         bench = get_benchmark("vec_add")

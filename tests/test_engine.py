@@ -141,7 +141,10 @@ def test_engine_works_across_machines():
     for machine in (MC1, MC2):
         space = partition_space(machine.num_devices, 20)
         raw = _raw_sweep(Runner(machine), request, space)
-        assert SweepEngine(Runner(machine)).sweep(request, space) == raw
+        timings, _energies = SweepEngine(Runner(machine)).sweep_with_energy(
+            request, space
+        )
+        assert timings == raw
 
 
 def test_engine_records_session_stats_like_runner():
@@ -151,7 +154,7 @@ def test_engine_records_session_stats_like_runner():
 
     r_raw, r_mem = Runner(MC2), Runner(MC2)
     _raw_sweep(r_raw, request, space, repetitions=2)
-    SweepEngine(r_mem).sweep(request, space, repetitions=2)
+    SweepEngine(r_mem).sweep_with_energy(request, space, repetitions=2)
 
     assert r_mem.stats.executions == r_raw.stats.executions
     assert r_mem.stats.simulated_s == pytest.approx(r_raw.stats.simulated_s)
@@ -164,9 +167,9 @@ def test_repeated_measurements_hit_the_result_cache():
     engine = SweepEngine(Runner(MC2))
     p = Partitioning((70, 20, 10))
 
-    first = engine.time_of(request, p)
+    first = engine.measure(request, p).median_s
     misses = engine.stats.tape_misses
-    second = engine.time_of(request, p)
+    second = engine.measure(request, p).median_s
     assert second == first
     assert engine.stats.tape_misses == misses  # fully served from caches
     # Every composition still counts as an execution in the telemetry.
@@ -209,14 +212,31 @@ def test_measure_validates_arguments():
         engine.measure(request, Partitioning((100, 0)), repetitions=1)
     with pytest.raises(ValueError):
         engine.measure(request, Partitioning((100, 0, 0)), repetitions=0)
-    for sweep in (engine.sweep, engine.sweep_with_energy):
-        with pytest.raises(ValueError, match="2 shares"):
-            sweep(request, [Partitioning((100, 0, 0)), Partitioning((100, 0))])
-        with pytest.raises(ValueError, match="repetitions"):
-            sweep(request, [Partitioning((100, 0, 0))], repetitions=0)
-        # Repetitions are checked before the space is read.
-        with pytest.raises(ValueError, match="repetitions"):
-            sweep(request, [], repetitions=0)
+    sweep = engine.sweep_with_energy
+    with pytest.raises(ValueError, match="2 shares"):
+        sweep(request, [Partitioning((100, 0, 0)), Partitioning((100, 0))])
+    with pytest.raises(ValueError, match="repetitions"):
+        sweep(request, [Partitioning((100, 0, 0))], repetitions=0)
+    # Repetitions are checked before the space is read.
+    with pytest.raises(ValueError, match="repetitions"):
+        sweep(request, [], repetitions=0)
+
+
+@pytest.mark.parametrize(
+    "measure",
+    [
+        lambda runner, request, p: runner.run(request, p, functional=False),
+        lambda runner, request, p: SweepEngine(runner).measure(request, p),
+    ],
+    ids=["Runner.run", "SweepEngine.measure"],
+)
+def test_negative_noise_duration_rejected_on_both_paths(measure):
+    """A noise hook that returns a negative duration fails either path."""
+    runner = Runner(MC2)
+    for device in runner.devices:
+        device.noise = lambda duration, label: -duration
+    with pytest.raises(ValueError, match="negative duration"):
+        measure(runner, _smallest_request("vec_add"), Partitioning((40, 30, 30)))
 
 
 def test_sweep_after_drift_matches_a_fresh_engine():
@@ -260,9 +280,9 @@ def test_reset_clears_caches_but_keeps_correctness():
     request = bench.request(bench.make_instance(1 << 12, seed=0))
     engine = SweepEngine(Runner(MC2))
     p = Partitioning((50, 30, 20))
-    before = engine.time_of(request, p)
+    before = engine.measure(request, p).median_s
     engine.reset()
-    assert engine.time_of(request, p) == before
+    assert engine.measure(request, p).median_s == before
 
 
 def test_trainer_sweep_uses_engine_and_matches_legacy_loop():

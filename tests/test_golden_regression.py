@@ -1,9 +1,9 @@
 """Golden regression tests: pin the emergent behaviour of the simulator.
 
-These exact expectations were validated against the paper-shape criteria
-(DESIGN.md §5).  If a cost-model or calibration change moves them, the
-failure is a prompt to re-check EXPERIMENTS.md — not necessarily a bug,
-but always a deliberate decision.
+These exact expectations were validated against the paper's shape
+claims (paper §5, checked in ``test_experiments.py``).  If a cost-model
+or calibration change moves them, the failure is a prompt to re-check
+those claims — not necessarily a bug, but always a deliberate decision.
 """
 
 import pytest

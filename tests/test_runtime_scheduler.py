@@ -7,7 +7,6 @@ from repro.benchsuite import all_benchmarks, get_benchmark
 from repro.compiler.splitter import DistributionKind, plan_chunks
 from repro.inspire.ast import ParamIntent
 from repro.machines import MC1, MC2
-from repro.ocl.events import CommandKind
 from repro.partitioning import Partitioning
 from repro.runtime import (
     ExecutionRequest,
@@ -16,7 +15,9 @@ from repro.runtime import (
     buffer_layout,
     execute_partitioned,
     plan_device_commands,
+    price_command,
 )
+from repro.runtime.plan import CommandKind
 
 # A representative cross-section: streaming, 2D split, reduce-merge,
 # halo stencil, indirect, INOUT.
@@ -100,8 +101,35 @@ class TestRequestValidation:
         runner = Runner(MC2)
         with pytest.raises(ValueError, match="devices"):
             execute_partitioned(
-                runner.context, bench.request(inst), Partitioning((50, 50))
+                runner.devices, bench.request(inst), Partitioning((50, 50))
             )
+
+
+def _plan_args(request, partitioning):
+    """``plan_device_commands`` arguments of every active chunk, as the
+    scheduler plans them."""
+    layout = buffer_layout(request.arrays)
+    sizes = {buf: elements for buf, (elements, _) in layout.items()}
+    itemsizes = {buf: itemsize for buf, (_, itemsize) in layout.items()}
+    chunks = plan_chunks(
+        request.total_items,
+        partitioning,
+        request.compiled.distribution,
+        sizes,
+        request.granularity,
+    )
+    active = [c for c in chunks if not c.is_empty]
+    return [(request, c, len(active) > 1, sizes, itemsizes) for c in active]
+
+
+def _transfer_s(device, request, plan):
+    """Noise-free seconds the plan's transfers take on ``device``."""
+    scalars = {k: float(v) for k, v in request.scalars.items()}
+    return sum(
+        price_command(device, cmd, request.compiled.analysis, scalars)[0]
+        for cmd in plan
+        if cmd.kind is not CommandKind.NDRANGE_KERNEL
+    )
 
 
 class TestTimingSemantics:
@@ -134,29 +162,22 @@ class TestTimingSemantics:
         assert t1 == pytest.approx(t2)
 
     def test_gpu_share_includes_transfer_events(self):
-        from repro.ocl import CommandKind
-
         bench = get_benchmark("vec_add")
-        inst = bench.make_instance(1 << 16, seed=0)
-        runner = Runner(MC2)
-        res = runner.run(
-            bench.request(inst), Partitioning((0, 100, 0)), functional=False
-        )
-        kinds = {e.kind for e in res.result.events}
+        request = bench.request(bench.make_instance(1 << 16, seed=0))
+        [args] = _plan_args(request, Partitioning((0, 100, 0)))
+        plan = plan_device_commands(*args)
+        kinds = {cmd.kind for cmd in plan}
         assert CommandKind.WRITE_BUFFER in kinds
         assert CommandKind.READ_BUFFER in kinds
+        assert _transfer_s(Runner(MC2).devices[1], request, plan) > 0.0
 
     def test_cpu_only_has_zero_cost_transfers(self):
         bench = get_benchmark("vec_add")
-        inst = bench.make_instance(1 << 16, seed=0)
-        runner = Runner(MC2)
-        res = runner.run(
-            bench.request(inst), Partitioning((100, 0, 0)), functional=False
-        )
-        transfer_time = sum(
-            e.duration_s for e in res.result.events if e.kind.value != "ndrange_kernel"
-        )
-        assert transfer_time == 0.0
+        request = bench.request(bench.make_instance(1 << 16, seed=0))
+        [args] = _plan_args(request, Partitioning((100, 0, 0)))
+        plan = plan_device_commands(*args)
+        assert any(cmd.kind is not CommandKind.NDRANGE_KERNEL for cmd in plan)
+        assert _transfer_s(Runner(MC2).devices[0], request, plan) == 0.0
 
     def test_iterations_scale_kernel_time(self):
         bench = get_benchmark("hotspot")  # ITERATIONS = 100
@@ -181,21 +202,16 @@ class TestTimingSemantics:
     def test_multi_device_iteration_pays_sync(self):
         """With >1 active device, iterating costs extra halo transfers."""
         bench = get_benchmark("hotspot")
-        inst = bench.make_instance(128, seed=0)
-        runner = Runner(MC2)
-        res_one = runner.run(
-            bench.request(inst), Partitioning((0, 100, 0)), functional=False
-        )
-        res_two = runner.run(
-            bench.request(inst), Partitioning((0, 50, 50)), functional=False
-        )
-        writes_one = sum(
-            1 for e in res_one.result.events if e.kind.value == "write_buffer"
-        )
-        writes_two = sum(
-            1 for e in res_two.result.events if e.kind.value == "write_buffer"
-        )
-        assert writes_two > 2 * writes_one
+        request = bench.request(bench.make_instance(128, seed=0))
+
+        def writes(partitioning):
+            return sum(
+                cmd.kind is CommandKind.WRITE_BUFFER
+                for args in _plan_args(request, partitioning)
+                for cmd in plan_device_commands(*args)
+            )
+
+        assert writes(Partitioning((0, 50, 50))) > 2 * writes(Partitioning((0, 100, 0)))
 
 
 class TestReducedMerge:
@@ -340,23 +356,10 @@ def test_plan_matches_reference_planner(name):
     """Single- and multi-device chunks plan exactly the reference sequence."""
     bench = get_benchmark(name)
     request = bench.request(bench.make_instance(bench.problem_sizes()[0], seed=0))
-    layout = buffer_layout(request.arrays)
-    sizes = {buf: elements for buf, (elements, _) in layout.items()}
-    itemsizes = {buf: itemsize for buf, (_, itemsize) in layout.items()}
     planned = 0
     for p in PARTITIONINGS:
-        chunks = plan_chunks(
-            request.total_items,
-            p,
-            request.compiled.distribution,
-            sizes,
-            request.granularity,
-        )
-        active = [c for c in chunks if not c.is_empty]
-        multi = len(active) > 1
-        for chunk in active:
-            args = (request, chunk, multi, sizes, itemsizes)
-            where = (p.label, chunk.device_index)
+        for args in _plan_args(request, p):
+            where = (p.label, args[1].device_index)
             assert plan_device_commands(*args) == _reference_plan(*args), where
             planned += 1
     assert planned > len(PARTITIONINGS)
