@@ -24,7 +24,12 @@ the median.  The script fails when:
   counts must be bit-identical across all three modes;
 * two trace-mode runs do not export byte-identical JSONL, or any
   completed trace's critical-path spans fail to tile its latency
-  (``CriticalPathAnalyzer.check``).
+  (``CriticalPathAnalyzer.check``);
+* the tracer holds more than ``TRACE_BYTES_BOUND`` bytes per traced
+  request, or is not freed by reference counting alone.  One extra,
+  untimed trace-mode run after the timed rounds measures this under
+  ``tracemalloc``: the traced bytes freed when the tracer is dropped,
+  over requests (``trace_bytes_per_request``).
 
 With ``--check-against`` the per-mode latency quantiles are compared
 to a committed baseline (simulated time is hardware-independent) and
@@ -49,6 +54,8 @@ import json
 import statistics
 import sys
 import time
+import tracemalloc
+import weakref
 from pathlib import Path
 
 from repro.benchsuite import all_benchmarks
@@ -72,6 +79,10 @@ TRACE_BOUND = 5.0
 
 #: Rounds that also run trace mode (best-of wall, byte-identical export).
 TRACE_ROUNDS = 3
+
+#: A finished trace-mode run's tracer may hold at most this many bytes
+#: per traced request.
+TRACE_BYTES_BOUND = 1000
 
 
 def _train(train_programs: int, seed: int):
@@ -152,6 +163,39 @@ def run_mode(
         },
     }
     return doc, loop.telemetry
+
+
+def trace_bytes_per_request(
+    keys,
+    num_requests: int,
+    rate_rps: float,
+    slo_s: float,
+    train_programs: int,
+    seed: int,
+) -> float | None:
+    """Bytes one untimed trace-mode run's tracer holds per request.
+
+    The run goes under ``tracemalloc``; the result is the traced bytes
+    freed when the finished tracer is dropped, over requests.  ``None``
+    when the tracer outlives its last reference: a reference cycle
+    leaves a finished trace to the cyclic collector.
+    """
+    tracemalloc.start()
+    try:
+        _doc, telemetry = run_mode(
+            "trace", keys, num_requests, rate_rps, slo_s, train_programs, seed
+        )
+        tracer = telemetry.tracer
+        del telemetry
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0]
+        alive = weakref.ref(tracer)
+        del tracer
+        if alive() is not None:
+            return None
+        return (held - tracemalloc.get_traced_memory()[0]) / num_requests
+    finally:
+        tracemalloc.stop()
 
 
 def check_against(doc: dict, baseline_path: Path, max_regression: float) -> list[str]:
@@ -295,6 +339,23 @@ def main(argv=None) -> int:
             break
     print(f"critical-path tiling checked for {len(analyzer.completed_ids())} traces")
 
+    # Memory gate: what a finished tracer holds per traced request.
+    trace_bytes = trace_bytes_per_request(
+        keys, num_requests, rate_rps, slo_s, train_programs, args.seed
+    )
+    if trace_bytes is None:
+        failures.append("the finished tracer was not freed by reference counting")
+    else:
+        print(
+            f"trace memory: {trace_bytes:.0f} B per traced request "
+            f"(bound {TRACE_BYTES_BOUND})"
+        )
+        if trace_bytes > TRACE_BYTES_BOUND:
+            failures.append(
+                f"the tracer holds {trace_bytes:.0f} B per traced request "
+                f"(bound {TRACE_BYTES_BOUND})"
+            )
+
     doc = {
         "benchmark": "telemetry-overhead",
         "quick": args.quick,
@@ -311,6 +372,8 @@ def main(argv=None) -> int:
         "trace_ratio": trace_ratio,
         "trace_lines": trace_lines,
         "trace_digest": trace_digest,
+        "trace_bytes_per_request": trace_bytes,
+        "trace_bytes_bound": TRACE_BYTES_BOUND,
         "byte_identical": byte_identical,
         "modes": modes,
     }

@@ -302,12 +302,7 @@ class SweepEngine:
         # Positional: binding keywords costs as much as building the
         # record, once per measurement.
         return MeasuredRun(
-            partitioning,
-            _median(samples),
-            tuple(samples),
-            result,
-            _median(energy_samples),
-            tuple(energy_samples),
+            partitioning, _median(samples), result, _median(energy_samples)
         )
 
     def price(

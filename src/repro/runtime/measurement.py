@@ -36,14 +36,8 @@ class MeasuredRun:
 
     partitioning: Partitioning
     median_s: float
-    samples_s: tuple[float, ...]
     result: ExecutionResult
     energy_j: float = 0.0
-    energy_samples_j: tuple[float, ...] = ()
-
-    @property
-    def repetitions(self) -> int:
-        return len(self.samples_s)
 
 
 @dataclass
@@ -162,10 +156,8 @@ class Runner:
         return MeasuredRun(
             partitioning=partitioning,
             median_s=statistics.median(samples),
-            samples_s=tuple(samples),
             result=result,
             energy_j=statistics.median(energy_samples),
-            energy_samples_j=tuple(energy_samples),
         )
 
     def time_of(

@@ -26,6 +26,14 @@ their durations sum to the loop's reported latency.  Losing hedge /
 speculative copies and work cancelled mid-flight run in parallel with
 the critical path and are emitted with ``critical=False``.
 
+Storage: a traced run keeps one column per span field (typed arrays
+for ids, times and flags, a code for the span's name and kind) and one
+per event field, plus the few values a root or placement needs for its
+attributes.  :attr:`Tracer.spans` and :attr:`Tracer.events` are
+read-only sequence views over those columns that build each
+:class:`Span` or event dict only when it is read.  Times are stored as
+C doubles, so a time read back is the float the loop stamped.
+
 Everything is stamped in simulated seconds and ordered by the loop's
 own deterministic event order, so a faulted run exports a
 byte-identical JSONL trace on every replay (see :meth:`Tracer.export`).
@@ -34,7 +42,10 @@ byte-identical JSONL trace on every replay (see :meth:`Tracer.export`).
 from __future__ import annotations
 
 import json
+from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass, field
+from itertools import chain
 
 __all__ = ["SPAN_KINDS", "Span", "Tracer"]
 
@@ -52,14 +63,30 @@ SPAN_KINDS = (
 #: Leaf kinds whose critical instances tile ``[arrival, finish]``.
 LEAF_KINDS = ("queue", "predict", "execute", "network", "backoff")
 
+#: Every (name, kind) a span can have; a span stores its index here.
+#: Code 0 is the root and codes 1-4 are placements.
+_SPAN_TYPES = (
+    ("request", "request"),
+    ("attempt", "placement"),
+    ("retry", "placement"),
+    ("hedge", "placement"),
+    ("speculation", "placement"),
+    *((kind, kind) for kind in LEAF_KINDS),
+)
+_CODES = {name: code for code, (name, _kind) in enumerate(_SPAN_TYPES)}
+_BACKOFF = _CODES["backoff"]
+
+#: The trace column's entry for an event that belongs to no trace (the
+#: loop's trace ids are its admission sequence numbers, all positive).
+_NO_TRACE = -1
+
 
 @dataclass(slots=True)
 class Span:
     """One node of a request's span tree, in simulated seconds.
 
-    A slotted, mutable record: a traced run keeps one per tree node, so
-    it is built positionally and kept small.  Consumers read spans and
-    must not change them.
+    The tracer stores spans as columns and builds a Span each time one
+    is read, so a Span is a copy: changing it changes nothing stored.
     """
 
     trace_id: int
@@ -151,7 +178,7 @@ class _OpenTrace:
 
     trace_id: int
     arrival_s: float
-    attrs: dict
+    request: object
     records: list[_AttemptRecord] = field(default_factory=list)
 
 
@@ -169,43 +196,126 @@ def _request_attrs(request) -> dict:
     return attrs
 
 
+def _build_span(span_id, trace_id, parent, code, start, end, critical, info):
+    """One stored span as the :class:`Span` the tracer emitted.
+
+    ``info`` is ``None`` for a leaf, ``(request, outcome)`` for a root
+    and ``(replica, outcome, stolen_by)`` for a placement.
+    """
+    name, kind = _SPAN_TYPES[code]
+    if info is None:
+        attrs = {}
+    elif code == 0:
+        request, outcome = info
+        attrs = _request_attrs(request)
+        attrs["outcome"] = outcome
+    else:
+        replica, outcome, stolen_by = info
+        attrs = {"replica": replica, "outcome": outcome}
+        if stolen_by is not None:
+            attrs["stolen_by"] = stolen_by
+    return Span(
+        trace_id, span_id, parent or None, name, kind, start, end,
+        critical == 1, attrs,
+    )
+
+
+def _build_event(seq, at_s, name, trace_id, attrs):
+    """One stored event as the dict the tracer logged.
+
+    ``attrs`` is the flattened ``(key, value, key, value, ...)`` tuple.
+    """
+    entry = {"type": "event", "seq": seq, "at_s": at_s, "name": name}
+    if trace_id != _NO_TRACE:
+        entry["trace"] = trace_id
+    if attrs:
+        entry["attrs"] = dict(zip(attrs[::2], attrs[1::2]))
+    return entry
+
+
+class _ColumnView(Sequence):
+    """A read-only sequence over equal-length columns, one record per row.
+
+    ``len`` builds nothing; indexing, slicing and iteration build each
+    record afresh with ``build(index + 1, *row)``.  The view holds the
+    columns, never the tracer, so a dropped tracer is freed by
+    reference counting alone.
+    """
+
+    __slots__ = ("_columns", "_build")
+
+    def __init__(self, columns: tuple, build) -> None:
+        self._columns = columns
+        self._build = build
+
+    def __len__(self) -> int:
+        return len(self._columns[0])
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(len(self)))]
+        size = len(self)
+        if index < 0:
+            index += size
+        if not 0 <= index < size:
+            raise IndexError("trace record index out of range")
+        return self._build(index + 1, *(column[index] for column in self._columns))
+
+    def __iter__(self):
+        build = self._build
+        for number, row in enumerate(zip(*self._columns), 1):
+            yield build(number, *row)
+
+
 class Tracer:
-    """Collects spans and structured events from one event-loop run."""
+    """Collects spans and structured events from one event-loop run.
+
+    A span's id is its emission index + 1 and an event's ``seq`` is its
+    index + 1, so neither is stored.
+    """
 
     def __init__(self) -> None:
-        self.spans: list[Span] = []
-        #: Structured event log entries, in emission order.
-        self.events: list[dict] = []
+        #: Span columns: trace id, parent id (0 for a root), code into
+        #: ``_SPAN_TYPES``, start, end, critical flag, and the values a
+        #: root or placement builds its attrs from (``None`` for a leaf).
+        self._span_columns = (
+            array("q"), array("q"), array("B"), array("d"), array("d"),
+            array("B"), [],
+        )
+        #: Event columns: instant, name, trace id (``_NO_TRACE`` for
+        #: none), and the attrs flattened to ``(key, value, ...)``.
+        self._event_columns = (array("d"), [], array("q"), [])
         self.traces_completed = 0
         self.traces_failed = 0
         self._open: dict[int, _OpenTrace] = {}
         self._records: dict[int, _AttemptRecord] = {}
         self._next_tid = 0
-        self._next_span_id = 0
-        self._next_event_seq = 0
+
+    @property
+    def spans(self) -> Sequence[Span]:
+        """Every emitted span, in emission order (a read-only view)."""
+        return _ColumnView(self._span_columns, _build_span)
+
+    @property
+    def events(self) -> Sequence[dict]:
+        """Structured event log entries, in emission order (a read-only view)."""
+        return _ColumnView(self._event_columns, _build_event)
 
     # -- structured event log ----------------------------------------------
 
     def event(self, at_s: float, name: str, trace_id: int | None = None, **attrs):
         """Append one structured event at simulated instant ``at_s``."""
-        self._next_event_seq += 1
-        entry = {
-            "type": "event",
-            "seq": self._next_event_seq,
-            "at_s": at_s,
-            "name": name,
-        }
-        if trace_id is not None:
-            entry["trace"] = trace_id
-        if attrs:
-            entry["attrs"] = attrs
-        self.events.append(entry)
+        at_column, names, traces, attrs_column = self._event_columns
+        at_column.append(at_s)
+        names.append(name)
+        traces.append(_NO_TRACE if trace_id is None else trace_id)
+        attrs_column.append(tuple(chain.from_iterable(attrs.items())))
 
     # -- markers fed by the event loop -------------------------------------
 
     def begin(self, trace_id: int, at_s: float, request) -> None:
         """An admitted request starts its trace at arrival."""
-        self._open[trace_id] = _OpenTrace(trace_id, at_s, _request_attrs(request))
+        self._open[trace_id] = _OpenTrace(trace_id, at_s, request)
 
     def enqueue(
         self,
@@ -301,15 +411,6 @@ class Tracer:
 
     # -- span construction -------------------------------------------------
 
-    def _span(self, trace_id, parent, name, kind, start, end, critical, attrs):
-        self._next_span_id += 1
-        span = Span(
-            trace_id, self._next_span_id, parent, name, kind, start, end,
-            critical, attrs,
-        )
-        self.spans.append(span)
-        return span
-
     def _emit(self, trace, finish_s, winner, outcome) -> None:
         """Emit the resolved trace's span tree.
 
@@ -318,23 +419,24 @@ class Tracer:
         in between (retry backoff limbo, when no attempt exists) become
         ``backoff`` spans, so critical leaves tile ``[arrival, finish]``
         with shared endpoints and their durations sum to the latency.
+        The tree's rows go into the span columns in one batch.
         """
-        root_attrs = dict(trace.attrs)
-        root_attrs["outcome"] = outcome
-        root = self._span(
-            trace.trace_id, None, "request", "request",
-            trace.arrival_s, finish_s, False, root_attrs,
-        )
+        trace_id = trace.trace_id
+        columns = self._span_columns
+        root = len(columns[0]) + 1
+        rows = [
+            (trace_id, 0, 0, trace.arrival_s, finish_s, False,
+             (trace.request, outcome)),
+        ]
         w_enq = winner.enqueue_s if winner is not None else None
         critical_leaves: list[tuple[float, float]] = []
         for record in trace.records:
-            attrs = {"replica": record.replica, "outcome": record.outcome}
-            if record.stolen_by is not None:
-                attrs["stolen_by"] = record.stolen_by
-            container = self._span(
-                trace.trace_id, root.span_id, record.name, "placement",
-                record.enqueue_s, record.end_s, False, attrs,
-            )
+            container = root + len(rows)
+            rows.append((
+                trace_id, root, _CODES[record.name], record.enqueue_s,
+                record.end_s, False,
+                (record.replica, record.outcome, record.stolen_by),
+            ))
             for seg_start, seg_end, seg_kind in record.segments():
                 if seg_end <= seg_start:
                     continue
@@ -343,14 +445,16 @@ class Tracer:
                 ):
                     if hi <= lo:
                         continue
-                    self._span(
-                        trace.trace_id, container.span_id, seg_kind,
-                        seg_kind, lo, hi, crit, {},
+                    rows.append(
+                        (trace_id, container, _CODES[seg_kind], lo, hi, crit, None)
                     )
                     if crit:
                         critical_leaves.append((lo, hi))
         if winner is not None:
-            self._fill_gaps(trace, root, finish_s, critical_leaves)
+            for lo, hi in self._gaps(trace.arrival_s, finish_s, critical_leaves):
+                rows.append((trace_id, root, _BACKOFF, lo, hi, True, None))
+        for column, values in zip(columns, zip(*rows)):
+            column.extend(values)
 
     @staticmethod
     def _criticality(record, winner, w_enq, start, end):
@@ -372,9 +476,10 @@ class Tracer:
             return ((start, end, True),)
         return ((start, w_enq, True), (w_enq, end, False))
 
-    def _fill_gaps(self, trace, root, finish_s, critical_leaves) -> None:
-        """Backoff spans over the critical-tiling gaps under the root."""
-        cursor = trace.arrival_s
+    @staticmethod
+    def _gaps(arrival_s, finish_s, critical_leaves) -> list[tuple[float, float]]:
+        """The critical-tiling gaps, which become backoff spans."""
+        cursor = arrival_s
         gaps: list[tuple[float, float]] = []
         for lo, hi in sorted(critical_leaves):
             if lo > cursor:
@@ -382,11 +487,7 @@ class Tracer:
             cursor = max(cursor, hi)
         if cursor < finish_s:
             gaps.append((cursor, finish_s))
-        for lo, hi in gaps:
-            self._span(
-                trace.trace_id, root.span_id, "backoff", "backoff",
-                lo, hi, True, {},
-            )
+        return gaps
 
     # -- export ------------------------------------------------------------
 

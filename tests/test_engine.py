@@ -9,6 +9,7 @@ the two paths produce the same draws).
 
 import dataclasses
 import hashlib
+import statistics
 
 import pytest
 
@@ -58,21 +59,37 @@ def _smallest_request(program):
 
 
 def _measure_matches_runner(program, machine, noise_sigma):
-    """Engine vs unmemoized Runner, sample for sample, over a step-20 space.
+    """Engine vs unmemoized Runner, draw for draw, over a step-20 space.
 
-    Returns the engine and its (seconds, joules) samples per label.
+    Twin runners with one seed take two single-repetition draws per
+    point and must agree call by call; a second pair of twins measures
+    each point with ``repetitions=2``, whose medians must be the
+    ``statistics.median`` of those draws.  Returns the engine and its
+    (seconds, joules) draws per label.
     """
     request = _smallest_request(program)
     runner = Runner(machine, noise_sigma=noise_sigma, seed=11)
     engine = SweepEngine(Runner(machine, noise_sigma=noise_sigma, seed=11))
+    runner_x2 = Runner(machine, noise_sigma=noise_sigma, seed=11)
+    engine_x2 = SweepEngine(Runner(machine, noise_sigma=noise_sigma, seed=11))
     samples = {}
     for p in partition_space(machine.num_devices, 20):
-        raw = runner.run(request, p, functional=False, repetitions=2)
-        memoized = engine.measure(request, p, repetitions=2)
         where = (machine.name, p.label)
-        assert memoized.samples_s == raw.samples_s, where
-        assert memoized.energy_samples_j == raw.energy_samples_j, where
-        samples[p.label] = (memoized.samples_s, memoized.energy_samples_j)
+        seconds, joules = [], []
+        for _ in range(2):
+            raw = runner.run(request, p, functional=False)
+            memoized = engine.measure(request, p)
+            assert memoized.median_s == raw.median_s, where
+            assert memoized.energy_j == raw.energy_j, where
+            seconds.append(memoized.median_s)
+            joules.append(memoized.energy_j)
+        for run in (
+            runner_x2.run(request, p, functional=False, repetitions=2),
+            engine_x2.measure(request, p, repetitions=2),
+        ):
+            assert run.median_s == statistics.median(seconds), where
+            assert run.energy_j == statistics.median(joules), where
+        samples[p.label] = (tuple(seconds), tuple(joules))
     return engine, samples
 
 
@@ -189,10 +206,17 @@ def test_price_is_noise_free_and_leaves_the_runner_untouched():
     # Nothing recorded, and no draw taken: the twin, which never
     # priced, measures the same samples.
     assert dataclasses.asdict(engine.runner.stats) == session
-    run, twin_run = engine.measure(request, p, 3), twin.measure(request, p, 3)
-    assert run.samples_s == twin_run.samples_s
-    assert run.energy_samples_j == twin_run.energy_samples_j
-    assert run.result != price  # the measurement was noisy
+    runs = [engine.measure(request, p) for _ in range(3)]
+    twin_runs = [twin.measure(request, p) for _ in range(3)]
+    for run, twin_run in zip(runs, twin_runs):
+        assert run.median_s == twin_run.median_s
+        assert run.energy_j == twin_run.energy_j
+    repeated = SweepEngine(Runner(MC2, noise_sigma=0.05, seed=3)).measure(
+        request, p, 3
+    )
+    assert repeated.median_s == statistics.median(r.median_s for r in runs)
+    assert repeated.energy_j == statistics.median(r.energy_j for r in runs)
+    assert runs[0].result != price  # the measurement was noisy
     # The noise-free engine's measurement, bit for bit.
     assert price == SweepEngine(Runner(MC2)).measure(request, p).result
     # And it follows the runner's drift.

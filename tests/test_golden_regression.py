@@ -6,6 +6,8 @@ or calibration change moves them, the failure is a prompt to re-check
 those claims — not necessarily a bug, but always a deliberate decision.
 """
 
+import statistics
+
 import pytest
 
 from repro.benchsuite import get_benchmark
@@ -102,23 +104,31 @@ class TestGraphGolden:
         bench = get_benchmark("mat_mul")
         request = bench.request(bench.make_instance(160, seed=0))
         p = Partitioning((40, 30, 30))
+        graph = TaskGraph(nodes=(TaskNode("t0", "mat_mul", 160),))
+        requests = node_requests(graph)
+
+        def twin():
+            """A graph measure on a runner seeded like the kernel's."""
+            runner = Runner(machine, noise_sigma=0.02, seed=7)
+            measure = SweepEngine(runner).measure_graph if memoize else runner.run_graph
+            return lambda repetitions: measure(graph, {"t0": p}, requests, repetitions)
+
+        # Draw for draw: twin runners, one repetition per call.
+        kernel = SweepEngine(Runner(machine, noise_sigma=0.02, seed=7))
+        one_node = twin()
+        draws = [kernel.measure(request, p) for _ in range(3)]
+        for draw in draws:
+            run = one_node(1)
+            node_run = run.node_runs["t0"]
+            assert run.median_s == node_run.median_s == draw.median_s
+            assert run.energy_j == node_run.energy_j == draw.energy_j
+
+        # Bit-identical, both objectives — the refactor's hard gate.
         single = SweepEngine(
             Runner(machine, noise_sigma=0.02, seed=7)
         ).measure(request, p, repetitions=3)
-
-        graph = TaskGraph(nodes=(TaskNode("t0", "mat_mul", 160),))
-        if memoize:
-            run = SweepEngine(
-                Runner(machine, noise_sigma=0.02, seed=7)
-            ).measure_graph(graph, {"t0": p}, node_requests(graph), repetitions=3)
-        else:
-            run = Runner(machine, noise_sigma=0.02, seed=7).run_graph(
-                graph, {"t0": p}, node_requests(graph), repetitions=3
-            )
-
-        # Bit-identical, both objectives — the refactor's hard gate.
+        run = twin()(3)
         assert run.median_s == single.median_s
         assert run.energy_j == single.energy_j
-        node_run = run.node_runs["t0"]
-        assert node_run.samples_s == single.samples_s
-        assert node_run.energy_samples_j == single.energy_samples_j
+        assert single.median_s == statistics.median(d.median_s for d in draws)
+        assert single.energy_j == statistics.median(d.energy_j for d in draws)

@@ -1,5 +1,7 @@
 """Tests for the multi-device scheduler: functional + timing behaviour."""
 
+import statistics
+
 import numpy as np
 import pytest
 
@@ -249,21 +251,29 @@ class TestRunnerMeasurement:
 
     def test_median_of_repetitions_with_noise(self):
         bench = get_benchmark("vec_add")
-        inst = bench.make_instance(1 << 16, seed=0)
+        request = bench.request(bench.make_instance(1 << 16, seed=0))
+        p = Partitioning((100, 0, 0))
+        # A twin runner's single-repetition calls are the five draws.
+        twin = Runner(MC2, noise_sigma=0.05, seed=11)
+        draws = [twin.run(request, p, functional=False) for _ in range(5)]
         runner = Runner(MC2, noise_sigma=0.05, seed=11)
-        run = runner.run(bench.request(inst), Partitioning((100, 0, 0)),
-                         functional=False, repetitions=5)
-        assert run.repetitions == 5
-        assert len(set(run.samples_s)) > 1  # noise produced distinct samples
-        assert min(run.samples_s) <= run.median_s <= max(run.samples_s)
+        run = runner.run(request, p, functional=False, repetitions=5)
+        seconds = [d.median_s for d in draws]
+        assert len(set(seconds)) > 1  # noise produced distinct samples
+        assert run.median_s == statistics.median(seconds)
+        assert run.energy_j == statistics.median(d.energy_j for d in draws)
+        assert runner.stats.executions == 5
 
     def test_noiseless_runs_identical(self):
         bench = get_benchmark("vec_add")
-        inst = bench.make_instance(1 << 16, seed=0)
+        request = bench.request(bench.make_instance(1 << 16, seed=0))
+        p = Partitioning((100, 0, 0))
         runner = Runner(MC2)
-        run = runner.run(bench.request(inst), Partitioning((100, 0, 0)),
-                         functional=False, repetitions=3)
-        assert len(set(run.samples_s)) == 1
+        draws = [runner.run(request, p, functional=False) for _ in range(3)]
+        assert len({d.median_s for d in draws}) == 1
+        run = runner.run(request, p, functional=False, repetitions=3)
+        assert run.median_s == draws[0].median_s
+        assert run.energy_j == draws[0].energy_j
 
     def test_invalid_repetitions(self):
         bench = get_benchmark("vec_add")

@@ -7,11 +7,14 @@ sum must equal the event loop's reported latency for every completed
 request.
 """
 
+import gc
 import json
+import weakref
 
 import pytest
 
 import repro.serving.eventloop as eventloop
+import repro.telemetry.spans as spans_module
 from repro.benchsuite import get_benchmark
 from repro.cluster import ClusterRouter, with_tenants
 from repro.core import TrainingConfig, train_system
@@ -89,6 +92,11 @@ def _cluster():
 
 def _trace(n=50, seed=5):
     return zipf_trace(KEYS, n, skew=1.2, seed=seed)
+
+
+def _line(record):
+    """One record as its canonical JSONL export line."""
+    return json.dumps(record, sort_keys=True, separators=(",", ":"))
 
 
 class TestRegistry:
@@ -254,6 +262,80 @@ class TestTracedServiceRun:
         assert any(n.startswith("slo.tenant.") for n in reg.names())
         assert any(n.startswith("loop.replica.") for n in reg.names())
 
+    # -- the span and event views over the tracer's columns --------------
+
+    def test_len_builds_no_record(self, run, monkeypatch):
+        tracer = run.telemetry.tracer
+        built = []
+
+        class CountingSpan(Span):
+            __slots__ = ()
+
+            def __init__(self, *args):
+                built.append("span")
+                super().__init__(*args)
+
+        build_event = spans_module._build_event
+
+        def counting_event(*args):
+            built.append("event")
+            return build_event(*args)
+
+        monkeypatch.setattr(spans_module, "Span", CountingSpan)
+        monkeypatch.setattr(spans_module, "_build_event", counting_event)
+        assert len(tracer.spans) > 0 and len(tracer.events) > 0
+        assert built == []
+        assert isinstance(tracer.spans[-1], CountingSpan)
+        assert tracer.events[0]["type"] == "event"
+        assert built == ["span", "event"]
+
+    def test_views_read_as_the_export(self, run):
+        tracer = run.telemetry.tracer
+        lines = tracer.export_lines()
+        events, spans = tracer.events, tracer.spans
+        event_lines = lines[1 : 1 + len(events)]
+        span_lines = lines[1 + len(events) :]
+        assert len(span_lines) == len(spans) > 10
+        assert [_line(e) for e in events] == event_lines
+        assert [_line(s.to_record()) for s in spans] == span_lines
+        for view, expected, as_record in (
+            (events, event_lines, lambda e: e),
+            (spans, span_lines, lambda s: s.to_record()),
+        ):
+            for index in (0, 1, len(view) // 2, -2, -1, -len(view)):
+                assert _line(as_record(view[index])) == expected[index]
+            for cut in (slice(1, 4), slice(-3, None), slice(None, None, 7),
+                        slice(None, None, -5), slice(5, 2)):
+                assert [_line(as_record(r)) for r in view[cut]] == expected[cut]
+            for index in (len(view), -len(view) - 1):
+                with pytest.raises(IndexError):
+                    view[index]
+
+    def test_views_are_read_only(self, run):
+        tracer = run.telemetry.tracer
+        with pytest.raises(AttributeError):
+            tracer.spans = []
+        with pytest.raises(TypeError):
+            tracer.spans[0] = None
+        assert not hasattr(tracer.events, "append")
+
+    def test_finished_trace_is_freed_by_reference_counting(self, system):
+        gc.disable()
+        try:
+            loop = serve_trace(
+                _service(system), _trace(20),
+                ServeOptions(arrival="poisson", rate_rps=2000.0, seed=5,
+                             telemetry="trace"),
+            )
+            assert len(loop.telemetry.tracer.spans) > 0
+            tracer = weakref.ref(loop.telemetry.tracer)
+            views = loop.telemetry.tracer.spans, loop.telemetry.tracer.events
+            del loop
+            assert tracer() is None
+            assert len(views[0]) > 0 and len(views[1]) > 0
+        finally:
+            gc.enable()
+
 
 class TestByteIdenticalReplay:
     def test_faulted_cluster_serve_replays_byte_identical(self, monkeypatch):
@@ -398,8 +480,18 @@ class TestTracerUnits:
                      finish_s=2.25, outcome="ok")
         tracer.complete(0, 2.25, tid)
         assert tracer.spans
-        for record in open_records + tracer.spans:
+        for record in [*open_records, *tracer.spans]:
             assert not hasattr(record, "__dict__"), type(record).__name__
+        # Spans live in the tracer's columns: it stores no Span and no
+        # attrs dict (down through the columns, their rows and what a
+        # row holds; classes are not storage), and a leaf stores nothing.
+        stored = list(vars(tracer).values())
+        for _ in range(3):
+            stored = [o for o in gc.get_referents(*stored) if not isinstance(o, type)]
+            assert not any(isinstance(obj, (Span, dict)) for obj in stored)
+        leaves = sum(span.kind in LEAF_KINDS for span in tracer.spans)
+        assert leaves == 4
+        assert tracer._span_columns[-1].count(None) == leaves
 
     def test_positional_span_exports_the_same_record(self):
         positional = Span(7, 3, 1, "queue", "queue", 0.5, 0.75, True, {"k": 1})
