@@ -13,13 +13,15 @@ run.  The metrics-mode overhead is the median over rounds of the
 metrics/off wall ratio: the two runs of a round are neighbours in
 time, and their order alternates from round to round, so ambient
 slowdowns cancel in each ratio and one slow or lucky run cannot move
-the median.  The script fails when:
+the median.  Trace mode is measured the same way: the median over the
+trace rounds of each round's trace/off wall ratio.  The script fails
+when:
 
 * that overhead exceeds the bound (the registry-backed stats must stay
   a thin view): < 3% on the full run, < 10% on the CI-sized
   ``--quick`` run where wall noise dominates;
-* trace mode's best wall costs more than ``TRACE_BOUND``x off mode's
-  best — span trees are allowed to be expensive, not unbounded;
+* trace mode's ratio exceeds ``TRACE_BOUND`` — span trees may cost
+  more than the bare loop, but not much more than they cost today;
 * any mode perturbs the simulation: the latency-histogram bucket
   counts must be bit-identical across all three modes;
 * two trace-mode runs do not export byte-identical JSONL, or any
@@ -74,10 +76,13 @@ from repro.workloads import WorkloadSpec, make_workload, stream_timed_items
 #: Target utilization of the poisson arrival process (see bench_latency).
 UTILIZATION = 0.7
 
-#: Trace mode may cost at most this many times the off-mode wall.
-TRACE_BOUND = 5.0
+#: Trace mode may cost at most this many times the off-mode wall (the
+#: median over the trace rounds of each round's trace/off ratio): the
+#: largest ratio of ten ``--quick`` runs on a 2-core x86-64 host
+#: (1.27-1.64x, CPython 3.11) times 1.15, rounded up to 0.05.
+TRACE_BOUND = 1.9
 
-#: Rounds that also run trace mode (best-of wall, byte-identical export).
+#: Rounds that also run trace mode (trace/off ratio, byte-identical export).
 TRACE_ROUNDS = 3
 
 #: A finished trace-mode run's tracer may hold at most this many bytes
@@ -265,6 +270,7 @@ def main(argv=None) -> int:
     # places every round, so neither always runs first.
     modes: dict[str, dict] = {}
     overheads: list[float] = []
+    trace_ratios: list[float] = []
     exports: list[tuple[int, str]] = []  # (lines, sha256) per trace run
     analyzer = None
     for round_no in range(rounds):
@@ -286,6 +292,8 @@ def main(argv=None) -> int:
                 exports.append((len(lines), digest.hexdigest()))
                 analyzer = telemetry.analyzer()
         overheads.append(walls["metrics"] / walls["off"] - 1.0)
+        if "trace" in walls:
+            trace_ratios.append(walls["trace"] / walls["off"])
     for mode, best in modes.items():
         print(
             f"{mode:>7}: wall {best['wall_s']:.3f} s "
@@ -301,13 +309,17 @@ def main(argv=None) -> int:
             failures.append(f"{mode}: telemetry perturbed the simulation")
 
     metrics_overhead = statistics.median(overheads)
-    trace_ratio = modes["trace"]["wall_s"] / modes["off"]["wall_s"]
+    trace_ratio = statistics.median(trace_ratios)
     print(
         f"metrics overhead over off: {metrics_overhead:+.1%} "
         f"(median of {rounds} rounds; "
         f"{min(overheads):+.1%} to {max(overheads):+.1%})"
     )
-    print(f"trace wall over off:       {trace_ratio:.2f}x")
+    print(
+        f"trace wall over off:       {trace_ratio:.2f}x "
+        f"(median of {len(trace_ratios)} rounds; "
+        f"{min(trace_ratios):.2f}x to {max(trace_ratios):.2f}x)"
+    )
     if metrics_overhead > metrics_bound:
         failures.append(
             f"metrics-mode overhead {metrics_overhead:.1%} exceeds "
@@ -316,7 +328,7 @@ def main(argv=None) -> int:
     if trace_ratio > TRACE_BOUND:
         failures.append(
             f"trace mode costs {trace_ratio:.2f}x off-mode wall "
-            f"(bound {TRACE_BOUND:g}x)"
+            f"(median of {len(trace_ratios)} rounds; bound {TRACE_BOUND:g}x)"
         )
 
     # Replay gate: every trace-mode repeat must export byte-identical
@@ -334,7 +346,7 @@ def main(argv=None) -> int:
     for tid in analyzer.completed_ids():
         try:
             analyzer.check(tid)
-        except AssertionError as exc:  # pragma: no cover - gate
+        except ValueError as exc:  # pragma: no cover - gate
             failures.append(f"trace {tid}: critical path does not tile: {exc}")
             break
     print(f"critical-path tiling checked for {len(analyzer.completed_ids())} traces")
@@ -370,6 +382,8 @@ def main(argv=None) -> int:
         "metrics_overhead_rounds": overheads,
         "metrics_bound": metrics_bound,
         "trace_ratio": trace_ratio,
+        "trace_ratio_rounds": trace_ratios,
+        "trace_bound": TRACE_BOUND,
         "trace_lines": trace_lines,
         "trace_digest": trace_digest,
         "trace_bytes_per_request": trace_bytes,

@@ -230,6 +230,9 @@ class ClusterRouter:
         #: Memoized request payload bytes per (program, size), read off
         #: one instance's declared buffer layout (nothing is drawn).
         self._bytes: dict[tuple[str, int], int] = {}
+        #: Memoized per-pool handoff prices per (tenant, program, size):
+        #: placement, serving and speculation all read them per request.
+        self._handoffs: dict[tuple, tuple[tuple[float, float], ...]] = {}
         self._meters: dict[str, _TenantMeter] = {}
         self.served = 0
         self.cross_pool = 0
@@ -285,10 +288,6 @@ class ClusterRouter:
             raise IndexError(f"flat replica index {flat_index} out of range")
         return self._pool_of[flat_index]
 
-    def _split(self, flat_index: int) -> tuple[int, int]:
-        pool = self.pool_of(flat_index)
-        return pool, flat_index - self._offsets[pool]
-
     # -- tenancy and pricing -------------------------------------------------
 
     def home_pool(self, tenant: str) -> int:
@@ -339,6 +338,24 @@ class ClusterRouter:
             return 0.0, 0.0
         return self.network.handoff(self.request_bytes(request))
 
+    def _pool_handoffs(
+        self, request: "ServingRequest | GraphServingRequest"
+    ) -> tuple[tuple[float, float], ...]:
+        """:meth:`handoff_cost` of ``request`` in every pool, in pool
+        order; priced once per (tenant, program, size) key.  A graph
+        request ships every node's arrays, so it is priced afresh."""
+        if isinstance(request, GraphServingRequest):
+            return tuple(
+                self.handoff_cost(request, p) for p in range(len(self.pools))
+            )
+        key = (request.tenant, request.program, request.size)
+        costs = self._handoffs.get(key)
+        if costs is None:
+            costs = self._handoffs[key] = tuple(
+                self.handoff_cost(request, p) for p in range(len(self.pools))
+            )
+        return costs
+
     def _pool_load_s(self, pool_index: int) -> float:
         """Mean backlog clock across the pool's replicas."""
         pool = self.pools[pool_index]
@@ -359,8 +376,7 @@ class ClusterRouter:
         """
         home = self.home_pool(request.tenant)
         best_pool, best_score = home, (math.inf, 1, home)
-        for p in range(len(self.pools)):
-            net_s, _ = self.handoff_cost(request, p)
+        for p, (net_s, _net_j) in enumerate(self._pool_handoffs(request)):
             score = (self._pool_load_s(p) + net_s, 0 if p == home else 1, p)
             if score < best_score:
                 best_pool, best_score = p, score
@@ -384,9 +400,9 @@ class ClusterRouter:
             p for p in range(len(self.pools)) if p not in excluded_pools
         ]
         if candidates:
-            net = {p: self.handoff_cost(request, p)[0] for p in candidates}
+            costs = self._pool_handoffs(request)
             best = min(
-                candidates, key=lambda p: (self._pool_load_s(p) + net[p], p)
+                candidates, key=lambda p: (self._pool_load_s(p) + costs[p][0], p)
             )
             pool = self.pools[best]
             local = min(
@@ -423,23 +439,26 @@ class ClusterRouter:
         ``measured_s`` (the event loop accrues them into latency) and
         the joules join the cluster's network meter.
         """
-        pool_index, local = self._split(flat_index)
+        pool_index = self.pool_of(flat_index)
+        local = flat_index - self._offsets[pool_index]
         home = self.home_pool(request.tenant)
-        net_s, net_j = self.handoff_cost(request, pool_index)
+        net_s, net_j = self._pool_handoffs(request)[pool_index]
         self.served += 1
         if pool_index != home:
             self.cross_pool += 1
             self.network_s += net_s
             self.network_j += net_j
         pool = self.pools[pool_index]
+        # Positional: binding seven keywords per request costs as much
+        # as building the response.
         return ClusterResponse(
-            pool_index=pool_index,
-            home_pool=home,
-            replica_index=flat_index,
-            replica_name=pool.replicas[local].name,
-            network_s=net_s,
-            network_j=net_j,
-            response=pool.serve_on(local, request),
+            pool_index,
+            home,
+            flat_index,
+            pool.replicas[local].name,
+            net_s,
+            net_j,
+            pool.serve_on(local, request),
         )
 
     def submit(

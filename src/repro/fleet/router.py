@@ -256,10 +256,10 @@ class FleetRouter:
         return base % len(self.replicas)  # pragma: no cover - candidates never empty
 
     def _least_loaded_index(self) -> int:
-        return min(
-            self._candidates(),
-            key=lambda i: (self.replicas[i].service.backlog_s, i),
-        )
+        """The replica in rotation (see :meth:`_candidates`) whose backlog
+        clock frees up first, the lowest index on ties."""
+        rotation = [r for r in self.replicas if r.draining == 0] or self.replicas
+        return min(rotation, key=lambda r: r.service.backlog_s).index
 
     def _peek(
         self, replica: FleetReplica, request: ServingRequest

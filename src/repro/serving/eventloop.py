@@ -368,8 +368,8 @@ class _Attempt:
     vtag: float = 0.0
     #: The backend response, once service started (None on a predict error).
     response: object = None
-    #: Tracer marker id (0 when tracing is off).
-    tid: int = 0
+    #: The tracer's marker of this attempt (None when tracing is off).
+    marker: object = None
 
 
 @dataclass
@@ -719,7 +719,7 @@ class EventLoop:
     ) -> None:
         attempt = _Attempt(pending, replica.index, is_hedge, is_spec)
         if self._tracer is not None:
-            attempt.tid = self._tracer.enqueue(
+            attempt.marker = self._tracer.enqueue(
                 pending.seq, self._clock, replica.index, is_hedge, is_spec
             )
         if self.options.queue_discipline == "weighted-fair":
@@ -787,13 +787,9 @@ class EventLoop:
             attempt.finish_s = now + attempt.service_s
             replica.free_at = attempt.finish_s
             if self._tracer is not None:
+                finish_s = attempt.finish_s
                 self._tracer.start(
-                    attempt.tid,
-                    now,
-                    predict_end_s=attempt.finish_s,
-                    net_start_s=attempt.finish_s,
-                    finish_s=attempt.finish_s,
-                    outcome="predict-error",
+                    attempt.marker, now, finish_s, finish_s, finish_s, "predict-error"
                 )
             self._push(attempt.finish_s, "attempt-failed", attempt)
             return
@@ -821,14 +817,15 @@ class EventLoop:
             # ends after the (straggler-scaled) cache/model cost, the
             # cross-pool network hop (a cluster response's network_s,
             # zero elsewhere) occupies the tail, execute fills between.
+            # The times go positionally: binding keywords costs more
+            # than the marker itself.
             self._tracer.start(
-                attempt.tid,
+                attempt.marker,
                 now,
-                predict_end_s=now + predict_s * scale,
-                net_start_s=attempt.finish_s
-                - getattr(response, "network_s", 0.0) * scale,
-                finish_s=attempt.finish_s,
-                outcome="error" if failing else "ok",
+                now + predict_s * scale,
+                attempt.finish_s - getattr(response, "network_s", 0.0) * scale,
+                attempt.finish_s,
+                "error" if failing else "ok",
             )
         if failing:
             self.stats.exec_errors += 1
@@ -856,7 +853,7 @@ class EventLoop:
             return
         attempt.cancelled = True
         if self._tracer is not None:
-            self._tracer.cancel_attempt(attempt.tid, now)
+            self._tracer.cancel_attempt(attempt.marker, now)
         replica = self._replicas[attempt.replica]
         if attempt.running:
             if replica.current is attempt:
@@ -893,7 +890,7 @@ class EventLoop:
         if pending.speculated:
             self.stats.cancelled_speculative += pending.speculated
         if self._tracer is not None:
-            self._tracer.complete(pending.seq, now, attempt.tid)
+            self._tracer.complete(pending.seq, now, attempt.marker)
         latency_s = now - pending.arrival_s
         queue_s = attempt.start_s - pending.arrival_s
         self._completed.value += 1
@@ -935,7 +932,7 @@ class EventLoop:
         pending = attempt.pending
         replica = self._replicas[attempt.replica]
         if self._tracer is not None:
-            self._tracer.fail_attempt(attempt.tid, now)
+            self._tracer.fail_attempt(attempt.marker, now)
         self._release(replica, attempt, now)
         pending.live.remove(attempt)
         if not replica.crashed:
@@ -1038,7 +1035,7 @@ class EventLoop:
             attempt.replica = thief.index
             self.stats.steals += 1
             if self._tracer is not None:
-                self._tracer.steal(attempt.tid, now, thief.index)
+                self._tracer.steal(attempt.marker, now, thief.index)
             self._begin(thief, attempt, now)
             return
 

@@ -14,6 +14,13 @@ on that invariant:
   total seconds, the "folded stacks" format flamegraph tooling eats;
 * :meth:`CriticalPathAnalyzer.check` — the conservation audit: critical
   spans must tile the root exactly and sum to the reported latency.
+
+Built from a tracer (:meth:`CriticalPathAnalyzer.from_tracer`, what
+:meth:`~repro.telemetry.Telemetry.analyzer` does), the analyzer reads
+the tracer's span columns in place: it indexes each trace's row range
+and builds a trace's :class:`~repro.telemetry.spans.Span` objects only
+when that trace is read, so building it costs one pass over the
+trace-id column and holding it costs one range per trace.
 """
 
 from __future__ import annotations
@@ -27,26 +34,44 @@ __all__ = ["CriticalPathAnalyzer"]
 
 
 class CriticalPathAnalyzer:
-    """Aggregates one run's spans into latency-attribution views."""
+    """Aggregates one run's spans into latency-attribution views.
 
-    def __init__(self, spans) -> None:
-        self._by_trace: dict[int, list[Span]] = {}
-        self._by_id: dict[int, dict[int, Span]] = {}
-        for span in spans:
-            self._by_trace.setdefault(span.trace_id, []).append(span)
-            self._by_id.setdefault(span.trace_id, {})[span.span_id] = span
+    ``spans`` is any sequence of :class:`Span`; ``rows`` maps each trace
+    id to the range of its rows in ``spans``.  Without ``rows`` the
+    spans are grouped by trace once, here.
+    """
+
+    def __init__(self, spans, rows: dict[int, range] | None = None) -> None:
+        if rows is None:
+            by_trace: dict[int, list[Span]] = {}
+            for span in spans:
+                by_trace.setdefault(span.trace_id, []).append(span)
+            spans, rows = [], {}
+            for trace_id, group in by_trace.items():
+                rows[trace_id] = range(len(spans), len(spans) + len(group))
+                spans.extend(group)
+        self._spans = spans
+        self._rows = rows
 
     @classmethod
     def from_tracer(cls, tracer) -> "CriticalPathAnalyzer":
-        return cls(tracer.spans)
+        """An analyzer over the tracer's own span columns."""
+        return cls(tracer.spans, tracer.trace_rows())
+
+    def _trace(self, trace_id: int) -> list[Span]:
+        """One trace's spans, in emission order."""
+        rows = self._rows[trace_id]
+        return self._spans[rows.start : rows.stop]
 
     # -- per-trace views ---------------------------------------------------
 
     def trace_ids(self) -> tuple[int, ...]:
-        return tuple(sorted(self._by_trace))
+        return tuple(sorted(self._rows))
 
     def root(self, trace_id: int) -> Span:
-        for span in self._by_trace[trace_id]:
+        # A tracer emits the root first, so this builds one span.
+        for row in self._rows[trace_id]:
+            span = self._spans[row]
             if span.kind == "request":
                 return span
         raise KeyError(f"trace {trace_id} has no request root span")
@@ -64,12 +89,9 @@ class CriticalPathAnalyzer:
 
     def critical_spans(self, trace_id: int) -> list[Span]:
         return sorted(
-            (s for s in self._by_trace[trace_id] if s.critical),
+            (s for s in self._trace(trace_id) if s.critical),
             key=lambda s: (s.start_s, s.span_id),
         )
-
-    def critical_sum(self, trace_id: int) -> float:
-        return sum(s.duration_s for s in self.critical_spans(trace_id))
 
     def breakdown(self, trace_id: int) -> dict[str, float]:
         """Critical seconds by span kind for one trace."""
@@ -87,8 +109,9 @@ class CriticalPathAnalyzer:
         loop's reported latency.
         """
         root = self.root(trace_id)
+        critical = self.critical_spans(trace_id)
         cursor = root.start_s
-        for span in self.critical_spans(trace_id):
+        for span in critical:
             if span.start_s != cursor:
                 raise ValueError(
                     f"trace {trace_id}: critical span {span.span_id} starts at "
@@ -100,7 +123,7 @@ class CriticalPathAnalyzer:
                 f"trace {trace_id}: critical tiling ends at {cursor!r}, "
                 f"root ends at {root.end_s!r}"
             )
-        total = self.critical_sum(trace_id)
+        total = sum(s.duration_s for s in critical)
         if not math.isclose(
             total, root.duration_s, rel_tol=1e-9, abs_tol=1e-15
         ):
@@ -184,8 +207,9 @@ class CriticalPathAnalyzer:
         ids = set(self.trace_ids() if trace_ids is None else trace_ids)
         out: dict[str, float] = {}
         for tid in sorted(ids):
-            index = self._by_id[tid]
-            for span in self._by_trace[tid]:
+            spans = self._trace(tid)
+            index = {span.span_id: span for span in spans}
+            for span in spans:
                 if span.kind not in LEAF_KINDS:
                     continue
                 parts = [span.name]

@@ -29,7 +29,10 @@ the critical path and are emitted with ``critical=False``.
 Storage: a traced run keeps one column per span field (typed arrays
 for ids, times and flags, a code for the span's name and kind) and one
 per event field, plus the few values a root or placement needs for its
-attributes.  :attr:`Tracer.spans` and :attr:`Tracer.events` are
+attributes.  An unresolved attempt is one small list of markers; at
+resolution the tracer walks them once and appends the trace's rows
+straight into the columns, root first, so a trace's rows are
+contiguous.  :attr:`Tracer.spans` and :attr:`Tracer.events` are
 read-only sequence views over those columns that build each
 :class:`Span` or event dict only when it is read.  Times are stored as
 C doubles, so a time read back is the float the loop stamped.
@@ -42,10 +45,11 @@ byte-identical JSONL trace on every replay (see :meth:`Tracer.export`).
 from __future__ import annotations
 
 import json
+import math
 from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, groupby, repeat
 
 __all__ = ["SPAN_KINDS", "Span", "Tracer"]
 
@@ -73,8 +77,10 @@ _SPAN_TYPES = (
     ("speculation", "placement"),
     *((kind, kind) for kind in LEAF_KINDS),
 )
-_CODES = {name: code for code, (name, _kind) in enumerate(_SPAN_TYPES)}
-_BACKOFF = _CODES["backoff"]
+(
+    _REQUEST, _ATTEMPT, _RETRY, _HEDGE, _SPECULATION,
+    _QUEUE, _PREDICT, _EXECUTE, _NETWORK, _BACKOFF,
+) = range(len(_SPAN_TYPES))
 
 #: The trace column's entry for an event that belongs to no trace (the
 #: loop's trace ids are its admission sequence numbers, all positive).
@@ -122,64 +128,14 @@ class Span:
         return record
 
 
-@dataclass(slots=True)
-class _AttemptRecord:
-    """Raw markers of one service attempt, folded into spans at resolution."""
-
-    tid: int
-    trace_id: int
-    index: int
-    replica: int
-    is_hedge: bool
-    is_spec: bool
-    enqueue_s: float
-    start_s: float | None = None
-    predict_end_s: float | None = None
-    net_start_s: float | None = None
-    end_s: float | None = None
-    outcome: str = "queued"
-    stolen_by: int | None = None
-
-    @property
-    def name(self) -> str:
-        if self.is_spec:
-            return "speculation"
-        if self.is_hedge:
-            return "hedge"
-        return "retry" if self.index > 0 else "attempt"
-
-    @property
-    def primary(self) -> bool:
-        """On the sequential first-attempt/retry chain (not a racer)."""
-        return not self.is_hedge and not self.is_spec
-
-    def segments(self) -> list[tuple[float, float, str]]:
-        """The attempt's timeline tiled into leaf segments.
-
-        Cancellation can cut an attempt anywhere, so every boundary is
-        clamped to the actual end; zero-length segments are dropped by
-        the caller (their shared endpoints keep the tiling continuous).
-        """
-        end = self.end_s
-        if self.start_s is None:
-            return [(self.enqueue_s, end, "queue")]
-        segs = [(self.enqueue_s, self.start_s, "queue")]
-        segs.append((self.start_s, min(self.predict_end_s, end), "predict"))
-        if end > self.predict_end_s:
-            segs.append((self.predict_end_s, min(self.net_start_s, end), "execute"))
-            if end > self.net_start_s:
-                segs.append((self.net_start_s, end, "network"))
-        return segs
-
-
-@dataclass(slots=True)
-class _OpenTrace:
-    """One admitted request's trace while the request is unresolved."""
-
-    trace_id: int
-    arrival_s: float
-    request: object
-    records: list[_AttemptRecord] = field(default_factory=list)
+#: An attempt's markers live in one list, the marker
+#: :meth:`Tracer.enqueue` returns; these are its slots.  The start,
+#: predict-end and network-start slots stay ``None`` while the attempt
+#: is queued, and the end slot until it ends.
+(
+    _CODE, _REPLICA, _ENQUEUE, _START, _PREDICT_END, _NET_START, _END,
+    _OUTCOME, _STOLEN_BY, _TRACE,
+) = range(10)
 
 
 def _request_attrs(request) -> dict:
@@ -205,7 +161,7 @@ def _build_span(span_id, trace_id, parent, code, start, end, critical, info):
     name, kind = _SPAN_TYPES[code]
     if info is None:
         attrs = {}
-    elif code == 0:
+    elif code == _REQUEST:
         request, outcome = info
         attrs = _request_attrs(request)
         attrs["outcome"] = outcome
@@ -253,7 +209,10 @@ class _ColumnView(Sequence):
 
     def __getitem__(self, index):
         if isinstance(index, slice):
-            return [self[i] for i in range(*index.indices(len(self)))]
+            build = self._build
+            numbers = range(*index.indices(len(self)))
+            rows = zip(*(column[index] for column in self._columns))
+            return [build(number + 1, *row) for number, row in zip(numbers, rows)]
         size = len(self)
         if index < 0:
             index += size
@@ -278,6 +237,7 @@ class Tracer:
         #: Span columns: trace id, parent id (0 for a root), code into
         #: ``_SPAN_TYPES``, start, end, critical flag, and the values a
         #: root or placement builds its attrs from (``None`` for a leaf).
+        #: A resolved trace's rows are contiguous, root first.
         self._span_columns = (
             array("q"), array("q"), array("B"), array("d"), array("d"),
             array("B"), [],
@@ -287,9 +247,11 @@ class Tracer:
         self._event_columns = (array("d"), [], array("q"), [])
         self.traces_completed = 0
         self.traces_failed = 0
-        self._open: dict[int, _OpenTrace] = {}
-        self._records: dict[int, _AttemptRecord] = {}
-        self._next_tid = 0
+        #: Unresolved traces: trace id -> (arrival, request, markers).
+        self._open: dict[int, tuple] = {}
+        #: One stored ``(replica, outcome, stolen_by)`` per distinct value:
+        #: most placements share a handful, and a row holds a reference.
+        self._placements: dict[tuple, tuple] = {}
 
     @property
     def spans(self) -> Sequence[Span]:
@@ -300,6 +262,16 @@ class Tracer:
     def events(self) -> Sequence[dict]:
         """Structured event log entries, in emission order (a read-only view)."""
         return _ColumnView(self._event_columns, _build_event)
+
+    def trace_rows(self) -> dict[int, range]:
+        """Each resolved trace's span rows, as indices into :attr:`spans`."""
+        rows: dict[int, range] = {}
+        lo = 0
+        for trace_id, run in groupby(self._span_columns[0]):
+            hi = lo + sum(1 for _ in run)
+            rows[trace_id] = range(lo, hi)
+            lo = hi
+        return rows
 
     # -- structured event log ----------------------------------------------
 
@@ -315,7 +287,7 @@ class Tracer:
 
     def begin(self, trace_id: int, at_s: float, request) -> None:
         """An admitted request starts its trace at arrival."""
-        self._open[trace_id] = _OpenTrace(trace_id, at_s, request)
+        self._open[trace_id] = (at_s, request, [])
 
     def enqueue(
         self,
@@ -324,26 +296,22 @@ class Tracer:
         replica: int,
         is_hedge: bool = False,
         is_spec: bool = False,
-    ) -> int:
-        """One attempt enters a replica queue; returns its marker id."""
-        trace = self._open[trace_id]
-        self._next_tid += 1
-        record = _AttemptRecord(
-            self._next_tid,
-            trace_id,
-            len(trace.records),
-            replica,
-            is_hedge,
-            is_spec,
-            at_s,
-        )
-        trace.records.append(record)
-        self._records[record.tid] = record
-        return record.tid
+    ) -> list:
+        """One attempt enters a replica queue; returns its marker."""
+        markers = self._open[trace_id][2]
+        if is_spec:
+            code = _SPECULATION
+        elif is_hedge:
+            code = _HEDGE
+        else:
+            code = _RETRY if markers else _ATTEMPT
+        marker = [code, replica, at_s, None, None, None, None, "queued", None, trace_id]
+        markers.append(marker)
+        return marker
 
     def start(
         self,
-        tid: int,
+        marker: list,
         at_s: float,
         predict_end_s: float,
         net_start_s: float,
@@ -353,141 +321,156 @@ class Tracer:
         """The attempt starts service with a known predict/execute/network
         split; ``outcome`` is what the already-determined service draw
         will report (``ok`` / ``error`` / ``predict-error``)."""
-        record = self._records[tid]
-        record.start_s = at_s
-        record.predict_end_s = predict_end_s
-        record.net_start_s = max(net_start_s, predict_end_s)
-        record.end_s = finish_s
-        record.outcome = outcome
+        if net_start_s < predict_end_s:
+            net_start_s = predict_end_s
+        marker[_START:_STOLEN_BY] = at_s, predict_end_s, net_start_s, finish_s, outcome
 
-    def fail_attempt(self, tid: int, at_s: float) -> None:
-        record = self._records[tid]
-        record.end_s = at_s
+    def fail_attempt(self, marker: list, at_s: float) -> None:
+        marker[_END] = at_s
 
-    def cancel_attempt(self, tid: int, at_s: float) -> None:
-        record = self._records[tid]
-        record.end_s = at_s
-        record.outcome = "cancelled"
+    def cancel_attempt(self, marker: list, at_s: float) -> None:
+        marker[_END] = at_s
+        marker[_OUTCOME] = "cancelled"
 
-    def steal(self, tid: int, at_s: float, thief: int) -> None:
+    def steal(self, marker: list, at_s: float, thief: int) -> None:
         """A queued attempt is pulled to an idle replica."""
-        record = self._records[tid]
-        record.stolen_by = thief
-        self.event(
-            at_s, "steal", trace_id=record.trace_id,
-            victim=record.replica, thief=thief,
-        )
+        marker[_STOLEN_BY] = thief
+        at_column, names, traces, attrs_column = self._event_columns
+        at_column.append(at_s)
+        names.append("steal")
+        traces.append(marker[_TRACE])
+        attrs_column.append(("victim", marker[_REPLICA], "thief", thief))
 
     # -- resolution --------------------------------------------------------
 
-    def complete(self, trace_id: int, at_s: float, winner_tid: int) -> None:
+    def complete(self, trace_id: int, at_s: float, winner: list) -> None:
         """The request completed; fold its markers into the span tree."""
-        trace = self._open.pop(trace_id)
-        winner = self._records[winner_tid]
-        winner.end_s = at_s
-        winner.outcome = "ok"
+        arrival_s, request, markers = self._open.pop(trace_id)
+        winner[_END] = at_s
+        winner[_OUTCOME] = "ok"
         self.traces_completed += 1
-        self.event(
-            at_s, "complete", trace_id=trace_id,
-            latency_s=at_s - trace.arrival_s,
-        )
-        self._emit(trace, finish_s=at_s, winner=winner, outcome="completed")
-        self._drop(trace)
+        at_column, names, traces, attrs_column = self._event_columns
+        at_column.append(at_s)
+        names.append("complete")
+        traces.append(trace_id)
+        attrs_column.append(("latency_s", at_s - arrival_s))
+        self._emit(trace_id, arrival_s, request, markers, at_s, winner, "completed")
 
     def fail(self, trace_id: int, at_s: float, reason: str) -> None:
         """The request was lost (timeout, retries exhausted, stranded)."""
-        trace = self._open.pop(trace_id)
+        arrival_s, request, markers = self._open.pop(trace_id)
         self.traces_failed += 1
         self.event(at_s, "failed", trace_id=trace_id, reason=reason)
-        for record in trace.records:
-            if record.end_s is None:
-                record.end_s = at_s
-        self._emit(trace, finish_s=at_s, winner=None, outcome=reason)
-        self._drop(trace)
-
-    def _drop(self, trace: _OpenTrace) -> None:
-        for record in trace.records:
-            del self._records[record.tid]
+        for marker in markers:
+            if marker[_END] is None:
+                marker[_END] = at_s
+        self._emit(trace_id, arrival_s, request, markers, at_s, None, reason)
 
     # -- span construction -------------------------------------------------
 
-    def _emit(self, trace, finish_s, winner, outcome) -> None:
-        """Emit the resolved trace's span tree.
+    def _emit(
+        self, trace_id, arrival_s, request, markers, finish_s, winner, outcome
+    ) -> None:
+        """Append the resolved trace's span tree to the span columns.
 
-        Critical leaves are the winner's own segments plus the clipped
-        primary-chain segments before the winner was enqueued; the gaps
-        in between (retry backoff limbo, when no attempt exists) become
-        ``backoff`` spans, so critical leaves tile ``[arrival, finish]``
-        with shared endpoints and their durations sum to the latency.
-        The tree's rows go into the span columns in one batch.
+        Each attempt's timeline is tiled into queue, predict, execute
+        and network leaves, every boundary clamped to the attempt's end
+        and zero-length leaves dropped.  Critical leaves are the
+        winner's own plus the primary-chain attempts' up to the instant
+        the winner was enqueued (the request waited through them in
+        sequence; a leaf straddling that instant is split there).
+        Hedge and speculative losers, and everything of a failed
+        request, are off the critical path.  Attempts are appended in
+        enqueue order, so their critical stretches arrive in time
+        order; the holes between them (retry backoff limbo, when no
+        attempt exists) become ``backoff`` leaves under the root, and
+        the critical leaves tile ``[arrival, finish]`` with shared
+        endpoints, so their durations sum to the latency.
         """
-        trace_id = trace.trace_id
-        columns = self._span_columns
-        root = len(columns[0]) + 1
-        rows = [
-            (trace_id, 0, 0, trace.arrival_s, finish_s, False,
-             (trace.request, outcome)),
-        ]
-        w_enq = winner.enqueue_s if winner is not None else None
-        critical_leaves: list[tuple[float, float]] = []
-        for record in trace.records:
-            container = root + len(rows)
-            rows.append((
-                trace_id, root, _CODES[record.name], record.enqueue_s,
-                record.end_s, False,
-                (record.replica, record.outcome, record.stolen_by),
-            ))
-            for seg_start, seg_end, seg_kind in record.segments():
-                if seg_end <= seg_start:
-                    continue
-                for lo, hi, crit in self._criticality(
-                    record, winner, w_enq, seg_start, seg_end
-                ):
-                    if hi <= lo:
-                        continue
-                    rows.append(
-                        (trace_id, container, _CODES[seg_kind], lo, hi, crit, None)
-                    )
-                    if crit:
-                        critical_leaves.append((lo, hi))
+        trace_ids, parents, codes, starts, ends, crits, infos = self._span_columns
+        placement_info = self._placements.setdefault
+        parent, code, start = parents.append, codes.append, starts.append
+        end, crit, info = ends.append, crits.append, infos.append
+        root = len(parents) + 1
+        parent(0)
+        code(_REQUEST)
+        start(arrival_s)
+        end(finish_s)
+        crit(0)
+        info((request, outcome))
         if winner is not None:
-            for lo, hi in self._gaps(trace.arrival_s, finish_s, critical_leaves):
-                rows.append((trace_id, root, _BACKOFF, lo, hi, True, None))
-        for column, values in zip(columns, zip(*rows)):
-            column.extend(values)
-
-    @staticmethod
-    def _criticality(record, winner, w_enq, start, end):
-        """Split one segment into (lo, hi, critical) parts.
-
-        The winner is critical end to end.  A primary-chain record is
-        critical up to the instant the winner was enqueued — the
-        request was sequentially waiting through it — and off-path
-        after that (it raced the winner and lost).  Hedge/speculative
-        losers are never critical.
-        """
-        if winner is None:
-            return ((start, end, False),)
-        if record is winner:
-            return ((start, end, True),)
-        if not record.primary or start >= w_enq:
-            return ((start, end, False),)
-        if end <= w_enq:
-            return ((start, end, True),)
-        return ((start, w_enq, True), (w_enq, end, False))
-
-    @staticmethod
-    def _gaps(arrival_s, finish_s, critical_leaves) -> list[tuple[float, float]]:
-        """The critical-tiling gaps, which become backoff spans."""
+            winner_enqueue_s = winner[_ENQUEUE]
+        gaps = []
         cursor = arrival_s
-        gaps: list[tuple[float, float]] = []
-        for lo, hi in sorted(critical_leaves):
-            if lo > cursor:
-                gaps.append((cursor, lo))
-            cursor = max(cursor, hi)
-        if cursor < finish_s:
-            gaps.append((cursor, finish_s))
-        return gaps
+        for marker in markers:
+            (kind, replica, enqueue_s, start_s, predict_end_s, net_start_s,
+             end_s, marker_outcome, stolen_by, _) = marker
+            container = len(parents) + 1
+            parent(root)
+            code(kind)
+            start(enqueue_s)
+            end(end_s)
+            crit(0)
+            placement = (replica, marker_outcome, stolen_by)
+            info(placement_info(placement, placement))
+            # The instant up to which this attempt's leaves are critical.
+            if winner is None or (kind > _RETRY and marker is not winner):
+                critical_until = -math.inf
+            elif marker is winner:
+                critical_until = math.inf
+            else:
+                critical_until = winner_enqueue_s
+            if critical_until > enqueue_s and end_s > enqueue_s:
+                if enqueue_s > cursor:
+                    gaps.append((cursor, enqueue_s))
+                reach = end_s if end_s < critical_until else critical_until
+                if reach > cursor:
+                    cursor = reach
+            if start_s is None:
+                leaves = ((enqueue_s, end_s, _QUEUE),)
+            else:
+                if predict_end_s > end_s:
+                    predict_end_s = end_s
+                if net_start_s > end_s:
+                    net_start_s = end_s
+                leaves = (
+                    (enqueue_s, start_s, _QUEUE),
+                    (start_s, predict_end_s, _PREDICT),
+                    (predict_end_s, net_start_s, _EXECUTE),
+                    (net_start_s, end_s, _NETWORK),
+                )
+            for lo, hi, leaf in leaves:
+                if hi <= lo:
+                    continue
+                if hi <= critical_until:
+                    flag = 1
+                elif lo >= critical_until:
+                    flag = 0
+                else:
+                    parent(container)
+                    code(leaf)
+                    start(lo)
+                    end(critical_until)
+                    crit(1)
+                    info(None)
+                    lo, flag = critical_until, 0
+                parent(container)
+                code(leaf)
+                start(lo)
+                end(hi)
+                crit(flag)
+                info(None)
+        if winner is not None:
+            if cursor < finish_s:
+                gaps.append((cursor, finish_s))
+            for lo, hi in gaps:
+                parent(root)
+                code(_BACKOFF)
+                start(lo)
+                end(hi)
+                crit(1)
+                info(None)
+        trace_ids.extend(repeat(trace_id, len(parents) - len(trace_ids)))
 
     # -- export ------------------------------------------------------------
 

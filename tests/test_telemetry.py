@@ -8,6 +8,7 @@ request.
 """
 
 import gc
+import hashlib
 import json
 import weakref
 
@@ -56,6 +57,43 @@ FAULTS = FaultSchedule(
         FaultSpec(kind="crash", at_s=0.01, duration_s=0.005, replica=0),
     ),
     seed=7,
+)
+
+#: A small 2x2 cluster trace that takes every traced path: a crash with
+#: failover, a straggler, an error window with retries, backoff and
+#: exhausted retries, predict errors, hedges, speculation, steals and
+#: timeouts.
+PINNED_FAULTS = FaultSchedule(
+    specs=(
+        FaultSpec("straggler", at_s=0.0, duration_s=0.04, magnitude=6.0, replica=0),
+        FaultSpec("error", at_s=0.005, duration_s=0.02, magnitude=0.3),
+        FaultSpec("predict-error", at_s=0.0, duration_s=0.05, magnitude=0.05),
+        FaultSpec("crash", at_s=0.012, duration_s=0.006, replica=1),
+    ),
+    seed=11,
+)
+PINNED = ServeOptions(
+    arrival="poisson",
+    rate_rps=3000.0,
+    seed=1,
+    telemetry="trace",
+    faults=PINNED_FAULTS,
+    max_retries=3,
+    retry_backoff_s=0.002,
+    slo=SLOConfig(target_s=0.004),
+    timeout_factor=2.0,
+    hedge_at=0.8,
+    speculate_at=0.9,
+    work_steal=True,
+)
+
+#: Line count and sha256 of the PINNED run's JSONL export.  They were
+#: computed with the earlier tracer that built segment lists and sorted
+#: its critical leaves, so they pin the export across tracer rewrites:
+#: a tracer change must keep these bytes.
+PINNED_EXPORT = (
+    470,
+    "fdd8bf8be426e487105abc1a3ef0b69e3c7950b597a65a12b90e8338b9f04773",
 )
 
 TRACED = ServeOptions(
@@ -311,6 +349,40 @@ class TestTracedServiceRun:
                 with pytest.raises(IndexError):
                     view[index]
 
+    def test_analyzer_builds_a_trace_only_when_read(self, run, monkeypatch):
+        built = []
+
+        class CountingSpan(Span):
+            __slots__ = ()
+
+            def __init__(self, *args):
+                built.append(args[0])
+                super().__init__(*args)
+
+        monkeypatch.setattr(spans_module, "Span", CountingSpan)
+        analyzer = run.telemetry.analyzer()
+        ids = analyzer.trace_ids()
+        assert built == [] and len(ids) == run.stats.admitted
+        assert analyzer.root(ids[-1]).kind == "request"
+        assert built == [ids[-1]]
+        completed = analyzer.completed_ids()
+        built.clear()
+        analyzer.check(completed[0])
+        assert set(built) == {completed[0]}
+
+    def test_analyzer_reads_the_columns_as_the_spans(self, run):
+        columns = run.telemetry.analyzer()
+        spans = CriticalPathAnalyzer(list(run.telemetry.tracer.spans))
+        assert columns.trace_ids() == spans.trace_ids()
+        assert columns.completed_ids() == spans.completed_ids()
+        for tid in columns.trace_ids():
+            assert columns.root(tid) == spans.root(tid)
+            assert columns.critical_spans(tid) == spans.critical_spans(tid)
+        slowest = columns.slowest(0.2)
+        assert slowest == spans.slowest(0.2)
+        assert columns.attribution(slowest) == spans.attribution(slowest)
+        assert columns.folded() == spans.folded()
+
     def test_views_are_read_only(self, run):
         tracer = run.telemetry.tracer
         with pytest.raises(AttributeError):
@@ -366,6 +438,25 @@ class TestByteIdenticalReplay:
         assert stats[0].completed == stats[1].completed
         assert exports[0] == exports[1]
         assert len(exports[0]) > 40
+
+    def test_faulted_cluster_export_keeps_its_pinned_bytes(self, monkeypatch):
+        monkeypatch.setattr(eventloop, "TRIGGER_MIN_COMPLETIONS", 8)
+        cluster = ClusterRouter.build(
+            2, 2, benchmarks=BENCHMARKS, model_kind="knn", training=TRAIN
+        )
+        trace = with_tenants(_trace(60, seed=1), ("premium", "batch"))
+        result = serve_trace(cluster, trace, PINNED)
+        for shape in (
+            "crashes", "failovers", "retries", "exec_errors", "predict_errors",
+            "hedges", "speculations", "steals", "timeouts",
+        ):
+            assert getattr(result.stats, shape) > 0, shape
+        tracer = result.telemetry.tracer
+        names = {span.name for span in tracer.spans}
+        assert names == {name for name, _kind in spans_module._SPAN_TYPES}
+        lines = tracer.export_lines()
+        digest = hashlib.sha256("\n".join(lines).encode() + b"\n").hexdigest()
+        assert (len(lines), digest) == PINNED_EXPORT
 
     def test_cluster_network_spans_nest_under_placements(self):
         cluster = _cluster()
@@ -474,12 +565,12 @@ class TestTracerUnits:
     def test_trace_records_are_slotted(self):
         tracer = Tracer()
         tracer.begin(0, 1.0, ServingRequest(request_id=0, program="vec_add", size=64))
-        tid = tracer.enqueue(0, 1.0, replica=0)
-        open_records = [tracer._open[0], tracer._records[tid]]
-        tracer.start(tid, 1.5, predict_end_s=1.6, net_start_s=2.0,
+        marker = tracer.enqueue(0, 1.0, replica=0)
+        open_records = [tracer._open[0], marker]
+        tracer.start(marker, 1.5, predict_end_s=1.6, net_start_s=2.0,
                      finish_s=2.25, outcome="ok")
-        tracer.complete(0, 2.25, tid)
-        assert tracer.spans
+        tracer.complete(0, 2.25, marker)
+        assert tracer.spans and not tracer._open
         for record in [*open_records, *tracer.spans]:
             assert not hasattr(record, "__dict__"), type(record).__name__
         # Spans live in the tracer's columns: it stores no Span and no
