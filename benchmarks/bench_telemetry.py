@@ -14,8 +14,10 @@ metrics/off wall ratio: the two runs of a round are neighbours in
 time, and their order alternates from round to round, so ambient
 slowdowns cancel in each ratio and one slow or lucky run cannot move
 the median.  Trace mode is measured the same way: the median over the
-trace rounds of each round's trace/off wall ratio.  The script fails
-when:
+trace rounds of each round's trace/off wall ratio.  A trace round runs
+``off`` between ``metrics`` and ``trace``, and the two alternate ends,
+so both ratios are taken against a neighbouring off run.  The script
+fails when:
 
 * that overhead exceeds the bound (the registry-backed stats must stay
   a thin view): < 3% on the full run, < 10% on the CI-sized
@@ -267,16 +269,22 @@ def main(argv=None) -> int:
 
     # Off and metrics run back to back, so slow ambient periods — CI
     # neighbours, page cache churn — hit both alike, and they swap
-    # places every round, so neither always runs first.
+    # places every round, so neither always runs first.  A trace round
+    # puts off between its two comparands, (metrics, off, trace) then
+    # (trace, off, metrics), so each ratio is taken against an adjacent
+    # off run and no mode always runs last.  Round 0 opens with metrics
+    # rather than trace: the process's first run is its slowest, and a
+    # median of many metrics rounds absorbs one slow round better than
+    # the median of TRACE_ROUNDS trace rounds does.
     modes: dict[str, dict] = {}
     overheads: list[float] = []
     trace_ratios: list[float] = []
     exports: list[tuple[int, str]] = []  # (lines, sha256) per trace run
     analyzer = None
     for round_no in range(rounds):
-        order = ("off", "metrics") if round_no % 2 == 0 else ("metrics", "off")
+        order = ("metrics", "off") if round_no % 2 == 0 else ("off", "metrics")
         if round_no < TRACE_ROUNDS:
-            order += ("trace",)
+            order = order + ("trace",) if round_no % 2 == 0 else ("trace",) + order
         walls = {}
         for mode in order:
             doc, telemetry = run_mode(

@@ -418,9 +418,8 @@ def _read_requests(path: str, known: set[str], tenants: tuple[str, ...]):
     """``<program> <size>`` lines from ``path`` (``-`` is stdin) →
     requests, read lazily; malformed lines are reported and skipped."""
     from contextlib import nullcontext
-    from dataclasses import replace
 
-    from .serving import ServingRequest
+    from .serving import DEFAULT_TENANT, ServingRequest
 
     count = 0
     with nullcontext(sys.stdin) if path == "-" else open(path) as stream:
@@ -437,12 +436,8 @@ def _read_requests(path: str, known: set[str], tenants: tuple[str, ...]):
             ):
                 print(f"!! malformed request {line!r} (want '<program> <size>')")
                 continue
-            request = ServingRequest(
-                request_id=count, program=parts[0], size=int(parts[1])
-            )
-            if tenants:
-                request = replace(request, tenant=tenants[count % len(tenants)])
-            yield request
+            tenant = tenants[count % len(tenants)] if tenants else DEFAULT_TENANT
+            yield ServingRequest(count, parts[0], int(parts[1]), tenant)
             count += 1
 
 

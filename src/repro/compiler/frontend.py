@@ -1,8 +1,14 @@
 """Compiler frontend: validate → normalize → analyze → emit.
 
-`compile_kernel` is the single entry point the rest of the system uses;
-it corresponds to the paper's "code analyzer + backend" stages and
-produces everything the runtime and the feature extractor need.
+`compile_kernel` corresponds to the paper's "code analyzer + backend"
+stages and produces everything the runtime and the feature extractor
+need.  It runs in two halves: :func:`compile_front` does what depends
+on the kernel alone (validation, the default passes, the static
+analysis, the derived distributions) and :func:`compile_back` applies
+distribution overrides and emits the multi-device program.  A
+benchmark runs the front once and the back once per override set, so
+all its problem sizes share one kernel and one analysis: the paper's
+compiler translates a program once and leaves the size to the runtime.
 """
 
 from __future__ import annotations
@@ -17,7 +23,13 @@ from .backend import MultiDeviceProgram, emit_multi_device
 from .passes import run_default_passes
 from .splitter import BufferDistribution, KernelDistribution, derive_distributions
 
-__all__ = ["CompiledKernel", "compile_kernel"]
+__all__ = [
+    "CompiledKernel",
+    "KernelFront",
+    "compile_back",
+    "compile_front",
+    "compile_kernel",
+]
 
 
 @dataclass(frozen=True)
@@ -45,24 +57,42 @@ class CompiledKernel:
         return self.analysis.static_features()
 
 
-def compile_kernel(
-    kernel: ir.Kernel,
-    distribution_overrides: Mapping[str, BufferDistribution] | None = None,
-    optimize: bool = True,
-) -> CompiledKernel:
-    """Run the full frontend pipeline on a kernel.
+@dataclass(frozen=True)
+class KernelFront:
+    """The override-independent half of a compile.
 
-    ``distribution_overrides`` lets a benchmark declare distributions the
-    automatic analysis cannot prove (Insieme's annotation escape hatch);
-    every override must name a real buffer parameter.
+    Attributes:
+        analysis: the static analysis of the normalized IR
+            (``analysis.kernel``), shared by every back half.
+        derived: the distributions the analysis proves on its own.
     """
+
+    analysis: KernelAnalysis
+    derived: KernelDistribution
+
+
+def compile_front(kernel: ir.Kernel, optimize: bool = True) -> KernelFront:
+    """Validate, normalize and analyze a kernel."""
     validate_kernel(kernel)
     if optimize:
         kernel = run_default_passes(kernel)
         validate_kernel(kernel)
     analysis = analyze_kernel(kernel)
-    derived = derive_distributions(analysis)
-    buffers = dict(derived.buffers)
+    return KernelFront(analysis, derive_distributions(analysis))
+
+
+def compile_back(
+    front: KernelFront,
+    distribution_overrides: Mapping[str, BufferDistribution] | None = None,
+) -> CompiledKernel:
+    """Apply distribution overrides to a front and emit the program.
+
+    ``distribution_overrides`` lets a benchmark declare distributions the
+    automatic analysis cannot prove (Insieme's annotation escape hatch);
+    every override must name a real buffer parameter.
+    """
+    kernel = front.analysis.kernel
+    buffers = dict(front.derived.buffers)
     if distribution_overrides:
         param_names = {p.name for p in kernel.buffer_params}
         for name, dist in distribution_overrides.items():
@@ -77,4 +107,13 @@ def compile_kernel(
         buffers.setdefault(p.name, BufferDistribution.full())
     distribution = KernelDistribution(buffers)
     program = emit_multi_device(kernel, distribution)
-    return CompiledKernel(kernel, analysis, distribution, program)
+    return CompiledKernel(kernel, front.analysis, distribution, program)
+
+
+def compile_kernel(
+    kernel: ir.Kernel,
+    distribution_overrides: Mapping[str, BufferDistribution] | None = None,
+    optimize: bool = True,
+) -> CompiledKernel:
+    """Run the full frontend pipeline on a kernel: front, then back."""
+    return compile_back(compile_front(kernel, optimize), distribution_overrides)

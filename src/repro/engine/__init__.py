@@ -13,9 +13,10 @@ plannings plus cheap compositions.
 Tape keys come from item ranges: a device's ``(offset, count)`` in
 :func:`~repro.partitioning.split_items` and a per-request buffer table
 give its item count and the element counts it transfers and reads back,
-through the same range rules the scheduler plans with.  The device's
-chunk and command plan are built only on a tape miss; nothing else is
-memoized about planning.  A sweep is one pass over the partition space:
+through the same range rules the scheduler plans with, and that key is
+computed only for an exact ``(offset, count)`` chunk not seen before.
+The device's chunk and command plan are built only on a tape miss;
+nothing else is memoized about planning.  A sweep is one pass over the partition space:
 the drift check and the request lookup run once per call, and every
 point is composed and recorded directly by the core that
 :meth:`SweepEngine.measure` and :meth:`SweepEngine.price` share.

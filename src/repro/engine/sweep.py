@@ -127,6 +127,9 @@ class SweepEngine:
         self._deterministic = all(d.noise is None for d in runner.devices)
         self._results: dict[tuple, ExecutionResult] = {}
         self._tapes: dict[tuple, _Tape] = {}
+        #: (meta, device, offset, count, multi) -> tape: the exact chunk,
+        #: looked up before the content key is computed.
+        self._chunks: dict[tuple, _Tape] = {}
         self._requests: dict[int, _RequestMeta] = {}
         self._prices: dict[tuple, tuple[float, float]] = {}
         self._drift_generation = runner.drift_generation
@@ -135,6 +138,7 @@ class SweepEngine:
         """Drop all cached tapes, results and request tables (between campaigns)."""
         self._results.clear()
         self._tapes.clear()
+        self._chunks.clear()
         self._requests.clear()
         self._prices.clear()
 
@@ -150,6 +154,7 @@ class SweepEngine:
         if generation != self._drift_generation:
             self._results.clear()
             self._tapes.clear()
+            self._chunks.clear()
             self._prices.clear()
             self._drift_generation = generation
         rid = id(request)
@@ -198,6 +203,30 @@ class SweepEngine:
         commands = tuple(map(priced.__getitem__, map(id, plan)))
         return _Tape(commands, *replay(commands))
 
+    def _content_tape(
+        self,
+        meta: _RequestMeta,
+        device_index: int,
+        offset: int,
+        count: int,
+        multi: bool,
+    ) -> _Tape:
+        """A chunk's tape by content key: a hit, or recorded on a miss."""
+        inputs = tuple([buffer_range(d, n, offset, count)[1] for d, n in meta.in_specs])
+        outputs = tuple(
+            [readback_count(d, n, offset, count) for d, n in meta.out_specs]
+        )
+        key = (meta, device_index, count, multi, inputs, outputs)
+        tape = self._tapes.get(key)
+        if tape is None:
+            self.stats.tape_misses += 1
+            tape = self._tapes[key] = self._record_tape(
+                meta, device_index, offset, count, multi
+            )
+        else:
+            self.stats.tape_hits += 1
+        return tape
+
     # -- composition -------------------------------------------------------
 
     def _compose(
@@ -218,7 +247,9 @@ class SweepEngine:
         size share a tape.  The counts come straight from the device's
         ``(offset, count)`` in :func:`~repro.partitioning.split_items`;
         its :class:`~repro.compiler.splitter.DeviceChunk` and command
-        plan are built only on a tape miss.
+        plan are built only on a tape miss.  The content key itself is
+        computed only when the exact chunk ``(offset, count)`` has not
+        been seen: a sweep meets each distinct chunk about twice.
         """
         devices = self.runner.devices
         if partitioning.num_devices != len(devices):
@@ -241,16 +272,14 @@ class SweepEngine:
         multi = len(active) > 1
         busy = [0.0] * len(devices)
         dynamic_j = [0.0] * len(devices)
-        in_specs, out_specs = meta.in_specs, meta.out_specs
+        chunks = self._chunks
         for device_index, offset, count in active:
-            inputs = tuple([buffer_range(d, n, offset, count)[1] for d, n in in_specs])
-            outputs = tuple([readback_count(d, n, offset, count) for d, n in out_specs])
-            key = (meta, device_index, count, multi, inputs, outputs)
-            tape = self._tapes.get(key)
+            chunk_key = (meta, device_index, offset, count, multi)
+            tape = chunks.get(chunk_key)
             if tape is None:
-                self.stats.tape_misses += 1
-                tape = self._record_tape(meta, device_index, offset, count, multi)
-                self._tapes[key] = tape
+                tape = chunks[chunk_key] = self._content_tape(
+                    meta, device_index, offset, count, multi
+                )
             else:
                 self.stats.tape_hits += 1
             noise = devices[device_index].noise if noisy else None

@@ -411,26 +411,35 @@ class KernelAnalysis:
     buffers_written: tuple[str, ...]
     has_atomics: bool
     has_barriers: bool
+    _op_counts_cache: dict = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+    _divergence: "_DivergenceContext | None" = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def op_counts(self, scalar_env: Mapping[str, float] | None = None) -> OpCounts:
         """Per-work-item op counts; exact when ``scalar_env`` is given.
 
-        Results are memoized per scalar environment — the runtime asks
-        for the same counts once per enqueued launch, which for iterated
-        multi-device sweeps is hot enough to matter.
+        Results are memoized per scalar environment — every size of a
+        program shares one analysis, and the features and the cost
+        model ask for each launch's counts.  The divergence context
+        (two walks of the kernel) is built once per analysis.
         """
         env = dict(scalar_env or {})
         key = tuple(sorted(env.items()))
-        cache = self.__dict__.setdefault("_op_counts_cache", {})
+        cache = self._op_counts_cache
         hit = cache.get(key)
         if hit is not None:
             return hit.scaled(1.0)  # defensive copy; callers may mutate
         counts = OpCounts()
-        ctx = _DivergenceContext(
-            uniform=frozenset(p.name for p in self.kernel.scalar_params),
-            defs=_single_assignment_map(self.kernel),
-            loop_vars=_loop_var_names(self.kernel),
-        )
+        ctx = self._divergence
+        if ctx is None:
+            ctx = self._divergence = _DivergenceContext(
+                uniform=frozenset(p.name for p in self.kernel.scalar_params),
+                defs=_single_assignment_map(self.kernel),
+                loop_vars=_loop_var_names(self.kernel),
+            )
         _count_block(
             self.kernel.body, env, weight=1.0, divergent=False, out=counts, ctx=ctx
         )

@@ -186,10 +186,22 @@ class KernelCostBreakdown:
 
 
 class DeviceCostModel:
-    """Maps kernel launches and transfers to simulated durations."""
+    """Maps kernel launches and transfers to simulated durations.
+
+    A launch's size-independent constants — its weighted op count, its
+    attainable flop rate, its memory seconds per item and the memory
+    latency — are derived once per (analysis, scalar arguments) and
+    memoized here, where :meth:`~repro.ocl.device.Device.apply_drift`
+    drops them with the model it replaces.  Each entry pins the
+    analysis it was derived for, so the ``id()`` in its key cannot be
+    reused by another analysis while the entry lives.
+    """
 
     def __init__(self, spec: DeviceSpec):
         self.spec = spec
+        #: (id(analysis), scalar items) -> (analysis, weighted ops,
+        #: flop/s, memory s per item, memory latency s)
+        self._launches: dict[tuple, tuple] = {}
 
     # -- kernel execution ----------------------------------------------------
 
@@ -224,10 +236,12 @@ class DeviceCostModel:
         # architectural surcharge only beyond the first flop-equivalent.
         return max(base, 1.0)
 
-    def memory_time_s(
-        self, counts: OpCounts, analysis: KernelAnalysis, items: float
-    ) -> float:
-        """Global-memory traffic time for ``items`` work items."""
+    def memory_time_s(self, counts: OpCounts, analysis: KernelAnalysis) -> float:
+        """Global-memory traffic seconds of one work item.
+
+        A launch of ``items`` work items spends ``items`` times this,
+        plus the spec's memory latency once.
+        """
         spec = self.spec
         bw = spec.mem_bandwidth_gbs * 1e9
         total = 0.0
@@ -237,7 +251,26 @@ class DeviceCostModel:
             total += nbytes / (bw * eff)
         if untracked > 0:
             total += untracked / bw
-        return total * items + spec.memory_latency_us * 1e-6
+        return total
+
+    def _launch_constants(
+        self, analysis: KernelAnalysis, scalar_args: dict[str, float] | None
+    ) -> tuple:
+        """The memo entry of one (analysis, scalar arguments) pair."""
+        key = (id(analysis), tuple(scalar_args.items()) if scalar_args else ())
+        entry = self._launches.get(key)
+        if entry is None:
+            counts = analysis.op_counts(scalar_args)
+            ops_total = counts.compute_ops + counts.transcendental_ops
+            vector_fraction = counts.vector_ops / ops_total if ops_total > 0 else 0.0
+            entry = self._launches[key] = (
+                analysis,
+                self.weighted_ops(counts),
+                self.effective_gflops(vector_fraction) * 1e9,
+                self.memory_time_s(counts, analysis),
+                self.spec.memory_latency_us * 1e-6,
+            )
+        return entry
 
     def kernel_time(
         self,
@@ -248,12 +281,11 @@ class DeviceCostModel:
         """Simulated execution time of ``items`` work items of a kernel."""
         if items <= 0:
             return KernelCostBreakdown(0.0, 0.0, 0.0)
-        counts = analysis.op_counts(scalar_args)
-        ops_total = counts.compute_ops + counts.transcendental_ops
-        vector_fraction = counts.vector_ops / ops_total if ops_total > 0 else 0.0
-        gflops = self.effective_gflops(vector_fraction)
-        compute_s = items * self.weighted_ops(counts) / (gflops * 1e9)
-        memory_s = self.memory_time_s(counts, analysis, items)
+        _, weighted, flops, memory_per_item, latency = self._launch_constants(
+            analysis, scalar_args
+        )
+        compute_s = items * weighted / flops
+        memory_s = memory_per_item * items + latency
         # Finite parallelism: very small launches cannot fill the machine.
         min_occupancy_items = self.spec.compute_units * self.spec.lanes_per_unit
         if items < min_occupancy_items:

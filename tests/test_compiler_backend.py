@@ -1,6 +1,7 @@
 """Tests for the multi-device backend (offset rewriting + codegen)."""
 
 import numpy as np
+import pytest
 
 from repro.compiler import OFFSET_PARAM, compile_kernel, make_offset_kernel
 from repro.inspire import INT, Intent, KernelBuilder, run_kernel, validate_kernel
@@ -88,3 +89,53 @@ class TestCompileKernel:
     def test_unoptimized_compile(self, saxpy_kernel):
         compiled = compile_kernel(saxpy_kernel, optimize=False)
         assert compiled.kernel == saxpy_kernel
+
+
+#: The programs whose distribution overrides depend on the problem size.
+SIZE_DEPENDENT_OVERRIDES = ("mat_mul", "stencil2d", "hotspot", "srad", "conv2d", "mvt")
+
+
+class TestCompileOncePerProgram:
+    """A benchmark runs the front once and the back once per signature."""
+
+    def test_every_size_matches_a_from_scratch_compile(self):
+        from repro.benchsuite import get_benchmark
+
+        for name in SIZE_DEPENDENT_OVERRIDES:
+            bench = type(get_benchmark(name))()
+            by_signature = {}
+            analyses = set()
+            # Unsized first, as a campaign's set-up compiles each program.
+            for size in (None,) + bench.problem_sizes():
+                instance = None if size is None else bench.make_instance(size)
+                overrides = bench.distribution_overrides(instance)
+                got = bench.compiled(instance)
+                want = compile_kernel(bench.build_kernel(), overrides)
+                where = f"{name}@{size}"
+                assert got.distribution.buffers == want.distribution.buffers, where
+                assert got.program.source == want.program.source, where
+                assert got.program.md_source == want.program.md_source, where
+                assert got.program.host_plan == want.program.host_plan, where
+                assert got.static_features() == want.static_features(), where
+                # One back per distribution signature.
+                signature = overrides
+                if overrides is not None:
+                    signature = tuple(sorted(overrides.items()))
+                assert by_signature.setdefault(signature, got) is got, where
+                analyses.add(id(got.analysis))
+            # The overrides really move with the size ...
+            assert len(by_signature) > 1, name
+            # ... yet every size shares one front: one analysis.
+            assert len(analyses) == 1, name
+
+    def test_a_kernel_that_fails_validation_raises_on_every_call(self, monkeypatch):
+        from repro.benchsuite import get_benchmark
+        from repro.inspire import ValidationError
+        from repro.inspire import ast as ir
+
+        bench = type(get_benchmark("vec_add"))()
+        bad = ir.Kernel("bad", (), ir.Block(()), 3)
+        monkeypatch.setattr(bench, "build_kernel", lambda: bad)
+        for _ in range(2):
+            with pytest.raises(ValidationError, match="dim"):
+                bench.compiled()

@@ -318,3 +318,41 @@ def test_trainer_sweep_uses_engine_and_matches_legacy_loop():
     raw = _raw_sweep(Runner(MC2), bench.request(instance), space)
     swept = sweep_partitionings(Runner(MC2), bench, instance, space)
     assert swept == raw
+
+
+class _ContentKeyOnly(dict):
+    """A chunk memo that never keeps a tape: every lookup takes the content key."""
+
+    def __setitem__(self, key, value):
+        pass
+
+
+@pytest.mark.parametrize("program", PROGRAMS)
+def test_chunk_memo_matches_the_content_key_path(program):
+    """Looking a tape up by its exact chunk first changes nothing.
+
+    A full 66-point sweep returns the same seconds, joules and engine
+    counters as an engine driven through the content key on every
+    lookup, before and after drift (which keeps the request tables, so
+    the chunk memo must go with the tapes), and a reset drops it.
+    """
+    bench = get_benchmark(program)
+    sizes = bench.problem_sizes()
+    space = partition_space(MC2.num_devices, 10)
+    for size in (sizes[0], sizes[len(sizes) // 2]):
+        request = bench.request(bench.make_instance(size, seed=0))
+        engine = SweepEngine(Runner(MC2))
+        reference = SweepEngine(Runner(MC2))
+        reference._chunks = _ContentKeyOnly()
+        swept = engine.sweep_with_energy(request, space)
+        assert swept == reference.sweep_with_energy(request, space)
+        assert engine.stats == reference.stats
+        assert engine.stats.tape_hits > 0
+        for twin in (engine, reference):
+            twin.runner.apply_drift(0.5, device_index=1)
+        drifted = engine.sweep_with_energy(request, space)
+        assert drifted == reference.sweep_with_energy(request, space)
+        assert drifted != swept
+        assert engine.stats == reference.stats
+        engine.reset()
+        assert not engine._chunks

@@ -14,7 +14,7 @@ from repro.inspire import (
     const,
 )
 from repro.machines import make_cpu_spec, make_gpu_spec
-from repro.ocl import DeviceCostModel, DeviceKind, DeviceSpec, TransferDirection
+from repro.ocl import Device, DeviceCostModel, DeviceKind, DeviceSpec, TransferDirection
 
 
 def _cpu():
@@ -133,6 +133,54 @@ class TestKernelTime:
         t_cheap = DeviceCostModel(cheap).kernel_time(an, 1 << 16).compute_s
         t_dear = DeviceCostModel(dear).kernel_time(an, 1 << 16).compute_s
         assert t_dear > 2.0 * t_cheap
+
+
+def _looping_analysis(trips: int):
+    """A kernel whose op counts, and so its price, grow with ``trips``."""
+    b = KernelBuilder(f"loop{trips}", dim=1)
+    a = b.buffer("a", FLOAT, Intent.IN)
+    c = b.buffer("c", FLOAT, Intent.OUT)
+    n = b.scalar("n", INT)
+    gid = b.global_id(0)
+    acc = b.let("acc", b.load(a, gid))
+    with b.for_("i", 0, trips):
+        b.assign(acc, acc * 1.0001 + 0.5)
+    with b.if_(gid < n):
+        b.store(c, gid, acc)
+    return analyze_kernel(b.finish())
+
+
+class TestLaunchMemo:
+    """A memoized price always equals the price of a fresh cost model."""
+
+    def test_prices_follow_drift(self):
+        device = Device(_gpu())
+        analysis = _streaming_analysis()
+        scalars = {"n": 4096.0}
+        prices = []
+        for _ in range(2):
+            model = device.cost_model
+            for items in (8, 4096, 1 << 20):
+                price = model.kernel_time(analysis, items, scalars)
+                assert model.kernel_time(analysis, items, scalars) == price
+                fresh = DeviceCostModel(device.spec)
+                assert price == fresh.kernel_time(analysis, items, scalars)
+                prices.append(price)
+            device.apply_drift(0.5)
+        assert all(a != b for a, b in zip(prices[:3], prices[3:]))
+
+    def test_reused_ids_never_serve_another_analysis(self):
+        """Short-lived analyses come and go; each is priced as its own."""
+        spec = _gpu()
+        model = DeviceCostModel(spec)
+        scalars = {"n": 1024.0}
+        for trips in range(1, 300):
+            analysis = _looping_analysis(trips)
+            for items in (8, 1 << 16):
+                price = model.kernel_time(analysis, items, scalars)
+                want = DeviceCostModel(spec).kernel_time(analysis, items, scalars)
+                assert price == want, trips
+            del analysis
 
 
 class TestTransfers:
