@@ -7,16 +7,13 @@ through the event loop three times — ``telemetry="off"``,
 ``"metrics"``, and ``"trace"`` — with identical seeds, so every mode
 simulates the exact same run and only the instrumentation differs.
 
-The runs go in ``--repeats`` rounds of one ``off`` and one
-``metrics`` run, and the first ``TRACE_ROUNDS`` rounds add a ``trace``
-run.  The metrics-mode overhead is the median over rounds of the
-metrics/off wall ratio: the two runs of a round are neighbours in
-time, and their order alternates from round to round, so ambient
-slowdowns cancel in each ratio and one slow or lucky run cannot move
-the median.  Trace mode is measured the same way: the median over the
-trace rounds of each round's trace/off wall ratio.  A trace round runs
-``off`` between ``metrics`` and ``trace``, and the two alternate ends,
-so both ratios are taken against a neighbouring off run.  The script
+The runs go in ``--repeats`` rounds of one run per mode.  The
+metrics-mode overhead is the median over rounds of the metrics/off
+wall ratio, and trace mode's cost the median over rounds of the
+trace/off wall ratio.  A round runs ``off`` between ``metrics`` and
+``trace``, and the two swap ends from round to round, so each ratio is
+taken against a neighbouring off run: ambient slowdowns cancel in each
+ratio, and one slow or lucky run cannot move the median.  The script
 fails when:
 
 * that overhead exceeds the bound (the registry-backed stats must stay
@@ -79,13 +76,10 @@ from repro.workloads import WorkloadSpec, make_workload, stream_timed_items
 UTILIZATION = 0.7
 
 #: Trace mode may cost at most this many times the off-mode wall (the
-#: median over the trace rounds of each round's trace/off ratio): the
+#: median over rounds of each round's trace/off ratio): the
 #: largest ratio of ten ``--quick`` runs on a 2-core x86-64 host
 #: (1.27-1.64x, CPython 3.11) times 1.15, rounded up to 0.05.
 TRACE_BOUND = 1.9
-
-#: Rounds that also run trace mode (trace/off ratio, byte-identical export).
-TRACE_ROUNDS = 3
 
 #: A finished trace-mode run's tracer may hold at most this many bytes
 #: per traced request.
@@ -245,7 +239,7 @@ def main(argv=None) -> int:
         "--repeats",
         type=int,
         default=None,
-        help="rounds of off/metrics runs (default: 3; quick: 15)",
+        help="rounds of off/metrics/trace runs (default: 3; quick: 15)",
     )
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--output", default="BENCH_telemetry.json")
@@ -267,24 +261,19 @@ def main(argv=None) -> int:
     slo_s = 4.0 * UTILIZATION / rate_rps
     print(f"calibrated arrival rate: {rate_rps:.1f} req/s ({UTILIZATION:.0%} load)")
 
-    # Off and metrics run back to back, so slow ambient periods — CI
-    # neighbours, page cache churn — hit both alike, and they swap
-    # places every round, so neither always runs first.  A trace round
-    # puts off between its two comparands, (metrics, off, trace) then
-    # (trace, off, metrics), so each ratio is taken against an adjacent
-    # off run and no mode always runs last.  Round 0 opens with metrics
-    # rather than trace: the process's first run is its slowest, and a
-    # median of many metrics rounds absorbs one slow round better than
-    # the median of TRACE_ROUNDS trace rounds does.
+    # A round puts off between its two comparands, (metrics, off,
+    # trace) then (trace, off, metrics), so slow ambient periods — CI
+    # neighbours, page cache churn — hit each ratio's two runs alike,
+    # and no mode always runs first or last.
     modes: dict[str, dict] = {}
     overheads: list[float] = []
     trace_ratios: list[float] = []
     exports: list[tuple[int, str]] = []  # (lines, sha256) per trace run
     analyzer = None
     for round_no in range(rounds):
-        order = ("metrics", "off") if round_no % 2 == 0 else ("off", "metrics")
-        if round_no < TRACE_ROUNDS:
-            order = order + ("trace",) if round_no % 2 == 0 else ("trace",) + order
+        order = ("metrics", "off", "trace")
+        if round_no % 2:
+            order = order[::-1]
         walls = {}
         for mode in order:
             doc, telemetry = run_mode(
@@ -300,8 +289,7 @@ def main(argv=None) -> int:
                 exports.append((len(lines), digest.hexdigest()))
                 analyzer = telemetry.analyzer()
         overheads.append(walls["metrics"] / walls["off"] - 1.0)
-        if "trace" in walls:
-            trace_ratios.append(walls["trace"] / walls["off"])
+        trace_ratios.append(walls["trace"] / walls["off"])
     for mode, best in modes.items():
         print(
             f"{mode:>7}: wall {best['wall_s']:.3f} s "

@@ -35,7 +35,10 @@ simulated clock at ``--arrival-rate`` and queue per replica.
 ``--shed-policy deadline|priority`` enables admission control (see
 docs/SERVING.md).  ``--objective energy|edp`` retargets the model, the
 regression checks and the local search, and ``--power-cap WATTS``
-serves under an average-power budget (see docs/ENERGY.md).
+serves under an average-power budget (see docs/ENERGY.md).  The report
+is the metrics registry every layer publishes into: the banner, the
+registry (a table, or JSON with ``--json``) and one wall-throughput
+line.
 """
 
 from __future__ import annotations
@@ -470,7 +473,7 @@ def _serve_options_from_args(args: argparse.Namespace):
     with _exit_on_bad_value():
         return ServeOptions(
             arrival=args.arrival or "sequential",
-            telemetry=_telemetry_mode(args),
+            telemetry="trace" if args.trace_out else args.telemetry,
             rate_rps=args.arrival_rate,
             seed=args.seed,
             slo=SLOConfig(target_s=target_s, tenant_priorities=priorities),
@@ -488,22 +491,10 @@ def _serve_options_from_args(args: argparse.Namespace):
         )
 
 
-def _telemetry_mode(args: argparse.Namespace) -> str:
-    """The effective ``--telemetry`` mode: ``--trace-out`` implies
-    ``trace`` and ``--json`` at least ``metrics``."""
-    if args.trace_out:
-        return "trace"
-    if args.json and args.telemetry == "off":
-        return "metrics"
-    return args.telemetry
-
-
 def _finish_telemetry(args, telemetry) -> None:
-    """Report and export whatever telemetry the run produced (the
-    loop collected it at the end of its run): the critical-path table
-    and the JSONL trace when tracing, then the whole registry."""
-    if telemetry is None:
-        return
+    """Report and export the run's telemetry (the loop collected every
+    layer's metrics at the end of its run): the critical-path table and
+    the JSONL trace when tracing, then the whole registry."""
     if telemetry.tracing:
         analyzer = telemetry.analyzer()
         slowest = analyzer.slowest(0.1)
@@ -556,339 +547,19 @@ def _print_metrics_report(registry, as_json: bool = False) -> None:
     )
 
 
-def _objective_quantity(service, value: float) -> str:
-    """Format an objective-cost delta with its objective's unit."""
-    from .energy import Objective
-
-    objective = service.config.objective
-    if objective is Objective.ENERGY:
-        return f"{value:.3f} J"
-    if objective is Objective.EDP:
-        return f"{value:.6f} J*s"
-    return f"{value * 1e3:.3f} ms"
-
-
-def _graph_rows(services) -> list[tuple[str, str]]:
-    """Task-graph counters, when the services answered any graph."""
-    graphs = sum(s.stats.graph_requests for s in services)
-    if not graphs:
-        return []
-    cosearches = sum(s.stats.graph_cosearches for s in services)
-    return [("graph requests", f"{graphs}"), ("co-searches", f"{cosearches}")]
-
-
-def _print_service_summary(service, source: str, loop_stats, wall_s: float) -> None:
-    """The service's counters after one run; ``loop_stats`` supplies the
-    summed execute seconds of the served requests."""
-    stats = service.stats
-    cache = service.cache.stats
-    runner_stats = service.system.runner.stats
-    serialized = loop_stats.execute_time_s
-    # Each served request is measured once; the rest are probes.
-    probes = runner_stats.executions - stats.requests
-    rows = [
-        ("model source", source),
-        ("objective", service.config.objective.value),
-        ("requests", f"{stats.requests}"),
-        *_graph_rows([service]),
-        (
-            "executions",
-            f"{runner_stats.executions} ({probes} adaptation probes)",
-        ),
-        (
-            "cache hit rate",
-            f"{cache.hit_rate * 100.0:.1f}% "
-            f"({cache.hits} hits / {cache.misses} misses / "
-            f"{cache.evictions} evictions)",
-        ),
-        (
-            "adaptations",
-            f"{stats.adaptations} "
-            f"(cold validations {stats.cold_validations}, "
-            f"regressions {stats.regressions})",
-        ),
-        ("refits", f"{stats.refits}"),
-        (
-            "drift",
-            f"{stats.drift_flags} flags, {stats.drift_escalations} escalations",
-        ),
-        ("adaptation gain", _objective_quantity(service, stats.improvement_s)),
-        ("simulated serial", f"{serialized * 1e3:.3f} ms"),
-        (
-            "throughput (wall)",
-            f"{stats.requests / wall_s:.1f} req/s" if wall_s > 0 else "n/a",
-        ),
-        (
-            "device utilization",
-            " ".join(f"{u * 100.0:.0f}%" for u in runner_stats.utilization()),
-        ),
-        ("served energy", f"{stats.energy_j:.3f} J"),
-        (
-            # Joules over the serial served seconds: each run's energy
-            # charges platform idle over its own makespan.
-            "avg power (served)",
-            f"{stats.energy_j / serialized:.1f} W" if serialized > 0 else "n/a",
-        ),
-    ]
-    if service.config.power_cap_w is not None:
-        rows.append(
-            (
-                "power cap",
-                f"{service.config.power_cap_w:g} W "
-                f"({stats.power_capped} capped, "
-                f"{stats.power_cap_violations} violations)",
-            )
-        )
-    es = service.engine.stats
-    rows.append(
-        (
-            "sweep engine",
-            f"{es.compositions} compositions, "
-            f"{es.tape_hit_rate * 100.0:.1f}% tape hits",
-        )
-    )
-    print(format_table(["metric", "value"], rows, title="Serving summary"))
-
-
-def _print_latency_summary(loop_stats) -> None:
-    """The event loop's report: tail latency, queueing, SLOs."""
-    lat = loop_stats.latency
-    queue = loop_stats.queue_wait
-    rows = [
-        ("arrivals", f"{loop_stats.arrivals}"),
-        (
-            "completed",
-            f"{loop_stats.completed} "
-            f"({loop_stats.shed} shed, {loop_stats.shed_rate * 100.0:.1f}%; "
-            f"{loop_stats.failed} failed)",
-        ),
-        ("availability", f"{loop_stats.availability * 100.0:.2f}%"),
-        ("simulated span", f"{loop_stats.clock_s * 1e3:.3f} ms"),
-        ("throughput (simulated)", f"{loop_stats.throughput_rps:.1f} req/s"),
-        (
-            "latency p50/p95/p99",
-            " / ".join(f"{v * 1e3:.3f} ms" for v in lat.quantiles().values()),
-        ),
-        ("latency mean", f"{lat.mean_s * 1e3:.3f} ms"),
-        (
-            "queue wait p50/p95/p99",
-            " / ".join(f"{v * 1e3:.3f} ms" for v in queue.quantiles().values()),
-        ),
-        (
-            "SLO violations",
-            f"{loop_stats.slo.violations} "
-            f"({loop_stats.violation_rate * 100.0:.1f}% of completed)",
-        ),
-        ("loop idle energy", f"{loop_stats.idle_energy_j:.3f} J"),
-    ]
-    faulted = (
-        loop_stats.crashes
-        or loop_stats.timeouts
-        or loop_stats.retries
-        or loop_stats.hedges
-        or loop_stats.exec_errors
-        or loop_stats.predict_errors
-        or loop_stats.failovers
-        or loop_stats.requeued
-    )
-    if faulted:
-        rows.extend(
-            [
-                (
-                    "crashes",
-                    f"{loop_stats.crashes} ({loop_stats.recoveries} recovered)",
-                ),
-                (
-                    "failover",
-                    f"{loop_stats.failovers} diverted, "
-                    f"{loop_stats.requeued} requeued",
-                ),
-                ("timeouts", f"{loop_stats.timeouts}"),
-                ("retries", f"{loop_stats.retries}"),
-                (
-                    "hedges",
-                    f"{loop_stats.hedges} ({loop_stats.hedge_wins} wins, "
-                    f"{loop_stats.hedge_cancels} cancelled)",
-                ),
-                (
-                    "transient errors",
-                    f"{loop_stats.exec_errors} exec, "
-                    f"{loop_stats.predict_errors} predict",
-                ),
-                (
-                    "reclaimed busy",
-                    f"{loop_stats.cancelled_busy_s * 1e3:.3f} ms",
-                ),
-            ]
-        )
-    tenants = loop_stats.slo.snapshot()
-    if len(tenants) > 1:
-        for tenant, t in tenants.items():
-            rows.append(
-                (
-                    f"tenant {tenant}",
-                    f"{t['completed']} done, {t['shed']} shed, "
-                    f"{t['violation_rate'] * 100.0:.1f}% violated",
-                )
-            )
-    print(format_table(["metric", "value"], rows, title="Latency summary"))
-
-
-def _print_fleet_summary(router, sources, wall_s: float) -> None:
-    stats = router.stats()
-    rows = []
-    for replica, source in zip(router.replicas, sources):
-        service = replica.service
-        backlog = service.backlog_s
-        energy = service.stats.energy_j
-        rows.append(
-            (
-                replica.name,
-                source,
-                f"{replica.routed}",
-                f"{service.cache.stats.hit_rate * 100.0:.0f}%",
-                f"{service.stats.adaptations}",
-                f"{service.stats.refits}",
-                f"{service.stats.drift_flags}",
-                f"{replica.rewarms}" + (" (draining)" if replica.draining else ""),
-                f"{replica.health:.2f}",
-                f"{backlog * 1e3:.3f}",
-                f"{energy:.3f}",
-                # Average draw over the replica's backlog span; a
-                # zero-span replica reports 0 W, not inf.
-                f"{energy / backlog if backlog > 0 else 0.0:.0f}",
-                " ".join(
-                    f"{u * 100.0:.0f}%"
-                    for u in service.system.runner.stats.utilization()
-                ),
-            )
-        )
-    print(
-        format_table(
-            [
-                "replica",
-                "model source",
-                "routed",
-                "cache hit",
-                "adapt",
-                "refits",
-                "drift",
-                "rewarms",
-                "health",
-                "makespan (ms)",
-                "energy (J)",
-                "power (W)",
-                "device util",
-            ],
-            rows,
-            title="Fleet summary",
-        )
-    )
-    totals = [
-        ("requests", f"{stats.requests}"),
-        *_graph_rows([r.service for r in router.replicas]),
-        ("fleet makespan (simulated)", f"{stats.makespan_s * 1e3:.3f} ms"),
-        ("fleet throughput (simulated)", f"{stats.throughput_rps:.1f} req/s"),
-        (
-            "throughput (wall)",
-            f"{stats.requests / wall_s:.1f} req/s" if wall_s > 0 else "n/a",
-        ),
-        ("adaptations", f"{stats.adaptations}"),
-        ("refits", f"{stats.refits}"),
-        ("drift flags", f"{stats.drift_flags}"),
-        ("replica rewarms", f"{stats.rewarms}"),
-        ("fleet energy", f"{stats.energy_j:.3f} J"),
-        ("fleet avg power", f"{stats.avg_power_w:.1f} W"),
-    ]
-    print(format_table(["metric", "value"], totals, title="Fleet totals"))
-
-
-def _print_cluster_summary(cluster, sources, wall_s: float) -> None:
-    """Pool table, network toll and per-tenant isolation report."""
-    stats = cluster.stats()
-    width = len(cluster.pools[0].replicas)
-    pool_stats = [pool.stats() for pool in cluster.pools]
-    rows = [
-        (
-            f"pool {p}",
-            " ".join(r.name for r in cluster.pools[p].replicas),
-            " ".join(sources[p * width : (p + 1) * width]),
-            f"{ps.requests}",
-            f"{ps.makespan_s * 1e3:.3f}",
-            f"{ps.energy_j:.3f}",
-            f"{ps.rewarms}",
-        )
-        for p, ps in enumerate(pool_stats)
-    ]
-    print(
-        format_table(
-            [
-                "pool",
-                "machines",
-                "model source",
-                "requests",
-                "makespan (ms)",
-                "energy (J)",
-                "rewarms",
-            ],
-            rows,
-            title="Cluster pools",
-        )
-    )
-    cross = (
-        f"{stats.cross_pool} ({stats.cross_pool / stats.served * 100.0:.1f}%)"
-        if stats.served
-        else "0"
-    )
-    totals = [
-        ("served", f"{stats.served}"),
-        *_graph_rows(cluster.services),
-        ("cross-pool", cross),
-        ("network time", f"{stats.network_s * 1e3:.3f} ms"),
-        ("network energy", f"{stats.network_j:.3f} J"),
-        ("fairness gap", f"{stats.fairness_gap:.3f}"),
-        (
-            "throughput (wall)",
-            f"{stats.served / wall_s:.1f} req/s" if wall_s > 0 else "n/a",
-        ),
-    ]
-    print(format_table(["metric", "value"], totals, title="Cluster totals"))
-    if stats.tenants:
-        trows = [
-            (
-                t.tenant,
-                f"{t.completed}",
-                f"{t.share * 100.0:.1f}%",
-                f"{t.fair_share * 100.0:.1f}%",
-                f"{t.weight:g}",
-                f"{t.p50_s * 1e3:.3f}",
-                f"{t.p99_s * 1e3:.3f}",
-            )
-            for t in stats.tenants
-        ]
-        print(
-            format_table(
-                [
-                    "tenant",
-                    "done",
-                    "share",
-                    "fair share",
-                    "weight",
-                    "p50 (ms)",
-                    "p99 (ms)",
-                ],
-                trows,
-                title="Tenant isolation",
-            )
-        )
-
-
-def _print_banner(args, num_benchmarks: int, num_train: int, workload, keys) -> None:
-    """What is served where: the backend, the trace, and (open-loop)
-    the arrival process with its loop knobs."""
+def _print_banner(
+    args, num_benchmarks: int, num_train: int, workload, keys, services, sources
+) -> None:
+    """What is served where: the backend with its objective and power
+    cap, each machine's model source, the trace, and (open-loop) the
+    arrival process with its loop knobs."""
     from .serving import GraphServingRequest
 
-    model = f"model {args.model}, training set {num_train}/{num_benchmarks} programs"
+    model = (
+        f"model {args.model}, training set {num_train}/{num_benchmarks} programs, "
+        f"objective {args.objective}"
+        + (f", power cap {args.power_cap:g} W" if args.power_cap is not None else "")
+    )
     if args.machines is None:
         print(f"one machine ({args.machine}); {model}")
     elif args.pools is None:
@@ -899,6 +570,13 @@ def _print_banner(args, num_benchmarks: int, num_train: int, workload, keys) -> 
             f"(policy {args.policy}, net {args.net_bandwidth:g} GB/s + "
             f"{args.net_latency_us:g} us); {model}"
         )
+    print(
+        "model sources: "
+        + ", ".join(
+            f"{service.system.platform.name} {source}"
+            for service, source in zip(services, sources)
+        )
+    )
     if workload is None:
         source = "stdin" if args.trace == "-" else args.trace
         print(f"serving '<program> <size>' lines from {source}")
@@ -1007,7 +685,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     backend, services, sources = _build_backend(
         args, platforms, train_benchmarks, options.slo
     )
-    _print_banner(args, len(benchmarks), len(train_benchmarks), workload, keys)
+    _print_banner(
+        args, len(benchmarks), len(train_benchmarks), workload, keys, services, sources
+    )
     t0 = time.perf_counter()
     # Closed-loop serving reads the next line only after the previous
     # request resolved, so each response prints as it is served.
@@ -1021,14 +701,12 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         drift_handler=_drift_handler(args, backend, workload),
     )
     wall_s = time.perf_counter() - t0
-    if args.machines is None:
-        _print_service_summary(backend, sources[0], result.stats, wall_s)
-    elif args.pools is None:
-        _print_fleet_summary(backend, sources, wall_s)
-    else:
-        _print_cluster_summary(backend, sources, wall_s)
-    _print_latency_summary(result.stats)
     _finish_telemetry(args, result.telemetry)
+    completed = result.stats.completed
+    print(
+        f"throughput (wall): {completed} requests completed in {wall_s:.3f} s, "
+        f"{completed / wall_s:.1f} req/s"
+    )
     return 0
 
 
@@ -1347,7 +1025,6 @@ def _serve_parser(sub) -> None:
     from .energy import Objective
     from .fleet import ROUTING_POLICIES
     from .serving import QUEUE_DISCIPLINES, SHED_POLICIES
-    from .telemetry import TELEMETRY_MODES
     from .workloads import WORKLOAD_FAMILIES
 
     p = sub.add_parser(
@@ -1604,10 +1281,11 @@ def _serve_parser(sub) -> None:
     g = p.add_argument_group("telemetry (docs/OBSERVABILITY.md)")
     g.add_argument(
         "--telemetry",
-        default="off",
-        choices=TELEMETRY_MODES,
-        help="metrics: publish every layer into one registry and print it; "
-        "trace: also record per-request spans and the JSONL event log",
+        default="metrics",
+        choices=("metrics", "trace"),
+        help="metrics: every layer publishes into one registry, printed "
+        "after the run; trace: also record per-request spans and the JSONL "
+        "event log",
     )
     g.add_argument(
         "--trace-out",
@@ -1619,7 +1297,7 @@ def _serve_parser(sub) -> None:
     g.add_argument(
         "--json",
         action="store_true",
-        help="print the metrics registry as JSON (implies --telemetry metrics)",
+        help="print the metrics registry as JSON instead of a table",
     )
 
 

@@ -557,6 +557,7 @@ class ClusterRouter:
             base = f"{prefix}.tenant.{tenant.tenant}"
             registry.gauge(f"{base}.completed").set(tenant.completed)
             registry.gauge(f"{base}.busy_s").set(tenant.busy_s)
+            registry.gauge(f"{base}.weight").set(tenant.weight)
             registry.gauge(f"{base}.share").set(tenant.share)
             registry.gauge(f"{base}.fair_share").set(tenant.fair_share)
             registry.gauge(f"{base}.p50_s").set(tenant.p50_s)

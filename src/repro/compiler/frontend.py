@@ -5,15 +5,18 @@ stages and produces everything the runtime and the feature extractor
 need.  It runs in two halves: :func:`compile_front` does what depends
 on the kernel alone (validation, the default passes, the static
 analysis, the derived distributions) and :func:`compile_back` applies
-distribution overrides and emits the multi-device program.  A
-benchmark runs the front once and the back once per override set, so
-all its problem sizes share one kernel and one analysis: the paper's
-compiler translates a program once and leaves the size to the runtime.
+distribution overrides.  A benchmark runs the front once and the back
+once per override set, so all its problem sizes share one kernel and
+one analysis: the paper's compiler translates a program once and
+leaves the size to the runtime.  The multi-device OpenCL C is emitted
+on the first read of :attr:`CompiledKernel.program`: the runtime and
+the feature extractor never read it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping
 
 from ..inspire import ast as ir
@@ -40,13 +43,16 @@ class CompiledKernel:
         kernel: the normalized IR.
         analysis: static analysis (features, access patterns).
         distribution: per-buffer data distributions.
-        program: emitted single- and multi-device OpenCL C.
     """
 
     kernel: ir.Kernel
     analysis: KernelAnalysis
     distribution: KernelDistribution
-    program: MultiDeviceProgram
+
+    @cached_property
+    def program(self) -> MultiDeviceProgram:
+        """Emitted single- and multi-device OpenCL C, on first read."""
+        return emit_multi_device(self.kernel, self.distribution)
 
     @property
     def name(self) -> str:
@@ -85,7 +91,7 @@ def compile_back(
     front: KernelFront,
     distribution_overrides: Mapping[str, BufferDistribution] | None = None,
 ) -> CompiledKernel:
-    """Apply distribution overrides to a front and emit the program.
+    """Apply distribution overrides to a front.
 
     ``distribution_overrides`` lets a benchmark declare distributions the
     automatic analysis cannot prove (Insieme's annotation escape hatch);
@@ -105,9 +111,7 @@ def compile_back(
     # Buffers never accessed in the body (e.g. scratch) default to FULL.
     for p in kernel.buffer_params:
         buffers.setdefault(p.name, BufferDistribution.full())
-    distribution = KernelDistribution(buffers)
-    program = emit_multi_device(kernel, distribution)
-    return CompiledKernel(kernel, front.analysis, distribution, program)
+    return CompiledKernel(kernel, front.analysis, KernelDistribution(buffers))
 
 
 def compile_kernel(

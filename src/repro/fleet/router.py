@@ -555,9 +555,6 @@ class FleetRouter:
         for replica in self.replicas:
             base = f"{prefix}.replica.{replica.name}"
             registry.gauge(f"{base}.routed").set(replica.routed)
-            registry.gauge(f"{base}.cache_hit_rate").set(
-                replica.service.cache.stats.hit_rate
-            )
             registry.gauge(f"{base}.health").set(replica.health)
             registry.gauge(f"{base}.draining").set(int(replica.draining > 0))
             replica.service.publish_metrics(registry, prefix=f"{base}.service")

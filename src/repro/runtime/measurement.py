@@ -46,11 +46,10 @@ class SessionStats:
 
     A Runner serving many requests (the serving layer's execution
     backend) records every partitioned execution here: execution count,
-    total simulated seconds and per-device busy seconds.  The serving
-    CLI reports adaptation-probe overhead from it (executions beyond
-    the served requests); :meth:`utilization` gives the per-device
-    busy share of the *serialized* timeline, which the serving
-    summaries report as device utilization.
+    total simulated seconds and per-device busy seconds.  Executions
+    beyond the served requests are adaptation probes; :meth:`utilization`
+    gives the per-device busy share of the *serialized* timeline.  The
+    service publishes both as ``service.runner.*`` metrics.
     """
 
     executions: int = 0

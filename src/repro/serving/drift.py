@@ -41,11 +41,7 @@ class _KeyState:
 
 
 class DriftDetector:
-    """Per-key EWMA drift detection with a sliding escalation window.
-
-    Attributes:
-        flags: total keys flagged over the detector lifetime.
-    """
+    """Per-key EWMA drift detection with a sliding escalation window."""
 
     def __init__(
         self,
@@ -69,7 +65,6 @@ class DriftDetector:
         self.threshold = threshold
         self.min_observations = min_observations
         self.cooldown = cooldown
-        self.flags = 0
         self._keys: dict[object, _KeyState] = {}
         self._window: deque[bool] = deque(maxlen=window)
 
@@ -111,7 +106,6 @@ class DriftDetector:
             or state.ewma < 1.0 / (1.0 + self.threshold)
         ):
             flagged = True
-            self.flags += 1
             # Fresh evidence required before this key can flag again.
             state.ewma = 1.0
             state.observations = 0
@@ -125,14 +119,10 @@ class DriftDetector:
 
     def publish_metrics(self, registry, prefix: str = "drift") -> None:
         """Publish detector state as ``drift.*`` gauges (idempotent)."""
-        registry.gauge(f"{prefix}.flags").set(self.flags)
         registry.gauge(f"{prefix}.flags_in_window").set(self.flags_in_window())
         registry.gauge(f"{prefix}.tracked_keys").set(len(self._keys))
 
-    def reset(self, key: object | None = None) -> None:
-        """Forget one key's state — or everything, after an escalation."""
-        if key is not None:
-            self._keys.pop(key, None)
-            return
+    def reset(self) -> None:
+        """Forget every key's state, after an escalation or a re-warm."""
         self._keys.clear()
         self._window.clear()

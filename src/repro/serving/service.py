@@ -935,9 +935,11 @@ class PartitioningService:
     def publish_metrics(self, registry, prefix: str = "service") -> None:
         """Publish the service's counters as ``service.*`` gauges.
 
-        Covers :class:`ServiceStats`, the prediction cache, and — when
-        drift detection is on — the detector, all under one prefix so a
-        fleet/cluster can publish each member service under its own.
+        Covers :class:`ServiceStats`, the prediction cache, the runner's
+        executions and per-device utilization, the sweep engine's
+        compositions and tape hit rate, and — when drift detection is
+        on — the detector, all under one prefix so a fleet/cluster can
+        publish each member service under its own.
         """
         stats = self.stats
         registry.gauge(f"{prefix}.requests").set(stats.requests)
@@ -962,5 +964,12 @@ class PartitioningService:
         registry.gauge(f"{prefix}.cache.evictions").set(cache.evictions)
         registry.gauge(f"{prefix}.cache.invalidations").set(cache.invalidations)
         registry.gauge(f"{prefix}.cache.hit_rate").set(cache.hit_rate)
+        runner = self.system.runner.stats
+        registry.gauge(f"{prefix}.runner.executions").set(runner.executions)
+        for index, share in enumerate(runner.utilization()):
+            registry.gauge(f"{prefix}.runner.device.{index}.utilization").set(share)
+        engine = self.engine.stats
+        registry.gauge(f"{prefix}.engine.compositions").set(engine.compositions)
+        registry.gauge(f"{prefix}.engine.tape_hit_rate").set(engine.tape_hit_rate)
         if self.detector is not None:
             self.detector.publish_metrics(registry, prefix=f"{prefix}.drift")

@@ -20,8 +20,8 @@ The :class:`Telemetry` facade ties the three together behind
   (they always sit on a private registry) and the marginal cost is a
   handful of ``is None`` checks.
 * ``metrics`` — the loop's registry is shared, and after the run every
-  backend layer publishes its counters into it (``serve --telemetry
-  metrics``).
+  backend layer publishes its counters into it (``serve``'s default:
+  the registry is its report).
 * ``trace`` — metrics plus the span tracer and JSONL event log
   (``serve --trace-out``).
 """

@@ -204,15 +204,24 @@ TINY = ["--train-programs", "2", "--max-sizes", "1", "--model", "knn"]
 
 
 def _registry_json(out: str) -> dict:
-    """The ``--json`` registry, printed last after the summary tables."""
-    return json.loads(out[out.rindex("\n{\n") :])
+    """The ``--json`` registry, printed between the banner and the
+    closing wall-throughput line."""
+    return json.JSONDecoder().raw_decode(out, out.index("\n{\n") + 1)[0]
+
+
+def _model_sources(out: str) -> dict[str, str]:
+    """Each machine's model source, as the ``serve`` banner names it."""
+    prefix = "model sources: "
+    line = next(line for line in out.splitlines() if line.startswith(prefix))
+    return dict(pair.split(" ") for pair in line[len(prefix) :].split(", "))
 
 
 class TestServe:
+    #: Each backend's flags and one series only that backend publishes.
     BACKENDS = {
-        "service": ([], "Serving summary"),
-        "fleet": (["--machines", "2"], "Fleet summary"),
-        "cluster": (["--machines", "2", "--pools", "2"], "Cluster pools"),
+        "service": ([], "service.requests"),
+        "fleet": (["--machines", "2"], "fleet.replica.mc1-r0.routed"),
+        "cluster": (["--machines", "2", "--pools", "2"], "cluster.pool.0.requests"),
     }
 
     @pytest.mark.parametrize(
@@ -224,18 +233,49 @@ class TestServe:
         ),
     )
     def test_backend_arrival_family(self, backend, arrival, family, capsys):
-        flags, summary = self.BACKENDS[backend]
+        flags, series = self.BACKENDS[backend]
         argv = ["serve", *TINY, "--requests", "8", "--workload", family, *flags]
         if arrival == "poisson":
             argv += ["--arrival", "poisson"]
-        assert main([*argv, "--telemetry", "metrics", "--json"]) == 0
+        assert main([*argv, "--json"]) == 0
         out = capsys.readouterr().out
         payload = _registry_json(out)
         assert (
             payload["loop.completed"] + payload["loop.shed"] + payload["loop.failed"]
             == 8
         )
-        assert summary in out
+        assert series in payload
+        completed = payload["loop.completed"]
+        assert out.splitlines()[-1].startswith(
+            f"throughput (wall): {completed} requests completed in "
+        )
+
+    @pytest.mark.parametrize(
+        "backend, machines", [("service", 1), ("fleet", 2), ("cluster", 2)]
+    )
+    def test_json_holds_the_runner_engine_and_tenant_series(
+        self, backend, machines, capsys
+    ):
+        flags, _series = self.BACKENDS[backend]
+        argv = ["serve", *TINY, "--requests", "8", "--tenants", "gold,silver"]
+        assert main([*argv, *flags, "--json"]) == 0
+        payload = _registry_json(capsys.readouterr().out)
+
+        def series(suffix):
+            return [v for name, v in payload.items() if name.endswith(suffix)]
+
+        executions = series("service.runner.executions")
+        assert len(executions) == machines
+        # Every completed request was measured once; the rest are probes.
+        assert sum(executions) >= payload["loop.completed"] == 8
+        assert len(series("service.engine.tape_hit_rate")) == machines
+        assert sum(series("service.engine.compositions")) > 0
+        utilization = series(".utilization")  # service.runner.device.<i>.*
+        assert len(utilization) >= 3 and all(0.0 <= u <= 1.0 for u in utilization)
+        assert series(".weight") == ([1, 1] if backend == "cluster" else [])
+        # Each number is published once: no replica-level repeat of the
+        # service's cache hit rate, no detector repeat of its drift flags.
+        assert series(".cache_hit_rate") == series(".drift.flags") == []
 
     def test_pools_need_machines_in_equal_pools(self, capsys):
         with pytest.raises(SystemExit):
@@ -254,14 +294,13 @@ class TestServe:
             ["serve", "--machines", "4", "--pools", "2", "--registry", registry,
              "--requests", "8", *TINY]
         ) == 0
-        out = capsys.readouterr().out
-        rows = [
-            line.split()
-            for line in out.splitlines()
-            if line.startswith(("pool 0", "pool 1"))
-        ]
-        # "pool", index, two machines, then each machine's model source.
-        assert [row[4:6] for row in rows] == [["registry", "registry"]] * 2
+        sources = _model_sources(capsys.readouterr().out)
+        assert sources == {
+            "mc1-r0": "registry",
+            "mc2-r1": "registry",
+            "mc1+-r2": "registry",
+            "mc2+-r3": "registry",
+        }
 
     def test_priority_shedding_spares_the_priority_tenant(self, capsys):
         assert main(
@@ -280,7 +319,7 @@ class TestServe:
         out = capsys.readouterr().out
         assert "lines from stdin" in out
         assert out.count("vec_add@4096") == 2 and " on mc" in out
-        assert "Fleet summary" in out
+        assert "fleet.replica.mc1-r0.routed" in out
 
 
 class TestServing:
@@ -290,10 +329,10 @@ class TestServing:
              "--train-programs", "4", "--max-sizes", "1", "--model", "knn"]
         ) == 0
         out = capsys.readouterr().out
-        assert "Serving summary" in out
-        assert "cache hit rate" in out
-        assert "refits" in out
-        assert "throughput (simulated)" in out
+        assert "Metrics registry (" in out
+        for series in ("service.requests", "service.cache.hit_rate", "loop.clock_s"):
+            assert series in out
+        assert "throughput (wall): 25 requests completed in " in out
 
     def test_serve_from_trace_file(self, tmp_path, capsys):
         trace = tmp_path / "trace.txt"
@@ -306,13 +345,14 @@ class TestServing:
         )
         assert main(
             ["serve", "--trace", str(trace), "--machine", "mc2",
-             "--train-programs", "3", "--max-sizes", "1", "--model", "knn"]
+             "--train-programs", "3", "--max-sizes", "1", "--model", "knn",
+             "--json"]
         ) == 0
         out = capsys.readouterr().out
         assert out.count("vec_add@4096") == 2
         assert "[miss" in out and "[hit" in out
         assert out.count("malformed request") == 2  # unknown program, size 0
-        assert "Serving summary" in out
+        assert _registry_json(out)["service.requests"] == 2
 
     def test_replay_rejects_bad_train_programs(self):
         with pytest.raises(SystemExit):
@@ -322,22 +362,25 @@ class TestServing:
         assert main(
             ["serve", "--machine", "mc2", "--requests", "20",
              "--train-programs", "4", "--max-sizes", "1", "--model", "knn",
-             "--objective", "energy"]
+             "--objective", "energy", "--json"]
         ) == 0
         out = capsys.readouterr().out
-        assert "objective" in out and "energy" in out
-        assert "served energy" in out
-        assert "avg power (served)" in out
+        assert "objective energy" in out.splitlines()[0]
+        payload = _registry_json(out)
+        assert payload["service.energy_j"] > 0
+        assert payload["loop.execute_time_s"] > 0
 
     def test_replay_with_power_cap_reports_cap_row(self, capsys):
         assert main(
             ["serve", "--machine", "mc2", "--requests", "15",
              "--train-programs", "4", "--max-sizes", "1", "--model", "knn",
-             "--power-cap", "160"]
+             "--power-cap", "160", "--json"]
         ) == 0
         out = capsys.readouterr().out
-        assert "power cap" in out
-        assert "violations" in out
+        assert "power cap 160 W" in out.splitlines()[0]
+        payload = _registry_json(out)
+        assert "service.power_capped" in payload
+        assert "service.power_cap_violations" in payload
 
     def test_replay_rejects_cap_below_idle_floor(self):
         with pytest.raises(SystemExit, match="idle floor"):
@@ -405,14 +448,14 @@ class TestGraphCommands:
         assert main(
             ["serve", "--workload", "pipeline", "--machine", "mc2",
              "--requests", "6", "--train-programs", "4", "--max-sizes", "1",
-             "--model", "knn"]
+             "--model", "knn", "--json"]
         ) == 0
         out = capsys.readouterr().out
-        assert "Serving summary" in out
-        assert "graph requests" in out
         assert "distinct pipelines" in out
-        assert "cache hit rate" in out
-        assert "co-searches" in out
+        payload = _registry_json(out)
+        assert payload["service.graph_requests"] == 6
+        assert "service.graph_cosearches" in payload
+        assert "service.cache.hit_rate" in payload
 
 
 class TestEnergySweep:
@@ -441,11 +484,14 @@ class TestFleet:
              "--train-programs", "2", "--max-sizes", "1", "--model", "knn"]
         ) == 0
         out = capsys.readouterr().out
-        assert "Fleet summary" in out
-        assert "Fleet totals" in out
-        assert "mc1-r0" in out and "mc2-r1" in out
-        assert "fleet throughput (simulated)" in out
-        assert "device util" in out
+        assert "Metrics registry (" in out
+        for series in (
+            "fleet.replica.mc1-r0.routed",
+            "fleet.replica.mc2-r1.routed",
+            "fleet.throughput_rps",
+            "fleet.replica.mc1-r0.service.runner.device.0.utilization",
+        ):
+            assert series in out
 
     def test_fleet_serve_policy_choices(self):
         with pytest.raises(SystemExit):
@@ -455,12 +501,13 @@ class TestFleet:
         assert main(
             ["serve", "--machines", "2", "--requests", "12",
              "--train-programs", "2", "--max-sizes", "1", "--model", "knn",
-             "--policy", "energy", "--objective", "energy"]
+             "--policy", "energy", "--objective", "energy", "--json"]
         ) == 0
         out = capsys.readouterr().out
         assert "policy energy" in out
-        assert "energy (J)" in out and "power (W)" in out
-        assert "fleet energy" in out and "fleet avg power" in out
+        payload = _registry_json(out)
+        assert payload["fleet.energy_j"] > 0 and payload["fleet.avg_power_w"] > 0
+        assert payload["fleet.replica.mc1-r0.service.energy_j"] >= 0
 
     def test_fleet_train_rejects_unpersistable_model_up_front(self, tmp_path):
         # Must fail before any training campaign runs, not in save_model.
@@ -487,9 +534,10 @@ class TestFleet:
              "--warm-start", "--requests", "10", "--train-programs", "2",
              "--max-sizes", "1", "--model", "knn", "--policy", "predicted"]
         ) == 0
-        out = capsys.readouterr().out
-        assert out.count("registry") >= 2  # two replicas loaded
-        assert "warm(" in out  # the third was warm-started
+        sources = _model_sources(capsys.readouterr().out)
+        # Two replicas loaded, and the third was warm-started.
+        assert sources["mc1-r0"] == sources["mc2-r1"] == "registry"
+        assert sources["mc1+-r2"].startswith("warm(")
 
     @pytest.mark.parametrize(
         "flags, trained_on",
@@ -614,10 +662,10 @@ class TestTelemetryCommands:
         assert main(
             ["serve", "--requests", "12", *TINY,
              "--faults", "crash:0.0005:0.001::0",
-             "--trace-out", str(out_path)]
+             "--trace-out", str(out_path), "--json"]
         ) == 0
         out = capsys.readouterr().out
-        assert "Latency summary" in out and "crashes" in out
+        assert _registry_json(out)["loop.faults.crashes"] >= 1
         assert "Critical path" in out
         header = json.loads(out_path.read_text().splitlines()[0])
         assert header["completed"] + header["failed"] == 12
@@ -649,9 +697,12 @@ class TestTelemetryCommands:
         assert "service.requests" in out
         assert "service.cache.hit_rate" in out
 
-    def test_telemetry_mode_choices_validated(self):
-        with pytest.raises(SystemExit):
-            main(["serve", "--requests", "1", "--telemetry", "loud"])
+    def test_telemetry_mode_choices_validated(self, capsys):
+        # The registry is the report, so serve always collects it.
+        for mode in ("loud", "off"):
+            with pytest.raises(SystemExit):
+                main(["serve", "--requests", "1", "--telemetry", mode])
+            assert "invalid choice" in capsys.readouterr().err
 
 
 class TestTrainAndReport:

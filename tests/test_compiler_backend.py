@@ -139,3 +139,19 @@ class TestCompileOncePerProgram:
         for _ in range(2):
             with pytest.raises(ValidationError, match="dim"):
                 bench.compiled()
+
+    def test_a_training_campaign_emits_no_opencl(self, monkeypatch):
+        # Only `repro kernel` and the examples read the emitted program.
+        from repro.benchsuite import get_benchmark
+        from repro.compiler import frontend
+        from repro.core import TrainingConfig, generate_training_data
+        from repro.machines import MC2
+
+        emitted = []
+        monkeypatch.setattr(
+            frontend, "emit_multi_device", lambda *args: emitted.append(args)
+        )
+        benches = [type(get_benchmark(name))() for name in ("vec_add", "mat_mul")]
+        database = generate_training_data(MC2, benches, TrainingConfig(max_sizes=2))
+        assert len(database) == 4
+        assert emitted == []

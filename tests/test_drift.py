@@ -121,7 +121,7 @@ class TestDriftDetector:
         assert not detector.observe("k", 2.0, 1.0)
         assert not detector.observe("k", 2.0, 1.0)
         assert detector.observe("k", 2.0, 1.0)
-        assert detector.flags == 1
+        assert detector.flags_in_window() == 1
 
     def test_single_outlier_does_not_flag(self):
         detector = DriftDetector(min_observations=3, threshold=0.3, alpha=0.3)
