@@ -37,16 +37,18 @@ docs/SERVING.md).  ``--objective energy|edp`` retargets the model, the
 regression checks and the local search, and ``--power-cap WATTS``
 serves under an average-power budget (see docs/ENERGY.md).  The report
 is the metrics registry every layer publishes into: the banner, the
-registry (a table, or JSON with ``--json``) and one wall-throughput
-line.
+registry table and one wall-throughput line.  With ``--json`` stdout
+carries the registry's JSON document alone, so it pipes, and every
+other line goes to stderr.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 import time
-from contextlib import contextmanager
+from contextlib import contextmanager, redirect_stdout
 from pathlib import Path
 
 from .benchsuite import all_benchmarks, get_benchmark
@@ -494,7 +496,8 @@ def _serve_options_from_args(args: argparse.Namespace):
 def _finish_telemetry(args, telemetry) -> None:
     """Report and export the run's telemetry (the loop collected every
     layer's metrics at the end of its run): the critical-path table and
-    the JSONL trace when tracing, then the whole registry."""
+    the JSONL trace when tracing, then the registry table (``--json``
+    prints the registry after the run instead)."""
     if telemetry.tracing:
         analyzer = telemetry.analyzer()
         slowest = analyzer.slowest(0.1)
@@ -512,17 +515,13 @@ def _finish_telemetry(args, telemetry) -> None:
                 f"trace: {len(telemetry.tracer.spans)} spans over "
                 f"{len(analyzer.trace_ids())} requests -> {args.trace_out}"
             )
-    _print_metrics_report(telemetry.registry, as_json=args.json)
+    if not args.json:
+        _print_metrics_report(telemetry.registry)
 
 
-def _print_metrics_report(registry, as_json: bool = False) -> None:
-    """The whole registry, one series per row (or raw JSON)."""
-    import json
-
+def _print_metrics_report(registry) -> None:
+    """The whole registry, one series per row."""
     snapshot = registry.snapshot()
-    if as_json:
-        print(json.dumps(snapshot, indent=2, sort_keys=True))
-        return
     rows = []
     for name, value in snapshot.items():
         if isinstance(value, dict):
@@ -659,7 +658,24 @@ def _served_printer(services):
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    """Serve one trace on the backend ``--machines``/``--pools`` name."""
+    """Serve one trace on the backend ``--machines``/``--pools`` name.
+
+    Under ``--json`` stdout carries the registry's JSON document alone;
+    the banner, responses, drift notes, critical path, trace-export line
+    and wall-throughput line go to stderr.
+    """
+    if not args.json:
+        _serve(args)
+        return 0
+    stdout = sys.stdout
+    with redirect_stdout(sys.stderr):
+        registry = _serve(args)
+    print(json.dumps(registry.snapshot(), indent=2, sort_keys=True), file=stdout)
+    return 0
+
+
+def _serve(args: argparse.Namespace):
+    """Serve the trace and print its report; returns the metrics registry."""
     from .machines import fleet_platforms
     from .serving import key_universe, serve_trace
 
@@ -707,7 +723,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         f"throughput (wall): {completed} requests completed in {wall_s:.3f} s, "
         f"{completed / wall_s:.1f} req/s"
     )
-    return 0
+    return result.telemetry.registry
 
 
 def _cmd_fleet_train(args: argparse.Namespace) -> int:
@@ -1297,7 +1313,8 @@ def _serve_parser(sub) -> None:
     g.add_argument(
         "--json",
         action="store_true",
-        help="print the metrics registry as JSON instead of a table",
+        help="print the metrics registry as JSON instead of a table: stdout "
+        "carries the JSON document alone, every other line goes to stderr",
     )
 
 

@@ -15,11 +15,10 @@ from .passes import (
 )
 from .splitter import (
     BufferDistribution,
-    DeviceChunk,
     DistributionKind,
     KernelDistribution,
+    buffer_range,
     derive_distributions,
-    plan_chunks,
 )
 
 __all__ = [
@@ -36,7 +35,6 @@ __all__ = [
     "BufferDistribution",
     "DistributionKind",
     "KernelDistribution",
-    "DeviceChunk",
+    "buffer_range",
     "derive_distributions",
-    "plan_chunks",
 ]

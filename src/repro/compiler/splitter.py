@@ -29,17 +29,13 @@ from ..inspire.analysis import (
     _single_assignment_map,
     _substitute_locals,
 )
-from ..partitioning import Partitioning, split_items
 
 __all__ = [
     "DistributionKind",
     "BufferDistribution",
     "KernelDistribution",
     "derive_distributions",
-    "DeviceChunk",
     "buffer_range",
-    "device_chunk",
-    "plan_chunks",
 ]
 
 
@@ -186,21 +182,6 @@ def derive_distributions(analysis: KernelAnalysis) -> KernelDistribution:
     return KernelDistribution(out)
 
 
-@dataclass(frozen=True)
-class DeviceChunk:
-    """One device's assignment: its work-item range and buffer ranges."""
-
-    device_index: int
-    item_offset: int
-    item_count: int
-    #: buffer name -> (element offset, element count) this device touches
-    buffer_ranges: Mapping[str, tuple[int, int]]
-
-    @property
-    def is_empty(self) -> bool:
-        return self.item_count == 0
-
-
 def buffer_range(
     dist: BufferDistribution,
     buffer_elems: int,
@@ -227,44 +208,3 @@ def buffer_range(
     if stop < start:
         stop = start
     return (start, stop - start)
-
-
-def device_chunk(
-    device_index: int,
-    item_offset: int,
-    item_count: int,
-    distribution: KernelDistribution,
-    buffer_sizes: Mapping[str, int],
-) -> DeviceChunk:
-    """One device's chunk: its item range and every buffer's element range.
-
-    An empty item range touches no buffer: every range is ``(0, 0)``.
-    """
-    if item_count == 0:
-        ranges = {name: (0, 0) for name in buffer_sizes}
-    else:
-        ranges = {
-            name: buffer_range(distribution.of(name), elems, item_offset, item_count)
-            for name, elems in buffer_sizes.items()
-        }
-    return DeviceChunk(device_index, item_offset, item_count, ranges)
-
-
-def plan_chunks(
-    total_items: int,
-    partitioning: Partitioning,
-    distribution: KernelDistribution,
-    buffer_sizes: Mapping[str, int],
-    granularity: int = 1,
-) -> tuple[DeviceChunk, ...]:
-    """Compute every device's item range and buffer element ranges.
-
-    ``buffer_sizes`` maps buffer names to their element counts.  The
-    returned chunks cover the ND-range exactly and are the direct input
-    to the runtime scheduler's transfer/launch planning.
-    """
-    ranges = split_items(total_items, partitioning, granularity)
-    return tuple(
-        device_chunk(dev_index, offset, count, distribution, buffer_sizes)
-        for dev_index, (offset, count) in enumerate(ranges)
-    )

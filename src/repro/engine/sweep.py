@@ -11,13 +11,10 @@ import statistics
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
-from ..compiler.splitter import BufferDistribution, buffer_range, device_chunk
 from ..energy.meter import EnergyMeter
-from ..inspire.ast import ParamIntent
 from ..partitioning import Partitioning, split_items
-from ..runtime.arrays import buffer_layout
 from ..runtime.measurement import MeasuredRun, Runner
-from ..runtime.plan import plan_device_commands, price_command, readback_count, replay
+from ..runtime.plan import CommandTemplate, plan_device_commands, price_command, replay
 from ..runtime.scheduler import ExecutionRequest, ExecutionResult
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -70,34 +67,16 @@ class _RequestMeta:
     """
 
     request: ExecutionRequest
-    buffer_sizes: dict[str, int]
-    itemsizes: dict[str, int]
-    #: (distribution, elements) of each IN/INOUT buffer param, in
-    #: declaration order: the inputs a chunk transfers host → device.
-    in_specs: tuple[tuple[BufferDistribution, int], ...]
-    #: (distribution, elements) of each OUT/INOUT buffer param, in
-    #: declaration order: the outputs a chunk reads back.
-    out_specs: tuple[tuple[BufferDistribution, int], ...]
+    #: What every chunk plan of the request shares: the content key's
+    #: counts and the plan of a tape miss both come from it.
+    template: CommandTemplate
     scalar_args: dict[str, float]
 
     @classmethod
     def of(cls, request: ExecutionRequest) -> "_RequestMeta":
-        distribution = request.compiled.distribution
-        layout = buffer_layout(request.arrays)
-        sizes = {name: elements for name, (elements, _) in layout.items()}
-        inputs, outputs = [], []
-        for p in request.compiled.kernel.buffer_params:
-            spec = (distribution.of(p.name), sizes[p.name])
-            if p.intent in (ParamIntent.IN, ParamIntent.INOUT):
-                inputs.append(spec)
-            if p.intent in (ParamIntent.OUT, ParamIntent.INOUT):
-                outputs.append(spec)
         return cls(
             request,
-            sizes,
-            {name: itemsize for name, (_, itemsize) in layout.items()},
-            tuple(inputs),
-            tuple(outputs),
+            CommandTemplate.of(request),
             {k: float(v) for k, v in request.scalars.items()},
         )
 
@@ -168,39 +147,43 @@ class SweepEngine:
         self,
         meta: _RequestMeta,
         device_index: int,
-        offset: int,
         count: int,
         multi: bool,
+        inputs: tuple[int, ...],
+        outputs: tuple[int, ...],
     ) -> _Tape:
-        """Plan and price one device's chunk: the tape-miss path."""
-        request = meta.request
-        chunk = device_chunk(
-            device_index,
-            offset,
-            count,
-            request.compiled.distribution,
-            meta.buffer_sizes,
-        )
-        plan = plan_device_commands(
-            request, chunk, multi, meta.buffer_sizes, meta.itemsizes
+        """Plan and price one device's chunk: the tape-miss path.
+
+        Each distinct command of the plan's head, sync block and tail is
+        priced once, through a memo keyed on (request, device, label,
+        amount): the label names the buffer and direction, or the
+        kernel, so an iterated kernel's later steps, and every tape of
+        the request whose device runs the same launch or moves the same
+        bytes, share one price.  The tape is the scheduler's timeline,
+        ``head + sync × (iterations − 1) + tail``.
+        """
+        head, sync, tail = plan_device_commands(
+            meta.template, count, multi, inputs, outputs
         )
         device = self.runner.devices[device_index]
-        analysis = request.compiled.analysis
-        # Each distinct command object is priced once: an iterated
-        # kernel's later steps repeat the same sync and launch objects.
-        # A price is shared by every tape of the request whose device
-        # runs the same launch or moves the same bytes (the label names
-        # the direction).  The tape then maps every command to its entry.
+        analysis = meta.request.compiled.analysis
         prices = self._prices
-        priced: dict[int, tuple[str, float, float]] = {}
-        for key, cmd in dict(zip(map(id, plan), plan)).items():
-            price_key = (meta, device_index, cmd.label, cmd.nbytes, cmd.items)
-            price = prices.get(price_key)
+
+        def priced(command):
+            label, _direction, amount = command
+            key = (meta, device_index, label, amount)
+            price = prices.get(key)
             if price is None:
-                price = price_command(device, cmd, analysis, meta.scalar_args)
-                prices[price_key] = price
-            priced[key] = (cmd.label, *price)
-        commands = tuple(map(priced.__getitem__, map(id, plan)))
+                price = prices[key] = price_command(
+                    device, command, analysis, meta.scalar_args
+                )
+            return (label, *price)
+
+        commands = (
+            tuple(map(priced, head))
+            + tuple(map(priced, sync)) * (meta.template.iterations - 1)
+            + tuple(map(priced, tail))
+        )
         return _Tape(commands, *replay(commands))
 
     def _content_tape(
@@ -212,16 +195,13 @@ class SweepEngine:
         multi: bool,
     ) -> _Tape:
         """A chunk's tape by content key: a hit, or recorded on a miss."""
-        inputs = tuple([buffer_range(d, n, offset, count)[1] for d, n in meta.in_specs])
-        outputs = tuple(
-            [readback_count(d, n, offset, count) for d, n in meta.out_specs]
-        )
+        inputs, outputs = meta.template.counts(offset, count)
         key = (meta, device_index, count, multi, inputs, outputs)
         tape = self._tapes.get(key)
         if tape is None:
             self.stats.tape_misses += 1
             tape = self._tapes[key] = self._record_tape(
-                meta, device_index, offset, count, multi
+                meta, device_index, count, multi, inputs, outputs
             )
         else:
             self.stats.tape_hits += 1
@@ -245,9 +225,9 @@ class SweepEngine:
         read-back.  Offsets matter only through halo and edge clipping,
         which the counts already capture, so interior chunks of equal
         size share a tape.  The counts come straight from the device's
-        ``(offset, count)`` in :func:`~repro.partitioning.split_items`;
-        its :class:`~repro.compiler.splitter.DeviceChunk` and command
-        plan are built only on a tape miss.  The content key itself is
+        ``(offset, count)`` in :func:`~repro.partitioning.split_items`,
+        through the request's command template, and the command plan is
+        built from them only on a tape miss.  The content key itself is
         computed only when the exact chunk ``(offset, count)`` has not
         been seen: a sweep meets each distinct chunk about twice.
         """

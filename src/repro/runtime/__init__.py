@@ -2,7 +2,7 @@
 
 from .arrays import LazyArrays, buffer_layout
 from .measurement import MeasuredRun, Runner, SessionStats
-from .plan import PlannedCommand, plan_device_commands, price_command
+from .plan import CommandTemplate, plan_device_commands, price_command
 from .scheduler import (
     ExecutionRequest,
     ExecutionResult,
@@ -23,7 +23,7 @@ __all__ = [
     "MeasuredRun",
     "Runner",
     "SessionStats",
-    "PlannedCommand",
+    "CommandTemplate",
     "plan_device_commands",
     "price_command",
     "ExecutionRequest",

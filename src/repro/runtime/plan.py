@@ -1,69 +1,130 @@
 """Per-device command planning and replay: the timeline of one execution.
 
-:func:`plan_device_commands` turns (request, chunk) into the exact
-sequence of transfer/kernel commands the device would enqueue,
-:func:`price_command` prices one command on one device: its noise-free
-seconds and its average dynamic watts, from one cost-model call, and
-:func:`replay` runs one device's priced commands back to back: its busy
-seconds and dynamic joules, the device's noise drawn per command.
+A :class:`CommandTemplate` holds what every chunk plan of one request
+shares: each input's and output's distribution, element count, transfer
+label and itemsize, the launch label, the iteration count and the
+multi-device sync entries.  :meth:`CommandTemplate.counts` gives a
+chunk's element counts (what each input's transfer moves and each
+output's read-back returns), and :func:`plan_device_commands` turns
+those counts into the chunk's ``(head, sync, tail)``: the device runs
+``head + sync × (iterations − 1) + tail``.  A command is a plain
+``(label, direction, amount)``: a transfer's direction and bytes, or a
+launch's ``None`` and work items.  :func:`price_command` prices one
+command on one device: its noise-free seconds and its average dynamic
+watts, from one cost-model call, and :func:`replay` runs one device's
+priced commands back to back: its busy seconds and dynamic joules, the
+device's noise drawn per command.
 
-Both timing paths run on these three functions: the scheduler plans,
-prices and replays every active chunk, and the :mod:`repro.engine`
-sweep engine caches each chunk's priced commands per (request, device,
-chunk shape) and replays the cached tape — the training sweep's 66
-points repeat the same per-device chunks heavily.  Transfers count in
-every timeline: the paper (citing Gregg & Hazelwood) holds that CPU/GPU
-comparisons mean nothing without them.
+Both timing paths run on these functions.  The scheduler plans every
+active chunk and prices every command it replays; the
+:mod:`repro.engine` sweep engine plans a chunk only on a tape miss,
+prices each distinct command once and replays the same expansion from
+its cached tape — the training sweep's 66 points repeat the same
+per-device chunks heavily.  Transfers count in every timeline: the
+paper (citing Gregg & Hazelwood) holds that CPU/GPU comparisons mean
+nothing without them.
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import TYPE_CHECKING, Sequence
 
-from ..compiler.splitter import BufferDistribution, DeviceChunk, DistributionKind
+from ..compiler.splitter import BufferDistribution, DistributionKind, buffer_range
 from ..inspire.analysis import KernelAnalysis
 from ..inspire.ast import ParamIntent
 from ..ocl.costmodel import TransferDirection
 from ..ocl.device import Device, NoiseModel
+from .arrays import buffer_layout
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .scheduler import ExecutionRequest
 
 __all__ = [
-    "CommandKind",
-    "PlannedCommand",
+    "Command",
+    "CommandTemplate",
     "plan_device_commands",
     "price_command",
     "readback_count",
     "replay",
 ]
 
+#: One device command, ``(label, direction, amount)``: a transfer's
+#: direction and bytes, or a kernel launch's ``None`` and work items.
+#: The label names the buffer or kernel and keys the noise stream.
+Command = tuple[str, TransferDirection | None, int]
 
-class CommandKind(enum.Enum):
-    """What a planned command does on its device."""
-
-    WRITE_BUFFER = "write_buffer"
-    READ_BUFFER = "read_buffer"
-    NDRANGE_KERNEL = "ndrange_kernel"
+_H2D = TransferDirection.HOST_TO_DEVICE
+_D2H = TransferDirection.DEVICE_TO_HOST
 
 
 @dataclass(frozen=True)
-class PlannedCommand:
-    """One device command with its timing inputs (no duration yet).
+class CommandTemplate:
+    """What every chunk plan of one request shares.
 
     Attributes:
-        kind: transfer direction or kernel launch.
-        label: command label (doubles as the noise-stream key).
-        nbytes: payload size for transfers.
-        items: work items for kernel launches.
+        inputs: (distribution, elements, ``h2d:`` label, itemsize) of
+            each IN/INOUT buffer param, in declaration order: the
+            buffers a chunk transfers host → device.
+        outputs: (distribution, elements, ``d2h:`` label, itemsize) of
+            each OUT/INOUT buffer param, in declaration order: the
+            buffers a chunk reads back.
+        launch: the kernel launch's label.
+        iterations: kernel launches per transfer cycle.
+        sync: what each iteration after the first re-sends while more
+            than one device is active, as (input index, elements): a
+            HALO input's halo rows, or ``None`` for a refresh buffer,
+            which re-sends the chunk's whole input range.
     """
 
-    kind: CommandKind
-    label: str
-    nbytes: int = 0
-    items: int = 0
+    inputs: tuple[tuple[BufferDistribution, int, str, int], ...]
+    outputs: tuple[tuple[BufferDistribution, int, str, int], ...]
+    launch: str
+    iterations: int
+    sync: tuple[tuple[int, int | None], ...]
+
+    @classmethod
+    def of(cls, request: "ExecutionRequest") -> "CommandTemplate":
+        """The request's template, read off its buffer layout (no data drawn)."""
+        compiled = request.compiled
+        layout = buffer_layout(request.arrays)
+        inputs, outputs, sync = [], [], []
+        for p in compiled.kernel.buffer_params:
+            dist = compiled.distribution.of(p.name)
+            elements, itemsize = layout[p.name]
+            if p.intent in (ParamIntent.IN, ParamIntent.INOUT):
+                # Halo rows cross the bus every step; a declared refresh
+                # buffer re-sends its range (a HALO input only its halo).
+                if dist.kind is DistributionKind.HALO:
+                    sync.append((len(inputs), min(2 * dist.halo, elements)))
+                elif p.name in request.refresh_buffers:
+                    sync.append((len(inputs), None))
+                inputs.append((dist, elements, f"h2d:{p.name}", itemsize))
+            if p.intent in (ParamIntent.OUT, ParamIntent.INOUT):
+                outputs.append((dist, elements, f"d2h:{p.name}", itemsize))
+        return cls(
+            tuple(inputs),
+            tuple(outputs),
+            f"kernel:{compiled.kernel.name}",
+            request.iterations,
+            tuple(sync),
+        )
+
+    def counts(
+        self, offset: int, count: int
+    ) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """(input counts, output counts) of the non-empty chunk ``(offset, count)``.
+
+        Each input's count is the element range its host → device
+        transfer moves (:func:`~repro.compiler.splitter.buffer_range`),
+        each output's the elements it reads back
+        (:func:`readback_count`).  With the item count and whether other
+        devices are active, they fix the chunk's whole plan.
+        """
+        return (
+            tuple([buffer_range(d, n, offset, count)[1] for d, n, _, _ in self.inputs]),
+            tuple([readback_count(d, n, offset, count) for d, n, _, _ in self.outputs]),
+        )
 
 
 def readback_count(
@@ -87,103 +148,51 @@ def readback_count(
 
 
 def plan_device_commands(
-    request: "ExecutionRequest",
-    chunk: DeviceChunk,
+    template: CommandTemplate,
+    items: int,
     multi_device: bool,
-    buffer_sizes: Mapping[str, int],
-    itemsizes: Mapping[str, int],
-) -> tuple[PlannedCommand, ...]:
-    """The exact command sequence one device enqueues for its chunk.
+    inputs: Sequence[int],
+    outputs: Sequence[int],
+) -> tuple[tuple[Command, ...], tuple[Command, ...], tuple[Command, ...]]:
+    """One device's commands for its chunk, as ``(head, sync, tail)``.
 
-    In the order the device runs them: h2d transfers for the inputs the
-    chunk reads, the kernel launch (iterated, with halo / refresh
-    re-broadcasts between steps when more than one device is active),
-    then d2h read-back of the outputs.  The plan is purely a
-    function of (request, chunk, multi_device) — no timeline state.
-    Every iteration after the first repeats one sync block of the same
-    command objects, so a consumer can price each distinct object once.
+    ``inputs`` and ``outputs`` are the chunk's
+    :meth:`CommandTemplate.counts`.  The device runs ``head + sync ×
+    (iterations − 1) + tail``: the head is the h2d transfers of the
+    inputs the chunk reads and the first launch; each later iteration
+    repeats the sync block, which re-sends halo rows and refresh
+    buffers first when more than one device is active, then launches
+    again; the tail reads the outputs back (halo-free written range).
+    A single launch has no sync block.  The plan is purely a function of
+    its arguments — no timeline state.
     """
-    compiled = request.compiled
-    kernel = compiled.kernel
-    commands: list[PlannedCommand] = []
-
-    # 1. Host→device transfers for inputs this chunk reads.
-    for p in kernel.buffer_params:
-        if p.intent not in (ParamIntent.IN, ParamIntent.INOUT):
-            continue
-        off, cnt = chunk.buffer_ranges[p.name]
-        if cnt > 0:
-            commands.append(
-                PlannedCommand(
-                    CommandKind.WRITE_BUFFER,
-                    f"h2d:{p.name}",
-                    nbytes=cnt * itemsizes[p.name],
-                )
-            )
-
-    # 2. Kernel launches (iterated).
-    launch = PlannedCommand(
-        CommandKind.NDRANGE_KERNEL, f"kernel:{kernel.name}", items=chunk.item_count
-    )
-    commands.append(launch)
-    if request.iterations > 1:
-        # Every later iteration enqueues the same sync block: with more
-        # than one device active, shared state is re-synchronized first
-        # (halo rows of HALO-distributed inputs, and any declared refresh
-        # buffers, cross the bus every step), then the launch repeats.
-        sync: list[PlannedCommand] = []
+    launch = (template.launch, None, items)
+    head = [
+        (label, _H2D, count * itemsize)
+        for (_, _, label, itemsize), count in zip(template.inputs, inputs)
+        if count > 0
+    ]
+    head.append(launch)
+    sync = []
+    if template.iterations > 1:
         if multi_device:
-            for p in kernel.buffer_params:
-                if p.intent is ParamIntent.OUT:
-                    continue
-                dist = compiled.distribution.of(p.name)
-                if dist.kind is DistributionKind.HALO:
-                    halo_elems = min(2 * dist.halo, buffer_sizes[p.name])
-                    if halo_elems > 0:
-                        sync.append(
-                            PlannedCommand(
-                                CommandKind.WRITE_BUFFER,
-                                f"h2d:{p.name}",
-                                nbytes=halo_elems * itemsizes[p.name],
-                            )
-                        )
-                elif p.name in request.refresh_buffers:
-                    off, cnt = chunk.buffer_ranges[p.name]
-                    if cnt > 0:
-                        sync.append(
-                            PlannedCommand(
-                                CommandKind.WRITE_BUFFER,
-                                f"h2d:{p.name}",
-                                nbytes=cnt * itemsizes[p.name],
-                            )
-                        )
+            for index, elements in template.sync:
+                _, _, label, itemsize = template.inputs[index]
+                count = inputs[index] if elements is None else elements
+                if count > 0:
+                    sync.append((label, _H2D, count * itemsize))
         sync.append(launch)
-        commands.extend(sync * (request.iterations - 1))
-
-    # 3. Device→host read-back of outputs (halo-free written range).
-    for p in kernel.buffer_params:
-        if p.intent not in (ParamIntent.OUT, ParamIntent.INOUT):
-            continue
-        cnt = readback_count(
-            compiled.distribution.of(p.name),
-            buffer_sizes[p.name],
-            chunk.item_offset,
-            chunk.item_count,
-        )
-        if cnt > 0:
-            commands.append(
-                PlannedCommand(
-                    CommandKind.READ_BUFFER,
-                    f"d2h:{p.name}",
-                    nbytes=cnt * itemsizes[p.name],
-                )
-            )
-    return tuple(commands)
+    tail = [
+        (label, _D2H, count * itemsize)
+        for (_, _, label, itemsize), count in zip(template.outputs, outputs)
+        if count > 0
+    ]
+    return tuple(head), tuple(sync), tuple(tail)
 
 
 def price_command(
     device: Device,
-    command: PlannedCommand,
+    command: Command,
     analysis: KernelAnalysis,
     scalar_args: dict[str, float],
 ) -> tuple[float, float]:
@@ -194,17 +203,12 @@ def price_command(
     stretches the draw, it does not change the wattage.  A launch's
     seconds and watts come from the same cost breakdown.
     """
-    if command.kind is CommandKind.NDRANGE_KERNEL:
-        breakdown = device.cost_model.kernel_time(analysis, command.items, scalar_args)
+    _label, direction, amount = command
+    if direction is None:
+        breakdown = device.cost_model.kernel_time(analysis, amount, scalar_args)
         return breakdown.total_s, device.power_model.kernel_power_w(breakdown)
-    if command.kind is CommandKind.WRITE_BUFFER:
-        direction = TransferDirection.HOST_TO_DEVICE
-    elif command.kind is CommandKind.READ_BUFFER:
-        direction = TransferDirection.DEVICE_TO_HOST
-    else:
-        raise ValueError(f"unplannable command kind {command.kind}")
     return (
-        device.cost_model.transfer_time_s(command.nbytes, direction),
+        device.cost_model.transfer_time_s(amount, direction),
         device.power_model.transfer_power_w(),
     )
 

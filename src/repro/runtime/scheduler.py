@@ -17,13 +17,12 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from ..compiler.frontend import CompiledKernel
-from ..compiler.splitter import DistributionKind, plan_chunks
+from ..compiler.splitter import DistributionKind
 from ..energy.meter import EnergyMeter
 from ..inspire.ast import ParamIntent
 from ..ocl.device import Device
-from ..partitioning import Partitioning
-from .arrays import buffer_layout
-from .plan import plan_device_commands, price_command, replay
+from ..partitioning import Partitioning, split_items
+from .plan import CommandTemplate, plan_device_commands, price_command, replay
 
 __all__ = ["ExecutorFn", "ExecutionRequest", "ExecutionResult", "execute_partitioned"]
 
@@ -51,6 +50,7 @@ class ExecutionRequest:
         refresh_buffers: FULL-distributed inputs re-broadcast to every
             active device on each iteration after the first, when two or
             more devices are active (multi-device synchronization cost).
+            Only an IN or INOUT buffer can be re-broadcast.
     """
 
     compiled: CompiledKernel
@@ -69,13 +69,17 @@ class ExecutionRequest:
             raise ValueError("granularity must be >= 1")
         if self.iterations < 1:
             raise ValueError("iterations must be >= 1")
-        unknown = set(self.refresh_buffers) - {
-            p.name for p in self.compiled.kernel.buffer_params
-        }
+        intents = {p.name: p.intent for p in self.compiled.kernel.buffer_params}
+        unknown = set(self.refresh_buffers) - intents.keys()
         if unknown:
             raise ValueError(f"refresh_buffers name unknown buffers: {sorted(unknown)}")
-        param_buffers = {p.name for p in self.compiled.kernel.buffer_params}
-        missing = param_buffers - set(self.arrays)
+        for name in self.refresh_buffers:
+            if intents[name] is ParamIntent.OUT:
+                raise ValueError(
+                    f"refresh_buffers names {name!r}, an OUT buffer: only IN "
+                    "and INOUT buffers are re-broadcast between iterations"
+                )
+        missing = intents.keys() - set(self.arrays)
         if missing:
             raise ValueError(f"missing arrays for buffers: {sorted(missing)}")
         param_scalars = {p.name for p in self.compiled.kernel.scalar_params}
@@ -142,34 +146,25 @@ def execute_partitioned(
     kernel = compiled.kernel
     # Timing reads only the layout; the arrays are read (and drawn) by
     # the functional payload alone.
-    layout = buffer_layout(request.arrays)
-    buffer_sizes = {name: elements for name, (elements, _) in layout.items()}
-    itemsizes = {name: itemsize for name, (_, itemsize) in layout.items()}
-    chunks = plan_chunks(
-        request.total_items,
-        partitioning,
-        compiled.distribution,
-        buffer_sizes,
-        request.granularity,
-    )
+    template = CommandTemplate.of(request)
+    ranges = split_items(request.total_items, partitioning, request.granularity)
+    active = [(i, offset, count) for i, (offset, count) in enumerate(ranges) if count]
+    multi = len(active) > 1
     scalar_args = {k: float(v) for k, v in request.scalars.items()}
 
     # Private copies for reduction-merged outputs, one per active device.
     reduced_names = [
-        name
-        for name in layout
-        if compiled.distribution.of(name).kind is DistributionKind.REDUCED
-        and kernel.param(name).intent is not ParamIntent.IN
+        p.name
+        for p in kernel.buffer_params
+        if compiled.distribution.of(p.name).kind is DistributionKind.REDUCED
+        and p.intent is not ParamIntent.IN
     ]
     private_copies: dict[int, dict[str, np.ndarray]] = {}
 
-    active_devices = sum(1 for c in chunks if not c.is_empty)
     busy = [0.0] * len(devices)
     dynamic_j = [0.0] * len(devices)
-    for chunk in chunks:
-        if chunk.is_empty:
-            continue
-        device = devices[chunk.device_index]
+    for device_index, offset, count in active:
+        device = devices[device_index]
 
         # Functional payload: compute this sub-range's outputs once,
         # independent of the (iterated) timing commands below.
@@ -182,23 +177,20 @@ def execute_partitioned(
                     op = compiled.distribution.of(name).reduce_op
                     identity = _REDUCE_IDENTITY[op](host.dtype)
                     copies[name] = np.full_like(host, identity)
-                private_copies[chunk.device_index] = copies
+                private_copies[device_index] = copies
                 device_arrays.update(copies)
-            request.executor(
-                device_arrays, request.scalars, chunk.item_offset, chunk.item_count
-            )
+            request.executor(device_arrays, request.scalars, offset, count)
 
-        # Timing: price the planned command sequence, then replay it on
-        # the device's timeline, where its noise stretches each command.
-        commands = [
-            (cmd.label, *price_command(device, cmd, compiled.analysis, scalar_args))
-            for cmd in plan_device_commands(
-                request, chunk, active_devices > 1, buffer_sizes, itemsizes
-            )
-        ]
-        busy[chunk.device_index], dynamic_j[chunk.device_index] = replay(
-            commands, device.noise
+        # Timing: price every command of the planned timeline, then
+        # replay it on the device, where its noise stretches each one.
+        head, sync, tail = plan_device_commands(
+            template, count, multi, *template.counts(offset, count)
         )
+        commands = [
+            (cmd[0], *price_command(device, cmd, compiled.analysis, scalar_args))
+            for cmd in head + sync * (request.iterations - 1) + tail
+        ]
+        busy[device_index], dynamic_j[device_index] = replay(commands, device.noise)
 
     # 4. Merge reduction outputs into the host arrays.
     if functional and private_copies:

@@ -203,12 +203,6 @@ class TestRun:
 TINY = ["--train-programs", "2", "--max-sizes", "1", "--model", "knn"]
 
 
-def _registry_json(out: str) -> dict:
-    """The ``--json`` registry, printed between the banner and the
-    closing wall-throughput line."""
-    return json.JSONDecoder().raw_decode(out, out.index("\n{\n") + 1)[0]
-
-
 def _model_sources(out: str) -> dict[str, str]:
     """Each machine's model source, as the ``serve`` banner names it."""
     prefix = "model sources: "
@@ -238,16 +232,29 @@ class TestServe:
         if arrival == "poisson":
             argv += ["--arrival", "poisson"]
         assert main([*argv, "--json"]) == 0
-        out = capsys.readouterr().out
-        payload = _registry_json(out)
+        captured = capsys.readouterr()
+        payload = json.loads(captured.out)
         assert (
             payload["loop.completed"] + payload["loop.shed"] + payload["loop.failed"]
             == 8
         )
         assert series in payload
         completed = payload["loop.completed"]
-        assert out.splitlines()[-1].startswith(
+        assert captured.err.splitlines()[-1].startswith(
             f"throughput (wall): {completed} requests completed in "
+        )
+
+    def test_json_stdout_is_the_registry_alone(self, capsys):
+        # Piped to ``python -m json.tool``, stdout must parse whole: the
+        # banner and the wall-throughput line go to stderr.
+        argv = "serve --requests 5 --train-programs 1 --max-sizes 1 --json".split()
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        payload = json.loads(captured.out)
+        assert payload["service.requests"] == 5
+        assert captured.err.startswith("one machine (mc2); ")
+        assert captured.err.splitlines()[-1].startswith(
+            "throughput (wall): 5 requests completed in "
         )
 
     @pytest.mark.parametrize(
@@ -259,7 +266,7 @@ class TestServe:
         flags, _series = self.BACKENDS[backend]
         argv = ["serve", *TINY, "--requests", "8", "--tenants", "gold,silver"]
         assert main([*argv, *flags, "--json"]) == 0
-        payload = _registry_json(capsys.readouterr().out)
+        payload = json.loads(capsys.readouterr().out)
 
         def series(suffix):
             return [v for name, v in payload.items() if name.endswith(suffix)]
@@ -309,7 +316,7 @@ class TestServe:
              "--shed-policy", "priority", "--tenants", "gold,silver",
              "--tenant-priority", "gold:2", "--json"]
         ) == 0
-        payload = _registry_json(capsys.readouterr().out)
+        payload = json.loads(capsys.readouterr().out)
         assert payload["slo.tenant.gold.shed"] == 0
         assert payload["slo.tenant.silver.shed"] >= 1
 
@@ -348,11 +355,11 @@ class TestServing:
              "--train-programs", "3", "--max-sizes", "1", "--model", "knn",
              "--json"]
         ) == 0
-        out = capsys.readouterr().out
-        assert out.count("vec_add@4096") == 2
-        assert "[miss" in out and "[hit" in out
-        assert out.count("malformed request") == 2  # unknown program, size 0
-        assert _registry_json(out)["service.requests"] == 2
+        captured = capsys.readouterr()
+        assert captured.err.count("vec_add@4096") == 2
+        assert "[miss" in captured.err and "[hit" in captured.err
+        assert captured.err.count("malformed request") == 2  # unknown program, size 0
+        assert json.loads(captured.out)["service.requests"] == 2
 
     def test_replay_rejects_bad_train_programs(self):
         with pytest.raises(SystemExit):
@@ -364,9 +371,9 @@ class TestServing:
              "--train-programs", "4", "--max-sizes", "1", "--model", "knn",
              "--objective", "energy", "--json"]
         ) == 0
-        out = capsys.readouterr().out
-        assert "objective energy" in out.splitlines()[0]
-        payload = _registry_json(out)
+        captured = capsys.readouterr()
+        assert "objective energy" in captured.err.splitlines()[0]
+        payload = json.loads(captured.out)
         assert payload["service.energy_j"] > 0
         assert payload["loop.execute_time_s"] > 0
 
@@ -376,9 +383,9 @@ class TestServing:
              "--train-programs", "4", "--max-sizes", "1", "--model", "knn",
              "--power-cap", "160", "--json"]
         ) == 0
-        out = capsys.readouterr().out
-        assert "power cap 160 W" in out.splitlines()[0]
-        payload = _registry_json(out)
+        captured = capsys.readouterr()
+        assert "power cap 160 W" in captured.err.splitlines()[0]
+        payload = json.loads(captured.out)
         assert "service.power_capped" in payload
         assert "service.power_cap_violations" in payload
 
@@ -450,9 +457,9 @@ class TestGraphCommands:
              "--requests", "6", "--train-programs", "4", "--max-sizes", "1",
              "--model", "knn", "--json"]
         ) == 0
-        out = capsys.readouterr().out
-        assert "distinct pipelines" in out
-        payload = _registry_json(out)
+        captured = capsys.readouterr()
+        assert "distinct pipelines" in captured.err
+        payload = json.loads(captured.out)
         assert payload["service.graph_requests"] == 6
         assert "service.graph_cosearches" in payload
         assert "service.cache.hit_rate" in payload
@@ -503,9 +510,9 @@ class TestFleet:
              "--train-programs", "2", "--max-sizes", "1", "--model", "knn",
              "--policy", "energy", "--objective", "energy", "--json"]
         ) == 0
-        out = capsys.readouterr().out
-        assert "policy energy" in out
-        payload = _registry_json(out)
+        captured = capsys.readouterr()
+        assert "policy energy" in captured.err
+        payload = json.loads(captured.out)
         assert payload["fleet.energy_j"] > 0 and payload["fleet.avg_power_w"] > 0
         assert payload["fleet.replica.mc1-r0.service.energy_j"] >= 0
 
@@ -664,9 +671,9 @@ class TestTelemetryCommands:
              "--faults", "crash:0.0005:0.001::0",
              "--trace-out", str(out_path), "--json"]
         ) == 0
-        out = capsys.readouterr().out
-        assert _registry_json(out)["loop.faults.crashes"] >= 1
-        assert "Critical path" in out
+        captured = capsys.readouterr()
+        assert json.loads(captured.out)["loop.faults.crashes"] >= 1
+        assert "Critical path" in captured.err
         header = json.loads(out_path.read_text().splitlines()[0])
         assert header["completed"] + header["failed"] == 12
 

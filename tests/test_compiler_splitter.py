@@ -1,4 +1,4 @@
-"""Tests for buffer-distribution analysis and chunk planning."""
+"""Tests for buffer-distribution analysis and per-device buffer ranges."""
 
 import pytest
 from hypothesis import given, settings
@@ -8,11 +8,11 @@ from repro.compiler import (
     BufferDistribution,
     DistributionKind,
     KernelDistribution,
+    buffer_range,
     derive_distributions,
-    plan_chunks,
 )
 from repro.inspire import FLOAT, INT, Intent, KernelBuilder, analyze_kernel, const
-from repro.partitioning import Partitioning, partition_space
+from repro.partitioning import Partitioning, partition_space, split_items
 
 
 class TestBufferDistribution:
@@ -97,6 +97,21 @@ class TestDeriveDistributions:
                 assert name in param_names, (bench.name, name)
 
 
+def _buffer_ranges(total, partitioning, dist, sizes, granularity=1):
+    """Each device's item count and every buffer's element range, as the
+    scheduler cuts them: ``[(item count, {buffer: (offset, count)})]``."""
+    return [
+        (
+            count,
+            {
+                name: buffer_range(dist.of(name), elements, offset, count)
+                for name, elements in sizes.items()
+            },
+        )
+        for offset, count in split_items(total, partitioning, granularity)
+    ]
+
+
 class TestPlanChunks:
     def _dist(self):
         return KernelDistribution(
@@ -110,41 +125,44 @@ class TestPlanChunks:
 
     def test_chunks_cover_buffers(self):
         sizes = {"inp": 100, "halo_in": 100, "lookup": 50, "out": 100}
-        chunks = plan_chunks(100, Partitioning((50, 30, 20)), self._dist(), sizes)
-        assert [c.item_count for c in chunks] == [50, 30, 20]
-        assert chunks[0].buffer_ranges["inp"] == (0, 50)
-        assert chunks[1].buffer_ranges["inp"] == (50, 30)
-        assert chunks[2].buffer_ranges["inp"] == (80, 20)
+        chunks = _buffer_ranges(100, Partitioning((50, 30, 20)), self._dist(), sizes)
+        assert [count for count, _ in chunks] == [50, 30, 20]
+        assert chunks[0][1]["inp"] == (0, 50)
+        assert chunks[1][1]["inp"] == (50, 30)
+        assert chunks[2][1]["inp"] == (80, 20)
 
     def test_full_buffers_whole_range(self):
         sizes = {"inp": 100, "halo_in": 100, "lookup": 50, "out": 100}
-        chunks = plan_chunks(100, Partitioning((50, 30, 20)), self._dist(), sizes)
-        for c in chunks:
-            assert c.buffer_ranges["lookup"] == (0, 50)
+        chunks = _buffer_ranges(100, Partitioning((50, 30, 20)), self._dist(), sizes)
+        for _count, ranges in chunks:
+            assert ranges["lookup"] == (0, 50)
 
     def test_halo_extension_clamped(self):
         sizes = {"inp": 100, "halo_in": 100, "lookup": 50, "out": 100}
-        chunks = plan_chunks(100, Partitioning((50, 30, 20)), self._dist(), sizes)
+        chunks = _buffer_ranges(100, Partitioning((50, 30, 20)), self._dist(), sizes)
         # First chunk: clamped at 0; covers [0, 52).
-        assert chunks[0].buffer_ranges["halo_in"] == (0, 52)
+        assert chunks[0][1]["halo_in"] == (0, 52)
         # Middle chunk: [48, 82) -> offset 48, count 34.
-        assert chunks[1].buffer_ranges["halo_in"] == (48, 34)
+        assert chunks[1][1]["halo_in"] == (48, 34)
         # Last chunk: clamped at the end.
-        assert chunks[2].buffer_ranges["halo_in"] == (78, 22)
+        assert chunks[2][1]["halo_in"] == (78, 22)
 
     def test_empty_device_empty_ranges(self):
         sizes = {"inp": 10, "halo_in": 10, "lookup": 5, "out": 10}
-        chunks = plan_chunks(10, Partitioning((100, 0, 0)), self._dist(), sizes)
-        assert chunks[1].is_empty
-        assert chunks[1].buffer_ranges["inp"] == (0, 0)
+        chunks = _buffer_ranges(10, Partitioning((100, 0, 0)), self._dist(), sizes)
+        # An empty device is never planned, and it owns no element of a
+        # SPLIT buffer.
+        for count, ranges in chunks[1:]:
+            assert count == 0
+            assert ranges["inp"][1] == ranges["out"][1] == 0
 
     def test_elements_per_item_scaling(self):
         dist = KernelDistribution(
             {"mat": BufferDistribution.split(elements_per_item=8)}
         )
-        chunks = plan_chunks(10, Partitioning((50, 50, 0)), dist, {"mat": 80})
-        assert chunks[0].buffer_ranges["mat"] == (0, 40)
-        assert chunks[1].buffer_ranges["mat"] == (40, 40)
+        chunks = _buffer_ranges(10, Partitioning((50, 50, 0)), dist, {"mat": 80})
+        assert chunks[0][1]["mat"] == (0, 40)
+        assert chunks[1][1]["mat"] == (40, 40)
 
     @given(
         total=st.integers(min_value=1, max_value=20_000),
@@ -156,11 +174,11 @@ class TestPlanChunks:
         """SPLIT buffer ranges of non-empty chunks tile the buffer."""
         p = partition_space(3, 10)[p_idx]
         dist = KernelDistribution({"out": BufferDistribution.split()})
-        chunks = plan_chunks(total, p, dist, {"out": total}, granularity=gran)
+        chunks = _buffer_ranges(total, p, dist, {"out": total}, granularity=gran)
         covered = 0
-        for c in chunks:
-            off, cnt = c.buffer_ranges["out"]
-            if c.item_count:
+        for count, ranges in chunks:
+            off, cnt = ranges["out"]
+            if count:
                 assert off == covered
                 covered += cnt
         assert covered == total

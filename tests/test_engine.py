@@ -19,12 +19,18 @@ from repro.core.trainer import sweep_partitionings
 from repro.engine import SweepEngine
 from repro.machines import MC1, MC2
 from repro.ocl.costmodel import DeviceCostModel
-from repro.partitioning import Partitioning, partition_space
+from repro.partitioning import Partitioning, partition_space, split_items
 from repro.runtime import Runner
+from repro.runtime.plan import replay
 
 #: Every program of the suite; the exactness matrix runs each at its
 #: smallest rung, on both machines, with and without noise.
 PROGRAMS = sorted(b.name for b in all_benchmarks())
+
+#: The iterated programs whose steps re-send state while more than one
+#: device is active: halo rows (hotspot, srad, stencil2d, conv2d, spmv)
+#: or refresh buffers (spmv, nbody, md, kmeans, backprop).
+SYNC_PROGRAMS = "hotspot srad stencil2d conv2d spmv nbody md kmeans backprop".split()
 
 #: sha256 over every record's full sweep (label, seconds and joules as
 #: ``float.hex``) of a 23-program mc2 campaign, per training config.
@@ -356,3 +362,89 @@ def test_chunk_memo_matches_the_content_key_path(program):
         assert engine.stats == reference.stats
         engine.reset()
         assert not engine._chunks
+
+
+def _repeats_a_transfer(commands):
+    """Whether a timeline sends one input more than once (a sync block)."""
+    labels = [label for label, _seconds, _watts in commands if label[:4] == "h2d:"]
+    return len(labels) > len(set(labels))
+
+
+@pytest.mark.parametrize("program", PROGRAMS)
+def test_tapes_are_the_schedulers_priced_plans(program, monkeypatch):
+    """Every tape a sweep records is the scheduler's timeline for its chunk.
+
+    Label, seconds and watts, command by command, against what the
+    unmemoized scheduler prices and replays for the same chunk, at two
+    rungs on both machines, single- and multi-device.  A fresh engine
+    calls ``price_command`` exactly once per distinct (device, label,
+    amount) command of those timelines, where the scheduler prices
+    every command it replays.
+    """
+    import repro.engine.sweep as sweep
+    import repro.runtime.scheduler as scheduler
+
+    timelines, scheduler_priced, engine_priced = [], [], []
+    device_index = {}
+
+    def recording(calls, price_command):
+        def price(device, command, analysis, scalar_args):
+            label, _direction, amount = command
+            calls.append((device_index[id(device)], label, amount))
+            return price_command(device, command, analysis, scalar_args)
+
+        return price
+
+    def scheduler_replay(commands, noise=None):
+        timelines.append(tuple(commands))
+        return replay(commands, noise)
+
+    monkeypatch.setattr(
+        scheduler, "price_command", recording(scheduler_priced, sweep.price_command)
+    )
+    monkeypatch.setattr(
+        sweep, "price_command", recording(engine_priced, sweep.price_command)
+    )
+    monkeypatch.setattr(scheduler, "replay", scheduler_replay)
+
+    bench = get_benchmark(program)
+    sizes = bench.problem_sizes()
+    for machine in (MC1, MC2):
+        space = partition_space(machine.num_devices, 10)
+        for size in (sizes[0], sizes[len(sizes) // 2]):
+            request = bench.request(bench.make_instance(size, seed=0))
+            runner, engine = Runner(machine), SweepEngine(Runner(machine))
+            for devices in (runner.devices, engine.runner.devices):
+                device_index.update((id(d), i) for i, d in enumerate(devices))
+            del scheduler_priced[:], engine_priced[:]
+            engine.sweep_with_energy(request, space)
+            meta = engine._lookup(request)
+            for p in space:
+                del timelines[:]
+                runner.run(request, p, functional=False)
+                ranges = split_items(request.total_items, p, request.granularity)
+                active = [(i, off, cnt) for i, (off, cnt) in enumerate(ranges) if cnt]
+                multi = len(active) > 1
+                for (i, offset, count), timeline in zip(active, timelines, strict=True):
+                    tape = engine._chunks[(meta, i, offset, count, multi)]
+                    where = (machine.name, size, p.label, i)
+                    assert tape.commands == timeline, where
+            # Every recorded tape was checked: each belongs to some chunk.
+            chunks = engine._chunks
+            assert {id(t) for t in engine._tapes.values()} == {
+                id(t) for t in chunks.values()
+            }
+            assert len(engine_priced) == len(set(engine_priced))
+            assert set(engine_priced) == set(scheduler_priced)
+            assert len(scheduler_priced) > len(engine_priced)
+            assert not any(
+                _repeats_a_transfer(tape.commands)
+                for (_meta, _i, _off, _cnt, multi), tape in chunks.items()
+                if not multi
+            )
+            synced = any(
+                _repeats_a_transfer(tape.commands)
+                for (_meta, _i, _off, _cnt, multi), tape in chunks.items()
+                if multi
+            )
+            assert synced == (program in SYNC_PROGRAMS), (machine.name, size)

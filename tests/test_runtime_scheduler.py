@@ -1,25 +1,29 @@
 """Tests for the multi-device scheduler: functional + timing behaviour."""
 
 import statistics
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
 from repro.benchsuite import all_benchmarks, get_benchmark
-from repro.compiler.splitter import DistributionKind, plan_chunks
+from repro.compiler.splitter import DistributionKind, buffer_range
 from repro.inspire.ast import ParamIntent
 from repro.machines import MC1, MC2
-from repro.partitioning import Partitioning
+from repro.ocl.costmodel import TransferDirection
+from repro.partitioning import Partitioning, split_items
 from repro.runtime import (
+    CommandTemplate,
     ExecutionRequest,
-    PlannedCommand,
     Runner,
     buffer_layout,
     execute_partitioned,
     plan_device_commands,
     price_command,
 )
-from repro.runtime.plan import CommandKind
+
+H2D = TransferDirection.HOST_TO_DEVICE
+D2H = TransferDirection.DEVICE_TO_HOST
 
 # A representative cross-section: streaming, 2D split, reduce-merge,
 # halo stencil, indirect, INOUT.
@@ -97,6 +101,22 @@ class TestRequestValidation:
                 refresh_buffers=("ghost",),
             )
 
+    def test_output_refresh_buffer_rejected(self):
+        # No plan re-broadcasts an OUT buffer: vec_add naming its output
+        # ran 0/50/50 over five iterations in the time it ran without.
+        bench = get_benchmark("vec_add")
+        inst = bench.make_instance(64, seed=0)
+        with pytest.raises(ValueError, match="'c', an OUT buffer"):
+            ExecutionRequest(
+                compiled=bench.compiled(inst),
+                arrays=inst.arrays,
+                scalars=inst.scalars,
+                total_items=64,
+                executor=bench.execute,
+                iterations=5,
+                refresh_buffers=("c",),
+            )
+
     def test_partitioning_device_count_mismatch(self):
         bench = get_benchmark("vec_add")
         inst = bench.make_instance(64, seed=0)
@@ -107,21 +127,28 @@ class TestRequestValidation:
             )
 
 
+def _chunks(request, partitioning):
+    """``(offset, count)`` of every active chunk, and whether several are."""
+    ranges = split_items(request.total_items, partitioning, request.granularity)
+    active = [(offset, count) for offset, count in ranges if count]
+    return active, len(active) > 1
+
+
 def _plan_args(request, partitioning):
     """``plan_device_commands`` arguments of every active chunk, as the
     scheduler plans them."""
-    layout = buffer_layout(request.arrays)
-    sizes = {buf: elements for buf, (elements, _) in layout.items()}
-    itemsizes = {buf: itemsize for buf, (_, itemsize) in layout.items()}
-    chunks = plan_chunks(
-        request.total_items,
-        partitioning,
-        request.compiled.distribution,
-        sizes,
-        request.granularity,
-    )
-    active = [c for c in chunks if not c.is_empty]
-    return [(request, c, len(active) > 1, sizes, itemsizes) for c in active]
+    template = CommandTemplate.of(request)
+    active, multi = _chunks(request, partitioning)
+    return [
+        (template, count, multi, *template.counts(offset, count))
+        for offset, count in active
+    ]
+
+
+def _timeline(args):
+    """The commands a chunk's device runs, in order."""
+    head, sync, tail = plan_device_commands(*args)
+    return head + sync * (args[0].iterations - 1) + tail
 
 
 def _transfer_s(device, request, plan):
@@ -130,7 +157,7 @@ def _transfer_s(device, request, plan):
     return sum(
         price_command(device, cmd, request.compiled.analysis, scalars)[0]
         for cmd in plan
-        if cmd.kind is not CommandKind.NDRANGE_KERNEL
+        if cmd[1] is not None
     )
 
 
@@ -167,18 +194,18 @@ class TestTimingSemantics:
         bench = get_benchmark("vec_add")
         request = bench.request(bench.make_instance(1 << 16, seed=0))
         [args] = _plan_args(request, Partitioning((0, 100, 0)))
-        plan = plan_device_commands(*args)
-        kinds = {cmd.kind for cmd in plan}
-        assert CommandKind.WRITE_BUFFER in kinds
-        assert CommandKind.READ_BUFFER in kinds
+        plan = _timeline(args)
+        directions = {direction for _label, direction, _amount in plan}
+        assert H2D in directions
+        assert D2H in directions
         assert _transfer_s(Runner(MC2).devices[1], request, plan) > 0.0
 
     def test_cpu_only_has_zero_cost_transfers(self):
         bench = get_benchmark("vec_add")
         request = bench.request(bench.make_instance(1 << 16, seed=0))
         [args] = _plan_args(request, Partitioning((100, 0, 0)))
-        plan = plan_device_commands(*args)
-        assert any(cmd.kind is not CommandKind.NDRANGE_KERNEL for cmd in plan)
+        plan = _timeline(args)
+        assert any(direction is not None for _label, direction, _amount in plan)
         assert _transfer_s(Runner(MC2).devices[0], request, plan) == 0.0
 
     def test_iterations_scale_kernel_time(self):
@@ -208,9 +235,9 @@ class TestTimingSemantics:
 
         def writes(partitioning):
             return sum(
-                cmd.kind is CommandKind.WRITE_BUFFER
+                direction is H2D
                 for args in _plan_args(request, partitioning)
-                for cmd in plan_device_commands(*args)
+                for _label, direction, _amount in _timeline(args)
             )
 
         assert writes(Partitioning((0, 50, 50))) > 2 * writes(Partitioning((0, 100, 0)))
@@ -283,31 +310,63 @@ class TestRunnerMeasurement:
             runner.run(bench.request(inst), Partitioning((100, 0, 0)), repetitions=0)
 
 
-def _reference_plan(request, chunk, multi_device, buffer_sizes, itemsizes):
+@dataclass(frozen=True)
+class PlannedCommand:
+    """The reference planner's record of one device command.
+
+    ``kind`` is ``"write_buffer"``, ``"read_buffer"`` or
+    ``"ndrange_kernel"``; a transfer carries its bytes, a launch its
+    work items.
+    """
+
+    kind: str
+    label: str
+    nbytes: int = 0
+    items: int = 0
+
+
+def _as_planned(command):
+    """A planned ``(label, direction, amount)`` command as the reference's record."""
+    label, direction, amount = command
+    if direction is None:
+        return PlannedCommand("ndrange_kernel", label, items=amount)
+    kind = "write_buffer" if direction is H2D else "read_buffer"
+    return PlannedCommand(kind, label, nbytes=amount)
+
+
+def _reference_plan(request, item_offset, item_count, multi_device):
     """The command planner as first written, for comparison.
 
-    It re-walks the buffer params on every iteration;
-    ``plan_device_commands`` builds the sync block once and must plan
-    exactly this sequence.
+    It re-walks the buffer params on every iteration and reads each
+    buffer's range off the splitter; ``plan_device_commands`` builds
+    the sync block once from the request's template, and its expanded
+    ``head + sync × (iterations − 1) + tail`` must be exactly this
+    sequence.
     """
     compiled = request.compiled
     kernel = compiled.kernel
+    layout = buffer_layout(request.arrays)
+    buffer_sizes = {buf: elements for buf, (elements, _) in layout.items()}
+    itemsizes = {buf: itemsize for buf, (_, itemsize) in layout.items()}
+
+    def buffer_count(name):
+        dist = compiled.distribution.of(name)
+        return buffer_range(dist, buffer_sizes[name], item_offset, item_count)[1]
+
     commands = []
     for p in kernel.buffer_params:
         if p.intent not in (ParamIntent.IN, ParamIntent.INOUT):
             continue
-        off, cnt = chunk.buffer_ranges[p.name]
+        cnt = buffer_count(p.name)
         if cnt > 0:
             commands.append(
                 PlannedCommand(
-                    CommandKind.WRITE_BUFFER,
+                    "write_buffer",
                     f"h2d:{p.name}",
                     nbytes=cnt * itemsizes[p.name],
                 )
             )
-    launch = PlannedCommand(
-        CommandKind.NDRANGE_KERNEL, f"kernel:{kernel.name}", items=chunk.item_count
-    )
+    launch = PlannedCommand("ndrange_kernel", f"kernel:{kernel.name}", items=item_count)
     commands.append(launch)
     for _ in range(request.iterations - 1):
         if multi_device:
@@ -320,17 +379,17 @@ def _reference_plan(request, chunk, multi_device, buffer_sizes, itemsizes):
                     if halo_elems > 0:
                         commands.append(
                             PlannedCommand(
-                                CommandKind.WRITE_BUFFER,
+                                "write_buffer",
                                 f"h2d:{p.name}",
                                 nbytes=halo_elems * itemsizes[p.name],
                             )
                         )
                 elif p.name in request.refresh_buffers:
-                    off, cnt = chunk.buffer_ranges[p.name]
+                    cnt = buffer_count(p.name)
                     if cnt > 0:
                         commands.append(
                             PlannedCommand(
-                                CommandKind.WRITE_BUFFER,
+                                "write_buffer",
                                 f"h2d:{p.name}",
                                 nbytes=cnt * itemsizes[p.name],
                             )
@@ -344,16 +403,16 @@ def _reference_plan(request, chunk, multi_device, buffer_sizes, itemsizes):
             off, cnt = 0, buffer_sizes[p.name]
         else:
             epi = dist.elements_per_item
-            off = int(chunk.item_offset * epi)
+            off = int(item_offset * epi)
             stop = min(
                 buffer_sizes[p.name],
-                int((chunk.item_offset + chunk.item_count) * epi),
+                int((item_offset + item_count) * epi),
             )
             cnt = max(0, stop - off)
         if cnt > 0:
             commands.append(
                 PlannedCommand(
-                    CommandKind.READ_BUFFER,
+                    "read_buffer",
                     f"d2h:{p.name}",
                     nbytes=cnt * itemsizes[p.name],
                 )
@@ -368,8 +427,10 @@ def test_plan_matches_reference_planner(name):
     request = bench.request(bench.make_instance(bench.problem_sizes()[0], seed=0))
     planned = 0
     for p in PARTITIONINGS:
-        for args in _plan_args(request, p):
-            where = (p.label, args[1].device_index)
-            assert plan_device_commands(*args) == _reference_plan(*args), where
+        active, multi = _chunks(request, p)
+        for (offset, count), args in zip(active, _plan_args(request, p), strict=True):
+            where = (p.label, offset, count)
+            timeline = tuple(map(_as_planned, _timeline(args)))
+            assert timeline == _reference_plan(request, offset, count, multi), where
             planned += 1
     assert planned > len(PARTITIONINGS)
